@@ -31,6 +31,7 @@ from scipy.integrate import solve_ivp
 
 from .clifford import SIGMA_1, SIGMA_2, SIGMA_3, DomainError, projector
 from .geoflow import NumericalError, OdeOpts
+from .kernel import scalar_ratio
 from .transport import solve_spinor_transport
 
 _SIGMA = (SIGMA_1, SIGMA_2, SIGMA_3)
@@ -160,7 +161,6 @@ def solve_bmt_spin(model, traj, u0=None, opts=None, n_samples=201):
     for i, t in enumerate(times):
         x = traj.position(t)
         p = traj.momentum(t)
-        v, grad, _ = model.evaluate(x)
         gen = spin_generator(model, x, p)
         herm = max(herm, float(np.linalg.norm(gen - gen.conj().T)))
         drift = max(drift, abs(float(np.linalg.norm(bloch[i])) - base_norm))
@@ -205,14 +205,14 @@ def equivalence_check(model, rep, geo, opts=None, tol=1e-6, spin=None, transport
         transport = solve_spinor_transport(model, rep, traj, opts)
     if spin is None:
         spin = solve_bmt_spin(model, traj, opts=opts)
-    target = transport.u_matrix @ projector(rep, 1j * geo.p0).lambda_plus
+    lam_start = projector(rep, 1j * geo.p0).lambda_plus
+    target = transport.u_matrix @ lam_start
 
     v_x = model.value(geo.x_star)
     v_y = model.value(geo.y_star)
     scale = math.sqrt(v_x / v_y)
     w_end = build_W(v_x, traj.p_end)
     w_start = build_W(v_y, geo.p0)
-    lam_start = projector(rep, 1j * geo.p0).lambda_plus
 
     pairings = {
         "transpose": w_start.T,
@@ -221,8 +221,7 @@ def equivalence_check(model, rep, geo, opts=None, tol=1e-6, spin=None, transport
     results = {}
     for name, pair in pairings.items():
         candidate = scale * (w_end @ spin.s_matrix @ pair)
-        denom = float(np.vdot(candidate, candidate).real)
-        coeff = complex(np.vdot(candidate, target)) / denom
+        coeff = scalar_ratio(candidate, target)
         resid = float(np.linalg.norm(target - coeff * candidate)
                       / np.linalg.norm(target))
         results[name] = (resid, coeff)

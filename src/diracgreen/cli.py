@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,11 +21,12 @@ from .bmt import equivalence_check, solve_bmt_spin
 from .clifford import (DiracRep, DomainError, build_dirac_rep, clifford_residual,
                        dirac_symbol, lambda_branches, projector)
 from .geoflow import (ConjugatePointError, NumericalError, OdeOpts, ShootingError,
-                      ShootOpts, agmon_distance_quadrature_1d, exp_prime_fd,
-                      integrate_flow, shoot_geodesic)
+                      ShootOpts, agmon_distance_quadrature_1d,
+                      exp_inverse_from_geodesic, exp_prime_fd, integrate_flow,
+                      shoot_geodesic)
 from .kernel import (bessel_K, bessel_K_oracle, constant_V_exact,
-                     leading_kernel_1d, leading_kernel_multid,
-                     positive_potential_kernel, ratio_sweep)
+                     leading_kernel_1d, leading_kernel_multid, loglog_slope,
+                     positive_potential_kernel, ratio_sweep, scalar_ratio)
 from .oracle1d import exact_green_kernel_1d
 from .potential import fd_consistency, make_potential, validate_hypothesis
 from .transport import solve_spinor_transport, theta_1d, transport_matrix
@@ -68,7 +69,7 @@ class RunConfig:
         if "dimension" not in data:
             raise ConfigError("missing config field: dimension")
         dim = data["dimension"]
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ConfigError(f"dimension must be a positive integer, got {dim!r}")
         if "potential" not in data:
             raise ConfigError("missing config field: potential")
@@ -83,6 +84,8 @@ class RunConfig:
             arr = np.asarray(data[key], dtype=float).reshape(-1)
             if arr.shape != (dim,):
                 raise ConfigError(f"{key} must have length {dim}")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{key} must be finite, got {arr.tolist()}")
             return arr
 
         x_star = point("x_star")
@@ -202,20 +205,15 @@ def cmd_validate1d(cfg):
     for h in cfg.h_list:
         lead = leading_kernel_1d(cfg.model, rep, x, y, h, geo=geo)
         oracle = exact_green_kernel_1d(cfg.model, x, y, h, cfg.ode)
-        norm2 = float(np.vdot(lead.matrix, lead.matrix).real)
-        ratio = complex(np.vdot(lead.matrix, oracle)) / norm2
+        ratio = scalar_ratio(lead.matrix, oracle)
         dev = abs(ratio - 1.0)
         deviations.append(dev)
         lines.append(",".join([_fmt(h), _fmt(geo.agmon), _fmt(ratio.real),
                                _fmt(ratio.imag), _fmt(dev)]))
-    if len(cfg.h_list) >= 2 and all(d > 0.0 for d in deviations):
-        slope = float(np.polyfit(np.log(cfg.h_list), np.log(deviations), 1)[0])
-    else:
-        slope = 0.0
-    h_min = cfg.h_list[-1]
-    fwd = exact_green_kernel_1d(cfg.model, x, y, h_min, cfg.ode)
-    rev = exact_green_kernel_1d(cfg.model, y, x, h_min, cfg.ode)
-    adjoint = float(np.linalg.norm(fwd.conj().T - rev) / np.linalg.norm(fwd))
+    slope, _ = loglog_slope(cfg.h_list, deviations)
+    # the loop ends at the smallest h, so oracle is the forward kernel there
+    rev = exact_green_kernel_1d(cfg.model, y, x, cfg.h_list[-1], cfg.ode)
+    adjoint = float(np.linalg.norm(oracle.conj().T - rev) / np.linalg.norm(oracle))
     lines.append(f"# slope = {_fmt(slope)}")
     lines.append(f"# adjoint_residual = {_fmt(adjoint)}")
     return "\n".join(lines) + "\n"
@@ -335,7 +333,7 @@ def _dim_checks(d, fault=None):
     add("hypothesis_gap",
         max(m.delta - validate_hypothesis(m).delta_hat for m in fam), 0.0)
 
-    model = fam[1]  # the bump well
+    model = fam[1]  # the bump well; fam[0] is the constant V = -0.6
     y_pt, x_pt = (np.array(p) for p in _ENDPOINTS[d])
     geo = shoot_geodesic(model, y_pt, x_pt)
     traj = geo.trajectory
@@ -387,15 +385,12 @@ def _dim_checks(d, fault=None):
         abs(_scale_invariant(est_a, d) - _scale_invariant(est_b, d)), 1e-12)
 
     if d >= 2:
-        const_model = make_potential(d, "constant", {"value": -0.6})
         ends = np.zeros(d)
         ends_x = np.zeros(d)
         ends_x[0] = 1.0
-        geo_c = shoot_geodesic(const_model, ends, ends_x)
+        geo_c = shoot_geodesic(fam[0], ends, ends_x)
         add("det_exp_constant", abs(geo_c.det_exp_prime - 1.0), 1e-8)
-        vy = model.value(geo.y_star)
-        v0 = geo.agmon / math.sqrt(1.0 - vy * vy) * geo.p0 / np.linalg.norm(geo.p0)
-        fd_det = exp_prime_fd(model, geo.y_star, v0)
+        fd_det = exp_prime_fd(model, geo.y_star, exp_inverse_from_geodesic(model, geo))
         add("exp_map_identity",
             abs(fd_det - geo.det_exp_prime) / abs(geo.det_exp_prime), 1e-5)
 
@@ -406,8 +401,7 @@ def _dim_checks(d, fault=None):
         add("theta_closed_form",
             abs(traj.theta_end - theta_1d(model, y_pt[0], x_pt[0])), 1e-8)
 
-        const_1d = make_potential(1, "constant", {"value": -0.6})
-        oracle = exact_green_kernel_1d(const_1d, 0.5, -0.5, 0.1)
+        oracle = exact_green_kernel_1d(fam[0], 0.5, -0.5, 0.1)
         exact = constant_V_exact(rep, -0.6, [0.5], [-0.5], 0.1)
         add("oracle_constant",
             np.max(np.abs(oracle - exact)) / np.max(np.abs(exact)), 1e-9)
@@ -417,7 +411,7 @@ def _dim_checks(d, fault=None):
 
         pos_model = make_potential(1, "constant", {"value": 0.6})
         pos = positive_potential_kernel(pos_model, rep, [0.5], [-0.5], 0.1)
-        neg = leading_kernel_1d(const_1d, rep, 0.5, -0.5, 0.1)
+        neg = leading_kernel_1d(fam[0], rep, 0.5, -0.5, 0.1)
         add("positive_prefactor",
             abs(pos.prefactor - neg.prefactor) / neg.prefactor, 1e-12)
 
@@ -492,9 +486,7 @@ def _load_config(args):
         except ValueError as exc:
             raise ConfigError(f"bad --h-list: {exc}") from exc
         _check_h_list(h_list)
-        cfg = RunConfig(dimension=cfg.dimension, model=cfg.model, x_star=cfg.x_star,
-                        y_star=cfg.y_star, h_list=h_list, ode=cfg.ode,
-                        shoot=cfg.shoot, out=cfg.out)
+        cfg = replace(cfg, h_list=h_list)
     return cfg
 
 

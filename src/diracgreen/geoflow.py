@@ -149,24 +149,17 @@ class Trajectory:
         self.sol = result.sol
         self.variational = variational
         self.has_theta = model.dim == 1
-        self.interp_order = 7  # DOP853 dense-output interpolant
-        self.times = result.t
         d = self.dim
         self._i_act = 2 * d
         self._i_th = 2 * d + 1 if self.has_theta else None
         self._i_var = 2 * d + 1 + (1 if self.has_theta else 0)
-        self.states = result.y.T.copy()
-        y_end = self.state(self.tau)
-        y0 = self.state(0.0)
-        self.x_start, self.p_start = y0[:d], y0[d:2 * d]
+        y_end = self.sol(self.tau)
+        self.p_start = self.sol(0.0)[d:2 * d]
         self.x_end, self.p_end = y_end[:d], y_end[d:2 * d]
         self.action_end = float(y_end[self._i_act])
         self.theta_end = float(y_end[self._i_th]) if self.has_theta else None
         self.v_start = self.velocity(0.0)
         self.v_end = self.velocity(self.tau)
-
-    def state(self, t):
-        return self.sol(t)
 
     def position(self, t):
         return self.sol(t)[: self.dim]

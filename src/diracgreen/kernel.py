@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from .clifford import DomainError, negate_rep
 from .geoflow import (ConjugatePointError, NumericalError, OdeOpts, ShootOpts,
                       shoot_geodesic)
-from .potential import make_potential
+from .potential import constant_model, negated
 from .transport import (TransportResult, rotation_1d, solve_spinor_transport,
                         transport_matrix)
 
@@ -213,11 +213,18 @@ class KernelEstimate:
     left_identity_residual: float
 
 
-def _prefactor(dim, v_x, v_y, dep, agmon, h):
+def _assemble(model, rep, geo, h, transport, dep):
+    """Scalar prefactor times projected amplitude, with dep = det exp'."""
+    dim, agmon = model.dim, geo.agmon
+    v_x, v_y = model.value(geo.x_star), model.value(geo.y_star)
+    amplitude, left_res = transport_matrix(model, rep, geo, transport.u_matrix)
     conf = ((1.0 - v_x * v_x) ** ((dim - 2) / 4.0)
             * (1.0 - v_y * v_y) ** ((dim - 2) / 4.0))
     tail = (2.0 * math.pi * agmon / h) ** (-(dim - 1) / 2.0)
-    return conf / math.sqrt(dep) * math.exp(-agmon / h) * tail / h ** dim
+    pref = conf / math.sqrt(dep) * math.exp(-agmon / h) * tail / h ** dim
+    return KernelEstimate(matrix=pref * amplitude, h=float(h), agmon=agmon,
+                          prefactor=pref, amplitude=amplitude, transport=transport,
+                          left_identity_residual=left_res)
 
 
 def leading_kernel_multid(model, rep, geo, h, transport=None, opts=None):
@@ -231,12 +238,7 @@ def leading_kernel_multid(model, rep, geo, h, transport=None, opts=None):
             "refusing to assemble the kernel at near-conjugate endpoints")
     if transport is None:
         transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
-    amplitude, left_res = transport_matrix(model, rep, geo, transport.u_matrix)
-    pref = _prefactor(model.dim, model.value(geo.x_star), model.value(geo.y_star),
-                      geo.det_exp_prime, geo.agmon, h)
-    return KernelEstimate(matrix=pref * amplitude, h=float(h), agmon=geo.agmon,
-                          prefactor=pref, amplitude=amplitude, transport=transport,
-                          left_identity_residual=left_res)
+    return _assemble(model, rep, geo, h, transport, geo.det_exp_prime)
 
 
 def leading_kernel_1d(model, rep, x, y, h, geo=None, opts=None, shoot_opts=None):
@@ -252,26 +254,7 @@ def leading_kernel_1d(model, rep, x, y, h, geo=None, opts=None, shoot_opts=None)
     u_rot = rotation_1d(rep, theta)
     transport = TransportResult(u_matrix=u_rot, unitarity_defect=0.0,
                                 projected=False, theta=theta)
-    amplitude, left_res = transport_matrix(model, rep, geo, u_rot)
-    pref = _prefactor(1, model.value(geo.x_star), model.value(geo.y_star),
-                      1.0, geo.agmon, h)
-    return KernelEstimate(matrix=pref * amplitude, h=float(h), agmon=geo.agmon,
-                          prefactor=pref, amplitude=amplitude, transport=transport,
-                          left_identity_residual=left_res)
-
-
-def _negated_model(model):
-    params = dict(model.params)
-    if model.kind == "constant":
-        params["value"] = -params["value"]
-    elif model.kind in ("bump_well", "cosine_well"):
-        params["base"] = -params["base"]
-        params["depth"] = -params["depth"]
-    else:
-        params["base"] = -params["base"]
-        params["amp"] = -params["amp"]
-    return make_potential(model.dim, model.kind, params,
-                          window=model.window, box_half=model.box_half)
+    return _assemble(model, rep, geo, h, transport, 1.0)
 
 
 def positive_potential_kernel(model, rep, x, y, h, opts=None, shoot_opts=None):
@@ -285,7 +268,7 @@ def positive_potential_kernel(model, rep, x, y, h, opts=None, shoot_opts=None):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if model.value(y) <= 0.0 or model.value(x) <= 0.0:
         raise DomainError("positive_potential_kernel expects V > 0 at the endpoints")
-    neg_model = _negated_model(model)
+    neg_model = negated(model)
     neg_rep = negate_rep(rep)
     if model.dim == 1:
         est = leading_kernel_1d(neg_model, neg_rep, x[0], y[0], h,
@@ -294,6 +277,30 @@ def positive_potential_kernel(model, rep, x, y, h, opts=None, shoot_opts=None):
         geo = shoot_geodesic(neg_model, y, x, opts, shoot_opts)
         est = leading_kernel_multid(neg_model, neg_rep, geo, h, opts=opts)
     return replace(est, matrix=-est.matrix, amplitude=-est.amplitude)
+
+
+def scalar_ratio(lead, ref):
+    """Frobenius projection R = <lead, ref> / <lead, lead> of ref on lead.
+
+    Raises NumericalError when lead is zero or under 1e-14 |ref| (underflow).
+    """
+    norm2 = float(np.vdot(lead, lead).real)
+    lead_norm, ref_norm = math.sqrt(norm2), float(np.linalg.norm(ref))
+    if lead_norm == 0.0 or lead_norm < 1e-14 * ref_norm:
+        raise NumericalError(f"degenerate leading kernel: norm {lead_norm:.3e} against a "
+                             f"reference of norm {ref_norm:.3e}, no scalar ratio")
+    return complex(np.vdot(lead, ref)) / norm2
+
+
+def loglog_slope(h_list, deviations):
+    """(slope, intercept) of the least-squares line through (log h, log dev).
+
+    (0.0, 0.0) when the fit is undefined: under two points or a zero deviation.
+    """
+    if len(h_list) < 2 or not all(dev > 0.0 for dev in deviations):
+        return 0.0, 0.0
+    slope, intercept = np.polyfit(np.log(h_list), np.log(deviations), 1)
+    return float(slope), float(intercept)
 
 
 @dataclass(frozen=True)
@@ -317,12 +324,9 @@ def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):
 
     The leading term is produced by the complete pipeline (shoot, Jacobi
     determinant, transport) on a constant model, never by the closed form.
-    The scalar ratio is the Frobenius projection
-
-        R(h) = <G_lead, G_exact> / <G_lead, G_lead>,
-
-    and |R - 1| is fitted with a log-log line whose slope estimates the
-    order of the first correction.
+    R(h) is the scalar_ratio of the exact kernel on the leading one, and
+    |R - 1| is fitted with a log-log line whose slope estimates the order
+    of the first correction.
     """
     d = rep.dim
     e_value = float(e_value)
@@ -333,7 +337,7 @@ def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):
         raise DomainError("need at least two h values to fit a slope")
     if any(h <= 0.0 for h in h_list):
         raise DomainError("all h values must be positive")
-    model = make_potential(d, "constant", {"value": e_value})
+    model = constant_model(d, e_value)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     geo = shoot_geodesic(model, y, x, opts, shoot_opts)
@@ -349,23 +353,13 @@ def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):
             lead = leading_kernel_1d(model, rep, x[0], y[0], h, geo=geo)
         else:
             lead = leading_kernel_multid(model, rep, geo, h, transport=transport)
-        exact = constant_V_exact(rep, e_value, x, y, h)
-        norm2 = float(np.vdot(lead.matrix, lead.matrix).real)
-        exact_norm = float(np.linalg.norm(exact))
-        if math.sqrt(norm2) < 1e-14 * exact_norm:
-            raise NumericalError(
-                f"degenerate leading kernel at h = {h}: no scalar ratio")
-        ratio = complex(np.vdot(lead.matrix, exact)) / norm2
+        ratio = scalar_ratio(lead.matrix, constant_V_exact(rep, e_value, x, y, h))
         ratios.append(ratio)
         deviations.append(abs(ratio - 1.0))
         estimates.append(lead)
 
     r = float(np.linalg.norm(x - y))
-    if all(dev > 0.0 for dev in deviations):
-        coeffs = np.polyfit(np.log(h_list), np.log(deviations), 1)
-        slope, intercept = float(coeffs[0]), float(coeffs[1])
-    else:
-        slope, intercept = 0.0, 0.0
+    slope, intercept = loglog_slope(h_list, deviations)
     return RatioSweep(e_value=e_value, r=r, agmon=geo.agmon,
                       det_exp_prime=1.0 if d == 1 else geo.det_exp_prime,
                       h_list=tuple(h_list), ratios=tuple(ratios),

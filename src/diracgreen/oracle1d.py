@@ -110,7 +110,7 @@ class JostSolution:
         return y[:2] + 1j * y[2:], entry_log
 
 
-def _tail_data(model, h, side, anchor):
+def _tail_data(model, side, anchor):
     e_tail = model.value(np.array([anchor]))
     kappa = math.sqrt(1.0 - e_tail * e_tail)
     if side == "right":
@@ -134,7 +134,7 @@ def decaying_solution(model, side, reach_to, h, anchor=None, opts=None):
         anchor = edge if side == "right" else -edge
     if abs(anchor) > model.box_half:
         raise DomainError("anchor falls outside the domain box; widen box_half")
-    w, kappa = _tail_data(model, h, side, anchor)
+    w, kappa = _tail_data(model, side, anchor)
     jost = JostSolution(model, h, side, anchor, w, kappa)
     jost.extend(float(reach_to), opts)
     return jost

@@ -17,7 +17,9 @@ import numpy as np
 
 from .clifford import DomainError
 
-KINDS = ("constant", "bump_well", "cosine_well", "tanh_step")
+# each family and the parameters V is linear in: negating them negates V
+KINDS = {"constant": ("value",), "bump_well": ("base", "depth"),
+         "cosine_well": ("base", "depth"), "tanh_step": ("base", "amp")}
 
 
 def _range_bounds(kind, params):
@@ -168,11 +170,25 @@ def make_potential(dim, kind, params, delta=None, window=None, box_half=None):
                           window=float(window), box_half=float(box_half))
 
 
+def constant_model(dim, value):
+    """The constant family V = value."""
+    return make_potential(dim, "constant", {"value": value})
+
+
+def negated(model):
+    """The same family with V replaced by -V; window and box are kept."""
+    params = dict(model.params)
+    for name in KINDS[model.kind]:
+        params[name] = -params[name]
+    return make_potential(model.dim, model.kind, params,
+                          window=model.window, box_half=model.box_half)
+
+
 def from_config(dim, cfg):
-    """Parse the JSON sub-object {"kind", "params", "delta", "window"}."""
+    """Parse the JSON sub-object; unlike make_potential, require -1 < V < 0."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise DomainError("potential config must be an object with a 'kind' field")
-    return make_potential(
+    model = make_potential(
         dim,
         cfg["kind"],
         cfg.get("params", {}),
@@ -180,6 +196,10 @@ def from_config(dim, cfg):
         window=cfg.get("window"),
         box_half=cfg.get("box_half"),
     )
+    lo, hi = _range_bounds(model.kind, model.params)
+    if not -1.0 < lo <= hi < 0.0:
+        raise DomainError(f"V must stay in (-1, 0), but the family spans [{lo}, {hi}]")
+    return model
 
 
 def to_config(model):

@@ -123,10 +123,35 @@ def test_kernel_csv_contract(tmp_path):
     assert lines[-1].startswith("# slope = ")
 
 
-def test_kernel_output_is_deterministic(tmp_path):
-    _, first = run_to_file(tmp_path, "kernel", CONST_1D, name="a.csv")
-    _, second = run_to_file(tmp_path, "kernel", CONST_1D, name="b.csv")
+@pytest.mark.parametrize("command,config", [
+    ("geodesic", BUMP_1D),
+    ("kernel", CONST_1D),
+    ("validate1d", BUMP_1D),
+    ("constant", CONST_2D),
+    ("bmt", dict(BUMP_3D, shooting={"multistart": 1})),
+], ids=["geodesic", "kernel", "validate1d", "constant", "bmt"])
+def test_kernel_output_is_deterministic(tmp_path, command, config):
+    code, first = run_to_file(tmp_path, command, config, name="a.out")
+    _, second = run_to_file(tmp_path, command, config, name="b.out")
+    assert code == 0
     assert first == second
+
+
+# at d_A = 8, exp(-d_A/h) underflows to 0.0 at h = 0.01: no ratio exists
+UNDERFLOW_2D = dict(CONST_2D, x_star=[5.0, 0.0], y_star=[-5.0, 0.0],
+                    h_list=[0.2, 0.01], shooting={"multistart": 1})
+UNDERFLOW_1D = dict(UNDERFLOW_2D, dimension=1, x_star=[5.0], y_star=[-5.0])
+
+
+@pytest.mark.parametrize("command,config", [
+    ("kernel", UNDERFLOW_2D),
+    ("validate1d", UNDERFLOW_1D),
+])
+def test_underflowed_leading_kernel_is_a_numerical_failure(tmp_path, command, config,
+                                                           capsys):
+    code, _ = run_to_file(tmp_path, command, config)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_kernel_h_list_override(tmp_path):
@@ -227,6 +252,10 @@ def test_bmt_requires_dimension_three(tmp_path):
     lambda c: c.update(potential={"kind": "nope"}),
     lambda c: c.update(ode={"bogus": 1.0}),
     lambda c: c.update(shooting={"allow_conjugate": True}),
+    lambda c: c.update(dimension=True),                  # bool is not a dimension
+    lambda c: c.update(x_star=[float("nan"), 0.0]),      # non-finite point
+    lambda c: c.update(potential={"kind": "constant",    # outside the gap (-1, 0)
+                                  "params": {"value": -1.5}}),
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))

@@ -22,12 +22,13 @@ import pytest
 
 from diracgreen.clifford import (SIGMA_1, SIGMA_3, DomainError,
                                  build_dirac_rep, negate_rep, projector)
-from diracgreen.geoflow import (ConjugatePointError, ShootOpts,
+from diracgreen.geoflow import (ConjugatePointError, NumericalError, ShootOpts,
                                 shoot_geodesic)
 from diracgreen.kernel import (KernelEstimate, bessel_K, bessel_K_oracle,
                                bessel_K_prime, constant_V_exact,
                                leading_kernel_1d, leading_kernel_multid,
-                               positive_potential_kernel, ratio_sweep)
+                               loglog_slope, positive_potential_kernel,
+                               ratio_sweep, scalar_ratio)
 from diracgreen.kernel import _bessel_k01_series, _bessel_k01_steed
 from diracgreen.potential import make_potential
 
@@ -208,6 +209,26 @@ def test_ratio_sweep_input_validation():
         ratio_sweep(rep, -0.6, [0.5], [-0.5], [0.2])
     with pytest.raises(DomainError):
         ratio_sweep(rep, -0.6, [0.5], [-0.5], [0.2, -0.1])
+
+
+def test_scalar_ratio_rejects_degenerate_leading_matrix():
+    ref = np.eye(2, dtype=complex)
+    assert scalar_ratio(2.0 * ref, ref) == 0.5
+    with pytest.raises(NumericalError):
+        scalar_ratio(np.zeros((2, 2), dtype=complex), ref)
+    with pytest.raises(NumericalError):   # both kernels underflowed
+        scalar_ratio(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(NumericalError):
+        scalar_ratio(1e-15 * ref, ref)
+
+
+def test_loglog_slope_fit_and_undefined_cases():
+    h_list = [0.2, 0.1, 0.05]
+    slope, intercept = loglog_slope(h_list, [3.0 * h * h for h in h_list])
+    assert slope == pytest.approx(2.0, abs=1e-12)
+    assert intercept == pytest.approx(math.log(3.0), abs=1e-12)
+    assert loglog_slope(h_list, [0.1, 0.0, 0.01]) == (0.0, 0.0)   # zero deviation
+    assert loglog_slope([0.1], [0.3]) == (0.0, 0.0)
 
 
 # ------------------------------------------------------ upper-gap reduction

@@ -5,7 +5,7 @@ import pytest
 
 from diracgreen.clifford import DomainError
 from diracgreen.potential import (from_config, fd_consistency, make_potential,
-                                  to_config, validate_hypothesis)
+                                  negated, to_config, validate_hypothesis)
 
 
 def test_constant_family():
@@ -106,6 +106,24 @@ def test_analytic_derivatives_match_finite_differences(dim, kind, params):
     g_res, h_res = fd_consistency(m)
     assert g_res <= 1e-6
     assert h_res <= 1e-5
+
+
+@pytest.mark.parametrize("dim,kind,params", [
+    (2, "constant", {"value": -0.6}),
+    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]}),
+    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+])
+def test_negated_flips_every_family(dim, kind, params):
+    m = make_potential(dim, kind, params)
+    neg = negated(m)
+    assert (neg.window, neg.box_half) == (m.window, m.box_half)
+    for x in np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, dim)):
+        v, g, h = m.evaluate(x)
+        nv, ng, nh = neg.evaluate(x)
+        assert nv == -v
+        assert np.array_equal(ng, -g) and np.array_equal(nh, -h)
+    assert negated(neg) == m
 
 
 def test_hypothesis_validation_passes_for_gap_families():
