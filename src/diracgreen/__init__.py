@@ -45,6 +45,7 @@ from .kernel import (
     bessel_K_prime,
     bessel_K_oracle,
     constant_V_exact,
+    exact_sweep,
     ratio_sweep,
 )
 from .oracle1d import JostSolution, decaying_solution, exact_green_kernel_1d

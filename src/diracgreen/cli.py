@@ -20,13 +20,12 @@ from . import potential as potential_mod
 from .bmt import equivalence_check, solve_bmt_spin
 from .clifford import (DiracRep, DomainError, build_dirac_rep, clifford_residual,
                        dirac_symbol, lambda_branches, projector)
-from .geoflow import (ConjugatePointError, NumericalError, OdeOpts, ShootingError,
-                      ShootOpts, agmon_distance_quadrature_1d,
+from .geoflow import (NumericalError, OdeOpts, ShootOpts, agmon_distance_quadrature_1d,
                       exp_inverse_from_geodesic, exp_prime_fd, integrate_flow,
                       shoot_geodesic)
-from .kernel import (bessel_K, bessel_K_oracle, constant_V_exact,
-                     leading_kernel_1d, leading_kernel_multid, loglog_slope,
-                     positive_potential_kernel, ratio_sweep, scalar_ratio)
+from .kernel import (bessel_K, bessel_K_oracle, constant_V_exact, exact_sweep,
+                     leading_kernel_1d, leading_kernel_multid,
+                     positive_potential_kernel, ratio_sweep)
 from .oracle1d import exact_green_kernel_1d
 from .potential import fd_consistency, make_potential, validate_hypothesis
 from .transport import solve_spinor_transport, theta_1d, transport_matrix
@@ -73,10 +72,7 @@ class RunConfig:
             raise ConfigError(f"dimension must be a positive integer, got {dim!r}")
         if "potential" not in data:
             raise ConfigError("missing config field: potential")
-        try:
-            model = potential_mod.from_config(dim, data["potential"])
-        except (DomainError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad potential config: {exc}") from exc
+        model = potential_mod.from_config(dim, data["potential"])
 
         def point(key):
             if key not in data or data[key] is None:
@@ -92,18 +88,13 @@ class RunConfig:
         y_star = point("y_star")
         if x_star is not None and y_star is not None and np.array_equal(x_star, y_star):
             raise ConfigError("x_star and y_star must differ")
-        h_list = tuple(float(h) for h in data.get("h_list", ()))
-        _check_h_list(h_list)
-        try:
-            ode = OdeOpts.from_config(data.get("ode"))
-            shoot = ShootOpts.from_config(data.get("shooting"))
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
         out = data.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError("out must be a string path")
         return cls(dimension=dim, model=model, x_star=x_star, y_star=y_star,
-                   h_list=h_list, ode=ode, shoot=shoot, out=out)
+                   h_list=_h_list(data.get("h_list", ())),
+                   ode=OdeOpts.from_config(data.get("ode")),
+                   shoot=ShootOpts.from_config(data.get("shooting")), out=out)
 
     def to_dict(self):
         data = {
@@ -122,12 +113,15 @@ class RunConfig:
         return data
 
 
-def _check_h_list(h_list):
+def _h_list(values):
+    """Parse h values, each in (0, 1] and strictly decreasing, into a tuple."""
+    h_list = tuple(float(h) for h in values)
     for h in h_list:
         if not 0.0 < h <= 1.0:
             raise ConfigError(f"every h must lie in (0, 1], got {h}")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ConfigError("h_list must be strictly decreasing")
+    return h_list
 
 
 def _require(cfg, *fields):
@@ -197,24 +191,19 @@ def cmd_validate1d(cfg):
     _require(cfg, "x_star", "y_star", "h_list")
     if cfg.dimension != 1:
         raise ConfigError("validate1d requires dimension = 1")
-    rep = build_dirac_rep(1)
     x, y = float(cfg.x_star[0]), float(cfg.y_star[0])
-    geo = shoot_geodesic(cfg.model, cfg.y_star, cfg.x_star, cfg.ode, cfg.shoot)
+    sweep = exact_sweep(cfg.model, build_dirac_rep(1), cfg.x_star, cfg.y_star, cfg.h_list,
+                        lambda h: exact_green_kernel_1d(cfg.model, x, y, h, cfg.ode),
+                        cfg.ode, cfg.shoot)
     lines = ["h,dA,ratio_re,ratio_im,abs_ratio_minus_1"]
-    deviations = []
-    for h in cfg.h_list:
-        lead = leading_kernel_1d(cfg.model, rep, x, y, h, geo=geo)
-        oracle = exact_green_kernel_1d(cfg.model, x, y, h, cfg.ode)
-        ratio = scalar_ratio(lead.matrix, oracle)
-        dev = abs(ratio - 1.0)
-        deviations.append(dev)
-        lines.append(",".join([_fmt(h), _fmt(geo.agmon), _fmt(ratio.real),
+    for h, ratio, dev in zip(sweep.h_list, sweep.ratios, sweep.deviations):
+        lines.append(",".join([_fmt(h), _fmt(sweep.agmon), _fmt(ratio.real),
                                _fmt(ratio.imag), _fmt(dev)]))
-    slope, _ = loglog_slope(cfg.h_list, deviations)
-    # the loop ends at the smallest h, so oracle is the forward kernel there
+    # the adjoint check pairs the forward kernel at the smallest h with its reverse
+    oracle = sweep.references[-1]
     rev = exact_green_kernel_1d(cfg.model, y, x, cfg.h_list[-1], cfg.ode)
     adjoint = float(np.linalg.norm(oracle.conj().T - rev) / np.linalg.norm(oracle))
-    lines.append(f"# slope = {_fmt(slope)}")
+    lines.append(f"# slope = {_fmt(sweep.slope)}")
     lines.append(f"# adjoint_residual = {_fmt(adjoint)}")
     return "\n".join(lines) + "\n"
 
@@ -479,14 +468,16 @@ def _load_config(args):
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = RunConfig.from_dict(data)
-    if args.h_list:
-        try:
-            h_list = tuple(float(tok) for tok in args.h_list.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad --h-list: {exc}") from exc
-        _check_h_list(h_list)
-        cfg = replace(cfg, h_list=h_list)
+    try:
+        cfg = RunConfig.from_dict(data)
+        if args.h_list:
+            cfg = replace(cfg, h_list=_h_list(
+                tok for tok in args.h_list.split(",") if tok.strip()))
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # DomainError (bad potential or options) is a ValueError too
+        raise ConfigError(f"bad config value ({type(exc).__name__}): {exc}") from exc
     return cfg
 
 
@@ -526,7 +517,7 @@ def main(argv=None):
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ShootingError, ConjugatePointError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -39,20 +39,31 @@ class ConjugatePointError(NumericalError):
     """Endpoints are (near-)conjugate: the leading kernel degenerates."""
 
 
+def _options(cls, cfg, what, parsers):
+    """cls(**cfg) with each value passed through parsers[key]; unknown keys raise."""
+    cfg = {} if cfg is None else cfg
+    if not isinstance(cfg, dict):
+        raise DomainError(f"{what} options must be an object, got {cfg!r}")
+    bad = set(cfg) - set(parsers)
+    if bad:
+        raise DomainError(f"unknown {what} option(s): {sorted(bad)}")
+    return cls(**{k: parsers[k](v) for k, v in cfg.items()})
+
+
 @dataclass(frozen=True)
 class OdeOpts:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = np.inf
 
+    def __post_init__(self):
+        if not all(v > 0.0 for v in (self.rel_tol, self.abs_tol, self.max_step)):
+            raise DomainError(f"ode tolerances and max_step must be positive, got {self}")
+
     @classmethod
     def from_config(cls, cfg):
-        cfg = dict(cfg or {})
-        known = {"rel_tol", "abs_tol", "max_step"}
-        bad = set(cfg) - known
-        if bad:
-            raise DomainError(f"unknown ode option(s): {sorted(bad)}")
-        return cls(**{k: float(v) for k, v in cfg.items()})
+        parsers = dict.fromkeys(("rel_tol", "abs_tol", "max_step"), float)
+        return _options(cls, cfg, "ode", parsers)
 
     def to_config(self):
         out = {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol}
@@ -77,20 +88,16 @@ class ShootOpts:
     conjugacy_tol: float = 1e-8
     allow_conjugate: bool = False
 
+    def __post_init__(self):
+        if self.max_iter < 1 or (self.multistart is not None and self.multistart < 1):
+            raise DomainError(f"max_iter and multistart must be at least 1, got {self}")
+
     @classmethod
     def from_config(cls, cfg):
-        cfg = dict(cfg or {})
-        known = {"newton_tol", "max_iter", "multistart", "merge_tol", "conjugacy_tol"}
-        bad = set(cfg) - known
-        if bad:
-            raise DomainError(f"unknown shooting option(s): {sorted(bad)}")
-        return cls(
-            newton_tol=float(cfg.get("newton_tol", 1e-10)),
-            max_iter=int(cfg.get("max_iter", 40)),
-            multistart=None if cfg.get("multistart") is None else int(cfg["multistart"]),
-            merge_tol=float(cfg.get("merge_tol", 1e-6)),
-            conjugacy_tol=float(cfg.get("conjugacy_tol", 1e-8)),
-        )
+        return _options(cls, cfg, "shooting", {
+            "newton_tol": float, "max_iter": int, "merge_tol": float,
+            "conjugacy_tol": float,
+            "multistart": lambda v: None if v is None else int(v)})
 
     def to_config(self):
         out = {"newton_tol": self.newton_tol, "max_iter": self.max_iter,
@@ -298,19 +305,11 @@ def _start_directions(dim, n_base, count):
     """Deterministic multistart fan: lattice directions of {-1,0,1}^d, base first."""
     frame = _frame_from_direction(n_base)
     dirs = []
-    seen = set()
-    grid = [np.array(v, dtype=float)
-            for v in np.ndindex(*(3,) * dim)]
-    for g in grid:
-        g = g - 1.0
-        if not g.any():
-            continue
-        g = g / np.linalg.norm(g)
-        key = tuple(np.round(g, 12))
-        if key in seen:
-            continue
-        seen.add(key)
-        dirs.append(frame @ g)
+    # distinct vectors of {-1,0,1}^d never point the same way, so no duplicates
+    for v in np.ndindex(*(3,) * dim):
+        g = np.array(v, dtype=float) - 1.0
+        if g.any():
+            dirs.append(frame @ (g / np.linalg.norm(g)))
     # base direction (lattice vector (1,0,..)) is first by ndindex order only
     # for d = 1; force it to the front generally
     dirs.sort(key=lambda v: -float(v @ n_base))

@@ -307,28 +307,56 @@ def loglog_slope(h_list, deviations):
 class RatioSweep:
     """Exact-over-leading scalar ratios across an h sweep."""
 
-    e_value: float
-    r: float
     agmon: float
     det_exp_prime: float
     h_list: tuple
     ratios: tuple
     deviations: tuple
     estimates: tuple
+    references: tuple
     slope: float
     intercept: float
 
 
-def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):
-    """Compare the exact constant-potential kernel with the full assembly.
+def exact_sweep(model, rep, x, y, h_list, exact, opts=None, shoot_opts=None):
+    """Compare the full leading-kernel assembly with exact(h) at every h.
 
     The leading term is produced by the complete pipeline (shoot, Jacobi
-    determinant, transport) on a constant model, never by the closed form.
-    R(h) is the scalar_ratio of the exact kernel on the leading one, and
+    determinant, transport), never by a closed form.  R(h) is the
+    scalar_ratio of the reference exact(h) on the leading kernel, and
     |R - 1| is fitted with a log-log line whose slope estimates the order
-    of the first correction.
+    of the first correction (0 when undefined, e.g. for a single h).
     """
     d = rep.dim
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    geo = shoot_geodesic(model, y, x, opts, shoot_opts)
+    transport = None
+    if d >= 2:
+        transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
+
+    ratios, deviations, estimates, references = [], [], [], []
+    for h in h_list:
+        if d == 1:
+            lead = leading_kernel_1d(model, rep, x[0], y[0], h, geo=geo)
+        else:
+            lead = leading_kernel_multid(model, rep, geo, h, transport=transport)
+        references.append(exact(h))
+        ratio = scalar_ratio(lead.matrix, references[-1])
+        ratios.append(ratio)
+        deviations.append(abs(ratio - 1.0))
+        estimates.append(lead)
+
+    slope, intercept = loglog_slope(h_list, deviations)
+    return RatioSweep(agmon=geo.agmon,
+                      det_exp_prime=1.0 if d == 1 else geo.det_exp_prime,
+                      h_list=tuple(h_list), ratios=tuple(ratios),
+                      deviations=tuple(deviations), estimates=tuple(estimates),
+                      references=tuple(references), slope=slope, intercept=intercept)
+
+
+def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):
+    """exact_sweep against the constant-V closed form; needs E in (-1, 0), two h > 0."""
     e_value = float(e_value)
     if not -1.0 < e_value < 0.0:
         raise DomainError(f"the sweep needs a gap level E in (-1, 0), got {e_value}")
@@ -337,31 +365,6 @@ def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):
         raise DomainError("need at least two h values to fit a slope")
     if any(h <= 0.0 for h in h_list):
         raise DomainError("all h values must be positive")
-    model = constant_model(d, e_value)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    geo = shoot_geodesic(model, y, x, opts, shoot_opts)
-    transport = None
-    if d >= 2:
-        transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
-
-    ratios = []
-    deviations = []
-    estimates = []
-    for h in h_list:
-        if d == 1:
-            lead = leading_kernel_1d(model, rep, x[0], y[0], h, geo=geo)
-        else:
-            lead = leading_kernel_multid(model, rep, geo, h, transport=transport)
-        ratio = scalar_ratio(lead.matrix, constant_V_exact(rep, e_value, x, y, h))
-        ratios.append(ratio)
-        deviations.append(abs(ratio - 1.0))
-        estimates.append(lead)
-
-    r = float(np.linalg.norm(x - y))
-    slope, intercept = loglog_slope(h_list, deviations)
-    return RatioSweep(e_value=e_value, r=r, agmon=geo.agmon,
-                      det_exp_prime=1.0 if d == 1 else geo.det_exp_prime,
-                      h_list=tuple(h_list), ratios=tuple(ratios),
-                      deviations=tuple(deviations), estimates=tuple(estimates),
-                      slope=slope, intercept=intercept)
+    return exact_sweep(constant_model(rep.dim, e_value), rep, x, y, h_list,
+                       lambda h: constant_V_exact(rep, e_value, x, y, h),
+                       opts, shoot_opts)

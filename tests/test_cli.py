@@ -181,6 +181,17 @@ def test_validate1d_artifact(tmp_path):
     assert float(lines[-1].split("=")[1]) <= 1e-8
 
 
+def test_validate1d_single_h_has_zero_slope(tmp_path):
+    # one h gives no log-log fit; the sweep reports slope 0 rather than failing
+    code, text = run_to_file(tmp_path, "validate1d", BUMP_1D, extra=("--h-list", "0.1"))
+    assert code == 0
+    lines = text.strip().split("\n")
+    assert len(lines) == 4
+    assert float(lines[1].split(",")[0]) == 0.1
+    assert lines[2] == "# slope = 0"
+    assert float(lines[3].split("=")[1]) <= 1e-8
+
+
 def test_validate1d_constant_control(tmp_path):
     code, text = run_to_file(tmp_path, "validate1d", CONST_1D)
     assert code == 0
@@ -256,6 +267,18 @@ def test_bmt_requires_dimension_three(tmp_path):
     lambda c: c.update(x_star=[float("nan"), 0.0]),      # non-finite point
     lambda c: c.update(potential={"kind": "constant",    # outside the gap (-1, 0)
                                   "params": {"value": -1.5}}),
+    lambda c: c.update(x_star=["a"]),                    # non-numeric point
+    lambda c: c.update(x_star={"a": 1}),
+    lambda c: c.update(h_list=["a"]),                    # non-numeric h
+    lambda c: c.update(h_list=5),                        # not a list
+    lambda c: c.update(ode={"rel_tol": "x"}),
+    lambda c: c.update(ode="abc"),                       # not an object
+    lambda c: c.update(ode={"abs_tol": -1}),             # non-positive tolerance
+    lambda c: c.update(ode={"max_step": 0}),
+    lambda c: c.update(shooting={"multistart": "x"}),
+    lambda c: c.update(shooting={"max_iter": None}),
+    lambda c: c.update(shooting=[1]),
+    lambda c: c.update(shooting={"multistart": 0}),      # an empty fan
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))

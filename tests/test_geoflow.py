@@ -261,6 +261,7 @@ def test_option_parsing_round_trip():
     shoot = ShootOpts.from_config({"newton_tol": 1e-9, "multistart": 4})
     assert ShootOpts.from_config(shoot.to_config()) == shoot
     assert OdeOpts.from_config(None) == OdeOpts()
+    assert ShootOpts.from_config({}) == ShootOpts()   # one set of defaults
 
 
 def test_option_parsing_rejects_unknown_keys():
@@ -268,3 +269,7 @@ def test_option_parsing_rejects_unknown_keys():
         OdeOpts.from_config({"rtol": 1e-9})
     with pytest.raises(DomainError):
         ShootOpts.from_config({"allow_conjugate": True})  # internal-only flag
+    with pytest.raises(DomainError):
+        OdeOpts(abs_tol=0.0)
+    with pytest.raises(DomainError):
+        ShootOpts(multistart=0)
