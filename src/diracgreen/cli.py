@@ -91,8 +91,11 @@ class RunConfig:
         out = data.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError("out must be a string path")
+        h_list = data.get("h_list", [])
+        if not isinstance(h_list, list):
+            raise ConfigError(f"h_list must be an array, got {h_list!r}")
         return cls(dimension=dim, model=model, x_star=x_star, y_star=y_star,
-                   h_list=_h_list(data.get("h_list", ())),
+                   h_list=_h_list(h_list),
                    ode=OdeOpts.from_config(data.get("ode")),
                    shoot=ShootOpts.from_config(data.get("shooting")), out=out)
 

@@ -91,6 +91,8 @@ class ShootOpts:
     def __post_init__(self):
         if self.max_iter < 1 or (self.multistart is not None and self.multistart < 1):
             raise DomainError(f"max_iter and multistart must be at least 1, got {self}")
+        if not all(v > 0.0 for v in (self.newton_tol, self.merge_tol, self.conjugacy_tol)):
+            raise DomainError(f"shooting tolerances must be positive, got {self}")
 
     @classmethod
     def from_config(cls, cfg):
@@ -157,14 +159,12 @@ class Trajectory:
         self.variational = variational
         self.has_theta = model.dim == 1
         d = self.dim
-        self._i_act = 2 * d
-        self._i_th = 2 * d + 1 if self.has_theta else None
         self._i_var = 2 * d + 1 + (1 if self.has_theta else 0)
         y_end = self.sol(self.tau)
         self.p_start = self.sol(0.0)[d:2 * d]
         self.x_end, self.p_end = y_end[:d], y_end[d:2 * d]
-        self.action_end = float(y_end[self._i_act])
-        self.theta_end = float(y_end[self._i_th]) if self.has_theta else None
+        self.action_end = float(y_end[2 * d])
+        self.theta_end = float(y_end[2 * d + 1]) if self.has_theta else None
         self.v_start = self.velocity(0.0)
         self.v_end = self.velocity(self.tau)
 
@@ -177,14 +177,6 @@ class Trajectory:
     def velocity(self, t):
         p = self.momentum(t)
         return p / math.sqrt(1.0 - float(p @ p))
-
-    def action(self, t):
-        return float(self.sol(t)[self._i_act])
-
-    def theta(self, t):
-        if not self.has_theta:
-            raise DomainError("phase integral is tracked in 1D only")
-        return float(self.sol(t)[self._i_th])
 
     def dp_x(self, t):
         if not self.variational:

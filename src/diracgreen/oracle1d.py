@@ -12,8 +12,8 @@ condition G(y+, y) - G(y-, y) = (i/h) sigma_1.
 Solutions grow like exp(kappa |s| / h), far beyond float range over a long
 window, so each one is integrated inward from its anchor in short segments
 with the amplitude renormalised at every boundary and the accumulated
-magnitude kept as a log.  evaluate() returns (vector, log_scale) with the
-true solution equal to vector * exp(log_scale).
+magnitude kept as a log.  decaying_solution() returns (vector, log_scale)
+pairs with the true solution equal to vector * exp(log_scale).
 """
 
 from __future__ import annotations
@@ -29,85 +29,9 @@ from .geoflow import NumericalError, OdeOpts
 _COND_LIMIT = 1e12
 
 
-class JostSolution:
-    """A decaying solution integrated inward from one anchor.
-
-    side = "right" decays as s -> +inf and is integrated leftward (its
-    growing, numerically stable direction); side = "left" mirrors this.
-    """
-
-    def __init__(self, model, h, side, anchor, tail_value, kappa_tail):
-        self.model = model
-        self.h = float(h)
-        self.side = side
-        self.anchor = float(anchor)
-        self.tail_value = tail_value
-        self.kappa_tail = float(kappa_tail)
-        self._segments = []          # (near_end, far_end, dense sol, entry_log)
-        self._reach = float(anchor)  # innermost coordinate integrated so far
-
-    def _rhs(self):
-        h = self.h
-
-        def rhs(t, y):
-            u = y[:2] + 1j * y[2:]
-            v = self.model.value(np.array([t]))
-            mat = np.array([[0.0, v - 1.0], [v + 1.0, 0.0]], dtype=complex)
-            du = (-1j / h) * mat @ u
-            return np.concatenate([du.real, du.imag])
-
-        return rhs
-
-    def extend(self, target, opts=None):
-        """Integrate (further) inward so that evaluate() covers target."""
-        going_left = self.side == "right"
-        if (self._reach <= target) if going_left else (self._reach >= target):
-            return
-        opts = opts or OdeOpts()
-        # growth per segment stays under e^4 < 1e2, so evaluate() vectors
-        # keep O(1) norms and all magnitude lives in the log bookkeeping
-        seg = min(0.5, 4.0 * self.h)
-        rhs = self._rhs()
-        if self._segments:
-            _, far, sol, entry_log = self._segments[-1]
-            u = sol(far)
-            u = u[:2] + 1j * u[2:]
-            log = entry_log
-        else:
-            u = self.tail_value.astype(complex)
-            log = 0.0
-        pos = self._reach
-        while (pos > target) if going_left else (pos < target):
-            nxt = max(pos - seg, target) if going_left else min(pos + seg, target)
-            nrm = float(np.linalg.norm(u))
-            u = u / nrm
-            log += math.log(nrm)
-            y0 = np.concatenate([u.real, u.imag])
-            res = solve_ivp(rhs, (pos, nxt), y0, **opts.solver_kwargs())
-            if not res.success:
-                raise NumericalError(f"decaying-solution integration failed: {res.message}")
-            self._segments.append((pos, nxt, res.sol, log))
-            u = res.y[:2, -1] + 1j * res.y[2:, -1]
-            pos = nxt
-        self._reach = pos
-
-    def evaluate(self, s):
-        """(vector, log_scale) at s; the solution is vector * exp(log_scale)."""
-        s = float(s)
-        going_left = self.side == "right"
-        if (s >= self.anchor) if going_left else (s <= self.anchor):
-            # constant-tail region: exact exponential decay off the anchor
-            log = -self.kappa_tail * abs(s - self.anchor) / self.h
-            return self.tail_value.astype(complex), log
-        if (s < self._reach) if going_left else (s > self._reach):
-            raise DomainError(f"solution not integrated to {s}; call extend() first")
-        if going_left:
-            idx = next(i for i, (a, b, _, _) in enumerate(self._segments) if b <= s <= a)
-        else:
-            idx = next(i for i, (a, b, _, _) in enumerate(self._segments) if a <= s <= b)
-        _, _, sol, entry_log = self._segments[idx]
-        y = sol(s)
-        return y[:2] + 1j * y[2:], entry_log
+def _edge(model, points):
+    """Anchor distance: half a unit past the constant window and every point."""
+    return max([model.window] + [abs(s) for s in points]) + 0.5
 
 
 def _tail_data(model, side, anchor):
@@ -120,24 +44,66 @@ def _tail_data(model, side, anchor):
     return w / np.linalg.norm(w), kappa
 
 
-def decaying_solution(model, side, reach_to, h, anchor=None, opts=None):
-    """Build the recessive solution on one side, integrated in to reach_to."""
+def decaying_solution(model, side, points, h, anchor=None, opts=None):
+    """The recessive solution on one side at each of points, as (vector, log_scale).
+
+    side = "right" decays as s -> +inf and is marched leftward from its
+    anchor (its growing, numerically stable direction); side = "left"
+    mirrors this.  The march stops at the farthest point and each point is
+    read from the first segment that contains it; points at or beyond the
+    anchor take the exact exponential tail.
+    """
     if model.dim != 1:
         raise DomainError("the exact solver is 1D only")
     if side not in ("right", "left"):
         raise DomainError(f"side must be 'right' or 'left', got {side!r}")
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
-    if anchor is None:
-        pad = 0.5
-        edge = max(model.window, abs(float(reach_to))) + pad
-        anchor = edge if side == "right" else -edge
+    points = [float(s) for s in points]
+    sign = -1.0 if side == "right" else 1.0     # the direction of the march
+    anchor = -sign * _edge(model, points) if anchor is None else float(anchor)
     if abs(anchor) > model.box_half:
         raise DomainError("anchor falls outside the domain box; widen box_half")
-    w, kappa = _tail_data(model, side, anchor)
-    jost = JostSolution(model, h, side, anchor, w, kappa)
-    jost.extend(float(reach_to), opts)
-    return jost
+    tail, kappa = _tail_data(model, side, anchor)
+    out = [(tail.astype(complex), -kappa * abs(s - anchor) / h)
+           if sign * (s - anchor) <= 0.0 else None for s in points]
+    pending = [i for i, val in enumerate(out) if val is None]
+    if not pending:
+        return out
+    target = sign * max(sign * points[i] for i in pending)
+
+    def rhs(t, y):
+        u = y[:2] + 1j * y[2:]
+        v = model.value(np.array([t]))
+        mat = np.array([[0.0, v - 1.0], [v + 1.0, 0.0]], dtype=complex)
+        du = (-1j / h) * mat @ u
+        return np.concatenate([du.real, du.imag])
+
+    opts = opts or OdeOpts()
+    # growth per segment stays under e^4 < 1e2, so the returned vectors keep
+    # O(1) norms and all magnitude lives in the log bookkeeping
+    seg = min(0.5, 4.0 * h)
+    u, log, pos = tail.astype(complex), 0.0, anchor
+    while pending:
+        nxt = pos + sign * seg
+        if sign * (nxt - target) > 0.0:
+            nxt = target
+        nrm = float(np.linalg.norm(u))
+        u = u / nrm
+        log += math.log(nrm)
+        y0 = np.concatenate([u.real, u.imag])
+        res = solve_ivp(rhs, (pos, nxt), y0, **opts.solver_kwargs())
+        if not res.success:
+            raise NumericalError(f"decaying-solution integration failed: {res.message}")
+        lo, hi = min(pos, nxt), max(pos, nxt)
+        for i in pending:
+            if lo <= points[i] <= hi:
+                y = res.sol(points[i])
+                out[i] = (y[:2] + 1j * y[2:], log)
+        pending = [i for i in pending if out[i] is None]
+        u = res.y[:2, -1] + 1j * res.y[2:, -1]
+        pos = nxt
+    return out
 
 
 def exact_green_kernel_1d(model, x, y, h, opts=None):
@@ -151,28 +117,23 @@ def exact_green_kernel_1d(model, x, y, h, opts=None):
     y = float(np.atleast_1d(y)[0]) if np.ndim(y) else float(y)
     if x == y:
         raise DomainError("the kernel diverges on the diagonal; x and y must differ")
-    lo, hi = min(x, y), max(x, y)
-    pad = 0.5
-    edge = max(model.window, abs(x), abs(y)) + pad
-    u_right = decaying_solution(model, "right", lo, h, anchor=edge, opts=opts)
-    u_left = decaying_solution(model, "left", hi, h, anchor=-edge, opts=opts)
+    # both marches are asked for both points, so each runs to the farther one
+    # even where only y is read: segment boundaries depend on min(x, y) and
+    # max(x, y) alone, and a kernel and its reverse integrate the same segments
+    sols = [decaying_solution(model, side, (y, x), h, opts=opts)
+            for side in ("right", "left")]
+    at_y = []
+    for (vec, log), _ in sols:
+        nrm = float(np.linalg.norm(vec))
+        at_y.append((vec / nrm, log + math.log(nrm)))
 
-    v_r, log_r = u_right.evaluate(y)
-    v_l, log_l = u_left.evaluate(y)
-    n_r = float(np.linalg.norm(v_r))
-    n_l = float(np.linalg.norm(v_l))
-    v_r, log_r = v_r / n_r, log_r + math.log(n_r)
-    v_l, log_l = v_l / n_l, log_l + math.log(n_l)
-
-    basis = np.column_stack([v_r, -v_l])
+    basis = np.column_stack([at_y[0][0], -at_y[1][0]])
     cond = float(np.linalg.cond(basis))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericalError(
             f"matching system ill-conditioned at the source point: cond = {cond:.3e}")
     rows = np.linalg.solve(basis, (1j / h) * SIGMA_1)
 
-    if x > y:
-        vec, log_x = u_right.evaluate(x)
-        return np.outer(vec, rows[0]) * math.exp(log_x - log_r)
-    vec, log_x = u_left.evaluate(x)
-    return np.outer(vec, rows[1]) * math.exp(log_x - log_l)
+    k = 0 if x > y else 1   # the solution recessive on x's side of y
+    vec, log_x = sols[k][1]
+    return np.outer(vec, rows[k]) * math.exp(log_x - at_y[k][1])

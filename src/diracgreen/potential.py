@@ -185,7 +185,12 @@ def negated(model):
 
 
 def from_config(dim, cfg):
-    """Parse the JSON sub-object; unlike make_potential, require -1 < V < 0."""
+    """Parse the JSON sub-object; unlike make_potential, check every value.
+
+    V must stay in (-1, 0), a radius must be finite and positive, a center
+    finite and of the model's shape, and the window finite and wide enough
+    to hold the whole well.
+    """
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise DomainError("potential config must be an object with a 'kind' field")
     model = make_potential(
@@ -199,6 +204,19 @@ def from_config(dim, cfg):
     lo, hi = _range_bounds(model.kind, model.params)
     if not -1.0 < lo <= hi < 0.0:
         raise DomainError(f"V must stay in (-1, 0), but the family spans [{lo}, {hi}]")
+    params = model.params
+    if "radius" in params and not 0.0 < params["radius"] < math.inf:
+        raise DomainError(f"radius must be finite and positive, got {params['radius']}")
+    # only a radial family (one with a radius) takes a vector center
+    center = np.asarray(params.get("center", 0.0), dtype=float)
+    shapes = ((), (dim,)) if "radius" in params else ((),)
+    if center.shape not in shapes or not np.all(np.isfinite(center)):
+        raise DomainError(f"center must be a finite scalar or, in a radial family, a "
+                          f"length-{dim} vector, got {params['center']!r}")
+    # the Jost oracle anchors past the window, which must cover the whole well
+    least = _default_window(model.kind, params, dim)
+    if not least <= model.window < math.inf:
+        raise DomainError(f"window must be finite and at least {least}, got {model.window}")
     return model
 
 

@@ -252,6 +252,11 @@ def test_bmt_requires_dimension_three(tmp_path):
 
 # ------------------------------------------------------------- config handling
 
+def bump_2d(**params):
+    return {"kind": "bump_well",
+            "params": dict({"base": -0.6, "depth": 0.3, "radius": 2.0}, **params)}
+
+
 @pytest.mark.parametrize("mutate", [
     lambda c: c.pop("potential"),
     lambda c: c.update(extra_field=1),
@@ -279,6 +284,22 @@ def test_bmt_requires_dimension_three(tmp_path):
     lambda c: c.update(shooting={"max_iter": None}),
     lambda c: c.update(shooting=[1]),
     lambda c: c.update(shooting={"multistart": 0}),      # an empty fan
+    lambda c: c.update(shooting={"newton_tol": 0}),      # non-positive shooting tolerance
+    lambda c: c.update(shooting={"newton_tol": float("nan")}),
+    lambda c: c.update(shooting={"merge_tol": -1}),
+    lambda c: c.update(shooting={"conjugacy_tol": -1}),
+    lambda c: c.update(h_list="1"),                      # h_list must be an array
+    lambda c: c.update(h_list={"0.5": 1}),
+    lambda c: c.update(potential=bump_2d(radius=0.0)),   # radius finite and positive
+    lambda c: c.update(potential=bump_2d(radius=float("nan"))),
+    lambda c: c.update(potential=bump_2d(radius=-2.0)),
+    lambda c: c.update(potential=dict(bump_2d(radius=0.0), kind="cosine_well")),
+    lambda c: c.update(potential=bump_2d(center=[0.0, 0.0, 0.0])),  # center of length d
+    lambda c: c.update(dimension=1, x_star=[0.5], y_star=[-0.5],   # tanh: scalar center
+                       potential={"kind": "tanh_step",
+                                  "params": {"base": -0.5, "amp": 0.2, "center": [0.0]}}),
+    lambda c: c.update(potential=dict(bump_2d(), window=float("nan"))),  # window covers
+    lambda c: c.update(potential=dict(bump_2d(), window=-5.0)),          # the whole well
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))

@@ -71,7 +71,8 @@ def test_constant_flow_closed_form():
     np.testing.assert_allclose(traj.position(0.375), [0.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(traj.momentum(0.375), [0.8, 0.0, 0.0], atol=1e-13)
     assert traj.action_end == pytest.approx(0.8, abs=1e-12)
-    assert traj.action(0.375) == pytest.approx(0.4, abs=1e-12)
+    half = integrate_flow(m, [-0.5, 0.0, 0.0], [0.8, 0.0, 0.0], 0.375)
+    assert half.action_end == pytest.approx(0.4, abs=1e-12)
     np.testing.assert_allclose(traj.velocity(0.2), [4.0 / 3.0, 0.0, 0.0], atol=1e-12)
     assert traj.hamiltonian_sup() <= 1e-12
 
@@ -91,8 +92,7 @@ def test_trajectory_accessor_guards():
     traj = integrate_flow(m, [0.0, 0.0], [0.5, 0.0], 0.3, variational=False)
     with pytest.raises(DomainError):
         traj.dp_x(0.1)
-    with pytest.raises(DomainError):
-        traj.theta(0.1)   # phase integral exists in 1D only
+    assert traj.theta_end is None   # phase integral exists in 1D only
 
 
 # ------------------------------------------------------------------- shooting

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from diracgreen import oracle1d
 from diracgreen.clifford import SIGMA_1, DomainError, build_dirac_rep
 from diracgreen.geoflow import shoot_geodesic
 from diracgreen.kernel import constant_V_exact
@@ -71,11 +73,8 @@ def test_halving_h_doubles_interior_decay_rate():
     m = bump_model()
     rates = []
     for h in (0.1, 0.05):
-        jost = decaying_solution(m, "right", -0.5, h)
-        tot = []
-        for s in (0.5, -0.5):
-            vec, log = jost.evaluate(s)
-            tot.append(math.log(np.linalg.norm(vec)) + log)
+        tot = [math.log(np.linalg.norm(vec)) + log
+               for vec, log in decaying_solution(m, "right", (0.5, -0.5), h)]
         rates.append(tot[1] - tot[0])   # log-growth over one unit leftward
     assert rates[1] / rates[0] == pytest.approx(2.0, rel=0.02)
 
@@ -102,44 +101,53 @@ def test_adjoint_symmetry_tanh_step():
 
 
 def test_renormalised_vectors_stay_order_one():
-    """Bookkeeping invariant: evaluate() vectors never leave [1e-2, 1e2]."""
+    """Bookkeeping invariant: returned vectors never leave [1e-2, 1e2]."""
     m = bump_model()
-    jost = decaying_solution(m, "right", -2.5, 0.05)
-    for s in np.linspace(-2.5, 3.0, 111):
-        vec, _ = jost.evaluate(s)
+    for vec, _ in decaying_solution(m, "right", np.linspace(-2.5, 3.0, 111), 0.05,
+                                    anchor=3.0):
         assert 1e-2 <= np.linalg.norm(vec) <= 1e2
 
 
-def test_analytic_tail_beyond_anchor():
+def test_analytic_tail_beyond_anchor(monkeypatch):
     # outside the anchor the solution is the exact exponential, no ODE calls
+    monkeypatch.setattr(oracle1d, "solve_ivp", None)
     m = bump_model()
     h = 0.1
-    jost = decaying_solution(m, "right", 0.0, h, anchor=3.0)
-    vec, log = jost.evaluate(5.0)
+    (v_anchor, log_anchor), (vec, log) = decaying_solution(m, "right", (3.0, 5.0), h,
+                                                           anchor=3.0)
     kappa = 0.8
+    assert log_anchor == 0.0
     assert log == pytest.approx(-kappa * 2.0 / h, rel=1e-12)
-    np.testing.assert_allclose(vec, jost.tail_value, rtol=1e-15)
+    np.testing.assert_allclose(vec, v_anchor, rtol=1e-15)
+    np.testing.assert_allclose(v_anchor, np.array([1j * kappa, -0.4]) / math.hypot(kappa, 0.4),
+                               rtol=1e-15)
 
 
-def test_evaluate_requires_extension():
-    m = bump_model()
-    jost = decaying_solution(m, "right", 0.0, 0.1)
-    with pytest.raises(DomainError):
-        jost.evaluate(-1.5)
-    jost.extend(-1.5)
-    vec, _ = jost.evaluate(-1.5)
-    assert np.isfinite(vec).all()
+def test_segment_count_is_one_per_step(monkeypatch):
+    """Each march takes ceil((edge + 1) / 0.2) segments, edge = 2.5 for the bump."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(oracle1d, "solve_ivp", counting)
+    exact_green_kernel_1d(bump_model(), 1.0, -1.0, 0.05)
+    per_march = math.ceil((2.5 + 1.0) / 0.2)
+    assert len(calls) == 2 * per_march
+    assert calls[0][0] == 2.5 and calls[per_march - 1][1] == -1.0
+    assert calls[per_march][0] == -2.5 and calls[-1][1] == 1.0
 
 
 def test_input_validation():
     m = bump_model()
     with pytest.raises(DomainError):
-        decaying_solution(m, "up", 0.0, 0.1)
+        decaying_solution(m, "up", [0.0], 0.1)
     with pytest.raises(DomainError):
-        decaying_solution(m, "right", 0.0, -0.1)
+        decaying_solution(m, "right", [0.0], -0.1)
     with pytest.raises(DomainError):
-        decaying_solution(make_potential(2, "bump_well", BUMP), "right", 0.0, 0.1)
+        decaying_solution(make_potential(2, "bump_well", BUMP), "right", [0.0], 0.1)
     with pytest.raises(DomainError):
-        decaying_solution(m, "right", 0.0, 0.1, anchor=50.0)  # outside the box
+        decaying_solution(m, "right", [0.0], 0.1, anchor=50.0)  # outside the box
     with pytest.raises(DomainError):
         exact_green_kernel_1d(m, 0.3, 0.3, 0.1)
