@@ -19,10 +19,12 @@ direction (chart on the sphere) and the flight time.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad, solve_ivp
 
 from .clifford import DomainError
 
@@ -39,14 +41,30 @@ class ConjugatePointError(NumericalError):
     """Endpoints are (near-)conjugate: the leading kernel degenerates."""
 
 
+# outcome of each start of the Newton loop, in the order a failure tally lists them
+CONVERGED, LEFT_BALL, LEFT_BOX, SINGULAR, CHART_ESCAPE, MAX_ITER, UNDERFLOW = OUTCOMES = (
+    "converged", "left |p|<1", "left box", "singular Jacobian", "chart escape",
+    "max_iter", "step underflow")
+_BALL_EXIT = "flow reached the momentum ball boundary |p| -> 1"
+# scipy's RungeKutta step-size control, which _dop853_lanes repeats per lane
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+
 def _options(cls, cfg, what, parsers):
-    """cls(**cfg) with each value passed through parsers[key]; unknown keys raise."""
+    """cls(**cfg) with each value passed through parsers[key]; unknown keys raise.
+
+    Every option is a number, so a boolean (which int() and float() read
+    as 0 or 1) is refused too.
+    """
     cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise DomainError(f"{what} options must be an object, got {cfg!r}")
     bad = set(cfg) - set(parsers)
     if bad:
         raise DomainError(f"unknown {what} option(s): {sorted(bad)}")
+    flags = sorted(k for k, v in cfg.items() if isinstance(v, bool))
+    if flags:
+        raise DomainError(f"{what} option(s) {flags} must be numbers, not booleans")
     return cls(**{k: parsers[k](v) for k, v in cfg.items()})
 
 
@@ -144,6 +162,19 @@ def figuratrix_momentum(model, x, direction):
     return math.sqrt(1.0 - v * v) * direction / nrm
 
 
+def _var_index(d):
+    """Where dpX starts in the flow state: x, p, the action, in 1D the phase integral."""
+    return 2 * d + 1 + (1 if d == 1 else 0)
+
+
+def _initial_state(x0, p0, variational):
+    d = len(x0)
+    return np.concatenate([
+        x0, p0, np.zeros(_var_index(d) - 2 * d),
+        (np.concatenate([np.zeros(d * d), np.eye(d).ravel()]) if variational else np.empty(0)),
+    ])
+
+
 class Trajectory:
     """One flow solve with dense output and optional variational blocks.
 
@@ -159,7 +190,7 @@ class Trajectory:
         self.variational = variational
         self.has_theta = model.dim == 1
         d = self.dim
-        self._i_var = 2 * d + 1 + (1 if self.has_theta else 0)
+        self._i_var = _var_index(d)
         y_end = self.sol(self.tau)
         self.p_start = self.sol(0.0)[d:2 * d]
         self.x_end, self.p_end = y_end[:d], y_end[d:2 * d]
@@ -203,14 +234,14 @@ class Trajectory:
 def _flow_rhs(model, variational):
     d = model.dim
     has_theta = d == 1
-    i_var = 2 * d + 1 + (1 if has_theta else 0)
+    i_var = _var_index(d)
 
     def rhs(t, y):
         x = y[:d]
         p = y[d:2 * d]
         p2 = float(p @ p)
         if p2 >= 1.0 - 1e-12:
-            raise DomainError(f"flow reached the momentum ball boundary |p| -> 1 at t = {t}")
+            raise DomainError(f"{_BALL_EXIT} at t = {t}")
         v, grad, hess = model.evaluate(x)
         w = math.sqrt(1.0 - p2)
         out = np.empty_like(y)
@@ -235,14 +266,9 @@ def integrate_flow(model, x0, p0, tau, opts=None, variational=True):
     opts = opts or OdeOpts()
     if tau <= 0.0:
         raise DomainError(f"flight time must be positive, got {tau}")
-    d = model.dim
     start = PhasePoint(np.asarray(x0, float), np.asarray(p0, float))
-    n_extra = 1 + (1 if d == 1 else 0)
-    y0 = np.concatenate([
-        start.x, start.p, np.zeros(n_extra),
-        (np.concatenate([np.zeros(d * d), np.eye(d).ravel()]) if variational else np.empty(0)),
-    ])
-    sol = solve_ivp(_flow_rhs(model, variational), (0.0, float(tau)), y0,
+    sol = solve_ivp(_flow_rhs(model, variational), (0.0, float(tau)),
+                    _initial_state(start.x, start.p, variational),
                     **opts.solver_kwargs())
     if not sol.success:
         raise NumericalError(f"flow integration failed: {sol.message}")
@@ -308,42 +334,252 @@ def _start_directions(dim, n_base, count):
     return dirs[:count] if count is not None else dirs
 
 
-def _newton_shot(model, y_star, x_star, n_start, tau0, opts, shoot_opts):
-    """Damped Newton over (direction chart, flight time); returns None on failure."""
+class _End(NamedTuple):
+    """Where one Newton iterate's orbit ends; traj only for a single start."""
+
+    x: np.ndarray
+    v: np.ndarray
+    dpx: np.ndarray
+    p0: np.ndarray
+    tau: float
+    action: float
+    traj: Trajectory | None
+
+
+def _flow_one(model, y_star, p0s, taus, opts):
+    """[_End or outcome] of one flow through integrate_flow, with dense output."""
+    try:
+        traj = integrate_flow(model, y_star, p0s[0], taus[0], opts, variational=True)
+    except NumericalError:
+        return [UNDERFLOW]
+    except DomainError as exc:
+        return [LEFT_BALL if str(exc).startswith(_BALL_EXIT) else LEFT_BOX]
+    return [_End(traj.x_end, traj.v_end, traj.dp_x(traj.tau), traj.p_start, traj.tau,
+                 traj.action_end, traj)]
+
+
+def _lane_rhs(model, taus):
+    """Batched _flow_rhs on s in [0, 1]: row k is scaled by its flight time taus[k].
+
+    Returns the derivatives and None, or per row "" or the reason the point
+    is outside the flow's domain; the derivatives of such rows stay finite.
+    """
+    d = model.dim
+    i_var = _var_index(d)
+    dd = d * d
+    eye = np.eye(d)
+
+    def rhs(y, rows):
+        p = y[:, d:2 * d]
+        p2 = np.vecdot(p, p)
+        ball = p2 >= 1.0 - 1e-12
+        v, grad, hess, outside = model.evaluate_many(y[:, :d])
+        why = None
+        if ball.any() or outside.any():
+            why = np.where(ball, LEFT_BALL, np.where(outside, LEFT_BOX, ""))
+            p2 = np.where(ball, 0.0, p2)
+        w = np.sqrt(1.0 - p2)
+        out = np.empty_like(y)
+        out[:, :d] = p / w[:, None]
+        out[:, d:2 * d] = grad
+        out[:, 2 * d] = p2 / w
+        if d == 1:
+            out[:, 3] = grad[:, 0] / (2.0 * v)
+        hpp = eye / w[:, None, None] + p[:, :, None] * p[:, None, :] / (w**3)[:, None, None]
+        out[:, i_var:i_var + dd] = (hpp @ y[:, i_var + dd:].reshape(-1, d, d)).reshape(-1, dd)
+        out[:, i_var + dd:] = (hess @ y[:, i_var:i_var + dd].reshape(-1, d, d)).reshape(-1, dd)
+        out *= taus[rows, None]
+        return out, why
+
+    return rhs
+
+
+def _rms(a):
+    return np.sqrt(np.sum(a * a, axis=1) / a.shape[1])
+
+
+def _dop853_lanes(fun, y0, rtol, atol, max_step):
+    """Integrate dy/ds = fun(y) over s in [0, 1] for every row (lane) of y0.
+
+    The lanes share the calls to fun(y, rows), which returns the derivatives
+    at the rows of y (lanes `rows`) and None or, per row, "" or the reason
+    the point lies outside the flow's domain.  All else is per lane: scipy's
+    DOP853 tableau and step-size control (SAFETY 0.9, factors 0.2 and 10,
+    exponent -1/8, its initial-step rule, a 10-ulp minimum step, max_step
+    per lane), with no dense output.  One shared step size would make every
+    lane redo the steps any one lane rejects.  A lane that leaves the domain
+    or whose step underflows stops with that reason; the others go on.
+    Returns the end states and the per-lane reasons ("" once at s = 1).
+    """
+    a_tab, b_tab, e3, e5 = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5
+    n_st = DOP853.n_stages
+    exponent = -1.0 / (DOP853.error_estimator_order + 1)
+    y = np.array(y0, dtype=float)
+    n, m = y.shape
+    lanes = np.arange(n)
+    why = np.full(n, "", dtype=object)
+
+    def note(rows, reasons):
+        if reasons is not None:
+            first = (why[rows] == "") & (reasons != "")
+            why[rows[first]] = reasons[first]
+
+    f, reasons = fun(y, lanes)
+    note(lanes, reasons)
+
+    # scipy's select_initial_step, with RMS norms over each lane's state
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    flat = (d0 < 1e-5) | (d1 < 1e-5)
+    h0 = np.minimum(np.where(flat, 1e-6, 0.01 * d0 / np.where(flat, 1.0, d1)), 1.0)
+    f1, reasons = fun(y + h0[:, None] * f, lanes)
+    note(lanes, reasons)
+    d2 = _rms((f1 - f) / scale) / h0
+    both = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.where(both, np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.where(both, 1.0, np.maximum(d1, d2))) ** -exponent)
+    h_abs = np.minimum(np.minimum(100.0 * h0, h1), np.minimum(1.0, max_step))
+
+    s = np.zeros(n)
+    fresh = np.ones(n, dtype=bool)      # at the start of a step, not a retry
+    rejected = np.zeros(n, dtype=bool)  # this step has been rejected before
+    while True:
+        idx = np.flatnonzero((why == "") & (s < 1.0))
+        if not idx.size:
+            return y, why
+        s_i = s[idx]
+        min_step = 10.0 * np.abs(np.nextafter(s_i, np.inf) - s_i)
+        h = h_abs[idx]
+        start = fresh[idx]
+        h = np.where(start & (h > max_step[idx]), max_step[idx],
+                     np.where(start & (h < min_step), min_step, h))
+        keep = h >= min_step
+        if not keep.all():
+            note(idx, np.where(keep, "", UNDERFLOW))
+            idx, s_i, h = idx[keep], s_i[keep], h[keep]
+            if not idx.size:
+                continue
+        s_new = np.minimum(s_i + h, 1.0)
+        h = s_new - s_i
+
+        k = np.empty((n_st + 1, idx.size, m))
+        k[0] = f[idx]
+        y_i = y[idx]
+        for st in range(1, n_st):
+            dy = (a_tab[st, :st] @ k[:st].reshape(st, -1)).reshape(-1, m)
+            k[st], reasons = fun(y_i + dy * h[:, None], idx)
+            note(idx, reasons)
+        y_new = y_i + h[:, None] * (b_tab @ k[:n_st].reshape(n_st, -1)).reshape(-1, m)
+        k[n_st], reasons = fun(y_new, idx)
+        note(idx, reasons)
+
+        scale = atol + np.maximum(np.abs(y_i), np.abs(y_new)) * rtol
+        err5 = (e5 @ k.reshape(n_st + 1, -1)).reshape(-1, m) / scale
+        err3 = (e3 @ k.reshape(n_st + 1, -1)).reshape(-1, m) / scale
+        n5, n3 = np.sum(err5 * err5, axis=1), np.sum(err3 * err3, axis=1)
+        zero = (n5 == 0.0) & (n3 == 0.0)
+        err = np.where(zero, 0.0, h * n5 / np.sqrt(np.where(zero, 1.0, n5 + 0.01 * n3) * m))
+        grow = SAFETY * np.where(err == 0.0, 1.0, err) ** exponent
+        ok = err < 1.0
+        factor = np.where(err == 0.0, MAX_FACTOR, np.minimum(MAX_FACTOR, grow))
+        factor = np.where(ok, np.where(rejected[idx], np.minimum(1.0, factor), factor),
+                          np.fmax(MIN_FACTOR, grow))
+        h_abs[idx] = h * factor
+        acc = ok & (why[idx] == "")
+        s[idx[acc]] = s_new[acc]
+        y[idx[acc]] = y_new[acc]
+        f[idx[acc]] = k[n_st][acc]
+        fresh[idx] = ok
+        rejected[idx] = ~ok
+
+
+def _flow_lanes(model, y_star, p0s, taus, opts):
+    """[_End or outcome] of each flow from (y_star, p0s[k]) for time taus[k], as lanes."""
+    d = model.dim
+    i_var = _var_index(d)
+    taus = np.asarray(taus, dtype=float)
+    y0 = np.array([_initial_state(y_star, p0, True) for p0 in p0s])
+    y_end, why = _dop853_lanes(_lane_rhs(model, taus), y0, opts.rel_tol, opts.abs_tol,
+                               opts.max_step / taus)
+    ends = []
+    for y, reason, p0, tau in zip(y_end, why, p0s, taus):
+        p = y[d:2 * d]
+        ends.append(reason or _End(y[:d], p / math.sqrt(1.0 - float(p @ p)),
+                                   y[i_var:i_var + d * d].reshape(d, d), p0, float(tau),
+                                   float(y[2 * d]), None))
+    return ends
+
+
+def _newton(model, y_star, x_star, directions, tau0, opts, shoot_opts):
+    """Damped Newton over (direction chart, flight time), all starts in lock step.
+
+    Every iteration integrates the active starts together: several as lanes
+    of _dop853_lanes, a last one through integrate_flow, which keeps the
+    dense output the polish needs and beats a batch of one.  Returns each
+    start's outcome and, for a converged start, its _End.
+    """
     d = model.dim
     r_y = math.sqrt(1.0 - model.value(y_star) ** 2)
-    frame = _frame_from_direction(n_start)
-    u = np.zeros(d - 1)
-    tau = tau0
+    frames = [_frame_from_direction(n) for n in directions]
+    us = [np.zeros(d - 1) for _ in directions]
+    taus = [tau0] * len(directions)
+    outcomes = [MAX_ITER] * len(directions)
+    ends = [None] * len(directions)
+    active = list(range(len(directions)))
     for _ in range(shoot_opts.max_iter):
-        n, cols = _sphere_chart(frame, u)
-        p0 = r_y * n
-        try:
-            traj = integrate_flow(model, y_star, p0, tau, opts, variational=True)
-        except (DomainError, NumericalError):
-            return None
-        res = traj.x_end - x_star
-        if np.max(np.abs(res)) <= shoot_opts.newton_tol:
-            return traj
-        jac = np.empty((d, d))
-        dpx = traj.dp_x(tau)
-        for j, col in enumerate(cols):
-            jac[:, j] = dpx @ (r_y * col)
-        jac[:, d - 1] = traj.v_end
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        du, dtau = step[: d - 1], step[d - 1]
-        nrm = np.linalg.norm(du)
-        if nrm > 1.0:
-            du = du / nrm
-            dtau *= 1.0 / nrm
-        u = u + du
-        tau = float(np.clip(tau + dtau, 0.02 * tau0, 50.0 * tau0))
-        if np.linalg.norm(u) > 2.5 or not np.isfinite(tau):
-            return None
-    return None
+        charts = [_sphere_chart(frames[k], us[k]) for k in active]
+        flow = _flow_one if len(active) == 1 else _flow_lanes
+        results = flow(model, y_star, [r_y * n for n, _ in charts],
+                       [taus[k] for k in active], opts)
+        still = []
+        for k, (_, cols), end in zip(active, charts, results):
+            if isinstance(end, str):
+                outcomes[k] = end
+                continue
+            res = end.x - x_star
+            if np.max(np.abs(res)) <= shoot_opts.newton_tol:
+                outcomes[k], ends[k] = CONVERGED, end
+                continue
+            jac = np.empty((d, d))
+            for j, col in enumerate(cols):
+                jac[:, j] = end.dpx @ (r_y * col)
+            jac[:, d - 1] = end.v
+            try:
+                step = np.linalg.solve(jac, -res)
+            except np.linalg.LinAlgError:
+                outcomes[k] = SINGULAR
+                continue
+            du, dtau = step[: d - 1], step[d - 1]
+            nrm = np.linalg.norm(du)
+            if nrm > 1.0:
+                du = du / nrm
+                dtau *= 1.0 / nrm
+            us[k] = us[k] + du
+            taus[k] = float(np.clip(taus[k] + dtau, 0.02 * tau0, 50.0 * tau0))
+            if np.linalg.norm(us[k]) > 2.5 or not np.isfinite(taus[k]):
+                outcomes[k] = CHART_ESCAPE
+                continue
+            still.append(k)
+        active = still
+        if not active:
+            break
+    return outcomes, ends
+
+
+def _fan_starts(model, y_star, x_star, count):
+    """The fan's start directions and its flight-time guess, straight-line at V(midpoint)."""
+    sep = x_star - y_star
+    r = float(np.linalg.norm(sep))
+    if r == 0.0:
+        raise DomainError("endpoints must be distinct")
+    v_mid = model.value(0.5 * (x_star + y_star))
+    tau0 = r * (-v_mid) / math.sqrt(1.0 - v_mid * v_mid)
+    return _start_directions(model.dim, sep / r, count), tau0
+
+
+def _tally(outcomes):
+    counts = Counter(outcomes)
+    return ", ".join(f"{counts[o]} {o}" for o in OUTCOMES if counts[o])
 
 
 def shoot_geodesic(model, y_star, x_star, opts=None, shoot_opts=None):
@@ -363,23 +599,10 @@ def shoot_geodesic(model, y_star, x_star, opts=None, shoot_opts=None):
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     d = model.dim
-    sep = x_star - y_star
-    r = float(np.linalg.norm(sep))
-    if r == 0.0:
-        raise DomainError("endpoints must be distinct")
-    n_base = sep / r
-    v_mid = model.value(0.5 * (x_star + y_star))
-    tau0 = r * (-v_mid) / math.sqrt(1.0 - v_mid * v_mid)
-
     count = shoot_opts.multistart if shoot_opts.multistart is not None else 3 ** d - 1
-    starts = _start_directions(d, n_base, count)
-
-    found = []
-    for n_start in starts:
-        traj = _newton_shot(model, y_star, x_star, n_start, tau0, opts, shoot_opts)
-        if traj is None:
-            continue
-        found.append((traj.p_start.copy(), traj.tau, traj.action_end))
+    starts, tau0 = _fan_starts(model, y_star, x_star, count)
+    outcomes, ends = _newton(model, y_star, x_star, starts, tau0, opts, shoot_opts)
+    found = [(end.p0, end.tau, end.action) for end in ends if end is not None]
 
     distinct = []
     for p0, tau, act in found:
@@ -398,15 +621,17 @@ def shoot_geodesic(model, y_star, x_star, opts=None, shoot_opts=None):
     }
     if not distinct:
         raise ShootingError(
-            f"no connecting orbit found from {len(starts)} start directions")
+            f"no connecting orbit found from {len(starts)} start directions: "
+            f"{_tally(outcomes)}")
 
     # keep the least-action connection, then polish at tight tolerance
     p0, tau, _ = min(distinct, key=lambda rec: rec[2])
     tight = opts.tightened()
     direction = p0 / np.linalg.norm(p0)
-    polished = _newton_shot(model, y_star, x_star, direction, tau, tight, shoot_opts)
-    if polished is None:
-        raise ShootingError("polish stage failed to re-converge")
+    [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, tight, shoot_opts)
+    if end is None:
+        raise ShootingError(f"polish stage failed to re-converge: {outcome}")
+    polished = end.traj
 
     v_y = polished.v_start
     v_x = polished.v_end

@@ -300,6 +300,16 @@ def bump_2d(**params):
                                   "params": {"base": -0.5, "amp": 0.2, "center": [0.0]}}),
     lambda c: c.update(potential=dict(bump_2d(), window=float("nan"))),  # window covers
     lambda c: c.update(potential=dict(bump_2d(), window=-5.0)),          # the whole well
+    lambda c: c.update(potential=dict(bump_2d(), box_half=float("nan"))),  # box finite and
+    lambda c: c.update(potential=dict(bump_2d(), box_half=-1.0)),          # covers the window
+    lambda c: c.update(potential=dict(bump_2d(), delta=float("nan"))),     # margin positive
+    lambda c: c.update(potential=dict(bump_2d(), delta=-0.5)),
+    lambda c: c.update(potential={"kind": "bump_well",                     # misspelt center
+                                  "params": dict(bump_2d()["params"], centre=[3.0, 0.0])}),
+    lambda c: c.update(potential=dict(bump_2d(), box_halff=5.0)),          # unknown field
+    lambda c: c.update(shooting={"max_iter": True}),                       # a bool is no count
+    lambda c: c.update(shooting={"multistart": True}),
+    lambda c: c.update(shooting={"newton_tol": True}),                     # read as 1.0
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))
@@ -307,6 +317,18 @@ def test_config_rejection_paths(tmp_path, mutate, capsys):
     code, _ = run_to_file(tmp_path, "geodesic", cfg)
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_shooting_failure_tallies_start_outcomes(tmp_path, capsys):
+    cfg = dict(CONST_2D, potential=bump_2d(), x_star=[1.0, 0.4], y_star=[-1.0, -0.3],
+               shooting={"max_iter": 1})
+    code, _ = run_to_file(tmp_path, "geodesic", cfg)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "no connecting orbit found from 8 start directions: " in err
+    tally = err.strip().split("start directions: ")[1].split(", ")
+    assert "8 max_iter" in tally
+    assert sum(int(item.split(" ")[0]) for item in tally) == 8
 
 
 def test_missing_and_unreadable_configs(tmp_path, capsys):

@@ -9,11 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from diracgreen import geoflow
 from diracgreen.clifford import DomainError
-from diracgreen.geoflow import (ConjugatePointError, OdeOpts, PhasePoint,
-                                ShootOpts, ShootingError,
-                                agmon_distance_quadrature_1d,
+from diracgreen.geoflow import (CONVERGED, LEFT_BOX, ConjugatePointError, OdeOpts,
+                                PhasePoint, ShootOpts, ShootingError, _dop853_lanes,
+                                _fan_starts, _newton, agmon_distance_quadrature_1d,
                                 bordered_determinant, det_exp_prime,
                                 exp_inverse_from_geodesic, exp_map_oracle,
                                 exp_prime_fd, figuratrix_momentum,
@@ -21,6 +23,7 @@ from diracgreen.geoflow import (ConjugatePointError, OdeOpts, PhasePoint,
 from diracgreen.potential import make_potential
 
 BUMP = {"base": -0.6, "depth": 0.3, "radius": 2.0}
+COSINE = {"base": -0.55, "depth": 0.35, "radius": 2.5}
 
 
 def constant_model(dim, value=-0.6):
@@ -191,6 +194,86 @@ def test_phase_integral_closed_form_1d():
     assert geo.trajectory.theta_end == pytest.approx(expected, abs=1e-10)
 
 
+# ------------------------------------------------------------ lock-step fan
+
+# the CONFIGS pairs of the acceptance gate
+FAN_PAIRS = [
+    (1, "bump_well", BUMP, [-1.0], [1.0]),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2}, [-1.2], [0.8]),
+    (1, "cosine_well", COSINE, [-1.0], [1.3]),
+    (2, "bump_well", BUMP, [-1.0, -0.3], [1.0, 0.4]),
+    (2, "cosine_well", COSINE, [-1.2, 0.2], [0.9, -0.4]),
+    (2, "bump_well", BUMP, [-0.8, 0.7], [1.1, 0.3]),
+    (3, "bump_well", BUMP, [-1.0, -0.3, 0.2], [1.0, 0.4, -0.2]),
+    (3, "cosine_well", COSINE, [-1.1, 0.3, -0.2], [0.9, -0.3, 0.3]),
+    (3, "bump_well", BUMP, [-0.9, 0.5, 0.1], [1.0, 0.2, -0.4]),
+]
+
+
+@pytest.mark.parametrize("dim,kind,params,y,x", FAN_PAIRS,
+                         ids=[f"d{p[0]}-{p[1]}-{i % 3}" for i, p in enumerate(FAN_PAIRS)])
+def test_lane_fan_matches_single_start_shots(dim, kind, params, y, x):
+    """The lock-step fan converges on the starts one shot per start does, to the same p0."""
+    m = make_potential(dim, kind, params)
+    y, x = np.array(y), np.array(x)
+    starts, tau0 = _fan_starts(m, y, x, None)
+    outcomes, ends = _newton(m, y, x, starts, tau0, OdeOpts(), ShootOpts())
+    assert CONVERGED in outcomes
+    for n, outcome, end in zip(starts, outcomes, ends):
+        [alone], [single] = _newton(m, y, x, [n], tau0, OdeOpts(), ShootOpts())
+        assert (outcome == CONVERGED) == (alone == CONVERGED)
+        if end is not None:
+            np.testing.assert_allclose(end.p0, single.p0, rtol=0.0, atol=1e-13)
+
+
+def test_lane_leaving_the_box_fails_alone(monkeypatch):
+    """In a box of half-width 6 two d=2 starts leave it; the rest converge as in the wide box."""
+    y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
+    starts, tau0 = _fan_starts(bump_model(2), y, x, None)
+    _, free_ends = _newton(bump_model(2), y, x, starts, tau0, OdeOpts(), ShootOpts())
+    batches = []
+    flow_lanes = geoflow._flow_lanes
+
+    def recording(*args):
+        batches.append(flow_lanes(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(geoflow, "_flow_lanes", recording)
+    boxed = make_potential(2, "bump_well", BUMP, box_half=6.0)
+    outcomes, ends = _newton(boxed, y, x, starts, tau0, OdeOpts(), ShootOpts())
+    assert outcomes.count(LEFT_BOX) == 2
+    # the lanes left the box inside a batch whose other lanes ran to the end
+    assert any(LEFT_BOX in b and any(not isinstance(e, str) for e in b) for b in batches)
+    for end, free in zip(ends, free_ends):
+        assert (end is None) == (free is None)
+        if end is not None:
+            np.testing.assert_allclose(end.p0, free.p0, rtol=0.0, atol=1e-13)
+
+
+def test_dop853_lanes_follow_scipy_lane_by_lane():
+    """Each lane takes scipy's DOP853 steps; a lane leaving the domain stops alone."""
+    rates = np.array([0.5, 1.0, 3.0, 10.0])
+
+    def decay(y, rows):
+        return -rates[rows, None] * y, None
+
+    y_end, why = _dop853_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12, np.full(4, np.inf))
+    assert list(why) == [""] * 4
+    for k, rate in enumerate(rates):
+        ref = solve_ivp(lambda t, y: -rate * y, (0.0, 1.0), np.ones(2), method="DOP853",
+                        rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(y_end[k], ref.y[:, -1], rtol=1e-14)
+        np.testing.assert_allclose(y_end[k], np.exp(-rate), rtol=1e-9, atol=1e-11)
+
+    def fenced(y, rows):   # lane 1 leaves its domain once y < 0.5
+        return -rates[rows, None] * y, np.where((rows == 1) & (y[:, 0] < 0.5), LEFT_BOX, "")
+
+    fenced_end, why = _dop853_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12,
+                                    np.full(4, np.inf))
+    assert list(why) == ["", LEFT_BOX, "", ""]
+    np.testing.assert_allclose(fenced_end[[0, 2, 3]], y_end[[0, 2, 3]], rtol=1e-13)
+
+
 # ---------------------------------------------------- conjugacy and Jacobians
 
 def test_conjugacy_threshold_raises():
@@ -267,6 +350,8 @@ def test_option_parsing_round_trip():
 def test_option_parsing_rejects_unknown_keys():
     with pytest.raises(DomainError):
         OdeOpts.from_config({"rtol": 1e-9})
+    with pytest.raises(DomainError):
+        ShootOpts.from_config({"max_iter": True})   # a boolean is not a count
     with pytest.raises(DomainError):
         ShootOpts.from_config({"allow_conjugate": True})  # internal-only flag
     with pytest.raises(DomainError):

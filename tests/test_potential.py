@@ -126,6 +126,46 @@ def test_negated_flips_every_family(dim, kind, params):
     assert negated(neg) == m
 
 
+@pytest.mark.parametrize("dim,kind,params", [
+    (2, "constant", {"value": -0.6}),
+    (3, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
+    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]}),
+    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2}),
+    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+])
+def test_evaluate_many_matches_evaluate(dim, kind, params):
+    """Row by row within 4 ulp: at the center, inside, on the edge, outside the ball and box."""
+    m = make_potential(dim, kind, params)
+    rng = np.random.default_rng(11)
+    radius = params.get("radius", 2.0)
+    dirs = rng.normal(size=(200, dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = np.concatenate([np.zeros(10), rng.uniform(0.0, 1e-4, 40),     # the center
+                        rng.uniform(0.0, radius, 80), np.full(30, radius),
+                        rng.uniform(radius, 2.0 * m.box_half, 40)])
+    xs = np.atleast_1d(params.get("center", 0.0)) + dirs * r[:, None]
+    v, grad, hess, outside = m.evaluate_many(xs)
+    assert v.shape == (200,) and grad.shape == (200, dim) and hess.shape == (200, dim, dim)
+    ulp4 = 4.0 * np.finfo(float).eps
+    n_out = 0
+    for k, x in enumerate(xs):
+        if np.any(np.abs(x) > m.box_half):
+            n_out += 1
+            assert outside[k]
+            with pytest.raises(DomainError):
+                m.evaluate(x)
+            continue
+        assert not outside[k]
+        v1, g1, h1 = m.evaluate(x)
+        np.testing.assert_allclose(v[k], v1, rtol=ulp4, atol=0.0)
+        np.testing.assert_allclose(grad[k], g1, rtol=ulp4, atol=0.0)
+        np.testing.assert_allclose(hess[k], h1, rtol=ulp4, atol=0.0)
+    assert n_out >= 5
+    with pytest.raises(DomainError):
+        m.evaluate_many(np.zeros((3, dim + 1)))
+
+
 def test_hypothesis_validation_passes_for_gap_families():
     m = make_potential(2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
     rep = validate_hypothesis(m, n_samples=2000, seed=3)
