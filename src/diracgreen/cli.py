@@ -77,6 +77,7 @@ class RunConfig:
         def point(key):
             if key not in data or data[key] is None:
                 return None
+            _refuse_booleans(key, data[key])
             arr = np.asarray(data[key], dtype=float).reshape(-1)
             if arr.shape != (dim,):
                 raise ConfigError(f"{key} must have length {dim}")
@@ -116,8 +117,15 @@ class RunConfig:
         return data
 
 
+def _refuse_booleans(key, value):
+    """float() reads true and false as 1 and 0; a config number must be a number."""
+    if any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object))):
+        raise ConfigError(f"{key} must hold numbers, not booleans")
+
+
 def _h_list(values):
     """Parse h values, each in (0, 1] and strictly decreasing, into a tuple."""
+    _refuse_booleans("h_list", values)
     h_list = tuple(float(h) for h in values)
     for h in h_list:
         if not 0.0 < h <= 1.0:

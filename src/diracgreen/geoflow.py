@@ -68,6 +68,13 @@ def _options(cls, cfg, what, parsers):
     return cls(**{k: parsers[k](v) for k, v in cfg.items()})
 
 
+def _count(v):
+    """A whole number as int; int() alone would truncate 2.7 to 2 and overflow on inf."""
+    if not float(v).is_integer():
+        raise DomainError(f"counts must be whole numbers, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class OdeOpts:
     rel_tol: float = 1e-10
@@ -115,9 +122,9 @@ class ShootOpts:
     @classmethod
     def from_config(cls, cfg):
         return _options(cls, cfg, "shooting", {
-            "newton_tol": float, "max_iter": int, "merge_tol": float,
+            "newton_tol": float, "max_iter": _count, "merge_tol": float,
             "conjugacy_tol": float,
-            "multistart": lambda v: None if v is None else int(v)})
+            "multistart": lambda v: None if v is None else _count(v)})
 
     def to_config(self):
         out = {"newton_tol": self.newton_tol, "max_iter": self.max_iter,

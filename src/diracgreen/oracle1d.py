@@ -9,11 +9,16 @@ projection machinery enters.  The kernel of sigma_1 (-i h d/ds) + sigma_3
 one recessive at +inf, one at -inf, glued at the source point by the jump
 condition G(y+, y) - G(y-, y) = (i/h) sigma_1.
 
-Solutions grow like exp(kappa |s| / h), far beyond float range over a long
-window, so each one is integrated inward from its anchor in short segments
-with the amplitude renormalised at every boundary and the accumulated
-magnitude kept as a log.  decaying_solution() returns (vector, log_scale)
-pairs with the true solution equal to vector * exp(log_scale).
+Solutions grow like exp(kappa |s| / h), far beyond float range, so each is
+marched in the Riccati variables w = u2/u1 and L = log u1,
+
+    w' = (i/h) ((V - 1) w^2 - (V + 1)),    L' = -(i/h) (V - 1) w,
+
+where all growth sits in Re L: one solve_ivp call per side spans the whole
+march with no rescaling.  The u1 chart holds: w starts on the imaginary
+axis, which the flow keeps, and there r = |w| obeys dr/dsigma =
+((1 + V) - (1 - V) r^2)/h in the march direction sigma, a rate of
+2V/h < 0 at r = 1 for V in the gap (-1, 0), so |w| < 1 throughout.
 """
 
 from __future__ import annotations
@@ -34,24 +39,15 @@ def _edge(model, points):
     return max([model.window] + [abs(s) for s in points]) + 0.5
 
 
-def _tail_data(model, side, anchor):
-    e_tail = model.value(np.array([anchor]))
-    kappa = math.sqrt(1.0 - e_tail * e_tail)
-    if side == "right":
-        w = np.array([1j * kappa, -(1.0 + e_tail)], dtype=complex)
-    else:
-        w = np.array([1j * kappa, 1.0 + e_tail], dtype=complex)
-    return w / np.linalg.norm(w), kappa
-
-
 def decaying_solution(model, side, points, h, anchor=None, opts=None):
     """The recessive solution on one side at each of points, as (vector, log_scale).
 
-    side = "right" decays as s -> +inf and is marched leftward from its
-    anchor (its growing, numerically stable direction); side = "left"
-    mirrors this.  The march stops at the farthest point and each point is
-    read from the first segment that contains it; points at or beyond the
-    anchor take the exact exponential tail.
+    The solution is vector * exp(log_scale), vector of order one.  side =
+    "right" decays as s -> +inf and is marched leftward from its anchor (its
+    growing, numerically stable direction); side = "left" mirrors this.  One
+    Riccati march runs from the anchor to the farthest point and reads each
+    point from its dense output as tail[0] e^{i Im L} (1, w) with log_scale
+    Re L; points at or beyond the anchor take the exact exponential tail.
     """
     if model.dim != 1:
         raise DomainError("the exact solver is 1D only")
@@ -64,8 +60,10 @@ def decaying_solution(model, side, points, h, anchor=None, opts=None):
     anchor = -sign * _edge(model, points) if anchor is None else float(anchor)
     if abs(anchor) > model.box_half:
         raise DomainError("anchor falls outside the domain box; widen box_half")
-    tail, kappa = _tail_data(model, side, anchor)
-    out = [(tail.astype(complex), -kappa * abs(s - anchor) / h)
+    e_tail = model.value(np.array([anchor]))
+    kappa = math.sqrt(1.0 - e_tail * e_tail)
+    tail = np.array([1j * kappa, sign * (1.0 + e_tail)]) / math.hypot(kappa, 1.0 + e_tail)
+    out = [(tail, -kappa * abs(s - anchor) / h)
            if sign * (s - anchor) <= 0.0 else None for s in points]
     pending = [i for i, val in enumerate(out) if val is None]
     if not pending:
@@ -73,36 +71,24 @@ def decaying_solution(model, side, points, h, anchor=None, opts=None):
     target = sign * max(sign * points[i] for i in pending)
 
     def rhs(t, y):
-        u = y[:2] + 1j * y[2:]
+        w, log_u1 = y[:2] + 1j * y[2:]
         v = model.value(np.array([t]))
-        mat = np.array([[0.0, v - 1.0], [v + 1.0, 0.0]], dtype=complex)
-        du = (-1j / h) * mat @ u
-        return np.concatenate([du.real, du.imag])
+        dz = np.array([(1j / h) * ((v - 1.0) * w * w - (v + 1.0)),
+                       (-1j / h) * (v - 1.0) * w])
+        return np.concatenate([dz.real, dz.imag])
 
-    opts = opts or OdeOpts()
-    # growth per segment stays under e^4 < 1e2, so the returned vectors keep
-    # O(1) norms and all magnitude lives in the log bookkeeping
-    seg = min(0.5, 4.0 * h)
-    u, log, pos = tail.astype(complex), 0.0, anchor
-    while pending:
-        nxt = pos + sign * seg
-        if sign * (nxt - target) > 0.0:
-            nxt = target
-        nrm = float(np.linalg.norm(u))
-        u = u / nrm
-        log += math.log(nrm)
-        y0 = np.concatenate([u.real, u.imag])
-        res = solve_ivp(rhs, (pos, nxt), y0, **opts.solver_kwargs())
-        if not res.success:
-            raise NumericalError(f"decaying-solution integration failed: {res.message}")
-        lo, hi = min(pos, nxt), max(pos, nxt)
-        for i in pending:
-            if lo <= points[i] <= hi:
-                y = res.sol(points[i])
-                out[i] = (y[:2] + 1j * y[2:], log)
-        pending = [i for i in pending if out[i] is None]
-        u = res.y[:2, -1] + 1j * res.y[2:, -1]
-        pos = nxt
+    w0 = tail[1] / tail[0]
+    res = solve_ivp(rhs, (anchor, target), [w0.real, 0.0, w0.imag, 0.0],
+                    **(opts or OdeOpts()).solver_kwargs())
+    if not res.success:
+        raise NumericalError(f"decaying-solution integration failed: {res.message}")
+    w_max = float(np.max(np.hypot(res.y[0], res.y[2])))
+    if w_max >= 1.0:
+        raise NumericalError(f"Riccati march left the u1 chart: max |u2/u1| = {w_max:.3e}")
+    for i in pending:
+        z = res.sol(points[i])
+        w, log_u1 = z[:2] + 1j * z[2:]
+        out[i] = (tail[0] * np.exp(1j * log_u1.imag) * np.array([1.0, w]), log_u1.real)
     return out
 
 
@@ -118,16 +104,12 @@ def exact_green_kernel_1d(model, x, y, h, opts=None):
     if x == y:
         raise DomainError("the kernel diverges on the diagonal; x and y must differ")
     # both marches are asked for both points, so each runs to the farther one
-    # even where only y is read: segment boundaries depend on min(x, y) and
-    # max(x, y) alone, and a kernel and its reverse integrate the same segments
+    # even where only y is read: the span depends on min(x, y) and max(x, y)
+    # alone, so a kernel and its reverse integrate the same march
     sols = [decaying_solution(model, side, (y, x), h, opts=opts)
             for side in ("right", "left")]
-    at_y = []
-    for (vec, log), _ in sols:
-        nrm = float(np.linalg.norm(vec))
-        at_y.append((vec / nrm, log + math.log(nrm)))
-
-    basis = np.column_stack([at_y[0][0], -at_y[1][0]])
+    # the returned vectors have norms between 0.7 and 1.5, so they match as they are
+    basis = np.column_stack([sols[0][0][0], -sols[1][0][0]])
     cond = float(np.linalg.cond(basis))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericalError(
@@ -135,5 +117,5 @@ def exact_green_kernel_1d(model, x, y, h, opts=None):
     rows = np.linalg.solve(basis, (1j / h) * SIGMA_1)
 
     k = 0 if x > y else 1   # the solution recessive on x's side of y
-    vec, log_x = sols[k][1]
-    return np.outer(vec, rows[k]) * math.exp(log_x - at_y[k][1])
+    (_, log_y), (vec_x, log_x) = sols[k]
+    return np.outer(vec_x, rows[k]) * math.exp(log_x - log_y)

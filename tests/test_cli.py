@@ -310,6 +310,11 @@ def bump_2d(**params):
     lambda c: c.update(shooting={"max_iter": True}),                       # a bool is no count
     lambda c: c.update(shooting={"multistart": True}),
     lambda c: c.update(shooting={"newton_tol": True}),                     # read as 1.0
+    lambda c: c.update(x_star=[True, False]),                              # read as [1, 0]
+    lambda c: c.update(h_list=[True, 0.5]),                                # read as [1, 0.5]
+    lambda c: c.update(shooting={"multistart": 2.7}),                      # a count is whole
+    lambda c: c.update(shooting={"max_iter": 2.5}),
+    lambda c: c.update(shooting={"max_iter": float("inf")}),               # no int for inf
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))

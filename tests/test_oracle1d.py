@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from diracgreen import oracle1d
 from diracgreen.clifford import SIGMA_1, DomainError, build_dirac_rep
-from diracgreen.geoflow import shoot_geodesic
+from diracgreen.geoflow import NumericalError, shoot_geodesic
 from diracgreen.kernel import constant_V_exact
 from diracgreen.oracle1d import decaying_solution, exact_green_kernel_1d
 from diracgreen.potential import make_potential
@@ -123,8 +123,8 @@ def test_analytic_tail_beyond_anchor(monkeypatch):
                                rtol=1e-15)
 
 
-def test_segment_count_is_one_per_step(monkeypatch):
-    """Each march takes ceil((edge + 1) / 0.2) segments, edge = 2.5 for the bump."""
+def test_one_march_per_side(monkeypatch):
+    """Each side is one solve_ivp call from its anchor (edge 2.5) to the farther point."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -133,10 +133,49 @@ def test_segment_count_is_one_per_step(monkeypatch):
 
     monkeypatch.setattr(oracle1d, "solve_ivp", counting)
     exact_green_kernel_1d(bump_model(), 1.0, -1.0, 0.05)
-    per_march = math.ceil((2.5 + 1.0) / 0.2)
-    assert len(calls) == 2 * per_march
-    assert calls[0][0] == 2.5 and calls[per_march - 1][1] == -1.0
-    assert calls[per_march][0] == -2.5 and calls[-1][1] == 1.0
+    assert calls == [(2.5, -1.0), (-2.5, 1.0)]
+
+
+@pytest.mark.parametrize("e_value", [-0.3, -0.6, -0.9])
+@pytest.mark.parametrize("h", [0.05, 0.025, 0.0125])
+def test_constant_potential_to_roundoff_at_small_h(e_value, h):
+    """The Riccati march keeps the closed form to 1e-12 as h shrinks."""
+    m = make_potential(1, "constant", {"value": e_value})
+    got = exact_green_kernel_1d(m, 0.3, -0.7, h)
+    ref = constant_V_exact(build_dirac_rep(1), e_value, [0.3], [-0.7], h)
+    assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,params", [("bump_well", BUMP),
+                                         ("tanh_step", {"base": -0.6, "amp": 0.3})])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_riccati_ratio_stays_below_its_bound(kind, params, side):
+    """|u2/u1| never exceeds the largest WKB branch sqrt((1+V)/(1-V)) < 1 on the path.
+
+    On the bump the ratio returns to the constant branch 0.5 from below and
+    lands within the march's integration error of it (about 1e-9), hence
+    the 1e-8 relative slack.
+    """
+    m = make_potential(1, kind, params)
+    points = np.linspace(-3.0, 3.0, 121)
+    edge = oracle1d._edge(m, points)    # the march spans the anchor at +-edge
+    v = m.evaluate_many(np.linspace(-edge, edge, 4001)[:, None])[0]
+    bound = float(np.max(np.sqrt((1.0 + v) / (1.0 - v))))
+    assert bound < 1.0
+    for vec, _ in decaying_solution(m, side, points, 0.025):
+        assert abs(vec[1] / vec[0]) <= bound * (1.0 + 1e-8)
+
+
+def test_march_leaving_the_chart_is_a_numerical_failure(monkeypatch):
+    """A solve whose |u2/u1| reaches 1 is refused, not read."""
+    def inflated(*args, **kwargs):
+        res = solve_ivp(*args, **kwargs)
+        res.y[2] *= 3.0     # Im w: 0.5 on the bump's tail becomes 1.5
+        return res
+
+    monkeypatch.setattr(oracle1d, "solve_ivp", inflated)
+    with pytest.raises(NumericalError, match="u1 chart"):
+        decaying_solution(bump_model(), "right", (0.0,), 0.1)
 
 
 def test_input_validation():
