@@ -100,15 +100,10 @@ def spin_generator(model, x, p):
     return _sigma_dot(m_vec)
 
 
-def _bloch(spinor):
-    return np.array([float((spinor.conj() @ (s @ spinor)).real) for s in _SIGMA])
-
-
 @dataclass(frozen=True)
 class SpinTransportResult:
     s_matrix: np.ndarray
     times: np.ndarray
-    spinors: np.ndarray
     bloch: np.ndarray
     residual_path: np.ndarray
     tau: float
@@ -146,36 +141,38 @@ def solve_bmt_spin(model, traj, u0=None, opts=None, n_samples=201):
     s_tau = sol.y[:, -1].reshape(2, 2)
     defect = float(np.linalg.norm(s_tau.conj().T @ s_tau - np.eye(2)))
 
-    def bloch_at(t):
-        return _bloch(sol.sol(t).reshape(2, 2) @ u0)
-
-    times = np.linspace(0.0, traj.tau, n_samples)
-    spinors = np.array([sol.sol(t).reshape(2, 2) @ u0 for t in times])
-    bloch = np.array([_bloch(s) for s in spinors])
-
-    herm = 0.0
-    drift = 0.0
-    base_norm = float(np.linalg.norm(bloch[0]))
+    n = n_samples
+    times = np.linspace(0.0, traj.tau, n)
     delta = 1e-5 * max(traj.tau, 1.0)
-    residual_path = np.empty(n_samples)
-    for i, t in enumerate(times):
-        x = traj.position(t)
-        p = traj.momentum(t)
-        gen = spin_generator(model, x, p)
-        herm = max(herm, float(np.linalg.norm(gen - gen.conj().T)))
-        drift = max(drift, abs(float(np.linalg.norm(bloch[i])) - base_norm))
-        # clamp so the FD stencil stays inside [0, tau]
-        t_c = min(max(t, delta), traj.tau - delta)
-        lhs = (bloch_at(t_c + delta) - bloch_at(t_c - delta)) / (2.0 * delta)
-        s_c = bloch_at(t_c)
-        x_c = traj.position(t_c)
-        p_c = traj.momentum(t_c)
-        v_c, grad_c, _ = model.evaluate(x_c)
-        rhs_vec = np.cross(s_c, np.cross(-grad_c, p_c)) / (-v_c * (1.0 - v_c))
-        residual_path[i] = float(np.linalg.norm(lhs - rhs_vec))
+    # clamp so the FD stencil stays inside [0, tau]
+    t_c = np.minimum(np.maximum(times, delta), traj.tau - delta)
+    grid = np.concatenate([times, t_c, t_c - delta, t_c + delta])
+    spinors = (sol.sol(grid).T.reshape(-1, 2, 2) @ u0)[:, :, None]
+    # b_k = <u, sigma_k u>, one Bloch vector per grid row
+    bloch_grid = np.stack([(spinors.conj().transpose(0, 2, 1) @ (s @ spinors))[:, 0, 0].real
+                           for s in _SIGMA], axis=1)
+    bloch, s_c, b_minus, b_plus = bloch_grid.reshape(4, n, 3)
 
-    return SpinTransportResult(s_matrix=s_tau, times=times, spinors=spinors,
-                               bloch=bloch, residual_path=residual_path,
+    # the orbit at the samples (generator) and at the stencil centres (BMT equation)
+    y = traj.sol(grid[:2 * n])
+    x, p = y[:3].T, y[3:6].T
+    v, grad, _, outside = model.evaluate_many(x)
+    if outside.any():
+        raise DomainError(f"orbit leaves the domain box [+-{model.box_half}]^3")
+    field_p = np.cross(-grad, p)
+    m_vec = field_p[:n] / (-2.0 * v[:n] * (1.0 - v[:n]))[:, None]
+    gens = _sigma_dot(m_vec.T[:, :, None, None])
+    herm = float(np.linalg.norm(gens - gens.conj().transpose(0, 2, 1), axis=(1, 2)).max())
+    norms = np.sqrt(np.vecdot(bloch, bloch))
+    drift = float(np.abs(norms - norms[0]).max())
+
+    lhs = (b_plus - b_minus) / (2.0 * delta)
+    v_c = v[n:]
+    rhs_vec = np.cross(s_c, field_p[n:]) / (-v_c * (1.0 - v_c))[:, None]
+    residual_path = np.sqrt(np.vecdot(lhs - rhs_vec, lhs - rhs_vec))
+
+    return SpinTransportResult(s_matrix=s_tau, times=times, bloch=bloch,
+                               residual_path=residual_path,
                                tau=traj.tau, unitarity_defect=defect,
                                bmt2_residual=float(residual_path.max()),
                                norm_drift=drift, generator_hermiticity=herm)

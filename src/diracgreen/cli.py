@@ -19,7 +19,7 @@ import numpy as np
 from . import potential as potential_mod
 from .bmt import equivalence_check, solve_bmt_spin
 from .clifford import (DiracRep, DomainError, build_dirac_rep, clifford_residual,
-                       dirac_symbol, lambda_branches, projector)
+                       dirac_symbol, lambda_branches, projector, refuse_booleans)
 from .geoflow import (NumericalError, OdeOpts, ShootOpts, agmon_distance_quadrature_1d,
                       exp_inverse_from_geodesic, exp_prime_fd, integrate_flow,
                       shoot_geodesic)
@@ -77,7 +77,7 @@ class RunConfig:
         def point(key):
             if key not in data or data[key] is None:
                 return None
-            _refuse_booleans(key, data[key])
+            refuse_booleans(key, data[key])
             arr = np.asarray(data[key], dtype=float).reshape(-1)
             if arr.shape != (dim,):
                 raise ConfigError(f"{key} must have length {dim}")
@@ -100,32 +100,10 @@ class RunConfig:
                    ode=OdeOpts.from_config(data.get("ode")),
                    shoot=ShootOpts.from_config(data.get("shooting")), out=out)
 
-    def to_dict(self):
-        data = {
-            "dimension": self.dimension,
-            "potential": potential_mod.to_config(self.model),
-            "h_list": list(self.h_list),
-            "ode": self.ode.to_config(),
-            "shooting": self.shoot.to_config(),
-        }
-        if self.x_star is not None:
-            data["x_star"] = [float(v) for v in self.x_star]
-        if self.y_star is not None:
-            data["y_star"] = [float(v) for v in self.y_star]
-        if self.out is not None:
-            data["out"] = self.out
-        return data
-
-
-def _refuse_booleans(key, value):
-    """float() reads true and false as 1 and 0; a config number must be a number."""
-    if any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object))):
-        raise ConfigError(f"{key} must hold numbers, not booleans")
-
 
 def _h_list(values):
     """Parse h values, each in (0, 1] and strictly decreasing, into a tuple."""
-    _refuse_booleans("h_list", values)
+    refuse_booleans("h_list", values)
     h_list = tuple(float(h) for h in values)
     for h in h_list:
         if not 0.0 < h <= 1.0:

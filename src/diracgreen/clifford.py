@@ -30,6 +30,22 @@ class DomainError(ValueError):
     """Raised when an argument leaves the validity region of a formula."""
 
 
+def refuse_booleans(what, value):
+    """Raise DomainError on a boolean in a config value or nested in its lists and objects.
+
+    float() and int() read true and false as 1 and 0, so a boolean would
+    otherwise pass as a number.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            refuse_booleans(f"{what}.{key}", item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            refuse_booleans(what, item)
+    elif isinstance(value, bool):
+        raise DomainError(f"{what} must hold numbers, not booleans")
+
+
 def spinor_dimension(d):
     """Minimal spinor dimension 2**floor((d+1)/2) in space dimension d."""
     return 2 ** ((d + 1) // 2)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import DOP853, quad, solve_ivp
 
-from .clifford import DomainError
+from .clifford import DomainError, refuse_booleans
 
 
 class NumericalError(RuntimeError):
@@ -53,8 +53,7 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 def _options(cls, cfg, what, parsers):
     """cls(**cfg) with each value passed through parsers[key]; unknown keys raise.
 
-    Every option is a number, so a boolean (which int() and float() read
-    as 0 or 1) is refused too.
+    Every option is a number, so a boolean is refused too.
     """
     cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
@@ -62,9 +61,7 @@ def _options(cls, cfg, what, parsers):
     bad = set(cfg) - set(parsers)
     if bad:
         raise DomainError(f"unknown {what} option(s): {sorted(bad)}")
-    flags = sorted(k for k, v in cfg.items() if isinstance(v, bool))
-    if flags:
-        raise DomainError(f"{what} option(s) {flags} must be numbers, not booleans")
+    refuse_booleans(what, cfg)
     return cls(**{k: parsers[k](v) for k, v in cfg.items()})
 
 
@@ -89,12 +86,6 @@ class OdeOpts:
     def from_config(cls, cfg):
         parsers = dict.fromkeys(("rel_tol", "abs_tol", "max_step"), float)
         return _options(cls, cfg, "ode", parsers)
-
-    def to_config(self):
-        out = {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol}
-        if np.isfinite(self.max_step):
-            out["max_step"] = self.max_step
-        return out
 
     def solver_kwargs(self):
         return dict(method="DOP853", rtol=self.rel_tol, atol=self.abs_tol,
@@ -125,13 +116,6 @@ class ShootOpts:
             "newton_tol": float, "max_iter": _count, "merge_tol": float,
             "conjugacy_tol": float,
             "multistart": lambda v: None if v is None else _count(v)})
-
-    def to_config(self):
-        out = {"newton_tol": self.newton_tol, "max_iter": self.max_iter,
-               "merge_tol": self.merge_tol, "conjugacy_tol": self.conjugacy_tol}
-        if self.multistart is not None:
-            out["multistart"] = self.multistart
-        return out
 
 
 @dataclass(frozen=True)
@@ -230,12 +214,16 @@ class Trajectory:
 
     def hamiltonian_sup(self, n_grid=201):
         """sup |H| on a uniform grid, an energy-conservation diagnostic."""
-        worst = 0.0
-        for t in np.linspace(0.0, self.tau, n_grid):
-            y = self.sol(t)
-            worst = max(worst, abs(hamiltonian(self.model, y[: self.dim],
-                                               y[self.dim: 2 * self.dim])))
-        return worst
+        d = self.dim
+        y = self.sol(np.linspace(0.0, self.tau, n_grid))
+        x, p = y[:d].T, y[d:2 * d].T
+        p2 = np.vecdot(p, p)
+        if p2.max() >= 1.0:
+            raise DomainError(f"hamiltonian requires |p| < 1, got |p|^2 = {p2.max()}")
+        v, _, _, outside = self.model.evaluate_many(x)
+        if outside.any():
+            raise DomainError(f"orbit leaves the domain box [+-{self.model.box_half}]^{d}")
+        return float(np.abs(-np.sqrt(1.0 - p2) - v).max())
 
 
 def _flow_rhs(model, variational):

@@ -9,9 +9,9 @@ unitary, and the spectral projection at the arrival momentum.
 For constant potential the kernel is an exact Bessel-type expression in
 closed form, which makes it the natural end-to-end validation target: the
 ratio of the exact kernel to the assembled leading term must tend to 1
-linearly in h.  The modified Bessel functions are evaluated in-house at the
-three half-integer-or-integer orders that occur (1/2, 1, 3/2), with an
-independent quadrature oracle for cross-checking.
+linearly in h.  The modified Bessel functions occur at the orders d/2 and
+their neighbours (0, 1/2, 1, 3/2): the half orders in closed form, K_0 and
+K_1 from scipy.special, with an independent quadrature oracle as the check.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
 from .clifford import DomainError, negate_rep
@@ -28,83 +29,6 @@ from .geoflow import (ConjugatePointError, NumericalError, OdeOpts, ShootOpts,
 from .potential import constant_model, negated
 from .transport import (TransportResult, rotation_1d, solve_spinor_transport,
                         transport_matrix)
-
-_EULER_GAMMA = 0.57721566490153286060651209008240243
-
-# ascending series below this point, Steed continued fraction above; the
-# series terms (rho^2/4)^k/(k!)^2 are all <= 1 here so no cancellation
-_BESSEL_SPLIT = 2.0
-
-
-def _bessel_k01_series(rho):
-    """K_0 and K_1 by the ascending series, reliable for rho <= 2."""
-    q = 0.25 * rho * rho
-    log_half = math.log(0.5 * rho)
-    # psi(1), psi(2) and the running factorial weights at k = 0
-    psi_a = -_EULER_GAMMA
-    psi_b = 1.0 - _EULER_GAMMA
-    term0 = 1.0          # q^k / (k!)^2
-    term1 = 1.0          # q^k / (k! (k+1)!)
-    i0 = 0.0
-    i1 = 0.0
-    k0_sum = 0.0
-    k1_sum = 0.0
-    for k in range(0, 60):
-        i0 += term0
-        i1 += term1
-        k0_sum += term0 * (psi_a + _EULER_GAMMA)     # = term0 * H_k
-        k1_sum += term1 * (psi_a + psi_b)
-        if term0 < 1e-20 and k > 3:
-            break
-        psi_a = psi_b
-        psi_b += 1.0 / (k + 2)
-        term0 *= q / ((k + 1) * (k + 1))
-        term1 *= q / ((k + 1) * (k + 2))
-    i1 *= 0.5 * rho
-    k0 = -(log_half + _EULER_GAMMA) * i0 + k0_sum
-    k1 = log_half * i1 + 1.0 / rho - 0.25 * rho * k1_sum
-    return k0, k1
-
-
-def _bessel_k01_steed(rho, eps=1e-16, max_iter=10000):
-    """K_0 and K_1 by Steed's continued fraction, reliable for rho > 2."""
-    b = 2.0 * (1.0 + rho)
-    d = 1.0 / b
-    h = delh = d
-    q1 = 0.0
-    q2 = 1.0
-    a1 = 0.25
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, max_iter + 1):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) <= eps:
-            break
-    else:
-        raise NumericalError("continued fraction for K_0, K_1 did not converge")
-    h = a1 * h
-    k0 = math.sqrt(math.pi / (2.0 * rho)) * math.exp(-rho) / s
-    k1 = k0 * (rho + 0.5 - h) / rho
-    return k0, k1
-
-
-def _bessel_k01(rho):
-    if rho <= _BESSEL_SPLIT:
-        return _bessel_k01_series(rho)
-    return _bessel_k01_steed(rho)
-
 
 _BESSEL_ORDERS = (0.0, 0.5, 1.0, 1.5)
 
@@ -119,9 +43,9 @@ def bessel_K(nu, rho):
     if nu == 1.5:
         return math.sqrt(math.pi / (2.0 * rho)) * math.exp(-rho) * (1.0 + 1.0 / rho)
     if nu == 0.0:
-        return _bessel_k01(rho)[0]
+        return float(special.k0(rho))
     if nu == 1.0:
-        return _bessel_k01(rho)[1]
+        return float(special.k1(rho))
     raise DomainError(f"unsupported order {nu}; supported: {_BESSEL_ORDERS}")
 
 
@@ -133,12 +57,11 @@ def bessel_K_prime(nu, rho):
     if nu == 0.5:
         return -0.5 * (bessel_K(0.5, rho) + bessel_K(1.5, rho))
     if nu == 1.0:
-        k0, k1 = _bessel_k01(rho)
-        return -k0 - k1 / rho
+        return -float(special.k0(rho)) - float(special.k1(rho)) / rho
     if nu == 1.5:
         return -bessel_K(0.5, rho) - 1.5 * bessel_K(1.5, rho) / rho
     if nu == 0.0:
-        return -_bessel_k01(rho)[1]
+        return -float(special.k1(rho))
     raise DomainError(f"unsupported order {nu}; supported: {_BESSEL_ORDERS}")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import DomainError
+from .clifford import DomainError, refuse_booleans
 
 # each family and the parameters V is linear in: negating them negates V
 KINDS = {"constant": ("value",), "bump_well": ("base", "depth"),
@@ -244,6 +244,8 @@ def from_config(dim, cfg):
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise DomainError(f"potential params must be an object, got {params!r}")
+    for key in ("params", "delta", "window", "box_half"):
+        refuse_booleans(f"potential.{key}", cfg.get(key))
     model = make_potential(dim, cfg["kind"], params, delta=cfg.get("delta"),
                            window=cfg.get("window"), box_half=cfg.get("box_half"))
     unknown = set(params) - set(PARAMS[model.kind])
@@ -275,14 +277,6 @@ def from_config(dim, cfg):
         raise DomainError(f"box_half must be finite and at least the window "
                           f"{model.window}, got {model.box_half}")
     return model
-
-
-def to_config(model):
-    out = {"kind": model.kind, "params": dict(model.params),
-           "delta": model.delta, "window": model.window}
-    if model.box_half != max(10.0, model.window + 1.0):
-        out["box_half"] = model.box_half
-    return out
 
 
 @dataclass(frozen=True)

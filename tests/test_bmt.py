@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from diracgreen.clifford import DomainError, build_dirac_rep, negate_rep, projector
+from diracgreen import bmt
+from diracgreen.clifford import (SIGMA_1, SIGMA_2, SIGMA_3, DomainError, build_dirac_rep,
+                                 negate_rep, projector)
 from diracgreen.bmt import (build_W, equivalence_check, left_factor,
                             solve_bmt_spin, spin_generator)
 from diracgreen.geoflow import shoot_geodesic
@@ -89,6 +92,41 @@ def test_spin_transport_quality_off_axis_bump():
     assert spin.times.shape == (201,)
     assert spin.bloch.shape == (201, 3)
     np.testing.assert_allclose(np.linalg.norm(spin.bloch, axis=1), 1.0, atol=1e-9)
+
+
+def test_spin_samples_match_pointwise_formulas(monkeypatch):
+    """The grid pass gives, bit for bit, the Bloch vector and BMT residual of one sample.
+
+    Checked at both clamped ends of the finite-difference stencil, their
+    neighbours and the middle.
+    """
+    solves = []
+
+    def recording_solve_ivp(*args, **kwargs):
+        solves.append(solve_ivp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(bmt, "solve_ivp", recording_solve_ivp)
+    m = bump3()
+    traj = shoot_geodesic(m, Y_OFF, X_OFF).trajectory
+    u0 = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    spin = solve_bmt_spin(m, traj, u0=u0)
+    (sol,) = solves
+
+    def bloch_at(t):
+        u = sol.sol(t).reshape(2, 2) @ u0
+        return np.array([float((u.conj() @ (s @ u)).real) for s in (SIGMA_1, SIGMA_2, SIGMA_3)])
+
+    delta = 1e-5 * max(traj.tau, 1.0)
+    for i in (0, 1, 100, 199, 200):
+        t = spin.times[i]
+        assert np.array_equal(spin.bloch[i], bloch_at(t))
+        t_c = min(max(t, delta), traj.tau - delta)
+        lhs = (bloch_at(t_c + delta) - bloch_at(t_c - delta)) / (2.0 * delta)
+        v, grad, _ = m.evaluate(traj.position(t_c))
+        rhs = (np.cross(bloch_at(t_c), np.cross(-grad, traj.momentum(t_c)))
+               / (-v * (1.0 - v)))
+        assert spin.residual_path[i] == np.linalg.norm(lhs - rhs)
 
 
 def test_spin_transport_custom_carried_spinor():

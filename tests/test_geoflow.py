@@ -98,6 +98,17 @@ def test_trajectory_accessor_guards():
     assert traj.theta_end is None   # phase integral exists in 1D only
 
 
+def test_energy_diagnostic_keeps_the_domain_checks():
+    """hamiltonian_sup raises where hamiltonian does: |p| >= 1 or x outside the box."""
+    m = constant_model(2)
+    traj = integrate_flow(m, [0.0, 0.0], [0.5, 0.0], 0.3, variational=False)
+    for x, p in (([0.0, 0.0], [0.6, 0.8]), ([20.0, 0.0], [0.5, 0.0])):
+        state = np.array(x + p + [0.0])
+        traj.sol = lambda t, y=state: np.multiply.outer(y, np.ones_like(t))
+        with pytest.raises(DomainError):
+            traj.hamiltonian_sup()
+
+
 # ------------------------------------------------------------------- shooting
 
 def test_free_shot_frozen_values_3d():
@@ -340,9 +351,9 @@ def test_exp_prime_constant_is_unity():
 
 def test_option_parsing_round_trip():
     ode = OdeOpts.from_config({"rel_tol": 1e-9, "abs_tol": 1e-11, "max_step": 0.5})
-    assert OdeOpts.from_config(ode.to_config()) == ode
+    assert ode == OdeOpts(rel_tol=1e-9, abs_tol=1e-11, max_step=0.5)
     shoot = ShootOpts.from_config({"newton_tol": 1e-9, "multistart": 4})
-    assert ShootOpts.from_config(shoot.to_config()) == shoot
+    assert shoot == ShootOpts(newton_tol=1e-9, multistart=4)
     assert OdeOpts.from_config(None) == OdeOpts()
     assert ShootOpts.from_config({}) == ShootOpts()   # one set of defaults
 

@@ -29,7 +29,6 @@ from diracgreen.kernel import (KernelEstimate, bessel_K, bessel_K_oracle,
                                leading_kernel_1d, leading_kernel_multid,
                                loglog_slope, positive_potential_kernel,
                                ratio_sweep, scalar_ratio)
-from diracgreen.kernel import _bessel_k01_series, _bessel_k01_steed
 from diracgreen.potential import make_potential
 
 RHO_GRID = (0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0, 10.0, 25.0, 50.0)
@@ -54,12 +53,25 @@ def test_bessel_half_order_closed_form():
             bessel_K(0.5, rho) * (1.0 + 1.0 / rho), rel=1e-15)
 
 
-def test_bessel_branch_seam_is_continuous():
-    # ascending series and continued fraction meet at the split point
-    s0, s1 = _bessel_k01_series(2.0)
-    t0, t1 = _bessel_k01_steed(2.0)
-    assert s0 == pytest.approx(t0, rel=1e-13)
-    assert s1 == pytest.approx(t1, rel=1e-13)
+# (K_0, K_1) on RHO_GRID from 40-digit mpmath.besselk, rounded to 17 digits
+K01_FROZEN = (
+    (0.92441907122766587, 1.6564411200033009),
+    (0.42102443824070834, 0.60190723019723458),
+    (0.12884597927604749, 0.15966015303266762),
+    (0.11389387274953344, 0.13986588181652243),
+    (0.10078374088996693, 0.12274641153350789),
+    (0.034739504386279249, 0.040156431128194184),
+    (0.0036910983340425942, 0.0040446134454521646),
+    (1.778006231616765e-05, 1.8648773453825585e-05),
+    (3.4641615622131143e-12, 3.5327780731999337e-12),
+    (3.4101677497894956e-23, 3.4441022267175555e-23),
+)
+
+
+@pytest.mark.parametrize("rho, k01", zip(RHO_GRID, K01_FROZEN))
+def test_bessel_integer_orders_to_roundoff(rho, k01):
+    assert bessel_K(0.0, rho) == pytest.approx(k01[0], rel=1e-15, abs=0.0)
+    assert bessel_K(1.0, rho) == pytest.approx(k01[1], rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5])

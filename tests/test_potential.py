@@ -5,7 +5,7 @@ import pytest
 
 from diracgreen.clifford import DomainError
 from diracgreen.potential import (from_config, fd_consistency, make_potential,
-                                  negated, to_config, validate_hypothesis)
+                                  negated, validate_hypothesis)
 
 
 def test_constant_family():
@@ -193,14 +193,13 @@ def test_hypothesis_validation_sample_floor():
 
 
 def test_config_round_trip():
-    m = make_potential(2, "cosine_well",
-                       {"base": -0.55, "depth": 0.35, "radius": 2.5}, delta=0.05)
-    m2 = from_config(2, to_config(m))
-    assert m2 == m
-    custom = make_potential(1, "tanh_step", {"base": -0.5, "amp": 0.2}, box_half=25.0)
-    cfg = to_config(custom)
-    assert cfg["box_half"] == 25.0
-    assert from_config(1, cfg) == custom
+    cosine = {"base": -0.55, "depth": 0.35, "radius": 2.5}
+    assert (from_config(2, {"kind": "cosine_well", "params": cosine, "delta": 0.05})
+            == make_potential(2, "cosine_well", cosine, delta=0.05))
+    step = {"base": -0.5, "amp": 0.2}
+    custom = from_config(1, {"kind": "tanh_step", "params": step, "box_half": 25.0})
+    assert custom == make_potential(1, "tanh_step", step, box_half=25.0)
+    assert custom.box_half == 25.0
 
 
 def test_config_requires_kind():
