@@ -149,7 +149,7 @@ def cmd_geodesic(cfg):
         "dA": geo.agmon,
         "bordered_det": geo.bordered_det,
         "det_exp_prime": geo.det_exp_prime,
-        "conjugate": geo.conjugate_flag,
+        "conjugate": False,   # a near-conjugate pair exits 3 instead
         "uniqueness": geo.uniqueness,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

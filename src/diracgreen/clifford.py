@@ -177,7 +177,6 @@ def dirac_symbol(rep, zeta, v=0.0):
 class Projector:
     """Spectral projection pair of the symbol at momentum zeta."""
 
-    zeta: np.ndarray
     s_matrix: np.ndarray
     lambda_plus: np.ndarray
     lambda_minus: np.ndarray
@@ -199,7 +198,6 @@ def projector(rep, zeta):
     s = (rep.alpha_dot(zeta) + rep.alpha0) / root
     eye = np.eye(rep.dstar)
     return Projector(
-        zeta=_freeze(zeta),
         s_matrix=_freeze(s),
         lambda_plus=_freeze(0.5 * (eye + s)),
         lambda_minus=_freeze(0.5 * (eye - s)),

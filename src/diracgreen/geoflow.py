@@ -76,23 +76,21 @@ def _count(v):
 class OdeOpts:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
 
     def __post_init__(self):
-        if not all(v > 0.0 for v in (self.rel_tol, self.abs_tol, self.max_step)):
-            raise DomainError(f"ode tolerances and max_step must be positive, got {self}")
+        if not all(v > 0.0 for v in (self.rel_tol, self.abs_tol)):
+            raise DomainError(f"ode tolerances must be positive, got {self}")
 
     @classmethod
     def from_config(cls, cfg):
-        parsers = dict.fromkeys(("rel_tol", "abs_tol", "max_step"), float)
-        return _options(cls, cfg, "ode", parsers)
+        return _options(cls, cfg, "ode", dict.fromkeys(("rel_tol", "abs_tol"), float))
 
     def solver_kwargs(self):
-        return dict(method="DOP853", rtol=self.rel_tol, atol=self.abs_tol,
-                    max_step=self.max_step, dense_output=True)
+        return dict(method="DOP853", rtol=self.rel_tol, atol=self.abs_tol, dense_output=True)
 
-    def tightened(self, rel=1e-12, abs_=1e-14):
-        return OdeOpts(min(self.rel_tol, rel), min(self.abs_tol, abs_), self.max_step)
+    def tightened(self):
+        """These tolerances capped at 1e-12 relative and 1e-14 absolute."""
+        return OdeOpts(min(self.rel_tol, 1e-12), min(self.abs_tol, 1e-14))
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,6 @@ class ShootOpts:
     multistart: int | None = None
     merge_tol: float = 1e-6
     conjugacy_tol: float = 1e-8
-    allow_conjugate: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1 or (self.multistart is not None and self.multistart < 1):
@@ -212,10 +209,10 @@ class Trajectory:
         d = self.dim
         return self.sol(t)[self._i_var + d * d: self._i_var + 2 * d * d].reshape(d, d)
 
-    def hamiltonian_sup(self, n_grid=201):
-        """sup |H| on a uniform grid, an energy-conservation diagnostic."""
+    def hamiltonian_sup(self):
+        """sup |H| on a uniform 201-point grid, an energy-conservation diagnostic."""
         d = self.dim
-        y = self.sol(np.linspace(0.0, self.tau, n_grid))
+        y = self.sol(np.linspace(0.0, self.tau, 201))
         x, p = y[:d].T, y[d:2 * d].T
         p2 = np.vecdot(p, p)
         if p2.max() >= 1.0:
@@ -281,8 +278,7 @@ class GeodesicSolution:
     p0: np.ndarray
     agmon: float
     bordered_det: float
-    det_exp_prime: float | None
-    conjugate_flag: bool
+    det_exp_prime: float | None   # None in d = 1
     uniqueness: dict
 
 
@@ -393,16 +389,16 @@ def _rms(a):
     return np.sqrt(np.sum(a * a, axis=1) / a.shape[1])
 
 
-def _dop853_lanes(fun, y0, rtol, atol, max_step):
+def _dop853_lanes(fun, y0, rtol, atol):
     """Integrate dy/ds = fun(y) over s in [0, 1] for every row (lane) of y0.
 
     The lanes share the calls to fun(y, rows), which returns the derivatives
     at the rows of y (lanes `rows`) and None or, per row, "" or the reason
     the point lies outside the flow's domain.  All else is per lane: scipy's
     DOP853 tableau and step-size control (SAFETY 0.9, factors 0.2 and 10,
-    exponent -1/8, its initial-step rule, a 10-ulp minimum step, max_step
-    per lane), with no dense output.  One shared step size would make every
-    lane redo the steps any one lane rejects.  A lane that leaves the domain
+    exponent -1/8, its initial-step rule, a 10-ulp minimum step), with no
+    dense output.  One shared step size would make every lane redo the
+    steps any one lane rejects.  A lane that leaves the domain
     or whose step underflows stops with that reason; the others go on.
     Returns the end states and the per-lane reasons ("" once at s = 1).
     """
@@ -433,11 +429,10 @@ def _dop853_lanes(fun, y0, rtol, atol, max_step):
     both = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(both, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.where(both, 1.0, np.maximum(d1, d2))) ** -exponent)
-    h_abs = np.minimum(np.minimum(100.0 * h0, h1), np.minimum(1.0, max_step))
+    h_abs = np.minimum(np.minimum(100.0 * h0, h1), 1.0)
 
     s = np.zeros(n)
-    fresh = np.ones(n, dtype=bool)      # at the start of a step, not a retry
-    rejected = np.zeros(n, dtype=bool)  # this step has been rejected before
+    rejected = np.zeros(n, dtype=bool)  # a retry of a rejected step, not a fresh one
     while True:
         idx = np.flatnonzero((why == "") & (s < 1.0))
         if not idx.size:
@@ -445,9 +440,7 @@ def _dop853_lanes(fun, y0, rtol, atol, max_step):
         s_i = s[idx]
         min_step = 10.0 * np.abs(np.nextafter(s_i, np.inf) - s_i)
         h = h_abs[idx]
-        start = fresh[idx]
-        h = np.where(start & (h > max_step[idx]), max_step[idx],
-                     np.where(start & (h < min_step), min_step, h))
+        h = np.where(~rejected[idx] & (h < min_step), min_step, h)
         keep = h >= min_step
         if not keep.all():
             note(idx, np.where(keep, "", UNDERFLOW))
@@ -484,7 +477,6 @@ def _dop853_lanes(fun, y0, rtol, atol, max_step):
         s[idx[acc]] = s_new[acc]
         y[idx[acc]] = y_new[acc]
         f[idx[acc]] = k[n_st][acc]
-        fresh[idx] = ok
         rejected[idx] = ~ok
 
 
@@ -494,8 +486,7 @@ def _flow_lanes(model, y_star, p0s, taus, opts):
     i_var = _var_index(d)
     taus = np.asarray(taus, dtype=float)
     y0 = np.array([_initial_state(y_star, p0, True) for p0 in p0s])
-    y_end, why = _dop853_lanes(_lane_rhs(model, taus), y0, opts.rel_tol, opts.abs_tol,
-                               opts.max_step / taus)
+    y_end, why = _dop853_lanes(_lane_rhs(model, taus), y0, opts.rel_tol, opts.abs_tol)
     ends = []
     for y, reason, p0, tau in zip(y_end, why, p0s, taus):
         p = y[d:2 * d]
@@ -586,8 +577,7 @@ def shoot_geodesic(model, y_star, x_star, opts=None, shoot_opts=None):
     tightened integrator tolerances.
 
     Raises ShootingError if no start converges and ConjugatePointError if
-    the bordered determinant falls under conjugacy_tol * d_A^(d-1) (unless
-    allow_conjugate is set, which only flags it).
+    the bordered determinant falls under conjugacy_tol * d_A^(d-1).
     """
     opts = opts or OdeOpts()
     shoot_opts = shoot_opts or ShootOpts()
@@ -633,19 +623,15 @@ def shoot_geodesic(model, y_star, x_star, opts=None, shoot_opts=None):
     dpx_tau = polished.dp_x(polished.tau)
     bdet = bordered_determinant(v_y, v_x, dpx_tau)
     d_a = polished.action_end
-    conjugate = abs(bdet) < shoot_opts.conjugacy_tol * d_a ** (d - 1)
-    if conjugate and not shoot_opts.allow_conjugate:
+    if abs(bdet) < shoot_opts.conjugacy_tol * d_a ** (d - 1):
         raise ConjugatePointError(
             f"near-conjugate endpoints: |bordered determinant| = {abs(bdet):.3e} "
             f"below threshold {shoot_opts.conjugacy_tol:.1e} * d_A^(d-1)")
-    dep = None
-    if d >= 2 and not conjugate:
-        dep = det_exp_prime(model, y_star, x_star, d_a, bdet)
+    dep = det_exp_prime(model, y_star, x_star, d_a, bdet) if d >= 2 else None
     return GeodesicSolution(
         y_star=y_star, x_star=x_star, trajectory=polished,
         tau=polished.tau, p0=polished.p_start, agmon=d_a,
-        bordered_det=bdet, det_exp_prime=dep,
-        conjugate_flag=bool(conjugate), uniqueness=uniqueness,
+        bordered_det=bdet, det_exp_prime=dep, uniqueness=uniqueness,
     )
 
 
@@ -733,19 +719,19 @@ def exp_map_oracle(model, y, v, opts=None):
     return sol.y[: model.dim, -1]
 
 
-def exp_prime_fd(model, y, v, opts=None, rel_step=1e-5):
+def exp_prime_fd(model, y, v, opts=None):
     """Central-difference Jacobian determinant of the exponential map at v.
 
     The determinant is taken between orthonormal frames of the conformal
     metric at the two endpoints, so the raw coordinate Jacobian picks up
     the factor ((1-V^2(x))/(1-V^2(y)))^(d/2).  That convention makes the
     value symmetric under swapping the endpoints and is the one the
-    bordered-determinant conversion produces.
+    bordered-determinant conversion produces.  The step is 1e-5 max(1, |v|).
     """
     d = model.dim
     y = np.atleast_1d(np.asarray(y, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    step = rel_step * max(1.0, float(np.linalg.norm(v)))
+    step = 1e-5 * max(1.0, float(np.linalg.norm(v)))
     jac = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)

@@ -24,8 +24,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from .clifford import DomainError, negate_rep
-from .geoflow import (ConjugatePointError, NumericalError, OdeOpts, ShootOpts,
-                      shoot_geodesic)
+from .geoflow import NumericalError, shoot_geodesic
 from .potential import constant_model, negated
 from .transport import (TransportResult, rotation_1d, solve_spinor_transport,
                         transport_matrix)
@@ -156,9 +155,6 @@ def leading_kernel_multid(model, rep, geo, h, transport=None, opts=None):
         raise DomainError("multi-d assembly needs matching dimension >= 2")
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
-    if geo.conjugate_flag or geo.det_exp_prime is None:
-        raise ConjugatePointError(
-            "refusing to assemble the kernel at near-conjugate endpoints")
     if transport is None:
         transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
     return _assemble(model, rep, geo, h, transport, geo.det_exp_prime)
@@ -238,7 +234,6 @@ class RatioSweep:
     estimates: tuple
     references: tuple
     slope: float
-    intercept: float
 
 
 def exact_sweep(model, rep, x, y, h_list, exact, opts=None, shoot_opts=None):
@@ -270,12 +265,12 @@ def exact_sweep(model, rep, x, y, h_list, exact, opts=None, shoot_opts=None):
         deviations.append(abs(ratio - 1.0))
         estimates.append(lead)
 
-    slope, intercept = loglog_slope(h_list, deviations)
+    slope, _ = loglog_slope(h_list, deviations)
     return RatioSweep(agmon=geo.agmon,
                       det_exp_prime=1.0 if d == 1 else geo.det_exp_prime,
                       h_list=tuple(h_list), ratios=tuple(ratios),
                       deviations=tuple(deviations), estimates=tuple(estimates),
-                      references=tuple(references), slope=slope, intercept=intercept)
+                      references=tuple(references), slope=slope)
 
 
 def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):

@@ -11,7 +11,7 @@ anchors its integrations there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,12 +70,6 @@ class PotentialModel:
 
     def value(self, x):
         return self._eval(x)[0]
-
-    def gradient(self, x):
-        return self._eval(x)[1]
-
-    def hessian(self, x):
-        return self._eval(x)[2]
 
     def evaluate(self, x):
         """Return (V, grad V, Hess V) at x."""
@@ -285,41 +279,36 @@ class HypothesisReport:
     declared_delta: float
     passed: bool
     n_samples: int
-    worst_point: np.ndarray = field(repr=False, default=None)
 
 
-def validate_hypothesis(model, box=None, n_samples=1000, seed=0):
-    """Sample min(min(-V), min(1+V)) over the box and compare to the margin.
+def validate_hypothesis(model, n_samples=1000, seed=0):
+    """Sample min(min(-V), min(1+V)) over the domain box and compare to the margin.
 
     Passes iff the sampled gap margin delta_hat is at least the declared
     delta (and the declaration itself is positive).
     """
     if n_samples < 1000:
         raise DomainError("hypothesis validation needs at least 1000 samples")
-    half = model.box_half if box is None else float(box)
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-half, half, size=(n_samples, model.dim))
-    delta_hat = np.inf
-    worst = None
-    for p in pts:
-        v = model.value(p)
-        m = min(-v, 1.0 + v)
-        if m < delta_hat:
-            delta_hat, worst = m, p
+    pts = rng.uniform(-model.box_half, model.box_half, size=(n_samples, model.dim))
+    v = model.evaluate_many(pts)[0]
+    delta_hat = float(np.minimum(-v, 1.0 + v).min())
     passed = bool(model.delta > 0.0 and delta_hat >= model.delta)
-    return HypothesisReport(float(delta_hat), model.delta, passed, n_samples, worst)
+    return HypothesisReport(delta_hat, model.delta, passed, n_samples)
 
 
-def fd_consistency(model, n_points=200, seed=7, grad_step=1e-6, hess_step=1e-4):
+def fd_consistency(model):
     """Worst-case mismatch of analytic derivatives against central differences.
 
-    Residuals are normalised by max(1, true magnitude); returns the pair
-    (gradient residual, Hessian residual).
+    Steps 1e-6 (gradient) and 1e-4 (Hessian) at 200 seeded points; residuals
+    are normalised by max(1, true magnitude).  Returns the pair (gradient
+    residual, Hessian residual).
     """
-    rng = np.random.default_rng(seed)
+    grad_step, hstep = 1e-6, 1e-4
+    rng = np.random.default_rng(7)
     # stay a step away from the box edge so stencils remain inside
-    half = model.box_half - 10.0 * hess_step
-    pts = rng.uniform(-half, half, size=(n_points, model.dim))
+    half = model.box_half - 10.0 * hstep
+    pts = rng.uniform(-half, half, size=(200, model.dim))
     worst_g = worst_h = 0.0
     for x in pts:
         v, grad, hess = model.evaluate(x)
@@ -330,7 +319,6 @@ def fd_consistency(model, n_points=200, seed=7, grad_step=1e-6, hess_step=1e-4):
             fd_grad[i] = (model.value(x + e) - model.value(x - e)) / (2.0 * grad_step)
         worst_g = max(worst_g, np.max(np.abs(grad - fd_grad)) / max(1.0, np.max(np.abs(fd_grad))))
         fd_hess = np.zeros_like(hess)
-        hstep = hess_step
         for i in range(model.dim):
             ei = np.zeros(model.dim)
             ei[i] = hstep

@@ -322,6 +322,7 @@ def bump_2d(**params):
     lambda c: c.update(dimension=1, x_star=[0.5], y_star=[-0.5],
                        potential={"kind": "tanh_step",
                                   "params": {"base": -0.5, "amp": 0.2, "center": False}}),
+    lambda c: c.update(ode={"max_step": 0.5}),                             # not an option
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))

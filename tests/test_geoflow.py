@@ -119,7 +119,6 @@ def test_free_shot_frozen_values_3d():
     np.testing.assert_allclose(geo.p0, [0.8, 0.0, 0.0], atol=1e-10)
     assert geo.bordered_det == pytest.approx(25.0 / 9.0, rel=1e-9)
     assert geo.det_exp_prime == pytest.approx(1.0, abs=1e-8)
-    assert not geo.conjugate_flag
     assert geo.uniqueness["n_starts"] == 26
     assert geo.uniqueness["n_distinct"] == 1
     assert not geo.uniqueness["multiple"]
@@ -268,7 +267,7 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     def decay(y, rows):
         return -rates[rows, None] * y, None
 
-    y_end, why = _dop853_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12, np.full(4, np.inf))
+    y_end, why = _dop853_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12)
     assert list(why) == [""] * 4
     for k, rate in enumerate(rates):
         ref = solve_ivp(lambda t, y: -rate * y, (0.0, 1.0), np.ones(2), method="DOP853",
@@ -279,8 +278,7 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     def fenced(y, rows):   # lane 1 leaves its domain once y < 0.5
         return -rates[rows, None] * y, np.where((rows == 1) & (y[:, 0] < 0.5), LEFT_BOX, "")
 
-    fenced_end, why = _dop853_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12,
-                                    np.full(4, np.inf))
+    fenced_end, why = _dop853_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12)
     assert list(why) == ["", LEFT_BOX, "", ""]
     np.testing.assert_allclose(fenced_end[[0, 2, 3]], y_end[[0, 2, 3]], rtol=1e-13)
 
@@ -291,13 +289,6 @@ def test_conjugacy_threshold_raises():
     opts = ShootOpts(conjugacy_tol=1e6)
     with pytest.raises(ConjugatePointError):
         shoot_geodesic(constant_model(2), [-0.5, 0.0], [0.5, 0.0], shoot_opts=opts)
-
-
-def test_conjugacy_flag_with_allow():
-    opts = ShootOpts(conjugacy_tol=1e6, allow_conjugate=True)
-    geo = shoot_geodesic(constant_model(2), [-0.5, 0.0], [0.5, 0.0], shoot_opts=opts)
-    assert geo.conjugate_flag
-    assert geo.det_exp_prime is None
 
 
 def test_det_exp_prime_positive_branch():
@@ -350,8 +341,8 @@ def test_exp_prime_constant_is_unity():
 # -------------------------------------------------------------------- options
 
 def test_option_parsing_round_trip():
-    ode = OdeOpts.from_config({"rel_tol": 1e-9, "abs_tol": 1e-11, "max_step": 0.5})
-    assert ode == OdeOpts(rel_tol=1e-9, abs_tol=1e-11, max_step=0.5)
+    ode = OdeOpts.from_config({"rel_tol": 1e-9, "abs_tol": 1e-11})
+    assert ode == OdeOpts(rel_tol=1e-9, abs_tol=1e-11)
     shoot = ShootOpts.from_config({"newton_tol": 1e-9, "multistart": 4})
     assert shoot == ShootOpts(newton_tol=1e-9, multistart=4)
     assert OdeOpts.from_config(None) == OdeOpts()
@@ -364,7 +355,9 @@ def test_option_parsing_rejects_unknown_keys():
     with pytest.raises(DomainError):
         ShootOpts.from_config({"max_iter": True})   # a boolean is not a count
     with pytest.raises(DomainError):
-        ShootOpts.from_config({"allow_conjugate": True})  # internal-only flag
+        ShootOpts.from_config({"allow_conjugate": True})  # not an option
+    with pytest.raises(DomainError):
+        OdeOpts.from_config({"max_step": 0.5})             # not an option
     with pytest.raises(DomainError):
         OdeOpts(abs_tol=0.0)
     with pytest.raises(DomainError):

@@ -20,12 +20,13 @@ def test_constant_family():
 def test_bump_well_center_and_tail():
     m = make_potential(2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
     assert m.value([0.0, 0.0]) == pytest.approx(-0.9, abs=1e-15)
-    np.testing.assert_allclose(m.gradient([0.0, 0.0]), 0.0, atol=1e-15)
+    np.testing.assert_allclose(m.evaluate([0.0, 0.0])[1], 0.0, atol=1e-15)
     # constant outside the support radius, bit for bit
     for pt in ([2.0, 0.0], [1.5, 1.5], [-3.0, 0.2]):
-        assert m.value(pt) == -0.6
-        assert np.all(m.gradient(pt) == 0.0)
-        assert np.all(m.hessian(pt) == 0.0)
+        v, grad, hess = m.evaluate(pt)
+        assert v == -0.6
+        assert np.all(grad == 0.0)
+        assert np.all(hess == 0.0)
     assert m.window == 2.0
     assert m.delta == pytest.approx(0.1)
 
@@ -34,11 +35,11 @@ def test_cosine_well_center_and_tail():
     m = make_potential(2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5})
     assert m.value([0.0, 0.0]) == pytest.approx(-0.9, abs=1e-15)
     assert m.value([2.5, 0.0]) == -0.55
-    assert np.all(m.gradient([0.0, 2.6]) == 0.0)
+    assert np.all(m.evaluate([0.0, 2.6])[1] == 0.0)
     # C^1 at the support edge: tiny gradient just inside, base value matched
     inner = [2.5 * (1.0 - 1e-8), 0.0]
     assert abs(m.value(inner) - (-0.55)) <= 1e-14
-    assert np.linalg.norm(m.gradient(inner)) <= 1e-6
+    assert np.linalg.norm(m.evaluate(inner)[1]) <= 1e-6
 
 
 def test_cosine_small_radius_series_branch():
@@ -54,12 +55,12 @@ def test_cosine_small_radius_series_branch():
 def test_tanh_step_profile():
     m = make_potential(1, "tanh_step", {"base": -0.5, "amp": 0.2})
     assert m.value([0.0]) == pytest.approx(-0.5, abs=1e-15)
-    np.testing.assert_allclose(m.gradient([0.0]), [0.2], atol=1e-15)
+    np.testing.assert_allclose(m.evaluate([0.0])[1], [0.2], atol=1e-15)
     # tanh saturates to +-1.0 exactly in double precision past the window
     assert m.window == 19.0
     assert m.value([19.5]) == -0.3
     assert m.value([-19.5]) == -0.7
-    assert np.all(m.gradient([19.5]) == 0.0)
+    assert np.all(m.evaluate([19.5])[1] == 0.0)
     assert m.delta == pytest.approx(0.3)
 
 
@@ -172,6 +173,20 @@ def test_hypothesis_validation_passes_for_gap_families():
     assert rep.passed
     assert rep.delta_hat >= rep.declared_delta
     assert rep.n_samples == 2000
+
+
+@pytest.mark.parametrize("dim,kind,params", [
+    (2, "constant", {"value": -0.6}),
+    (3, "bump_well", {"base": -0.5, "depth": 0.25, "radius": 1.5, "center": [0.5, 0.0, -0.5]}),
+    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+])
+def test_hypothesis_margin_matches_a_pointwise_loop(dim, kind, params):
+    """The batched margin is the min over the same seeded samples of model.value, bit for bit."""
+    m = make_potential(dim, kind, params, box_half=3.0)
+    pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(1500, dim))
+    margin = min(min(-v, 1.0 + v) for v in map(m.value, pts))
+    assert validate_hypothesis(m, n_samples=1500, seed=5).delta_hat == margin
 
 
 def test_hypothesis_validation_flags_gap_violations():
