@@ -83,6 +83,9 @@ class RunConfig:
                 raise ConfigError(f"{key} must have length {dim}")
             if not np.all(np.isfinite(arr)):
                 raise ConfigError(f"{key} must be finite, got {arr.tolist()}")
+            if np.abs(arr).max() > model.box_half:
+                raise ConfigError(f"{key} {arr.tolist()} lies outside the domain box "
+                                  f"[+-{model.box_half}]^{dim}")
             return arr
 
         x_star = point("x_star")
@@ -102,12 +105,12 @@ class RunConfig:
 
 
 def _h_list(values):
-    """Parse h values, each in (0, 1] and strictly decreasing, into a tuple."""
+    """Parse h values, each in [1e-100, 1] (h^-d stays a float) and decreasing, into a tuple."""
     refuse_booleans("h_list", values)
     h_list = tuple(float(h) for h in values)
     for h in h_list:
-        if not 0.0 < h <= 1.0:
-            raise ConfigError(f"every h must lie in (0, 1], got {h}")
+        if not 1e-100 <= h <= 1.0:
+            raise ConfigError(f"every h must lie in [1e-100, 1], got {h}")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ConfigError("h_list must be strictly decreasing")
     return h_list

@@ -176,14 +176,13 @@ class Trajectory:
         self.tau = float(tau)
         self.sol = result.sol
         self.variational = variational
-        self.has_theta = model.dim == 1
         d = self.dim
         self._i_var = _var_index(d)
         y_end = self.sol(self.tau)
         self.p_start = self.sol(0.0)[d:2 * d]
         self.x_end, self.p_end = y_end[:d], y_end[d:2 * d]
         self.action_end = float(y_end[2 * d])
-        self.theta_end = float(y_end[2 * d + 1]) if self.has_theta else None
+        self.theta_end = float(y_end[2 * d + 1]) if d == 1 else None
         self.v_start = self.velocity(0.0)
         self.v_end = self.velocity(self.tau)
 

@@ -26,8 +26,7 @@ from scipy.integrate import quad
 from .clifford import DomainError, negate_rep
 from .geoflow import NumericalError, shoot_geodesic
 from .potential import constant_model, negated
-from .transport import (TransportResult, rotation_1d, solve_spinor_transport,
-                        transport_matrix)
+from .transport import rotation_1d, solve_spinor_transport, transport_matrix
 
 _BESSEL_ORDERS = (0.0, 0.5, 1.0, 1.5)
 
@@ -131,21 +130,20 @@ class KernelEstimate:
     agmon: float
     prefactor: float
     amplitude: np.ndarray
-    transport: TransportResult | None
     left_identity_residual: float
 
 
-def _assemble(model, rep, geo, h, transport, dep):
-    """Scalar prefactor times projected amplitude, with dep = det exp'."""
+def _assemble(model, rep, geo, h, u_matrix, dep):
+    """Scalar prefactor times projected amplitude, with U(tau) and dep = det exp'."""
     dim, agmon = model.dim, geo.agmon
     v_x, v_y = model.value(geo.x_star), model.value(geo.y_star)
-    amplitude, left_res = transport_matrix(model, rep, geo, transport.u_matrix)
+    amplitude, left_res = transport_matrix(model, rep, geo, u_matrix)
     conf = ((1.0 - v_x * v_x) ** ((dim - 2) / 4.0)
             * (1.0 - v_y * v_y) ** ((dim - 2) / 4.0))
     tail = (2.0 * math.pi * agmon / h) ** (-(dim - 1) / 2.0)
     pref = conf / math.sqrt(dep) * math.exp(-agmon / h) * tail / h ** dim
     return KernelEstimate(matrix=pref * amplitude, h=float(h), agmon=agmon,
-                          prefactor=pref, amplitude=amplitude, transport=transport,
+                          prefactor=pref, amplitude=amplitude,
                           left_identity_residual=left_res)
 
 
@@ -157,7 +155,7 @@ def leading_kernel_multid(model, rep, geo, h, transport=None, opts=None):
         raise DomainError(f"h must be positive, got {h}")
     if transport is None:
         transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
-    return _assemble(model, rep, geo, h, transport, geo.det_exp_prime)
+    return _assemble(model, rep, geo, h, transport.u_matrix, geo.det_exp_prime)
 
 
 def leading_kernel_1d(model, rep, x, y, h, geo=None, opts=None, shoot_opts=None):
@@ -169,11 +167,7 @@ def leading_kernel_1d(model, rep, x, y, h, geo=None, opts=None, shoot_opts=None)
     if geo is None:
         geo = shoot_geodesic(model, np.atleast_1d(float(y)), np.atleast_1d(float(x)),
                              opts, shoot_opts)
-    theta = geo.trajectory.theta_end
-    u_rot = rotation_1d(rep, theta)
-    transport = TransportResult(u_matrix=u_rot, unitarity_defect=0.0,
-                                projected=False, theta=theta)
-    return _assemble(model, rep, geo, h, transport, 1.0)
+    return _assemble(model, rep, geo, h, rotation_1d(rep, geo.trajectory.theta_end), 1.0)
 
 
 def positive_potential_kernel(model, rep, x, y, h, opts=None, shoot_opts=None):
@@ -212,14 +206,13 @@ def scalar_ratio(lead, ref):
 
 
 def loglog_slope(h_list, deviations):
-    """(slope, intercept) of the least-squares line through (log h, log dev).
+    """Slope of the least-squares line through (log h, log dev).
 
-    (0.0, 0.0) when the fit is undefined: under two points or a zero deviation.
+    0.0 when the fit is undefined: under two points or a zero deviation.
     """
     if len(h_list) < 2 or not all(dev > 0.0 for dev in deviations):
-        return 0.0, 0.0
-    slope, intercept = np.polyfit(np.log(h_list), np.log(deviations), 1)
-    return float(slope), float(intercept)
+        return 0.0
+    return float(np.polyfit(np.log(h_list), np.log(deviations), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -265,12 +258,11 @@ def exact_sweep(model, rep, x, y, h_list, exact, opts=None, shoot_opts=None):
         deviations.append(abs(ratio - 1.0))
         estimates.append(lead)
 
-    slope, _ = loglog_slope(h_list, deviations)
     return RatioSweep(agmon=geo.agmon,
                       det_exp_prime=1.0 if d == 1 else geo.det_exp_prime,
                       h_list=tuple(h_list), ratios=tuple(ratios),
                       deviations=tuple(deviations), estimates=tuple(estimates),
-                      references=tuple(references), slope=slope)
+                      references=tuple(references), slope=loglog_slope(h_list, deviations))
 
 
 def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):

@@ -2,63 +2,115 @@
 
 Every shipped family is smooth, has analytic gradient and Hessian, and is
 meant to satisfy the gap condition -1 + delta <= V <= -delta on its domain
-box.  Radial wells are evaluated through s = |x - c|^2 so that no formula
-degenerates at the center.  A model may declare a window half-width L:
-outside |x_1| >= L the potential is exactly constant (the 1D Jost oracle
-anchors its integrations there).
+box.  FAMILIES holds all the module knows about each family; a new family
+is one row there plus its profile function.  Radial wells are evaluated
+through s = |x - c|^2 so that no formula degenerates at the center.  A
+model may declare a window half-width L: outside |x_1| >= L the potential
+is exactly constant (the 1D Jost oracle anchors its integrations there).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .clifford import DomainError, refuse_booleans
 
-# each family and the parameters V is linear in: negating them negates V
-KINDS = {"constant": ("value",), "bump_well": ("base", "depth"),
-         "cosine_well": ("base", "depth"), "tanh_step": ("base", "amp")}
-# every parameter each family accepts
-PARAMS = {"constant": ("value",), "bump_well": ("base", "depth", "radius", "center"),
-          "cosine_well": ("base", "depth", "radius", "center"),
-          "tanh_step": ("base", "amp", "center")}
+
+def _bump(b, a, big_l, s):
+    """V = b - a exp(1 - 1/(1 - s/L^2)) inside the ball, b outside."""
+    u2 = s / big_l**2
+    if u2 >= 1.0:
+        return 0.0, 0.0, b
+    w = 1.0 - u2
+    g = math.exp(1.0 - 1.0 / w)
+    ep = -1.0 / (big_l**2 * w**2)
+    epp = -2.0 / (big_l**4 * w**3)
+    gp = g * ep
+    gpp = g * (ep * ep + epp)
+    return -a * gp, -a * gpp, b - a * g
 
 
-def _range_bounds(kind, params):
-    """Exact (min V, max V) over all of space for each family."""
-    if kind == "constant":
-        v = params["value"]
-        return v, v
-    if kind in ("bump_well", "cosine_well"):
-        b, a = params["base"], params["depth"]
-        return b - max(a, 0.0), b - min(a, 0.0)
-    if kind == "tanh_step":
-        b, a = params["base"], params["amp"]
-        return b - abs(a), b + abs(a)
-    raise DomainError(f"unknown potential kind {kind!r}")
+def _cosine(b, a, big_l, s):
+    """V = b - (a/2)(1 + cos(pi r/L)) inside the ball, b outside."""
+    q = (math.pi / big_l) ** 2
+    if s * q >= math.pi**2:
+        return 0.0, 0.0, b
+    w2 = q * s
+    if w2 > 1e-8:
+        w = math.sqrt(w2)
+        cw = math.cos(w)
+        cp = -0.5 * q * math.sin(w) / w
+        cpp = -0.25 * q * q * (cw - math.sin(w) / w) / w2
+    else:
+        cw = 1.0 - w2 / 2.0 + w2 * w2 / 24.0
+        cp = -0.5 * q * (1.0 - w2 / 6.0 + w2 * w2 / 120.0)
+        cpp = -0.25 * q * q * (-1.0 / 3.0 + w2 / 30.0 - w2 * w2 / 840.0)
+    v = b - 0.5 * a * (1.0 + cw)
+    return -0.5 * a * cp, -0.5 * a * cpp, v
 
 
-def _default_window(kind, params, dim):
-    if kind == "constant":
-        return 0.0
-    center = params.get("center", 0.0)
-    coff = float(np.max(np.abs(np.atleast_1d(center))))
-    if kind in ("bump_well", "cosine_well"):
-        return coff + params["radius"]
+def _tanh(b, a, u):
+    """V = b + a tanh(u)."""
+    t = math.tanh(u)
+    sech2 = 1.0 - t * t
+    return a * sech2, -2.0 * a * sech2 * t, b + a * t
+
+
+def _well_bounds(p):
+    return p["base"] - max(p["depth"], 0.0), p["base"] - min(p["depth"], 0.0)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of FAMILIES.
+
+    profile gives (f', f'', V) as a function of s = |x - c|^2 if radial, else
+    of u = x_1 - c (a 1D-only family); without a profile V is the constant value.
+    """
+
+    params: tuple      # accepted, in error-text order; the profile takes all but center
+    linear: tuple      # V is linear in these: negating them negates V
+    bounds: Callable   # params -> the exact (min V, max V) over all of space
+    reach: Callable | None = None    # params -> how far past the center V varies
+    profile: Callable | None = None
+    radial: bool = False
+
+
+FAMILIES = {
+    "constant": Family(("value",), ("value",), lambda p: (p["value"], p["value"])),
+    "bump_well": Family(("base", "depth", "radius", "center"), ("base", "depth"),
+                        _well_bounds, lambda p: p["radius"], _bump, radial=True),
+    "cosine_well": Family(("base", "depth", "radius", "center"), ("base", "depth"),
+                          _well_bounds, lambda p: p["radius"], _cosine, radial=True),
     # tanh(19) == 1.0 in float64, so the step is constant there bit for bit
-    return coff + 19.0
+    "tanh_step": Family(("base", "amp", "center"), ("base", "amp"),
+                        lambda p: (p["base"] - abs(p["amp"]), p["base"] + abs(p["amp"])),
+                        lambda p: 19.0, _tanh),
+}
+
+
+def _least_window(family, params):
+    """The center's offset plus the family's reach: past it V is constant."""
+    if family.profile is None:
+        return 0.0
+    coff = float(np.max(np.abs(np.atleast_1d(params.get("center", 0.0)))))
+    return coff + family.reach(params)
 
 
 @dataclass(frozen=True)
 class PotentialModel:
     """A potential family instance with analytic derivatives.
 
-    kind is one of constant | bump_well | cosine_well | tanh_step; params
-    holds the family parameters, delta the declared gap margin, window the
-    half-width beyond which V is exactly constant, box_half the domain
-    half-width (evaluations outside raise DomainError).
+    kind is a FAMILIES key; params holds the family parameters, delta the
+    declared gap margin, window the half-width beyond which V is exactly
+    constant, box_half the domain half-width (evaluations outside raise
+    DomainError).  The evaluators branch on the shape of the family's
+    profile (none, along x_1, radial), never on its name.
     """
 
     dim: int
@@ -67,6 +119,16 @@ class PotentialModel:
     delta: float
     window: float
     box_half: float
+
+    def __post_init__(self):
+        # bind the profile's parameters and the center once: evaluate is the hot path
+        family = FAMILIES[self.kind]
+        args = (self.params[k] for k in family.params if k != "center")
+        center = self.params.get("center", 0.0)
+        object.__setattr__(self, "_radial", family.radial)
+        object.__setattr__(self, "_center",
+                           np.asarray(center, dtype=float) if family.radial else center)
+        object.__setattr__(self, "_profile", family.profile and partial(family.profile, *args))
 
     def value(self, x):
         return self._eval(x)[0]
@@ -81,33 +143,25 @@ class PotentialModel:
         A fourth array flags the rows outside the domain box (or not finite)
         instead of raising; their values are those of the formulas there.
         Rows go through the same float operations as evaluate, so both give
-        the same numbers.  The radial profile is evaluate's, called per row:
-        on a few dozen rows that beats a numpy pass per operation.
+        the same numbers.  The profile is evaluate's, called per row: on a
+        few dozen rows that beats a numpy pass per operation.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DomainError(f"points must have shape (n, {self.dim}), got {xs.shape}")
         n, d = xs.shape
         outside = ~(np.abs(xs).max(axis=1) <= self.box_half)
-        if self.kind == "constant":
+        if self._profile is None:
             return (np.full(n, self.params["value"], dtype=float), np.zeros((n, d)),
                     np.zeros((n, d, d)), outside)
 
-        if self.kind == "tanh_step":
-            b, a = self.params["base"], self.params["amp"]
-            shifted = xs[:, 0] - self.params.get("center", 0.0)
-            t = np.array([math.tanh(u) for u in shifted.tolist()], dtype=float)
-            sech2 = 1.0 - t * t
-            hess = (-2.0 * a * sech2 * t).reshape(n, 1, 1)
-            return b + a * t, (a * sech2).reshape(n, 1), hess, outside
-
-        b, a = self.params["base"], self.params["depth"]
-        c = np.atleast_1d(np.asarray(self.params.get("center", np.zeros(d)), dtype=float))
-        big_l = self.params["radius"]
-        rel = xs - c
-        radial = self._bump_radial if self.kind == "bump_well" else self._cosine_radial
-        rows = [radial(s, b, a, big_l) for s in np.vecdot(rel, rel).tolist()]
+        rel = xs - self._center
+        args = np.vecdot(rel, rel) if self._radial else rel[:, 0]
+        profile = self._profile
+        rows = [profile(a) for a in args.tolist()]
         fp, fpp, v = np.array(rows, dtype=float).reshape(n, 3).T
+        if not self._radial:
+            return v, fp.reshape(n, 1), fpp.reshape(n, 1, 1), outside
         grad = (2.0 * fp)[:, None] * rel
         # evaluate's 2 fp I + 4 fpp rel rel^T, summed in the other order
         hess = (4.0 * fpp)[:, None, None] * (rel[:, :, None] * rel[:, None, :])
@@ -124,83 +178,33 @@ class PotentialModel:
 
     def _eval(self, x):
         x = self._check_point(x)
-        if self.kind == "constant":
-            v = self.params["value"]
-            grad = np.zeros(self.dim)
-            hess = np.zeros((self.dim, self.dim))
-            return v, grad, hess
+        if self._profile is None:
+            return self.params["value"], np.zeros(self.dim), np.zeros((self.dim, self.dim))
 
-        if self.kind == "tanh_step":
-            b, a = self.params["base"], self.params["amp"]
-            c = self.params.get("center", 0.0)
-            t = math.tanh(x[0] - c)
-            sech2 = 1.0 - t * t
-            v = b + a * t
-            grad = np.array([a * sech2])
-            hess = np.array([[-2.0 * a * sech2 * t]])
-            return v, grad, hess
+        if not self._radial:
+            fp, fpp, v = self._profile(x[0] - self._center)
+            return v, np.array([fp]), np.array([[fpp]])
 
-        b, a = self.params["base"], self.params["depth"]
-        c = np.atleast_1d(np.asarray(self.params.get("center", np.zeros(self.dim)), dtype=float))
-        if c.shape == (1,) and self.dim > 1:
-            c = np.full(self.dim, c[0])
-        big_l = self.params["radius"]
-        rel = x - c
-        s = float(rel @ rel)
-        if self.kind == "bump_well":
-            fp, fpp, v = self._bump_radial(s, b, a, big_l)
-        else:
-            fp, fpp, v = self._cosine_radial(s, b, a, big_l)
+        rel = x - self._center
+        fp, fpp, v = self._profile(float(rel @ rel))
         grad = 2.0 * fp * rel
         hess = 2.0 * fp * np.eye(self.dim) + 4.0 * fpp * np.outer(rel, rel)
         return v, grad, hess
 
-    @staticmethod
-    def _bump_radial(s, b, a, big_l):
-        """V = b - a exp(1 - 1/(1 - s/L^2)) inside the ball, b outside."""
-        u2 = s / big_l**2
-        if u2 >= 1.0:
-            return 0.0, 0.0, b
-        w = 1.0 - u2
-        g = math.exp(1.0 - 1.0 / w)
-        ep = -1.0 / (big_l**2 * w**2)
-        epp = -2.0 / (big_l**4 * w**3)
-        gp = g * ep
-        gpp = g * (ep * ep + epp)
-        return -a * gp, -a * gpp, b - a * g
-
-    @staticmethod
-    def _cosine_radial(s, b, a, big_l):
-        """V = b - (a/2)(1 + cos(pi r/L)) inside the ball, b outside."""
-        q = (math.pi / big_l) ** 2
-        if s * q >= math.pi**2:
-            return 0.0, 0.0, b
-        w2 = q * s
-        if w2 > 1e-8:
-            w = math.sqrt(w2)
-            cw = math.cos(w)
-            cp = -0.5 * q * math.sin(w) / w
-            cpp = -0.25 * q * q * (cw - math.sin(w) / w) / w2
-        else:
-            cw = 1.0 - w2 / 2.0 + w2 * w2 / 24.0
-            cp = -0.5 * q * (1.0 - w2 / 6.0 + w2 * w2 / 120.0)
-            cpp = -0.25 * q * q * (-1.0 / 3.0 + w2 / 30.0 - w2 * w2 / 840.0)
-        v = b - 0.5 * a * (1.0 + cw)
-        return -0.5 * a * cp, -0.5 * a * cpp, v
-
 
 def make_potential(dim, kind, params, delta=None, window=None, box_half=None):
     """Build a model, filling delta/window/box defaults from the family."""
-    if kind not in KINDS:
+    family = FAMILIES.get(kind)
+    if family is None:
         raise DomainError(f"unknown potential kind {kind!r}")
-    if kind == "tanh_step" and dim != 1:
-        raise DomainError("tanh_step is a 1D family")
+    if family.profile and not family.radial and dim != 1:
+        raise DomainError(f"{kind} is a 1D family")
     params = dict(params)
-    lo, hi = _range_bounds(kind, params)
+    lo, hi = family.bounds(params)
     if delta is None:
         delta = min(-hi, 1.0 + lo)
     if window is None:
-        window = _default_window(kind, params, dim)
+        window = _least_window(family, params)
     if box_half is None:
         box_half = max(10.0, window + 1.0)
     return PotentialModel(dim=dim, kind=kind, params=params, delta=float(delta),
@@ -215,7 +219,7 @@ def constant_model(dim, value):
 def negated(model):
     """The same family with V replaced by -V; window and box are kept."""
     params = dict(model.params)
-    for name in KINDS[model.kind]:
+    for name in FAMILIES[model.kind].linear:
         params[name] = -params[name]
     return make_potential(model.dim, model.kind, params,
                           window=model.window, box_half=model.box_half)
@@ -242,11 +246,12 @@ def from_config(dim, cfg):
         refuse_booleans(f"potential.{key}", cfg.get(key))
     model = make_potential(dim, cfg["kind"], params, delta=cfg.get("delta"),
                            window=cfg.get("window"), box_half=cfg.get("box_half"))
-    unknown = set(params) - set(PARAMS[model.kind])
+    family = FAMILIES[model.kind]
+    unknown = set(params) - set(family.params)
     if unknown:
         raise DomainError(f"unknown {model.kind} parameter(s): {sorted(unknown)}; "
-                          f"allowed: {list(PARAMS[model.kind])}")
-    lo, hi = _range_bounds(model.kind, model.params)
+                          f"allowed: {list(family.params)}")
+    lo, hi = family.bounds(model.params)
     if not -1.0 < lo <= hi < 0.0:
         raise DomainError(f"V must stay in (-1, 0), but the family spans [{lo}, {hi}]")
     margin = min(-hi, 1.0 + lo)
@@ -256,14 +261,14 @@ def from_config(dim, cfg):
     params = model.params
     if "radius" in params and not 0.0 < params["radius"] < math.inf:
         raise DomainError(f"radius must be finite and positive, got {params['radius']}")
-    # only a radial family (one with a radius) takes a vector center
+    # only a radial family takes a vector center
     center = np.asarray(params.get("center", 0.0), dtype=float)
-    shapes = ((), (dim,)) if "radius" in params else ((),)
+    shapes = ((), (dim,)) if family.radial else ((),)
     if center.shape not in shapes or not np.all(np.isfinite(center)):
         raise DomainError(f"center must be a finite scalar or, in a radial family, a "
                           f"length-{dim} vector, got {params['center']!r}")
     # the Jost oracle anchors past the window, which must cover the whole well
-    least = _default_window(model.kind, params, dim)
+    least = _least_window(family, params)
     if not least <= model.window < math.inf:
         raise DomainError(f"window must be finite and at least {least}, got {model.window}")
     # |x| > NaN is never true: a NaN box would switch the domain check off

@@ -34,7 +34,6 @@ class TransportResult:
     u_matrix: np.ndarray
     unitarity_defect: float
     projected: bool
-    theta: float | None
 
 
 def solve_spinor_transport(model, rep, traj, opts=None, project_tol=1e-9):
@@ -67,9 +66,7 @@ def solve_spinor_transport(model, rep, traj, opts=None, project_tol=1e-9):
         u_end = w @ vh
         projected = True
 
-    theta = traj.theta_end if traj.has_theta else None
-    return TransportResult(u_matrix=u_end, unitarity_defect=defect,
-                           projected=projected, theta=theta)
+    return TransportResult(u_matrix=u_end, unitarity_defect=defect, projected=projected)
 
 
 def theta_1d(model, a, b):

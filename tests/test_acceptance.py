@@ -21,7 +21,7 @@ from diracgreen.kernel import (constant_V_exact, leading_kernel_1d,
                                positive_potential_kernel, ratio_sweep)
 from diracgreen.oracle1d import exact_green_kernel_1d
 from diracgreen.potential import make_potential
-from diracgreen.transport import solve_spinor_transport, theta_1d, transport_matrix
+from diracgreen.transport import solve_spinor_transport, theta_1d
 
 BUMP = {"base": -0.6, "depth": 0.3, "radius": 2.0}
 COSINE = {"base": -0.55, "depth": 0.35, "radius": 2.5}

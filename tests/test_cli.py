@@ -364,3 +364,84 @@ def test_out_path_from_config(tmp_path):
     code = cli.main(["constant", "--config", write_config(tmp_path, cfg)])
     assert code == 0
     assert target.read_text().startswith("h,g00_re")
+
+
+# ------------------------------------------------------------ config fuzz
+
+FUZZ_CONFIG = {
+    "dimension": 2,
+    "potential": {"kind": "constant", "params": {"value": -0.6},
+                  "delta": 0.3, "window": 1.0, "box_half": 12.0},
+    "x_star": [0.5, 0.1],
+    "y_star": [-0.5, 0.0],
+    "h_list": [0.2, 0.1],
+    "ode": {"rel_tol": 1e-10, "abs_tol": 1e-12},
+    "shooting": {"newton_tol": 1e-10, "max_iter": 40, "multistart": 4,
+                 "merge_tol": 1e-6, "conjugacy_tol": 1e-8},
+    "out": "unused.csv",
+}
+# the constant command rejects this well after parsing it, so it exits 2 when unmutated
+FUZZ_WELL = dict(FUZZ_CONFIG, potential={
+    "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0,
+                                    "center": [0.25, -0.5]},
+    "delta": 0.05, "window": 3.0, "box_half": 12.0})
+FUZZ_MENU = [float("nan"), float("inf"), -float("inf"), -1, 0, 2, 0.5, -0.5, 1e308,
+             -1e308, 5e-324, True, False, "x", "0.5", [], {}, None, [True, 0.5],
+             [0.5], [[0.5, 0.5]], {"value": -0.6}]
+
+
+def _key_paths(node, path=()):
+    """Every key or index path into a JSON tree, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+def _mutated(config, path, edit):
+    cfg = json.loads(json.dumps(config))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    edit(parent, path[-1])
+    return cfg
+
+
+def _fuzz_exit(tmp_path, cfg):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main(["constant", "--config", str(path), "--out", str(tmp_path / "fuzz.csv")])
+
+
+def test_fuzz_renamed_keys_exit_2(tmp_path, capsys):
+    """Every config object rejects a key it does not know: a typo never exits 0."""
+    assert _fuzz_exit(tmp_path, FUZZ_CONFIG) == 0
+    findings = []
+    for path in _key_paths(FUZZ_CONFIG):
+        if isinstance(path[-1], str):
+            cfg = _mutated(FUZZ_CONFIG, path,
+                           lambda obj, key: obj.__setitem__(key + "_x", obj.pop(key)))
+            code = _fuzz_exit(tmp_path, cfg)
+            if code != 2:
+                findings.append((path, code))
+    capsys.readouterr()
+    assert findings == []
+
+
+@pytest.mark.parametrize("config", [FUZZ_CONFIG, FUZZ_WELL], ids=["constant", "well"])
+def test_fuzz_every_field_exits_0_2_or_3(tmp_path, capsys, config):
+    """Each value of a fixed menu in each field: a documented exit code, never an exception."""
+    findings = []
+    for path in _key_paths(config):
+        for value in FUZZ_MENU:
+            cfg = _mutated(config, path, lambda obj, key: obj.__setitem__(key, value))
+            try:
+                code = _fuzz_exit(tmp_path, cfg)
+            except Exception as exc:   # any escape is a finding, reported all at once
+                findings.append((path, value, repr(exc)))
+                continue
+            if code not in (0, 2, 3):
+                findings.append((path, value, code))
+    capsys.readouterr()
+    assert findings == []

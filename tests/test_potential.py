@@ -4,8 +4,39 @@ import numpy as np
 import pytest
 
 from diracgreen.clifford import DomainError
-from diracgreen.potential import (from_config, fd_consistency, make_potential,
-                                  negated, validate_hypothesis)
+from diracgreen.potential import (FAMILIES, Family, from_config, fd_consistency,
+                                  make_potential, negated, validate_hypothesis)
+
+# one list per family-parametrised test; each must name every FAMILIES key
+FD_CASES = [
+    (1, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
+    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
+    (3, "bump_well", {"base": -0.5, "depth": 0.25, "radius": 1.5}),
+    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
+    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2}),
+    (2, "constant", {"value": -0.6}),
+]
+NEGATED_CASES = [
+    (2, "constant", {"value": -0.6}),
+    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]}),
+    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+]
+MANY_CASES = [
+    (2, "constant", {"value": -0.6}),
+    (3, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
+    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]}),
+    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2}),
+    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+]
+MARGIN_CASES = [
+    (2, "constant", {"value": -0.6}),
+    (3, "bump_well", {"base": -0.5, "depth": 0.25, "radius": 1.5, "center": [0.5, 0.0, -0.5]}),
+    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+]
 
 
 def test_constant_family():
@@ -94,14 +125,7 @@ def test_offcenter_bump():
     assert m.window == pytest.approx(2.5)
 
 
-@pytest.mark.parametrize("dim,kind,params", [
-    (1, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
-    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
-    (3, "bump_well", {"base": -0.5, "depth": 0.25, "radius": 1.5}),
-    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
-    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
-    (1, "tanh_step", {"base": -0.5, "amp": 0.2}),
-])
+@pytest.mark.parametrize("dim,kind,params", FD_CASES)
 def test_analytic_derivatives_match_finite_differences(dim, kind, params):
     m = make_potential(dim, kind, params)
     g_res, h_res = fd_consistency(m)
@@ -109,12 +133,7 @@ def test_analytic_derivatives_match_finite_differences(dim, kind, params):
     assert h_res <= 1e-5
 
 
-@pytest.mark.parametrize("dim,kind,params", [
-    (2, "constant", {"value": -0.6}),
-    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]}),
-    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
-    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
-])
+@pytest.mark.parametrize("dim,kind,params", NEGATED_CASES)
 def test_negated_flips_every_family(dim, kind, params):
     m = make_potential(dim, kind, params)
     neg = negated(m)
@@ -127,14 +146,7 @@ def test_negated_flips_every_family(dim, kind, params):
     assert negated(neg) == m
 
 
-@pytest.mark.parametrize("dim,kind,params", [
-    (2, "constant", {"value": -0.6}),
-    (3, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
-    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]}),
-    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2}),
-    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
-    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
-])
+@pytest.mark.parametrize("dim,kind,params", MANY_CASES)
 def test_evaluate_many_matches_evaluate(dim, kind, params):
     """Row by row within 4 ulp: at the center, inside, on the edge, outside the ball and box."""
     m = make_potential(dim, kind, params)
@@ -175,12 +187,7 @@ def test_hypothesis_validation_passes_for_gap_families():
     assert rep.n_samples == 2000
 
 
-@pytest.mark.parametrize("dim,kind,params", [
-    (2, "constant", {"value": -0.6}),
-    (3, "bump_well", {"base": -0.5, "depth": 0.25, "radius": 1.5, "center": [0.5, 0.0, -0.5]}),
-    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
-    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
-])
+@pytest.mark.parametrize("dim,kind,params", MARGIN_CASES)
 def test_hypothesis_margin_matches_a_pointwise_loop(dim, kind, params):
     """The batched margin is the min over the same seeded samples of model.value, bit for bit."""
     m = make_potential(dim, kind, params, box_half=3.0)
@@ -220,3 +227,48 @@ def test_config_round_trip():
 def test_config_requires_kind():
     with pytest.raises(DomainError):
         from_config(1, {"params": {"value": -0.5}})
+
+
+@pytest.mark.parametrize("cases", [FD_CASES, NEGATED_CASES, MANY_CASES, MARGIN_CASES])
+def test_family_tests_cover_every_family(cases):
+    assert {kind for _, kind, _ in cases} == set(FAMILIES)
+
+
+def _cubic(b, a, big_l, s):
+    """V = b - a (1 - s/L^2)^3 inside the ball, b outside: C^2 at the rim."""
+    if s >= big_l**2:
+        return 0.0, 0.0, b
+    w = 1.0 - s / big_l**2
+    return 3.0 * a * w * w / big_l**2, -6.0 * a * w / big_l**4, b - a * w**3
+
+
+def test_a_new_family_needs_only_its_row(monkeypatch):
+    monkeypatch.setitem(FAMILIES, "cubic_well", Family(
+        ("base", "depth", "radius", "center"), ("base", "depth"),
+        lambda p: (p["base"] - max(p["depth"], 0.0), p["base"] - min(p["depth"], 0.0)),
+        lambda p: p["radius"], _cubic, radial=True))
+    params = {"base": -0.6, "depth": 0.3, "radius": 1.5, "center": [0.5, -0.75]}
+    m = from_config(2, {"kind": "cubic_well", "params": params})
+    assert m.window == 0.75 + 1.5
+    assert m.delta == pytest.approx(0.1)
+    assert m.value([0.5, -0.75]) == pytest.approx(-0.9, abs=1e-15)
+    assert m.value([0.5, 0.75]) == -0.6
+    with pytest.raises(DomainError, match="allowed: \\['base', 'depth', 'radius', 'center'\\]"):
+        from_config(2, {"kind": "cubic_well", "params": dict(params, amp=0.1)})
+
+    g_res, h_res = fd_consistency(m)
+    assert g_res <= 1e-6
+    assert h_res <= 1e-5
+
+    xs = np.random.default_rng(3).uniform(-2.5, 2.5, size=(60, 2))
+    v, grad, hess, outside = m.evaluate_many(xs)
+    assert not outside.any()
+    ulp4 = 4.0 * np.finfo(float).eps
+    for k, x in enumerate(xs):
+        v1, g1, h1 = m.evaluate(x)
+        np.testing.assert_allclose(v[k], v1, rtol=ulp4, atol=0.0)
+        np.testing.assert_allclose(grad[k], g1, rtol=ulp4, atol=0.0)
+        np.testing.assert_allclose(hess[k], h1, rtol=ulp4, atol=0.0)
+
+    neg = negated(m)
+    assert all(neg.value(x) == -m.value(x) for x in xs)

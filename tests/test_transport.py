@@ -7,7 +7,7 @@ import pytest
 
 from diracgreen.clifford import (SIGMA_1, SIGMA_3, DomainError,
                                  build_dirac_rep, negate_rep, projector)
-from diracgreen.geoflow import integrate_flow, shoot_geodesic
+from diracgreen.geoflow import shoot_geodesic
 from diracgreen.potential import make_potential
 from diracgreen.transport import (rotation_1d, solve_spinor_transport,
                                   theta_1d, transport_matrix)
@@ -72,8 +72,9 @@ def test_transported_theta_matches_closed_form():
     geo = shoot(m, [-1.0], [1.0])
     rep = build_dirac_rep(1)
     res = solve_spinor_transport(m, rep, geo.trajectory)
-    assert res.theta == pytest.approx(theta_1d(m, -1.0, 1.0), abs=1e-11)
-    u_closed = rotation_1d(rep, res.theta)
+    theta = geo.trajectory.theta_end
+    assert theta == pytest.approx(theta_1d(m, -1.0, 1.0), abs=1e-11)
+    u_closed = rotation_1d(rep, theta)
     assert np.linalg.norm(res.u_matrix - u_closed) <= 1e-9
 
 
