@@ -11,7 +11,6 @@ from .clifford import (
 )
 from .potential import PotentialModel, make_potential, validate_hypothesis
 from .geoflow import (
-    PhasePoint,
     Trajectory,
     GeodesicSolution,
     OdeOpts,
@@ -19,8 +18,6 @@ from .geoflow import (
     ConjugatePointError,
     NumericalError,
     ShootingError,
-    hamiltonian,
-    figuratrix_momentum,
     integrate_flow,
     shoot_geodesic,
     agmon_distance_quadrature_1d,

@@ -135,7 +135,7 @@ def solve_bmt_spin(model, traj, u0=None, opts=None):
         return (1j * spin_generator(model, x, p) @ s).ravel()
 
     sol = solve_ivp(rhs, (0.0, traj.tau), np.eye(2, dtype=complex).ravel(),
-                    **opts.solver_kwargs())
+                    dense_output=True, **opts.solver_kwargs())
     if not sol.success:
         raise NumericalError(f"spin propagator integration failed: {sol.message}")
     s_tau = sol.y[:, -1].reshape(2, 2)

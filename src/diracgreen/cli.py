@@ -28,7 +28,7 @@ from .kernel import (bessel_K, bessel_K_oracle, constant_V_exact, exact_sweep,
                      positive_potential_kernel, ratio_sweep)
 from .oracle1d import exact_green_kernel_1d
 from .potential import fd_consistency, make_potential, validate_hypothesis
-from .transport import solve_spinor_transport, theta_1d, transport_matrix
+from .transport import rotation_1d, solve_spinor_transport, theta_1d, transport_matrix
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -90,8 +90,14 @@ class RunConfig:
 
         x_star = point("x_star")
         y_star = point("y_star")
-        if x_star is not None and y_star is not None and np.array_equal(x_star, y_star):
-            raise ConfigError("x_star and y_star must differ")
+        if x_star is not None and y_star is not None:
+            if np.array_equal(x_star, y_star):
+                raise ConfigError("x_star and y_star must differ")
+            with np.errstate(over="ignore"):
+                sep = float(np.linalg.norm(x_star - y_star))
+            if not math.isfinite(sep):
+                raise ConfigError("the separation |x_star - y_star| overflows a float; "
+                                  "move the points closer together")
         out = data.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError("out must be a string path")
@@ -356,12 +362,8 @@ def _dim_checks(d, fault=None):
     add("kernel_annihilation",
         np.linalg.norm(m_fwd @ lam_minus) / np.linalg.norm(m_fwd), 1e-10)
 
-    if d == 1:
-        est_a = leading_kernel_1d(model, rep, x_pt[0], y_pt[0], 0.2, geo=geo)
-        est_b = leading_kernel_1d(model, rep, x_pt[0], y_pt[0], 0.05, geo=geo)
-    else:
-        est_a = leading_kernel_multid(model, rep, geo, 0.2, transport=transport)
-        est_b = leading_kernel_multid(model, rep, geo, 0.05, transport=transport)
+    est_a = leading_kernel_multid(model, rep, geo, 0.2, transport=transport)
+    est_b = leading_kernel_multid(model, rep, geo, 0.05, transport=transport)
     add("kernel_scale_structure",
         abs(_scale_invariant(est_a, d) - _scale_invariant(est_b, d)), 1e-12)
 
@@ -379,8 +381,8 @@ def _dim_checks(d, fault=None):
         add("agmon_quadrature",
             abs(geo.agmon - agmon_distance_quadrature_1d(model, y_pt[0], x_pt[0])),
             1e-8)
-        add("theta_closed_form",
-            abs(traj.theta_end - theta_1d(model, y_pt[0], x_pt[0])), 1e-8)
+        closed = rotation_1d(rep, theta_1d(model, y_pt[0], x_pt[0]))
+        add("theta_closed_form", np.linalg.norm(transport.u_matrix - closed), 1e-8)
 
         oracle = exact_green_kernel_1d(fam[0], 0.5, -0.5, 0.1)
         exact = constant_V_exact(rep, -0.6, [0.5], [-0.5], 0.1)

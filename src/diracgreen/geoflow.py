@@ -86,7 +86,7 @@ class OdeOpts:
         return _options(cls, cfg, "ode", dict.fromkeys(("rel_tol", "abs_tol"), float))
 
     def solver_kwargs(self):
-        return dict(method="DOP853", rtol=self.rel_tol, atol=self.abs_tol, dense_output=True)
+        return dict(method="DOP853", rtol=self.rel_tol, atol=self.abs_tol)
 
     def tightened(self):
         """These tolerances capped at 1e-12 relative and 1e-14 absolute."""
@@ -115,50 +115,15 @@ class ShootOpts:
             "multistart": lambda v: None if v is None else _count(v)})
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if x.shape != p.shape:
-            raise DomainError("position and momentum must have equal length")
-        if p @ p >= 1.0:
-            raise DomainError(f"phase point requires |p| < 1, got |p| = {np.linalg.norm(p)}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-
-
-def hamiltonian(model, x, p):
-    """H(x, p) = -sqrt(1 - |p|^2) - V(x) on |p| < 1."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    p2 = float(p @ p)
-    if p2 >= 1.0:
-        raise DomainError(f"hamiltonian requires |p| < 1, got |p|^2 = {p2}")
-    return -math.sqrt(1.0 - p2) - model.value(x)
-
-
-def figuratrix_momentum(model, x, direction):
-    """Momentum of length sqrt(1 - V^2(x)) along direction; H(x, p) = 0."""
-    direction = np.atleast_1d(np.asarray(direction, dtype=float))
-    nrm = float(np.linalg.norm(direction))
-    if nrm == 0.0:
-        raise DomainError("direction must be nonzero")
-    v = model.value(x)
-    return math.sqrt(1.0 - v * v) * direction / nrm
-
-
 def _var_index(d):
-    """Where dpX starts in the flow state: x, p, the action, in 1D the phase integral."""
-    return 2 * d + 1 + (1 if d == 1 else 0)
+    """Where dpX starts in the flow state: after x, p and the action."""
+    return 2 * d + 1
 
 
 def _initial_state(x0, p0, variational):
     d = len(x0)
     return np.concatenate([
-        x0, p0, np.zeros(_var_index(d) - 2 * d),
+        x0, p0, [0.0],
         (np.concatenate([np.zeros(d * d), np.eye(d).ravel()]) if variational else np.empty(0)),
     ])
 
@@ -166,8 +131,8 @@ def _initial_state(x0, p0, variational):
 class Trajectory:
     """One flow solve with dense output and optional variational blocks.
 
-    State layout: x (d), p (d), action integral of <p, xdot>, in 1D the
-    half-logarithmic phase integral of V'/(2V), then dpX and dpP row-major.
+    State layout: x (d), p (d), action integral of <p, xdot>, then dpX and
+    dpP row-major.
     """
 
     def __init__(self, model, tau, result, variational):
@@ -182,7 +147,6 @@ class Trajectory:
         self.p_start = self.sol(0.0)[d:2 * d]
         self.x_end, self.p_end = y_end[:d], y_end[d:2 * d]
         self.action_end = float(y_end[2 * d])
-        self.theta_end = float(y_end[2 * d + 1]) if d == 1 else None
         self.v_start = self.velocity(0.0)
         self.v_end = self.velocity(self.tau)
 
@@ -202,12 +166,6 @@ class Trajectory:
         d = self.dim
         return self.sol(t)[self._i_var: self._i_var + d * d].reshape(d, d)
 
-    def dp_p(self, t):
-        if not self.variational:
-            raise DomainError("trajectory was integrated without variational blocks")
-        d = self.dim
-        return self.sol(t)[self._i_var + d * d: self._i_var + 2 * d * d].reshape(d, d)
-
     def hamiltonian_sup(self):
         """sup |H| on a uniform 201-point grid, an energy-conservation diagnostic."""
         d = self.dim
@@ -224,7 +182,6 @@ class Trajectory:
 
 def _flow_rhs(model, variational):
     d = model.dim
-    has_theta = d == 1
     i_var = _var_index(d)
 
     def rhs(t, y):
@@ -233,14 +190,12 @@ def _flow_rhs(model, variational):
         p2 = float(p @ p)
         if p2 >= 1.0 - 1e-12:
             raise DomainError(f"{_BALL_EXIT} at t = {t}")
-        v, grad, hess = model.evaluate(x)
+        _, grad, hess = model.evaluate(x)
         w = math.sqrt(1.0 - p2)
         out = np.empty_like(y)
         out[:d] = p / w
         out[d:2 * d] = grad
         out[2 * d] = p2 / w
-        if has_theta:
-            out[2 * d + 1] = grad[0] / (2.0 * v)
         if variational:
             dpx = y[i_var:i_var + d * d].reshape(d, d)
             dpp = y[i_var + d * d:].reshape(d, d)
@@ -257,10 +212,15 @@ def integrate_flow(model, x0, p0, tau, opts=None, variational=True):
     opts = opts or OdeOpts()
     if tau <= 0.0:
         raise DomainError(f"flight time must be positive, got {tau}")
-    start = PhasePoint(np.asarray(x0, float), np.asarray(p0, float))
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
+    if x0.shape != p0.shape:
+        raise DomainError("position and momentum must have equal length")
+    if p0 @ p0 >= 1.0:
+        raise DomainError(f"phase point requires |p| < 1, got |p| = {np.linalg.norm(p0)}")
     sol = solve_ivp(_flow_rhs(model, variational), (0.0, float(tau)),
-                    _initial_state(start.x, start.p, variational),
-                    **opts.solver_kwargs())
+                    _initial_state(x0, p0, variational),
+                    dense_output=True, **opts.solver_kwargs())
     if not sol.success:
         raise NumericalError(f"flow integration failed: {sol.message}")
     return Trajectory(model, tau, sol, variational)
@@ -363,7 +323,7 @@ def _lane_rhs(model, taus):
         p = y[:, d:2 * d]
         p2 = np.vecdot(p, p)
         ball = p2 >= 1.0 - 1e-12
-        v, grad, hess, outside = model.evaluate_many(y[:, :d])
+        _, grad, hess, outside = model.evaluate_many(y[:, :d])
         why = None
         if ball.any() or outside.any():
             why = np.where(ball, LEFT_BALL, np.where(outside, LEFT_BOX, ""))
@@ -373,8 +333,6 @@ def _lane_rhs(model, taus):
         out[:, :d] = p / w[:, None]
         out[:, d:2 * d] = grad
         out[:, 2 * d] = p2 / w
-        if d == 1:
-            out[:, 3] = grad[:, 0] / (2.0 * v)
         hpp = eye / w[:, None, None] + p[:, :, None] * p[:, None, :] / (w**3)[:, None, None]
         out[:, i_var:i_var + dd] = (hpp @ y[:, i_var + dd:].reshape(-1, d, d)).reshape(-1, dd)
         out[:, i_var + dd:] = (hess @ y[:, i_var:i_var + dd].reshape(-1, d, d)).reshape(-1, dd)

@@ -26,7 +26,7 @@ from scipy.integrate import quad
 from .clifford import DomainError, negate_rep
 from .geoflow import NumericalError, shoot_geodesic
 from .potential import constant_model, negated
-from .transport import rotation_1d, solve_spinor_transport, transport_matrix
+from .transport import solve_spinor_transport, transport_matrix
 
 _BESSEL_ORDERS = (0.0, 0.5, 1.0, 1.5)
 
@@ -133,33 +133,42 @@ class KernelEstimate:
     left_identity_residual: float
 
 
-def _assemble(model, rep, geo, h, u_matrix, dep):
-    """Scalar prefactor times projected amplitude, with U(tau) and dep = det exp'."""
+def _det_exp_prime(geo):
+    """det exp' of the connection; the exponential map of a line is an isometry, so 1 in 1D."""
+    return 1.0 if geo.det_exp_prime is None else geo.det_exp_prime
+
+
+def _assemble(model, rep, geo, h, u_matrix):
+    """Scalar prefactor times projected amplitude, with U(tau) the transport."""
     dim, agmon = model.dim, geo.agmon
     v_x, v_y = model.value(geo.x_star), model.value(geo.y_star)
     amplitude, left_res = transport_matrix(model, rep, geo, u_matrix)
     conf = ((1.0 - v_x * v_x) ** ((dim - 2) / 4.0)
             * (1.0 - v_y * v_y) ** ((dim - 2) / 4.0))
     tail = (2.0 * math.pi * agmon / h) ** (-(dim - 1) / 2.0)
-    pref = conf / math.sqrt(dep) * math.exp(-agmon / h) * tail / h ** dim
+    pref = conf / math.sqrt(_det_exp_prime(geo)) * math.exp(-agmon / h) * tail / h ** dim
     return KernelEstimate(matrix=pref * amplitude, h=float(h), agmon=agmon,
                           prefactor=pref, amplitude=amplitude,
                           left_identity_residual=left_res)
 
 
 def leading_kernel_multid(model, rep, geo, h, transport=None, opts=None):
-    """Assemble the leading kernel at a solved connection, d >= 2."""
-    if model.dim < 2 or rep.dim != model.dim:
-        raise DomainError("multi-d assembly needs matching dimension >= 2")
+    """Assemble the leading kernel at a solved connection, in any dimension."""
+    if rep.dim != model.dim:
+        raise DomainError("the assembly needs a representation of the model's dimension")
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
     if transport is None:
         transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
-    return _assemble(model, rep, geo, h, transport.u_matrix, geo.det_exp_prime)
+    return _assemble(model, rep, geo, h, transport.u_matrix)
 
 
 def leading_kernel_1d(model, rep, x, y, h, geo=None, opts=None, shoot_opts=None):
-    """Leading kernel in 1D, with the transport in rotation closed form."""
+    """Leading kernel in 1D between scalar endpoints, assembled as in any dimension.
+
+    Calls _assemble directly rather than leading_kernel_multid, so that a
+    tracer wrapping both names never times one kernel twice.
+    """
     if model.dim != 1 or rep.dim != 1:
         raise DomainError("leading_kernel_1d needs a 1D model and representation")
     if h <= 0.0:
@@ -167,7 +176,8 @@ def leading_kernel_1d(model, rep, x, y, h, geo=None, opts=None, shoot_opts=None)
     if geo is None:
         geo = shoot_geodesic(model, np.atleast_1d(float(y)), np.atleast_1d(float(x)),
                              opts, shoot_opts)
-    return _assemble(model, rep, geo, h, rotation_1d(rep, geo.trajectory.theta_end), 1.0)
+    transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
+    return _assemble(model, rep, geo, h, transport.u_matrix)
 
 
 def positive_potential_kernel(model, rep, x, y, h, opts=None, shoot_opts=None):
@@ -182,13 +192,8 @@ def positive_potential_kernel(model, rep, x, y, h, opts=None, shoot_opts=None):
     if model.value(y) <= 0.0 or model.value(x) <= 0.0:
         raise DomainError("positive_potential_kernel expects V > 0 at the endpoints")
     neg_model = negated(model)
-    neg_rep = negate_rep(rep)
-    if model.dim == 1:
-        est = leading_kernel_1d(neg_model, neg_rep, x[0], y[0], h,
-                                opts=opts, shoot_opts=shoot_opts)
-    else:
-        geo = shoot_geodesic(neg_model, y, x, opts, shoot_opts)
-        est = leading_kernel_multid(neg_model, neg_rep, geo, h, opts=opts)
+    geo = shoot_geodesic(neg_model, y, x, opts, shoot_opts)
+    est = leading_kernel_multid(neg_model, negate_rep(rep), geo, h, opts=opts)
     return replace(est, matrix=-est.matrix, amplitude=-est.amplitude)
 
 
@@ -237,29 +242,27 @@ def exact_sweep(model, rep, x, y, h_list, exact, opts=None, shoot_opts=None):
     scalar_ratio of the reference exact(h) on the leading kernel, and
     |R - 1| is fitted with a log-log line whose slope estimates the order
     of the first correction (0 when undefined, e.g. for a single h).
+    A leading kernel that underflows to zero raises before exact(h) runs.
     """
-    d = rep.dim
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     geo = shoot_geodesic(model, y, x, opts, shoot_opts)
-    transport = None
-    if d >= 2:
-        transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
+    transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
 
     ratios, deviations, estimates, references = [], [], [], []
     for h in h_list:
-        if d == 1:
-            lead = leading_kernel_1d(model, rep, x[0], y[0], h, geo=geo)
-        else:
-            lead = leading_kernel_multid(model, rep, geo, h, transport=transport)
+        lead = leading_kernel_multid(model, rep, geo, h, transport=transport)
+        if not lead.matrix.any():
+            raise NumericalError(
+                f"leading kernel underflows to zero at h = {h:.3e}: d_A/h = "
+                f"{geo.agmon / h:.3e} puts e^(-d_A/h) below the float range")
         references.append(exact(h))
         ratio = scalar_ratio(lead.matrix, references[-1])
         ratios.append(ratio)
         deviations.append(abs(ratio - 1.0))
         estimates.append(lead)
 
-    return RatioSweep(agmon=geo.agmon,
-                      det_exp_prime=1.0 if d == 1 else geo.det_exp_prime,
+    return RatioSweep(agmon=geo.agmon, det_exp_prime=_det_exp_prime(geo),
                       h_list=tuple(h_list), ratios=tuple(ratios),
                       deviations=tuple(deviations), estimates=tuple(estimates),
                       references=tuple(references), slope=loglog_slope(h_list, deviations))

@@ -79,7 +79,7 @@ def decaying_solution(model, side, points, h, anchor=None, opts=None):
 
     w0 = tail[1] / tail[0]
     res = solve_ivp(rhs, (anchor, target), [w0.real, 0.0, w0.imag, 0.0],
-                    **(opts or OdeOpts()).solver_kwargs())
+                    dense_output=True, **(opts or OdeOpts()).solver_kwargs())
     if not res.success:
         raise NumericalError(f"decaying-solution integration failed: {res.message}")
     w_max = float(np.max(np.hypot(res.y[0], res.y[2])))

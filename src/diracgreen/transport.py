@@ -4,9 +4,9 @@ The amplitude of the leading kernel carries a unitary factor solving
 
     U'(t) = -(i/2) (alpha . grad V)(gamma(t)) / V(gamma(t)) U(t),   U(0) = 1,
 
-along the connecting orbit gamma.  The generator is anti-hermitian, so U
-stays unitary up to integrator error; we monitor the defect and only fall
-back to a polar projection when it exceeds a reporting threshold.
+along the connecting orbit gamma, in every dimension.  The generator is
+anti-hermitian, so U stays unitary up to integrator error; a defect above
+1e-9 is a solver failure and raises.
 
 In 1D the generator is proportional to the single alpha matrix and the
 solution collapses to a rotation by the half-log phase
@@ -14,7 +14,9 @@ solution collapses to a rotation by the half-log phase
     theta = int V'(gamma)/(2 V(gamma)) dt,
 
 which has the closed form (arcsin V(left end) - arcsin V(right end)) / 2,
-independent of traversal direction.
+independent of traversal direction.  theta_1d and rotation_1d give that
+closed form; they serve as references for the transported U, not as a
+second route to it.
 """
 
 from __future__ import annotations
@@ -28,19 +30,20 @@ from scipy.integrate import solve_ivp
 from .clifford import DomainError, projector
 from .geoflow import NumericalError, OdeOpts
 
+_UNITARITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TransportResult:
     u_matrix: np.ndarray
     unitarity_defect: float
-    projected: bool
 
 
-def solve_spinor_transport(model, rep, traj, opts=None, project_tol=1e-9):
+def solve_spinor_transport(model, rep, traj, opts=None):
     """Integrate the transport equation along a trajectory, returning U(tau).
 
-    unitarity_defect is the Frobenius norm of U*U - 1 before any repair;
-    a polar projection is applied only when it exceeds project_tol.
+    unitarity_defect is the Frobenius norm of U*U - 1; above 1e-9 the
+    solve raises NumericalError.
     """
     opts = (opts or OdeOpts()).tightened()
     n = rep.dstar
@@ -59,14 +62,10 @@ def solve_spinor_transport(model, rep, traj, opts=None, project_tol=1e-9):
     u_end = sol.y[:, -1].reshape(n, n)
 
     defect = float(np.linalg.norm(u_end.conj().T @ u_end - np.eye(n)))
-    projected = False
-    if defect > project_tol:
-        # polar factor: closest unitary in Frobenius norm
-        w, _, vh = np.linalg.svd(u_end)
-        u_end = w @ vh
-        projected = True
-
-    return TransportResult(u_matrix=u_end, unitarity_defect=defect, projected=projected)
+    if defect > _UNITARITY_TOL:
+        raise NumericalError(f"spinor transport lost unitarity: |U*U - 1| = {defect:.3e} "
+                             f"above {_UNITARITY_TOL:.0e}")
+    return TransportResult(u_matrix=u_end, unitarity_defect=defect)
 
 
 def theta_1d(model, a, b):

@@ -1,6 +1,10 @@
 """End-to-end command line behaviour: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +327,8 @@ def bump_2d(**params):
                        potential={"kind": "tanh_step",
                                   "params": {"base": -0.5, "amp": 0.2, "center": False}}),
     lambda c: c.update(ode={"max_step": 0.5}),                             # not an option
+    lambda c: c.update(potential=dict(c["potential"], box_half=1e308),     # |x - y| overflows
+                       x_star=[1e308, 0.1], y_star=[-1e308, 0.0]),
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))
@@ -330,6 +336,21 @@ def test_config_rejection_paths(tmp_path, mutate, capsys):
     code, _ = run_to_file(tmp_path, "geodesic", cfg)
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("h_list", ["0.2,1e-6", "0.2,1e-100"])
+def test_validate1d_underflowing_kernel_exits_3(tmp_path, h_list):
+    """Where e^(-d_A/h) underflows, validate1d names d_A/h and exits 3 before the oracle runs."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracgreen.cli", "validate1d", "--config",
+         write_config(tmp_path, BUMP_1D), "--h-list", h_list],
+        capture_output=True, text=True, timeout=15, env=env)
+    assert proc.returncode == 3
+    assert "d_A/h" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_shooting_failure_tallies_start_outcomes(tmp_path, capsys):

@@ -9,17 +9,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from diracgreen import geoflow
 from diracgreen.clifford import DomainError
 from diracgreen.geoflow import (CONVERGED, LEFT_BOX, ConjugatePointError, OdeOpts,
-                                PhasePoint, ShootOpts, ShootingError, _dop853_lanes,
-                                _fan_starts, _newton, agmon_distance_quadrature_1d,
+                                ShootOpts, ShootingError, _dop853_lanes, _fan_starts,
+                                _newton, _var_index, agmon_distance_quadrature_1d,
                                 bordered_determinant, det_exp_prime,
                                 exp_inverse_from_geodesic, exp_map_oracle,
-                                exp_prime_fd, figuratrix_momentum,
-                                hamiltonian, integrate_flow, shoot_geodesic)
+                                exp_prime_fd, integrate_flow, shoot_geodesic)
 from diracgreen.potential import make_potential
 
 BUMP = {"base": -0.6, "depth": 0.3, "radius": 2.0}
@@ -36,22 +35,13 @@ def bump_model(dim):
 
 # ---------------------------------------------------------------- flow basics
 
-def test_hamiltonian_and_figuratrix():
-    m = constant_model(2)
-    p = figuratrix_momentum(m, [0.0, 0.0], [3.0, 4.0])
-    assert np.linalg.norm(p) == pytest.approx(0.8, abs=1e-15)
-    assert hamiltonian(m, [0.0, 0.0], p) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(DomainError):
-        figuratrix_momentum(m, [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(DomainError):
-        hamiltonian(m, [0.0, 0.0], [0.8, 0.6])  # |p| = 1
-
-
 def test_phase_point_validation():
-    with pytest.raises(DomainError):
-        PhasePoint(np.zeros(2), np.array([1.0, 0.5]))
-    with pytest.raises(DomainError):
-        PhasePoint(np.zeros(2), np.zeros(3))
+    """The flow refuses a start with |p| >= 1 or with x and p of unequal length."""
+    m = constant_model(2)
+    with pytest.raises(DomainError, match=r"phase point requires \|p\| < 1"):
+        integrate_flow(m, np.zeros(2), np.array([1.0, 0.5]), 0.3)
+    with pytest.raises(DomainError, match="position and momentum must have equal length"):
+        integrate_flow(m, np.zeros(2), np.zeros(3), 0.3)
 
 
 def test_flow_rejects_nonpositive_time():
@@ -87,7 +77,8 @@ def test_constant_flow_variational_blocks():
     dpx = traj.dp_x(0.75)
     np.testing.assert_allclose(np.diag(dpx), [125.0 / 36.0, 1.25, 1.25], rtol=1e-12)
     assert np.max(np.abs(dpx - np.diag(np.diag(dpx)))) <= 1e-12
-    np.testing.assert_allclose(traj.dp_p(0.75), np.eye(3), atol=1e-12)
+    dpp = traj.sol(0.75)[_var_index(3) + 9:].reshape(3, 3)
+    np.testing.assert_allclose(dpp, np.eye(3), atol=1e-12)
 
 
 def test_trajectory_accessor_guards():
@@ -95,7 +86,6 @@ def test_trajectory_accessor_guards():
     traj = integrate_flow(m, [0.0, 0.0], [0.5, 0.0], 0.3, variational=False)
     with pytest.raises(DomainError):
         traj.dp_x(0.1)
-    assert traj.theta_end is None   # phase integral exists in 1D only
 
 
 def test_energy_diagnostic_keeps_the_domain_checks():
@@ -197,11 +187,17 @@ def test_agmon_distance_tanh_frozen():
 
 
 def test_phase_integral_closed_form_1d():
-    # theta(tau) = (asin V(y) - asin V(x))/2 whenever H = 0 along the orbit
+    # theta = int V'/(2V) dt along the orbit is (asin V(y) - asin V(x))/2 whenever H = 0
     m = make_potential(1, "tanh_step", {"base": -0.5, "amp": 0.2})
-    geo = shoot_geodesic(m, [-1.0], [1.0])
+    traj = shoot_geodesic(m, [-1.0], [1.0]).trajectory
+
+    def integrand(t):
+        v, grad, _ = m.evaluate(traj.position(t))
+        return grad[0] / (2.0 * v)
+
+    theta, _ = quad(integrand, 0.0, traj.tau, epsabs=1e-13, epsrel=1e-12, limit=200)
     expected = 0.5 * (math.asin(m.value([-1.0])) - math.asin(m.value([1.0])))
-    assert geo.trajectory.theta_end == pytest.approx(expected, abs=1e-10)
+    assert theta == pytest.approx(expected, abs=1e-10)
 
 
 # ------------------------------------------------------------ lock-step fan

@@ -29,6 +29,7 @@ from diracgreen.kernel import (KernelEstimate, bessel_K, bessel_K_oracle,
                                loglog_slope, positive_potential_kernel,
                                ratio_sweep, scalar_ratio)
 from diracgreen.potential import make_potential
+from diracgreen.transport import rotation_1d, theta_1d, transport_matrix
 
 RHO_GRID = (0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0, 10.0, 25.0, 50.0)
 K_HALF_AT_2 = 0.11993777196806145   # sqrt(pi/4) e^(-2)
@@ -158,11 +159,16 @@ def test_leading_kernel_constant_amplitude():
 
 
 def test_leading_kernel_1d_rotation_route():
+    """The 1D kernel, built from the transported U, matches the closed-form rotation route."""
     m = make_potential(1, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
     rep = build_dirac_rep(1)
     est = leading_kernel_1d(m, rep, 1.0, -1.0, 0.1)
     assert isinstance(est, KernelEstimate)
     assert est.left_identity_residual <= 1e-9
+    geo = shoot_geodesic(m, [-1.0], [1.0])
+    closed, _ = transport_matrix(m, rep, geo, rotation_1d(rep, theta_1d(m, -1.0, 1.0)))
+    assert np.linalg.norm(est.amplitude - closed) <= 1e-12 * np.linalg.norm(closed)
+    assert leading_kernel_multid(m, rep, geo, 0.1).prefactor == est.prefactor
     with pytest.raises(DomainError):
         leading_kernel_1d(make_potential(2, "bump_well",
                                          {"base": -0.6, "depth": 0.3, "radius": 2.0}),

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from diracgreen import transport
 from diracgreen.clifford import (SIGMA_1, SIGMA_3, DomainError,
                                  build_dirac_rep, negate_rep, projector)
-from diracgreen.geoflow import shoot_geodesic
+from diracgreen.geoflow import NumericalError, shoot_geodesic
 from diracgreen.potential import make_potential
 from diracgreen.transport import (rotation_1d, solve_spinor_transport,
                                   theta_1d, transport_matrix)
@@ -30,7 +31,6 @@ def test_transport_is_identity_for_constant_potential():
     res = solve_spinor_transport(m, rep, geo.trajectory)
     np.testing.assert_allclose(res.u_matrix, np.eye(2), atol=1e-12)
     assert res.unitarity_defect <= 1e-12
-    assert not res.projected
 
 
 @pytest.mark.parametrize("dim,y,x", [
@@ -44,18 +44,20 @@ def test_transport_unitarity_before_projection(dim, y, x):
     geo = shoot(m, y, x)
     res = solve_spinor_transport(m, rep, geo.trajectory)
     assert res.unitarity_defect <= 1e-9
-    assert not res.projected
     eye = np.eye(rep.dstar)
     assert np.linalg.norm(res.u_matrix.conj().T @ res.u_matrix - eye) <= 1e-9
 
 
-def test_forced_polar_projection_restores_unitarity():
+def test_transport_unitarity_defect_raises(monkeypatch):
+    """A defect above the tolerance is a solver failure, not something to repair."""
     m = make_potential(1, "bump_well", BUMP)
     rep = build_dirac_rep(1)
     geo = shoot(m, [-1.0], [1.0])
-    res = solve_spinor_transport(m, rep, geo.trajectory, project_tol=0.0)
-    assert res.projected
-    assert np.linalg.norm(res.u_matrix.conj().T @ res.u_matrix - np.eye(2)) <= 1e-13
+    defect = solve_spinor_transport(m, rep, geo.trajectory).unitarity_defect
+    assert 0.0 < defect <= 1e-9
+    monkeypatch.setattr(transport, "_UNITARITY_TOL", defect / 2.0)
+    with pytest.raises(NumericalError, match="spinor transport lost unitarity"):
+        solve_spinor_transport(m, rep, geo.trajectory)
 
 
 def test_theta_closed_form_frozen_value():
@@ -72,17 +74,17 @@ def test_transported_theta_matches_closed_form():
     geo = shoot(m, [-1.0], [1.0])
     rep = build_dirac_rep(1)
     res = solve_spinor_transport(m, rep, geo.trajectory)
-    theta = geo.trajectory.theta_end
-    assert theta == pytest.approx(theta_1d(m, -1.0, 1.0), abs=1e-11)
-    u_closed = rotation_1d(rep, theta)
-    assert np.linalg.norm(res.u_matrix - u_closed) <= 1e-9
+    u_closed = rotation_1d(rep, theta_1d(m, -1.0, 1.0))
+    assert np.linalg.norm(res.u_matrix - u_closed) <= 1e-11
 
 
 def test_theta_reversal_invariance_through_flow():
+    """The transport, like theta_1d, does not depend on the traversal direction."""
     m = make_potential(1, "tanh_step", TANH)
-    fwd = shoot(m, [-1.0], [1.0])
-    rev = shoot(m, [1.0], [-1.0])
-    assert fwd.trajectory.theta_end == pytest.approx(rev.trajectory.theta_end, abs=1e-11)
+    rep = build_dirac_rep(1)
+    u_fwd, u_rev = (solve_spinor_transport(m, rep, shoot(m, y, x).trajectory).u_matrix
+                    for y, x in (([-1.0], [1.0]), ([1.0], [-1.0])))
+    assert np.linalg.norm(u_fwd - u_rev) <= 1e-11
 
 
 def test_rotation_closed_form_shape_guard():
@@ -160,5 +162,5 @@ def test_transport_accepts_negated_representation():
     geo = shoot(m, [-1.0], [1.0])
     res = solve_spinor_transport(m, rep, geo.trajectory)
     assert res.unitarity_defect <= 1e-9
-    u_closed = rotation_1d(rep, geo.trajectory.theta_end)
+    u_closed = rotation_1d(rep, theta_1d(m, -1.0, 1.0))
     assert np.linalg.norm(res.u_matrix - u_closed) <= 1e-9
