@@ -45,7 +45,7 @@ from .kernel import (
     exact_sweep,
     ratio_sweep,
 )
-from .oracle1d import decaying_solution, exact_green_kernel_1d
+from .oracle1d import decaying_solution, exact_green_kernel_1d, exact_green_kernel_pair_1d
 from .bmt import SpinTransportResult, build_W, left_factor, solve_bmt_spin, equivalence_check
 
 __version__ = "0.1.0"

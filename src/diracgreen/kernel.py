@@ -197,16 +197,30 @@ def positive_potential_kernel(model, rep, x, y, h, opts=None, shoot_opts=None):
     return replace(est, matrix=-est.matrix, amplitude=-est.amplitude)
 
 
+def unit_scale(m):
+    """The power of two that brings the largest entry of m into [0.5, 1).
+
+    Scaling by it is exact, so a quotient of norms or inner products of
+    scaled operands equals the unscaled one bit for bit, and the squares
+    inside a norm neither underflow (a kernel of 1e-211) nor overflow.
+    """
+    exponent = math.frexp(float(np.max(np.abs(m))))[1]
+    return math.ldexp(1.0, -max(exponent, -1021))
+
+
 def scalar_ratio(lead, ref):
     """Frobenius projection R = <lead, ref> / <lead, lead> of ref on lead.
 
-    Raises NumericalError when lead is zero or under 1e-14 |ref| (underflow).
+    Both operands are scaled by unit_scale(lead) first.  Raises
+    NumericalError when lead is zero or under 1e-14 |ref| (underflow).
     """
+    s = unit_scale(lead)
+    lead, ref = s * lead, s * ref
     norm2 = float(np.vdot(lead, lead).real)
     lead_norm, ref_norm = math.sqrt(norm2), float(np.linalg.norm(ref))
     if lead_norm == 0.0 or lead_norm < 1e-14 * ref_norm:
-        raise NumericalError(f"degenerate leading kernel: norm {lead_norm:.3e} against a "
-                             f"reference of norm {ref_norm:.3e}, no scalar ratio")
+        raise NumericalError(f"degenerate leading kernel: norm {lead_norm / s:.3e} against a "
+                             f"reference of norm {ref_norm / s:.3e}, no scalar ratio")
     return complex(np.vdot(lead, ref)) / norm2
 
 

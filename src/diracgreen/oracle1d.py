@@ -15,10 +15,11 @@ marched in the Riccati variables w = u2/u1 and L = log u1,
     w' = (i/h) ((V - 1) w^2 - (V + 1)),    L' = -(i/h) (V - 1) w,
 
 where all growth sits in Re L: one solve_ivp call per side spans the whole
-march with no rescaling.  The u1 chart holds: w starts on the imaginary
-axis, which the flow keeps, and there r = |w| obeys dr/dsigma =
-((1 + V) - (1 - V) r^2)/h in the march direction sigma, a rate of
-2V/h < 0 at r = 1 for V in the gap (-1, 0), so |w| < 1 throughout.
+march with no rescaling, and one such pair serves both G(x, y) and
+G(y, x).  The u1 chart holds: w starts on the imaginary axis, which the
+flow keeps, and there r = |w| obeys dr/dsigma = ((1 + V) - (1 - V) r^2)/h
+in the march direction sigma, a rate of 2V/h < 0 at r = 1 for V in the
+gap (-1, 0), so |w| < 1 throughout.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ def decaying_solution(model, side, points, h, anchor=None, opts=None):
     "right" decays as s -> +inf and is marched leftward from its anchor (its
     growing, numerically stable direction); side = "left" mirrors this.  One
     Riccati march runs from the anchor to the farthest point and reads each
-    point from its dense output as tail[0] e^{i Im L} (1, w) with log_scale
-    Re L; points at or beyond the anchor take the exact exponential tail.
+    point, through t_eval, as tail[0] e^{i Im L} (1, w) with log_scale Re L;
+    points at or beyond the anchor take the exact exponential tail.  A march
+    whose |w| reaches 1 at an accepted step has left the u1 chart and raises.
     """
     if model.dim != 1:
         raise DomainError("the exact solver is 1D only")
@@ -68,54 +70,93 @@ def decaying_solution(model, side, points, h, anchor=None, opts=None):
     pending = [i for i, val in enumerate(out) if val is None]
     if not pending:
         return out
-    target = sign * max(sign * points[i] for i in pending)
+    # the march visits the distinct pending points in its own direction and
+    # stays in [anchor, farthest point], so one box check covers every RHS call
+    t_eval = sorted({points[i] for i in pending}, key=lambda s: sign * s)
+    for s in t_eval:
+        if not abs(s) <= model.box_half:
+            raise DomainError(f"point {s} outside the domain box [+-{model.box_half}]^1")
+
+    v_at, ih = model.line_value(), 1j / h
 
     def rhs(t, y):
-        w, log_u1 = y[:2] + 1j * y[2:]
-        v = model.value(np.array([t]))
-        dz = np.array([(1j / h) * ((v - 1.0) * w * w - (v + 1.0)),
-                       (-1j / h) * (v - 1.0) * w])
-        return np.concatenate([dz.real, dz.imag])
+        wr, _, wi, _ = y.tolist()
+        w, v = wr + 1j * wi, v_at(t)
+        dw = ih * ((v - 1.0) * w * w - (v + 1.0))
+        dl = -ih * (v - 1.0) * w
+        return [dw.real, dl.real, dw.imag, dl.imag]
 
+    peak = 0.0    # max |w| over the march's accepted steps, until one reaches 1
+
+    def chart(t, y):
+        # scipy calls this at the start, at each accepted step, and on the
+        # interpolant only once a step has crossed, so peak stops there
+        nonlocal peak
+        r = math.hypot(y[0], y[2])
+        if peak < 1.0:
+            peak = max(peak, r)
+        return 1.0 - r
+
+    chart.terminal = True
     w0 = tail[1] / tail[0]
-    res = solve_ivp(rhs, (anchor, target), [w0.real, 0.0, w0.imag, 0.0],
-                    dense_output=True, **(opts or OdeOpts()).solver_kwargs())
+    res = solve_ivp(rhs, (anchor, t_eval[-1]), [w0.real, 0.0, w0.imag, 0.0],
+                    t_eval=t_eval, events=chart, **(opts or OdeOpts()).solver_kwargs())
     if not res.success:
         raise NumericalError(f"decaying-solution integration failed: {res.message}")
-    w_max = float(np.max(np.hypot(res.y[0], res.y[2])))
-    if w_max >= 1.0:
-        raise NumericalError(f"Riccati march left the u1 chart: max |u2/u1| = {w_max:.3e}")
+    if peak >= 1.0:
+        raise NumericalError(f"Riccati march left the u1 chart: max |u2/u1| = {peak:.3e}")
+    column = {s: j for j, s in enumerate(t_eval)}
     for i in pending:
-        z = res.sol(points[i])
+        z = res.y[:, column[points[i]]]
         w, log_u1 = z[:2] + 1j * z[2:]
         out[i] = (tail[0] * np.exp(1j * log_u1.imag) * np.array([1.0, w]), log_u1.real)
     return out
 
 
-def exact_green_kernel_1d(model, x, y, h, opts=None):
-    """Exact kernel G(x, y; h) of the 1D operator, x != y.
+def _glue(sols, points, src, h):
+    """G(points[1 - src], points[src]) from the two marches' solutions at both points.
 
-    Matches the two recessive solutions at the source point y and applies
-    the jump (i/h) sigma_1.  Raises when the matching system is
-    ill-conditioned (the solutions nearly parallel at y).
+    Matches the two recessive solutions at the source point and applies the
+    jump (i/h) sigma_1.  Raises when the matching system is ill-conditioned
+    (the solutions nearly parallel at the source point).
     """
-    x = float(np.atleast_1d(x)[0]) if np.ndim(x) else float(x)
-    y = float(np.atleast_1d(y)[0]) if np.ndim(y) else float(y)
-    if x == y:
-        raise DomainError("the kernel diverges on the diagonal; x and y must differ")
-    # both marches are asked for both points, so each runs to the farther one
-    # even where only y is read: the span depends on min(x, y) and max(x, y)
-    # alone, so a kernel and its reverse integrate the same march
-    sols = [decaying_solution(model, side, (y, x), h, opts=opts)
-            for side in ("right", "left")]
+    dst = 1 - src
     # the returned vectors have norms between 0.7 and 1.5, so they match as they are
-    basis = np.column_stack([sols[0][0][0], -sols[1][0][0]])
+    basis = np.column_stack([sols[0][src][0], -sols[1][src][0]])
     cond = float(np.linalg.cond(basis))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericalError(
             f"matching system ill-conditioned at the source point: cond = {cond:.3e}")
     rows = np.linalg.solve(basis, (1j / h) * SIGMA_1)
 
-    k = 0 if x > y else 1   # the solution recessive on x's side of y
-    (_, log_y), (vec_x, log_x) = sols[k]
-    return np.outer(vec_x, rows[k]) * math.exp(log_x - log_y)
+    k = 0 if points[dst] > points[src] else 1   # the solution recessive on dst's side
+    (_, log_src), (vec_dst, log_dst) = sols[k][src], sols[k][dst]
+    return np.outer(vec_dst, rows[k]) * math.exp(log_dst - log_src)
+
+
+def _marches(model, x, y, h, opts):
+    """Both recessive solutions at (y, x), for x != y."""
+    x = float(np.atleast_1d(x)[0]) if np.ndim(x) else float(x)
+    y = float(np.atleast_1d(y)[0]) if np.ndim(y) else float(y)
+    if x == y:
+        raise DomainError("the kernel diverges on the diagonal; x and y must differ")
+    # each march runs to the farther of the two points, so the pair depends
+    # on min(x, y) and max(x, y) alone: it serves G(x, y) and G(y, x)
+    points = (y, x)
+    return [decaying_solution(model, side, points, h, opts=opts)
+            for side in ("right", "left")], points
+
+
+def exact_green_kernel_1d(model, x, y, h, opts=None):
+    """Exact kernel G(x, y; h) of the 1D operator, x != y, glued at the source point y."""
+    sols, points = _marches(model, x, y, h, opts)
+    return _glue(sols, points, 0, h)
+
+
+def exact_green_kernel_pair_1d(model, x, y, h, opts=None):
+    """(G(x, y; h), G(y, x; h)) from one pair of marches, glued at y and at x.
+
+    Each kernel equals exact_green_kernel_1d's bit for bit.
+    """
+    sols, points = _marches(model, x, y, h, opts)
+    return _glue(sols, points, 0, h), _glue(sols, points, 1, h)

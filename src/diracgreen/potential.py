@@ -133,6 +133,22 @@ class PotentialModel:
     def value(self, x):
         return self._eval(x)[0]
 
+    def line_value(self):
+        """V of a 1D model as a float function of s, for a hot loop.
+
+        It does value's float operations on s, without the shape and box
+        checks: the caller keeps s inside the box.
+        """
+        if self.dim != 1:
+            raise DomainError("line_value is for 1D models")
+        if self._profile is None:
+            v = self.params["value"]
+            return lambda s: v
+        profile, c = self._profile, float(np.ravel(self._center)[0])
+        if self._radial:
+            return lambda s: profile((s - c) * (s - c))[2]
+        return lambda s: profile(s - c)[2]
+
     def evaluate(self, x):
         """Return (V, grad V, Hess V) at x."""
         return self._eval(x)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from diracgreen import cli
+from diracgreen import cli, oracle1d
 from diracgreen.clifford import build_dirac_rep
 from diracgreen.kernel import constant_V_exact
 
@@ -208,6 +209,32 @@ def test_validate1d_requires_dimension_one(tmp_path):
     assert code == 2
 
 
+TANH_1D = dict(BUMP_1D, potential={"kind": "tanh_step", "params": {"base": -0.6, "amp": 0.3}})
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name,config", [("tanh", TANH_1D), ("bump", BUMP_1D)])
+def test_validate1d_matches_its_golden_artifact(tmp_path, name, config):
+    """The steep tanh and the bump at h = 0.2, 0.025, byte for byte."""
+    code, text = run_to_file(tmp_path, "validate1d", config, extra=("--h-list", "0.2,0.025"))
+    assert code == 0
+    assert text == (DATA / f"validate1d_{name}.csv").read_text()
+
+
+def test_validate1d_marches_once_per_side_per_h(tmp_path, monkeypatch):
+    """G(y, x) for the adjoint check is glued from the last h's marches, not marched again."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(oracle1d, "solve_ivp", counting)
+    code, _ = run_to_file(tmp_path, "validate1d", BUMP_1D)
+    assert code == 0
+    assert len(calls) == 2 * len(BUMP_1D["h_list"])
+
+
 # ------------------------------------------------------------------- constant
 
 def test_constant_rows_match_library(tmp_path):
@@ -338,19 +365,39 @@ def test_config_rejection_paths(tmp_path, mutate, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("h_list", ["0.2,1e-6", "0.2,1e-100"])
 def test_validate1d_underflowing_kernel_exits_3(tmp_path, h_list):
     """Where e^(-d_A/h) underflows, validate1d names d_A/h and exits 3 before the oracle runs."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "diracgreen.cli", "validate1d", "--config",
          write_config(tmp_path, BUMP_1D), "--h-list", h_list],
-        capture_output=True, text=True, timeout=15, env=env)
+        capture_output=True, text=True, timeout=15, env=_src_env())
     assert proc.returncode == 3
     assert "d_A/h" in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("h_list", ["0.2,0.002", "0.2,0.0015"])
+def test_validate1d_tiny_kernel_keeps_its_ratio(tmp_path, h_list):
+    """A kernel near 1e-211 or 1e-281 is not zero: the norms are taken after an exact rescale."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracgreen.cli", "validate1d", "--config",
+         write_config(tmp_path, BUMP_1D), "--h-list", h_list],
+        capture_output=True, text=True, timeout=60, env=_src_env())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    lines = proc.stdout.strip().split("\n")
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:3]]
+    footer = [float(line.split("=")[1]) for line in lines[3:]]
+    assert len(footer) == 2 and np.all(np.isfinite(rows)) and np.all(np.isfinite(footer))
+    assert abs(rows[1][2] - 1.0) < 1e-2     # ratio_re at the small h
 
 
 def test_shooting_failure_tallies_start_outcomes(tmp_path, capsys):

@@ -10,7 +10,8 @@ from diracgreen import oracle1d
 from diracgreen.clifford import SIGMA_1, DomainError, build_dirac_rep
 from diracgreen.geoflow import NumericalError, shoot_geodesic
 from diracgreen.kernel import constant_V_exact
-from diracgreen.oracle1d import decaying_solution, exact_green_kernel_1d
+from diracgreen.oracle1d import (decaying_solution, exact_green_kernel_1d,
+                                 exact_green_kernel_pair_1d)
 from diracgreen.potential import make_potential
 
 BUMP = {"base": -0.6, "depth": 0.3, "radius": 2.0}
@@ -123,6 +124,25 @@ def test_analytic_tail_beyond_anchor(monkeypatch):
                                rtol=1e-15)
 
 
+PAIR_MODELS = {
+    "bump": ("bump_well", BUMP, 1.0, -1.0),
+    "tanh": ("tanh_step", {"base": -0.6, "amp": 0.3}, 1.0, -1.0),
+    "cosine": ("cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}, 1.3, -1.0),
+    "constant": ("constant", {"value": -0.6}, 0.5, -0.5),
+}
+
+
+@pytest.mark.parametrize("h", [0.2, 0.025])
+@pytest.mark.parametrize("name", list(PAIR_MODELS))
+def test_kernel_pair_equals_two_separate_kernels(name, h):
+    """G(x, y) and G(y, x) glued from one pair of marches, bit for bit."""
+    kind, params, x, y = PAIR_MODELS[name]
+    m = make_potential(1, kind, params)
+    fwd, rev = exact_green_kernel_pair_1d(m, x, y, h)
+    assert np.array_equal(fwd, exact_green_kernel_1d(m, x, y, h))
+    assert np.array_equal(rev, exact_green_kernel_1d(m, y, x, h))
+
+
 def test_one_march_per_side(monkeypatch):
     """Each side is one solve_ivp call from its anchor (edge 2.5) to the farther point."""
     calls = []
@@ -167,15 +187,31 @@ def test_riccati_ratio_stays_below_its_bound(kind, params, side):
 
 
 def test_march_leaving_the_chart_is_a_numerical_failure(monkeypatch):
-    """A solve whose |u2/u1| reaches 1 is refused, not read."""
-    def inflated(*args, **kwargs):
-        res = solve_ivp(*args, **kwargs)
-        res.y[2] *= 3.0     # Im w: 0.5 on the bump's tail becomes 1.5
-        return res
+    """A march whose |u2/u1| reaches 1 at an accepted step is stopped there and refused.
 
-    monkeypatch.setattr(oracle1d, "solve_ivp", inflated)
+    Past V = 0 the Riccati flow draws |w| to sqrt((1 + V)/(1 - V)) > 1; this
+    well (not a config the CLI accepts) reaches V = 0.6 at its center.
+    """
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(solve_ivp(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(oracle1d, "solve_ivp", recording)
+    m = make_potential(1, "bump_well", {"base": -0.3, "depth": -0.9, "radius": 2.0})
     with pytest.raises(NumericalError, match="u1 chart"):
-        decaying_solution(bump_model(), "right", (0.0,), 0.1)
+        decaying_solution(m, "right", (0.0,), 0.1)
+    (res,) = results
+    assert res.status == 1 and res.t_events[0].size == 1   # the chart event ended it
+    assert res.t_events[0][0] > 0.0      # short of the target point 0.0
+
+
+def test_march_starting_off_the_chart_is_refused():
+    """|w| >= 1 already at the anchor (V = 0.6 there) is refused as well."""
+    m = make_potential(1, "tanh_step", {"base": 0.0, "amp": 0.6})
+    with pytest.raises(NumericalError, match="u1 chart"):
+        decaying_solution(m, "right", (0.0,), 0.1)
 
 
 def test_input_validation():

@@ -38,6 +38,14 @@ MARGIN_CASES = [
     (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
 ]
 
+LINE_CASES = [
+    (1, "constant", {"value": -0.6}),
+    (1, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
+    (1, "bump_well", {"base": -0.5, "depth": 0.25, "radius": 1.5, "center": 0.7}),
+    (1, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": [-0.4]}),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+]
+
 
 def test_constant_family():
     m = make_potential(2, "constant", {"value": -0.6})
@@ -179,6 +187,23 @@ def test_evaluate_many_matches_evaluate(dim, kind, params):
         m.evaluate_many(np.zeros((3, dim + 1)))
 
 
+@pytest.mark.parametrize("dim,kind,params", LINE_CASES)
+def test_line_value_is_value_bit_for_bit(dim, kind, params):
+    """The unchecked read of the 1D oracle march gives value's V on both window edges."""
+    m = make_potential(dim, kind, params)
+    line = m.line_value()
+    edge = m.window + 1.0
+    center = float(np.ravel(params.get("center", 0.0))[0])
+    grid = np.concatenate([np.linspace(-edge, edge, 2001), [-m.window, m.window, center]])
+    for s in grid.tolist():
+        assert line(s) == m.value([s])
+
+
+def test_line_value_is_1d_only():
+    with pytest.raises(DomainError):
+        make_potential(2, "constant", {"value": -0.6}).line_value()
+
+
 def test_hypothesis_validation_passes_for_gap_families():
     m = make_potential(2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
     rep = validate_hypothesis(m, n_samples=2000, seed=3)
@@ -229,7 +254,8 @@ def test_config_requires_kind():
         from_config(1, {"params": {"value": -0.5}})
 
 
-@pytest.mark.parametrize("cases", [FD_CASES, NEGATED_CASES, MANY_CASES, MARGIN_CASES])
+@pytest.mark.parametrize("cases", [FD_CASES, NEGATED_CASES, MANY_CASES, MARGIN_CASES,
+                                   LINE_CASES])
 def test_family_tests_cover_every_family(cases):
     assert {kind for _, kind, _ in cases} == set(FAMILIES)
 
