@@ -13,8 +13,6 @@ from .potential import PotentialModel, make_potential, validate_hypothesis
 from .geoflow import (
     Trajectory,
     GeodesicSolution,
-    OdeOpts,
-    ShootOpts,
     ConjugatePointError,
     NumericalError,
     ShootingError,

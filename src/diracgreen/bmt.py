@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .clifford import SIGMA_1, SIGMA_2, SIGMA_3, DomainError, projector
-from .geoflow import NumericalError, OdeOpts
+from .geoflow import TIGHT, NumericalError
 from .kernel import scalar_ratio
 from .transport import solve_spinor_transport
 
@@ -112,8 +112,10 @@ class SpinTransportResult:
     norm_drift: float
 
 
-def solve_bmt_spin(model, traj, u0=None, opts=None):
+def solve_bmt_spin(model, traj, u0=None):
     """Integrate the 2 x 2 spin propagator along a trajectory and check it.
+
+    Integrated at TIGHT tolerances.
 
     bloch is the path of the Bloch vector of s(t) u0 (default u0 = (1,0))
     at 201 uniform times;
@@ -123,19 +125,16 @@ def solve_bmt_spin(model, traj, u0=None, opts=None):
     """
     if model.dim != 3:
         raise DomainError("spin precession applies to 3D trajectories")
-    opts = (opts or OdeOpts()).tightened()
     u0 = np.array([1.0, 0.0], dtype=complex) if u0 is None else np.asarray(u0, dtype=complex)
     if u0.shape != (2,):
         raise DomainError("the carried spinor must live in C^2")
 
     def rhs(t, y):
         s = y.reshape(2, 2)
-        x = traj.position(t)
-        p = traj.momentum(t)
-        return (1j * spin_generator(model, x, p) @ s).ravel()
+        return (1j * spin_generator(model, *traj.phase(t)) @ s).ravel()
 
     sol = solve_ivp(rhs, (0.0, traj.tau), np.eye(2, dtype=complex).ravel(),
-                    dense_output=True, **opts.solver_kwargs())
+                    dense_output=True, **TIGHT.solver_kwargs())
     if not sol.success:
         raise NumericalError(f"spin propagator integration failed: {sol.message}")
     s_tau = sol.y[:, -1].reshape(2, 2)
@@ -154,11 +153,7 @@ def solve_bmt_spin(model, traj, u0=None, opts=None):
     bloch, s_c, b_minus, b_plus = bloch_grid.reshape(4, n, 3)
 
     # the orbit at the stencil centres, where the BMT equation is checked
-    y = traj.sol(t_c)
-    x, p = y[:3].T, y[3:6].T
-    v, grad, _, outside = model.evaluate_many(x)
-    if outside.any():
-        raise DomainError(f"orbit leaves the domain box [+-{model.box_half}]^3")
+    p, v, grad = traj.potential_along(t_c)
     norms = np.sqrt(np.vecdot(bloch, bloch))
     drift = float(np.abs(norms - norms[0]).max())
 
@@ -182,7 +177,7 @@ class EquivalenceReport:
     passed: bool
 
 
-def equivalence_check(model, rep, geo, opts=None, spin=None, transport=None):
+def equivalence_check(model, rep, geo, spin=None, transport=None):
     """Compare four-spinor transport with the reduced two-spinor route.
 
     Builds T = U(tau) Lambda_plus(i omega(0)) and the frame sandwich
@@ -193,9 +188,9 @@ def equivalence_check(model, rep, geo, opts=None, spin=None, transport=None):
     _require_standard_rep(rep)
     traj = geo.trajectory
     if transport is None:
-        transport = solve_spinor_transport(model, rep, traj, opts)
+        transport = solve_spinor_transport(model, rep, traj)
     if spin is None:
-        spin = solve_bmt_spin(model, traj, opts=opts)
+        spin = solve_bmt_spin(model, traj)
     lam_start = projector(rep, 1j * geo.p0).lambda_plus
     target = transport.u_matrix @ lam_start
 

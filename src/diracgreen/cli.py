@@ -20,7 +20,7 @@ from . import potential as potential_mod
 from .bmt import equivalence_check, solve_bmt_spin
 from .clifford import (DiracRep, DomainError, build_dirac_rep, clifford_residual,
                        dirac_symbol, lambda_branches, projector, refuse_booleans)
-from .geoflow import (NumericalError, OdeOpts, ShootOpts, agmon_distance_quadrature_1d,
+from .geoflow import (NumericalError, agmon_distance_quadrature_1d,
                       exp_inverse_from_geodesic, exp_prime_fd, integrate_flow,
                       shoot_geodesic)
 from .kernel import (bessel_K, bessel_K_oracle, constant_V_exact, exact_sweep,
@@ -51,12 +51,10 @@ class RunConfig:
     x_star: np.ndarray | None
     y_star: np.ndarray | None
     h_list: tuple
-    ode: OdeOpts
-    shoot: ShootOpts
+    multistart: int | None
     out: str | None
 
-    _KEYS = ("dimension", "potential", "x_star", "y_star", "h_list",
-             "ode", "shooting", "out")
+    _KEYS = ("dimension", "potential", "x_star", "y_star", "h_list", "shooting", "out")
 
     @classmethod
     def from_dict(cls, data):
@@ -106,8 +104,28 @@ class RunConfig:
             raise ConfigError(f"h_list must be an array, got {h_list!r}")
         return cls(dimension=dim, model=model, x_star=x_star, y_star=y_star,
                    h_list=_h_list(h_list),
-                   ode=OdeOpts.from_config(data.get("ode")),
-                   shoot=ShootOpts.from_config(data.get("shooting")), out=out)
+                   multistart=_multistart(data.get("shooting")), out=out)
+
+
+def _multistart(shooting):
+    """shooting.multistart, the one solver key: null, or a whole number >= 1."""
+    shooting = {} if shooting is None else shooting
+    if not isinstance(shooting, dict):
+        raise ConfigError(f"shooting must be an object, got {shooting!r}")
+    unknown = set(shooting) - {"multistart"}
+    if unknown:
+        raise ConfigError(f"unknown shooting option(s): {sorted(unknown)}; "
+                          f"multistart is the only one")
+    count = shooting.get("multistart")
+    if count is None:
+        return None
+    if isinstance(count, float) and count.is_integer():
+        count = int(count)
+    # a boolean is an int to Python
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ConfigError(f"shooting.multistart must be null or a whole number >= 1, "
+                          f"got {count!r}")
+    return count
 
 
 def _h_list(values):
@@ -151,7 +169,7 @@ def _matrix_cells(mat):
 
 def cmd_geodesic(cfg):
     _require(cfg, "x_star", "y_star")
-    geo = shoot_geodesic(cfg.model, cfg.y_star, cfg.x_star, cfg.ode, cfg.shoot)
+    geo = shoot_geodesic(cfg.model, cfg.y_star, cfg.x_star, multistart=cfg.multistart)
     payload = {
         "tau": geo.tau,
         "p0": [float(v) for v in geo.p0],
@@ -171,7 +189,7 @@ def cmd_kernel(cfg):
                           "closed form; potential.kind must be 'constant'")
     rep = build_dirac_rep(cfg.dimension)
     sweep = ratio_sweep(rep, cfg.model.params["value"], cfg.x_star, cfg.y_star,
-                        cfg.h_list, cfg.ode, cfg.shoot)
+                        cfg.h_list, multistart=cfg.multistart)
     header = (["h"] + _complex_columns("g", rep.dstar)
               + ["dA", "det_exp_prime", "ratio_re", "ratio_im", "abs_ratio_minus_1"])
     lines = [",".join(header)]
@@ -193,12 +211,12 @@ def cmd_validate1d(cfg):
     reverse = []    # G(y, x) at each h, glued from the forward kernel's marches
 
     def exact(h):
-        fwd, rev = exact_green_kernel_pair_1d(cfg.model, x, y, h, cfg.ode)
+        fwd, rev = exact_green_kernel_pair_1d(cfg.model, x, y, h)
         reverse.append(rev)
         return fwd
 
     sweep = exact_sweep(cfg.model, build_dirac_rep(1), cfg.x_star, cfg.y_star, cfg.h_list,
-                        exact, cfg.ode, cfg.shoot)
+                        exact, multistart=cfg.multistart)
     lines = ["h,dA,ratio_re,ratio_im,abs_ratio_minus_1"]
     for h, ratio, dev in zip(sweep.h_list, sweep.ratios, sweep.deviations):
         lines.append(",".join([_fmt(h), _fmt(sweep.agmon), _fmt(ratio.real),
@@ -231,9 +249,9 @@ def cmd_bmt(cfg):
     if cfg.dimension != 3:
         raise ConfigError("the bmt command requires dimension = 3")
     rep = build_dirac_rep(3)
-    geo = shoot_geodesic(cfg.model, cfg.y_star, cfg.x_star, cfg.ode, cfg.shoot)
-    spin = solve_bmt_spin(cfg.model, geo.trajectory, opts=cfg.ode)
-    report = equivalence_check(cfg.model, rep, geo, opts=cfg.ode, spin=spin)
+    geo = shoot_geodesic(cfg.model, cfg.y_star, cfg.x_star, multistart=cfg.multistart)
+    spin = solve_bmt_spin(cfg.model, geo.trajectory)
+    report = equivalence_check(cfg.model, rep, geo, spin=spin)
     lines = ["t,s1,s2,s3,abs_s,bmt2_residual"]
     for i, t in enumerate(spin.times):
         s_vec = spin.bloch[i]
@@ -256,8 +274,7 @@ def _perturbed_rep(rep):
     alphas = [a.copy() for a in rep.alphas]
     alphas[0] = alphas[0].copy()
     alphas[0][0, -1] += 1e-6
-    return DiracRep(dim=rep.dim, dstar=rep.dstar, alpha0=rep.alpha0,
-                    alphas=tuple(alphas), gammas=rep.gammas)
+    return DiracRep(dim=rep.dim, dstar=rep.dstar, alpha0=rep.alpha0, alphas=tuple(alphas))
 
 
 def _families(d):
@@ -476,7 +493,7 @@ def _load_config(args):
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        # DomainError (bad potential or options) is a ValueError too
+        # DomainError (a bad potential) is a ValueError too
         raise ConfigError(f"bad config value ({type(exc).__name__}): {exc}") from exc
     return cfg
 

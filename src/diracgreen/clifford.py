@@ -46,25 +46,18 @@ def refuse_booleans(what, value):
         raise DomainError(f"{what} must hold numbers, not booleans")
 
 
-def spinor_dimension(d):
-    """Minimal spinor dimension 2**floor((d+1)/2) in space dimension d."""
-    return 2 ** ((d + 1) // 2)
-
-
 @dataclass(frozen=True)
 class DiracRep:
     """Concrete hermitian representation of the Clifford relations.
 
     alphas holds the spatial matrices alpha_1..alpha_d; alpha0 is the mass
-    matrix.  gammas = [gamma_0, ..., gamma_d] with gamma_0 = alpha0 and
-    gamma_j = -alpha0 alpha_j.
+    matrix.
     """
 
     dim: int
     dstar: int
     alpha0: np.ndarray
     alphas: tuple
-    gammas: tuple
 
     def alpha_dot(self, vec):
         """Contraction sum_j alpha_j vec_j for a (possibly complex) vector."""
@@ -111,13 +104,11 @@ def build_dirac_rep(d):
         alphas.append(np.kron(SIGMA_1, inner.alpha0))
         alphas.append(np.kron(SIGMA_2, eye))
         alpha0 = np.kron(SIGMA_3, eye)
-    gammas = [alpha0] + [-alpha0 @ a for a in alphas]
     return DiracRep(
         dim=d,
         dstar=alpha0.shape[0],
         alpha0=_freeze(alpha0),
         alphas=tuple(_freeze(a) for a in alphas),
-        gammas=tuple(_freeze(g) for g in gammas),
     )
 
 
@@ -125,12 +116,10 @@ def negate_rep(rep):
     """Representation with every matrix negated (still a valid one).
 
     Used by the sign reduction for positive potentials: negating the
-    operator flips all alphas and the potential at once.  The spatial
-    gammas are invariant, gamma_0 flips with alpha_0.
+    operator flips all alphas and the potential at once.
     """
     alphas = tuple(_freeze(-a) for a in rep.alphas)
-    gammas = tuple([_freeze(-rep.gammas[0])] + list(rep.gammas[1:]))
-    return DiracRep(rep.dim, rep.dstar, _freeze(-rep.alpha0), alphas, gammas)
+    return DiracRep(rep.dim, rep.dstar, _freeze(-rep.alpha0), alphas)
 
 
 def clifford_residual(rep):
@@ -143,13 +132,6 @@ def clifford_residual(rep):
             anti = a @ b + b @ a
             target = 2.0 * eye if i == j else 0.0
             res = max(res, np.max(np.abs(anti - target)))
-    # gamma_0^2 = I, gamma_j^2 = -I, all pairs anticommute
-    res = max(res, np.max(np.abs(rep.gammas[0] @ rep.gammas[0] - eye)))
-    for g in rep.gammas[1:]:
-        res = max(res, np.max(np.abs(g @ g + eye)))
-    for i, g in enumerate(rep.gammas):
-        for k in rep.gammas[i + 1:]:
-            res = max(res, np.max(np.abs(g @ k + k @ g)))
     return float(res)
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import DOP853, quad, solve_ivp
 
-from .clifford import DomainError, refuse_booleans
+from .clifford import DomainError
 
 
 class NumericalError(RuntimeError):
@@ -42,77 +42,32 @@ class ConjugatePointError(NumericalError):
 
 
 # outcome of each start of the Newton loop, in the order a failure tally lists them
-CONVERGED, LEFT_BALL, LEFT_BOX, SINGULAR, CHART_ESCAPE, MAX_ITER, UNDERFLOW = OUTCOMES = (
+CONVERGED, LEFT_BALL, LEFT_BOX, SINGULAR, CHART_ESCAPE, ITER_LIMIT, UNDERFLOW = OUTCOMES = (
     "converged", "left |p|<1", "left box", "singular Jacobian", "chart escape",
     "max_iter", "step underflow")
 _BALL_EXIT = "flow reached the momentum ball boundary |p| -> 1"
 # scipy's RungeKutta step-size control, which _dop853_lanes repeats per lane
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
-
-def _options(cls, cfg, what, parsers):
-    """cls(**cfg) with each value passed through parsers[key]; unknown keys raise.
-
-    Every option is a number, so a boolean is refused too.
-    """
-    cfg = {} if cfg is None else cfg
-    if not isinstance(cfg, dict):
-        raise DomainError(f"{what} options must be an object, got {cfg!r}")
-    bad = set(cfg) - set(parsers)
-    if bad:
-        raise DomainError(f"unknown {what} option(s): {sorted(bad)}")
-    refuse_booleans(what, cfg)
-    return cls(**{k: parsers[k](v) for k, v in cfg.items()})
-
-
-def _count(v):
-    """A whole number as int; int() alone would truncate 2.7 to 2 and overflow on inf."""
-    if not float(v).is_integer():
-        raise DomainError(f"counts must be whole numbers, got {v!r}")
-    return int(v)
+# the shoot: a start converges once max |x(tau) - x*| <= NEWTON_TOL max(1, |x*|_inf),
+# within MAX_ITER Newton steps; connections closer than MERGE_TOL in (p0, tau) are one;
+# a bordered determinant under CONJUGACY_TOL d_A^(d-1) is near-conjugate
+NEWTON_TOL, MAX_ITER, MERGE_TOL, CONJUGACY_TOL = 1e-10, 40, 1e-6, 1e-8
 
 
 @dataclass(frozen=True)
 class OdeOpts:
+    """DOP853 tolerances; the defaults are the multistart fan's."""
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not all(v > 0.0 for v in (self.rel_tol, self.abs_tol)):
-            raise DomainError(f"ode tolerances must be positive, got {self}")
-
-    @classmethod
-    def from_config(cls, cfg):
-        return _options(cls, cfg, "ode", dict.fromkeys(("rel_tol", "abs_tol"), float))
 
     def solver_kwargs(self):
         return dict(method="DOP853", rtol=self.rel_tol, atol=self.abs_tol)
 
-    def tightened(self):
-        """These tolerances capped at 1e-12 relative and 1e-14 absolute."""
-        return OdeOpts(min(self.rel_tol, 1e-12), min(self.abs_tol, 1e-14))
 
-
-@dataclass(frozen=True)
-class ShootOpts:
-    newton_tol: float = 1e-10
-    max_iter: int = 40
-    multistart: int | None = None
-    merge_tol: float = 1e-6
-    conjugacy_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iter < 1 or (self.multistart is not None and self.multistart < 1):
-            raise DomainError(f"max_iter and multistart must be at least 1, got {self}")
-        if not all(v > 0.0 for v in (self.newton_tol, self.merge_tol, self.conjugacy_tol)):
-            raise DomainError(f"shooting tolerances must be positive, got {self}")
-
-    @classmethod
-    def from_config(cls, cfg):
-        return _options(cls, cfg, "shooting", {
-            "newton_tol": float, "max_iter": _count, "merge_tol": float,
-            "conjugacy_tol": float,
-            "multistart": lambda v: None if v is None else _count(v)})
+# the polish, the spinor transport, the BMT spin solve and exp_map_oracle
+TIGHT = OdeOpts(1e-12, 1e-14)
 
 
 def _var_index(d):
@@ -150,14 +105,8 @@ class Trajectory:
         self.v_start = self.velocity(0.0)
         self.v_end = self.velocity(self.tau)
 
-    def position(self, t):
-        return self.sol(t)[: self.dim]
-
-    def momentum(self, t):
-        return self.sol(t)[self.dim: 2 * self.dim]
-
     def velocity(self, t):
-        p = self.momentum(t)
+        _, p = self.phase(t)
         return p / math.sqrt(1.0 - float(p @ p))
 
     def dp_x(self, t):
@@ -166,17 +115,29 @@ class Trajectory:
         d = self.dim
         return self.sol(t)[self._i_var: self._i_var + d * d].reshape(d, d)
 
+    def phase(self, t):
+        """(x, p) at time t, or as rows at an array of times, from one dense-output call."""
+        y = self.sol(t)
+        return y[: self.dim].T, y[self.dim: 2 * self.dim].T
+
+    def potential_along(self, times):
+        """(p, V, grad V) at an array of times: one dense-output call, one evaluate_many.
+
+        Raises DomainError where the orbit leaves the domain box.
+        """
+        x, p = self.phase(times)
+        v, grad, _, outside = self.model.evaluate_many(x)
+        if outside.any():
+            raise DomainError(
+                f"orbit leaves the domain box [+-{self.model.box_half}]^{self.dim}")
+        return p, v, grad
+
     def hamiltonian_sup(self):
         """sup |H| on a uniform 201-point grid, an energy-conservation diagnostic."""
-        d = self.dim
-        y = self.sol(np.linspace(0.0, self.tau, 201))
-        x, p = y[:d].T, y[d:2 * d].T
+        p, v, _ = self.potential_along(np.linspace(0.0, self.tau, 201))
         p2 = np.vecdot(p, p)
         if p2.max() >= 1.0:
             raise DomainError(f"hamiltonian requires |p| < 1, got |p|^2 = {p2.max()}")
-        v, _, _, outside = self.model.evaluate_many(x)
-        if outside.any():
-            raise DomainError(f"orbit leaves the domain box [+-{self.model.box_half}]^{d}")
         return float(np.abs(-np.sqrt(1.0 - p2) - v).max())
 
 
@@ -453,7 +414,7 @@ def _flow_lanes(model, y_star, p0s, taus, opts):
     return ends
 
 
-def _newton(model, y_star, x_star, directions, tau0, opts, shoot_opts):
+def _newton(model, y_star, x_star, directions, tau0, opts):
     """Damped Newton over (direction chart, flight time), all starts in lock step.
 
     Every iteration integrates the active starts together: several as lanes
@@ -466,10 +427,12 @@ def _newton(model, y_star, x_star, directions, tau0, opts, shoot_opts):
     frames = [_frame_from_direction(n) for n in directions]
     us = [np.zeros(d - 1) for _ in directions]
     taus = [tau0] * len(directions)
-    outcomes = [MAX_ITER] * len(directions)
+    # an absolute 1e-10 lies below the float spacing from |x*| = 2^19 (about 5.2e5) on
+    tol = NEWTON_TOL * max(1.0, float(np.max(np.abs(x_star))))
+    outcomes = [ITER_LIMIT] * len(directions)
     ends = [None] * len(directions)
     active = list(range(len(directions)))
-    for _ in range(shoot_opts.max_iter):
+    for _ in range(MAX_ITER):
         charts = [_sphere_chart(frames[k], us[k]) for k in active]
         flow = _flow_one if len(active) == 1 else _flow_lanes
         results = flow(model, y_star, [r_y * n for n, _ in charts],
@@ -480,7 +443,7 @@ def _newton(model, y_star, x_star, directions, tau0, opts, shoot_opts):
                 outcomes[k] = end
                 continue
             res = end.x - x_star
-            if np.max(np.abs(res)) <= shoot_opts.newton_tol:
+            if np.max(np.abs(res)) <= tol:
                 outcomes[k], ends[k] = CONVERGED, end
                 continue
             jac = np.empty((d, d))
@@ -525,31 +488,30 @@ def _tally(outcomes):
     return ", ".join(f"{counts[o]} {o}" for o in OUTCOMES if counts[o])
 
 
-def shoot_geodesic(model, y_star, x_star, opts=None, shoot_opts=None):
+def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     """Connect y_star to x_star by a zero-energy orbit.
 
     Newton iterates on the start direction (sphere chart) and the flight
-    time; a deterministic multistart fan probes for competing connections
+    time; a deterministic multistart fan of the first multistart lattice
+    directions (all 3^d - 1 when None) probes for competing connections
     and fills the uniqueness report.  The returned solution is polished at
-    tightened integrator tolerances.
+    the TIGHT integrator tolerances.
 
     Raises ShootingError if no start converges and ConjugatePointError if
-    the bordered determinant falls under conjugacy_tol * d_A^(d-1).
+    the bordered determinant falls under CONJUGACY_TOL * d_A^(d-1).
     """
-    opts = opts or OdeOpts()
-    shoot_opts = shoot_opts or ShootOpts()
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     d = model.dim
-    count = shoot_opts.multistart if shoot_opts.multistart is not None else 3 ** d - 1
+    count = multistart if multistart is not None else 3 ** d - 1
     starts, tau0 = _fan_starts(model, y_star, x_star, count)
-    outcomes, ends = _newton(model, y_star, x_star, starts, tau0, opts, shoot_opts)
+    outcomes, ends = _newton(model, y_star, x_star, starts, tau0, OdeOpts())
     found = [(end.p0, end.tau, end.action) for end in ends if end is not None]
 
     distinct = []
     for p0, tau, act in found:
         for q0, qtau, _ in distinct:
-            if max(np.max(np.abs(p0 - q0)), abs(tau - qtau)) < shoot_opts.merge_tol:
+            if max(np.max(np.abs(p0 - q0)), abs(tau - qtau)) < MERGE_TOL:
                 break
         else:
             distinct.append((p0, tau, act))
@@ -568,9 +530,8 @@ def shoot_geodesic(model, y_star, x_star, opts=None, shoot_opts=None):
 
     # keep the least-action connection, then polish at tight tolerance
     p0, tau, _ = min(distinct, key=lambda rec: rec[2])
-    tight = opts.tightened()
     direction = p0 / np.linalg.norm(p0)
-    [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, tight, shoot_opts)
+    [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, TIGHT)
     if end is None:
         raise ShootingError(f"polish stage failed to re-converge: {outcome}")
     polished = end.traj
@@ -580,10 +541,10 @@ def shoot_geodesic(model, y_star, x_star, opts=None, shoot_opts=None):
     dpx_tau = polished.dp_x(polished.tau)
     bdet = bordered_determinant(v_y, v_x, dpx_tau)
     d_a = polished.action_end
-    if abs(bdet) < shoot_opts.conjugacy_tol * d_a ** (d - 1):
+    if abs(bdet) < CONJUGACY_TOL * d_a ** (d - 1):
         raise ConjugatePointError(
             f"near-conjugate endpoints: |bordered determinant| = {abs(bdet):.3e} "
-            f"below threshold {shoot_opts.conjugacy_tol:.1e} * d_A^(d-1)")
+            f"below threshold {CONJUGACY_TOL:.1e} * d_A^(d-1)")
     dep = det_exp_prime(model, y_star, x_star, d_a, bdet) if d >= 2 else None
     return GeodesicSolution(
         y_star=y_star, x_star=x_star, trajectory=polished,
@@ -659,24 +620,23 @@ def _exp_rhs(model):
     return rhs
 
 
-def exp_map_oracle(model, y, v, opts=None):
+def exp_map_oracle(model, y, v):
     """Metric exponential map via the conformal geodesic equation.
 
     Integrates qddot = |qdot|^2 grad(sigma) - 2 <grad(sigma), qdot> qdot,
     sigma = log sqrt(1 - V^2), from q(0) = y, qdot(0) = v over unit time.
-    Independent of the Hamiltonian flow route.
+    Independent of the Hamiltonian flow route.  Integrated at TIGHT tolerances.
     """
-    opts = (opts or OdeOpts()).tightened()
     y = np.atleast_1d(np.asarray(y, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     y0 = np.concatenate([y, v])
-    sol = solve_ivp(_exp_rhs(model), (0.0, 1.0), y0, **opts.solver_kwargs())
+    sol = solve_ivp(_exp_rhs(model), (0.0, 1.0), y0, **TIGHT.solver_kwargs())
     if not sol.success:
         raise NumericalError(f"exponential-map integration failed: {sol.message}")
     return sol.y[: model.dim, -1]
 
 
-def exp_prime_fd(model, y, v, opts=None):
+def exp_prime_fd(model, y, v):
     """Central-difference Jacobian determinant of the exponential map at v.
 
     The determinant is taken between orthonormal frames of the conformal
@@ -693,10 +653,10 @@ def exp_prime_fd(model, y, v, opts=None):
     for j in range(d):
         e = np.zeros(d)
         e[j] = step
-        plus = exp_map_oracle(model, y, v + e, opts)
-        minus = exp_map_oracle(model, y, v - e, opts)
+        plus = exp_map_oracle(model, y, v + e)
+        minus = exp_map_oracle(model, y, v - e)
         jac[:, j] = (plus - minus) / (2.0 * step)
-    x_end = exp_map_oracle(model, y, v, opts)
+    x_end = exp_map_oracle(model, y, v)
     c_y = 1.0 - model.value(y) ** 2
     c_x = 1.0 - model.value(x_end) ** 2
     return float(np.linalg.det(jac)) * (c_x / c_y) ** (d / 2.0)

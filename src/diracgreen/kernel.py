@@ -152,18 +152,18 @@ def _assemble(model, rep, geo, h, u_matrix):
                           left_identity_residual=left_res)
 
 
-def leading_kernel_multid(model, rep, geo, h, transport=None, opts=None):
+def leading_kernel_multid(model, rep, geo, h, transport=None):
     """Assemble the leading kernel at a solved connection, in any dimension."""
     if rep.dim != model.dim:
         raise DomainError("the assembly needs a representation of the model's dimension")
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
     if transport is None:
-        transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
+        transport = solve_spinor_transport(model, rep, geo.trajectory)
     return _assemble(model, rep, geo, h, transport.u_matrix)
 
 
-def leading_kernel_1d(model, rep, x, y, h, geo=None, opts=None, shoot_opts=None):
+def leading_kernel_1d(model, rep, x, y, h, geo=None):
     """Leading kernel in 1D between scalar endpoints, assembled as in any dimension.
 
     Calls _assemble directly rather than leading_kernel_multid, so that a
@@ -174,13 +174,12 @@ def leading_kernel_1d(model, rep, x, y, h, geo=None, opts=None, shoot_opts=None)
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
     if geo is None:
-        geo = shoot_geodesic(model, np.atleast_1d(float(y)), np.atleast_1d(float(x)),
-                             opts, shoot_opts)
-    transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
+        geo = shoot_geodesic(model, np.atleast_1d(float(y)), np.atleast_1d(float(x)))
+    transport = solve_spinor_transport(model, rep, geo.trajectory)
     return _assemble(model, rep, geo, h, transport.u_matrix)
 
 
-def positive_potential_kernel(model, rep, x, y, h, opts=None, shoot_opts=None):
+def positive_potential_kernel(model, rep, x, y, h):
     """Leading kernel for a potential inside the upper gap, V in (0, 1).
 
     Flipping the signs of the representation and the potential turns the
@@ -192,8 +191,8 @@ def positive_potential_kernel(model, rep, x, y, h, opts=None, shoot_opts=None):
     if model.value(y) <= 0.0 or model.value(x) <= 0.0:
         raise DomainError("positive_potential_kernel expects V > 0 at the endpoints")
     neg_model = negated(model)
-    geo = shoot_geodesic(neg_model, y, x, opts, shoot_opts)
-    est = leading_kernel_multid(neg_model, negate_rep(rep), geo, h, opts=opts)
+    geo = shoot_geodesic(neg_model, y, x)
+    est = leading_kernel_multid(neg_model, negate_rep(rep), geo, h)
     return replace(est, matrix=-est.matrix, amplitude=-est.amplitude)
 
 
@@ -248,7 +247,7 @@ class RatioSweep:
     slope: float
 
 
-def exact_sweep(model, rep, x, y, h_list, exact, opts=None, shoot_opts=None):
+def exact_sweep(model, rep, x, y, h_list, exact, *, multistart=None):
     """Compare the full leading-kernel assembly with exact(h) at every h.
 
     The leading term is produced by the complete pipeline (shoot, Jacobi
@@ -257,11 +256,12 @@ def exact_sweep(model, rep, x, y, h_list, exact, opts=None, shoot_opts=None):
     |R - 1| is fitted with a log-log line whose slope estimates the order
     of the first correction (0 when undefined, e.g. for a single h).
     A leading kernel that underflows to zero raises before exact(h) runs.
+    multistart is shoot_geodesic's.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    geo = shoot_geodesic(model, y, x, opts, shoot_opts)
-    transport = solve_spinor_transport(model, rep, geo.trajectory, opts)
+    geo = shoot_geodesic(model, y, x, multistart=multistart)
+    transport = solve_spinor_transport(model, rep, geo.trajectory)
 
     ratios, deviations, estimates, references = [], [], [], []
     for h in h_list:
@@ -282,7 +282,7 @@ def exact_sweep(model, rep, x, y, h_list, exact, opts=None, shoot_opts=None):
                       references=tuple(references), slope=loglog_slope(h_list, deviations))
 
 
-def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):
+def ratio_sweep(rep, e_value, x, y, h_list, *, multistart=None):
     """exact_sweep against the constant-V closed form; needs E in (-1, 0), two h > 0."""
     e_value = float(e_value)
     if not -1.0 < e_value < 0.0:
@@ -294,4 +294,4 @@ def ratio_sweep(rep, e_value, x, y, h_list, opts=None, shoot_opts=None):
         raise DomainError("all h values must be positive")
     return exact_sweep(constant_model(rep.dim, e_value), rep, x, y, h_list,
                        lambda h: constant_V_exact(rep, e_value, x, y, h),
-                       opts, shoot_opts)
+                       multistart=multistart)

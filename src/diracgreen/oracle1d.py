@@ -40,7 +40,7 @@ def _edge(model, points):
     return max([model.window] + [abs(s) for s in points]) + 0.5
 
 
-def decaying_solution(model, side, points, h, anchor=None, opts=None):
+def decaying_solution(model, side, points, h, anchor=None):
     """The recessive solution on one side at each of points, as (vector, log_scale).
 
     The solution is vector * exp(log_scale), vector of order one.  side =
@@ -100,7 +100,7 @@ def decaying_solution(model, side, points, h, anchor=None, opts=None):
     chart.terminal = True
     w0 = tail[1] / tail[0]
     res = solve_ivp(rhs, (anchor, t_eval[-1]), [w0.real, 0.0, w0.imag, 0.0],
-                    t_eval=t_eval, events=chart, **(opts or OdeOpts()).solver_kwargs())
+                    t_eval=t_eval, events=chart, **OdeOpts().solver_kwargs())
     if not res.success:
         raise NumericalError(f"decaying-solution integration failed: {res.message}")
     if peak >= 1.0:
@@ -134,7 +134,7 @@ def _glue(sols, points, src, h):
     return np.outer(vec_dst, rows[k]) * math.exp(log_dst - log_src)
 
 
-def _marches(model, x, y, h, opts):
+def _marches(model, x, y, h):
     """Both recessive solutions at (y, x), for x != y."""
     x = float(np.atleast_1d(x)[0]) if np.ndim(x) else float(x)
     y = float(np.atleast_1d(y)[0]) if np.ndim(y) else float(y)
@@ -143,20 +143,20 @@ def _marches(model, x, y, h, opts):
     # each march runs to the farther of the two points, so the pair depends
     # on min(x, y) and max(x, y) alone: it serves G(x, y) and G(y, x)
     points = (y, x)
-    return [decaying_solution(model, side, points, h, opts=opts)
+    return [decaying_solution(model, side, points, h)
             for side in ("right", "left")], points
 
 
-def exact_green_kernel_1d(model, x, y, h, opts=None):
+def exact_green_kernel_1d(model, x, y, h):
     """Exact kernel G(x, y; h) of the 1D operator, x != y, glued at the source point y."""
-    sols, points = _marches(model, x, y, h, opts)
+    sols, points = _marches(model, x, y, h)
     return _glue(sols, points, 0, h)
 
 
-def exact_green_kernel_pair_1d(model, x, y, h, opts=None):
+def exact_green_kernel_pair_1d(model, x, y, h):
     """(G(x, y; h), G(y, x; h)) from one pair of marches, glued at y and at x.
 
     Each kernel equals exact_green_kernel_1d's bit for bit.
     """
-    sols, points = _marches(model, x, y, h, opts)
+    sols, points = _marches(model, x, y, h)
     return _glue(sols, points, 0, h), _glue(sols, points, 1, h)

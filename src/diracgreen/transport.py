@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .clifford import DomainError, projector
-from .geoflow import NumericalError, OdeOpts
+from .geoflow import TIGHT, NumericalError
 
 _UNITARITY_TOL = 1e-9
 
@@ -39,24 +39,23 @@ class TransportResult:
     unitarity_defect: float
 
 
-def solve_spinor_transport(model, rep, traj, opts=None):
+def solve_spinor_transport(model, rep, traj):
     """Integrate the transport equation along a trajectory, returning U(tau).
 
-    unitarity_defect is the Frobenius norm of U*U - 1; above 1e-9 the
-    solve raises NumericalError.
+    Integrated at TIGHT tolerances.  unitarity_defect is the Frobenius norm
+    of U*U - 1; above 1e-9 the solve raises NumericalError.
     """
-    opts = (opts or OdeOpts()).tightened()
     n = rep.dstar
 
     def rhs(t, y):
         u = y.reshape(n, n)
-        x = traj.position(t)
+        x, _ = traj.phase(t)
         v, grad, _ = model.evaluate(x)
         gen = rep.alpha_dot(grad) * (-0.5j / v)
         return (gen @ u).ravel()
 
     y0 = np.eye(n, dtype=complex).ravel()
-    sol = solve_ivp(rhs, (0.0, traj.tau), y0, **opts.solver_kwargs())
+    sol = solve_ivp(rhs, (0.0, traj.tau), y0, **TIGHT.solver_kwargs())
     if not sol.success:
         raise NumericalError(f"spinor transport failed: {sol.message}")
     u_end = sol.y[:, -1].reshape(n, n)

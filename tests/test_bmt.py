@@ -122,8 +122,9 @@ def test_spin_samples_match_pointwise_formulas(monkeypatch):
         assert np.array_equal(spin.bloch[i], bloch_at(t))
         t_c = min(max(t, delta), traj.tau - delta)
         lhs = (bloch_at(t_c + delta) - bloch_at(t_c - delta)) / (2.0 * delta)
-        v, grad, _ = m.evaluate(traj.position(t_c))
-        rhs = (np.cross(bloch_at(t_c), np.cross(-grad, traj.momentum(t_c)))
+        x, p = traj.phase(t_c)
+        v, grad, _ = m.evaluate(x)
+        rhs = (np.cross(bloch_at(t_c), np.cross(-grad, p))
                / (-v * (1.0 - v)))
         assert spin.residual_path[i] == np.linalg.norm(lhs - rhs)
 

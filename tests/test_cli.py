@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from diracgreen import cli, oracle1d
+from diracgreen import cli, geoflow, oracle1d
 from diracgreen.clifford import build_dirac_rep
 from diracgreen.kernel import constant_V_exact
 
@@ -99,11 +99,20 @@ def test_geodesic_json_artifact(tmp_path):
     assert payload["uniqueness"]["n_distinct"] == 1
 
 
-def test_geodesic_conjugacy_exit(tmp_path, capsys):
-    cfg = dict(CONST_2D, shooting={"conjugacy_tol": 1e6})
-    code, _ = run_to_file(tmp_path, "geodesic", cfg)
+def test_geodesic_conjugacy_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(geoflow, "CONJUGACY_TOL", 1e6)
+    code, _ = run_to_file(tmp_path, "geodesic", CONST_2D)
     assert code == 3
     assert "near-conjugate" in capsys.readouterr().err
+
+
+def test_geodesic_far_from_the_origin(tmp_path):
+    """At |x*| = 9e5 the float spacing (1.16e-10) exceeds 1e-10: Newton's stop test scales."""
+    cfg = dict(CONST_2D, potential=dict(CONST_2D["potential"], box_half=1e6),
+               x_star=[9e5, 0.0], y_star=[-9e5, 0.0])
+    code, text = run_to_file(tmp_path, "geodesic", cfg)
+    assert code == 0
+    assert json.loads(text)["dA"] == pytest.approx(1.44e6, rel=1e-12)
 
 
 # --------------------------------------------------------------------- kernel
@@ -400,9 +409,9 @@ def test_validate1d_tiny_kernel_keeps_its_ratio(tmp_path, h_list):
     assert abs(rows[1][2] - 1.0) < 1e-2     # ratio_re at the small h
 
 
-def test_shooting_failure_tallies_start_outcomes(tmp_path, capsys):
-    cfg = dict(CONST_2D, potential=bump_2d(), x_star=[1.0, 0.4], y_star=[-1.0, -0.3],
-               shooting={"max_iter": 1})
+def test_shooting_failure_tallies_start_outcomes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(geoflow, "MAX_ITER", 1)
+    cfg = dict(CONST_2D, potential=bump_2d(), x_star=[1.0, 0.4], y_star=[-1.0, -0.3])
     code, _ = run_to_file(tmp_path, "geodesic", cfg)
     assert code == 3
     err = capsys.readouterr().err
@@ -443,9 +452,7 @@ FUZZ_CONFIG = {
     "x_star": [0.5, 0.1],
     "y_star": [-0.5, 0.0],
     "h_list": [0.2, 0.1],
-    "ode": {"rel_tol": 1e-10, "abs_tol": 1e-12},
-    "shooting": {"newton_tol": 1e-10, "max_iter": 40, "multistart": 4,
-                 "merge_tol": 1e-6, "conjugacy_tol": 1e-8},
+    "shooting": {"multistart": 4},
     "out": "unused.csv",
 }
 # the constant command rejects this well after parsing it, so it exits 2 when unmutated

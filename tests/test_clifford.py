@@ -6,7 +6,7 @@ import pytest
 from diracgreen.clifford import (SIGMA_1, SIGMA_2, SIGMA_3, DomainError,
                                  build_dirac_rep, clifford_residual,
                                  dirac_symbol, lambda_branches, negate_rep,
-                                 principal_sqrt, projector, spinor_dimension)
+                                 principal_sqrt, projector)
 
 
 def random_zeta(rng, d, im_scale=0.9):
@@ -18,9 +18,8 @@ def random_zeta(rng, d, im_scale=0.9):
 @pytest.mark.parametrize("d,dstar", [(1, 2), (2, 2), (3, 4), (4, 4), (5, 8), (6, 8)])
 def test_representation_size_and_relations(d, dstar):
     rep = build_dirac_rep(d)
-    assert rep.dstar == dstar == spinor_dimension(d)
+    assert rep.dstar == dstar
     assert len(rep.alphas) == d
-    assert len(rep.gammas) == d + 1
     assert clifford_residual(rep) <= 1e-14
 
 
@@ -41,13 +40,6 @@ def test_standard_3d_blocks():
         assert np.all(a[:2, :2] == 0) and np.all(a[2:, 2:] == 0)
 
 
-def test_gamma_construction():
-    rep = build_dirac_rep(3)
-    assert np.array_equal(rep.gammas[0], rep.alpha0)
-    for g, a in zip(rep.gammas[1:], rep.alphas):
-        assert np.allclose(g, -rep.alpha0 @ a)
-
-
 def test_bad_dimension_rejected():
     with pytest.raises(DomainError):
         build_dirac_rep(0)
@@ -62,10 +54,6 @@ def test_negate_rep_is_valid_and_flips_everything():
     assert np.array_equal(neg.alpha0, -rep.alpha0)
     for a, na in zip(rep.alphas, neg.alphas):
         assert np.array_equal(na, -a)
-    # spatial gammas are invariant under the double sign flip
-    assert np.array_equal(neg.gammas[0], -rep.gammas[0])
-    for g, ng in zip(rep.gammas[1:], neg.gammas[1:]):
-        assert np.array_equal(ng, g)
 
 
 def test_alpha_dot_shape_check():

@@ -13,8 +13,9 @@ from scipy.integrate import quad, solve_ivp
 
 from diracgreen import geoflow
 from diracgreen.clifford import DomainError
+from diracgreen.cli import ConfigError, RunConfig
 from diracgreen.geoflow import (CONVERGED, LEFT_BOX, ConjugatePointError, OdeOpts,
-                                ShootOpts, ShootingError, _dop853_lanes, _fan_starts,
+                                ShootingError, _dop853_lanes, _fan_starts,
                                 _newton, _var_index, agmon_distance_quadrature_1d,
                                 bordered_determinant, det_exp_prime,
                                 exp_inverse_from_geodesic, exp_map_oracle,
@@ -61,8 +62,9 @@ def test_constant_flow_closed_form():
     m = constant_model(3)
     traj = integrate_flow(m, [-0.5, 0.0, 0.0], [0.8, 0.0, 0.0], 0.75)
     np.testing.assert_allclose(traj.x_end, [0.5, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(traj.position(0.375), [0.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(traj.momentum(0.375), [0.8, 0.0, 0.0], atol=1e-13)
+    x_half, p_half = traj.phase(0.375)
+    np.testing.assert_allclose(x_half, [0.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(p_half, [0.8, 0.0, 0.0], atol=1e-13)
     assert traj.action_end == pytest.approx(0.8, abs=1e-12)
     half = integrate_flow(m, [-0.5, 0.0, 0.0], [0.8, 0.0, 0.0], 0.375)
     assert half.action_end == pytest.approx(0.4, abs=1e-12)
@@ -136,10 +138,10 @@ def test_identical_endpoints_rejected():
         shoot_geodesic(constant_model(2), [0.5, 0.0], [0.5, 0.0])
 
 
-def test_shooting_failure_is_reported():
-    opts = ShootOpts(max_iter=1, multistart=2)
+def test_shooting_failure_is_reported(monkeypatch):
+    monkeypatch.setattr(geoflow, "MAX_ITER", 1)
     with pytest.raises(ShootingError):
-        shoot_geodesic(bump_model(1), [-1.0], [1.0], shoot_opts=opts)
+        shoot_geodesic(bump_model(1), [-1.0], [1.0], multistart=2)
 
 
 def test_reversal_symmetry_bump_2d():
@@ -192,7 +194,7 @@ def test_phase_integral_closed_form_1d():
     traj = shoot_geodesic(m, [-1.0], [1.0]).trajectory
 
     def integrand(t):
-        v, grad, _ = m.evaluate(traj.position(t))
+        v, grad, _ = m.evaluate(traj.phase(t)[0])
         return grad[0] / (2.0 * v)
 
     theta, _ = quad(integrand, 0.0, traj.tau, epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -223,10 +225,10 @@ def test_lane_fan_matches_single_start_shots(dim, kind, params, y, x):
     m = make_potential(dim, kind, params)
     y, x = np.array(y), np.array(x)
     starts, tau0 = _fan_starts(m, y, x, None)
-    outcomes, ends = _newton(m, y, x, starts, tau0, OdeOpts(), ShootOpts())
+    outcomes, ends = _newton(m, y, x, starts, tau0, OdeOpts())
     assert CONVERGED in outcomes
     for n, outcome, end in zip(starts, outcomes, ends):
-        [alone], [single] = _newton(m, y, x, [n], tau0, OdeOpts(), ShootOpts())
+        [alone], [single] = _newton(m, y, x, [n], tau0, OdeOpts())
         assert (outcome == CONVERGED) == (alone == CONVERGED)
         if end is not None:
             np.testing.assert_allclose(end.p0, single.p0, rtol=0.0, atol=1e-13)
@@ -236,7 +238,7 @@ def test_lane_leaving_the_box_fails_alone(monkeypatch):
     """In a box of half-width 6 two d=2 starts leave it; the rest converge as in the wide box."""
     y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
     starts, tau0 = _fan_starts(bump_model(2), y, x, None)
-    _, free_ends = _newton(bump_model(2), y, x, starts, tau0, OdeOpts(), ShootOpts())
+    _, free_ends = _newton(bump_model(2), y, x, starts, tau0, OdeOpts())
     batches = []
     flow_lanes = geoflow._flow_lanes
 
@@ -246,7 +248,7 @@ def test_lane_leaving_the_box_fails_alone(monkeypatch):
 
     monkeypatch.setattr(geoflow, "_flow_lanes", recording)
     boxed = make_potential(2, "bump_well", BUMP, box_half=6.0)
-    outcomes, ends = _newton(boxed, y, x, starts, tau0, OdeOpts(), ShootOpts())
+    outcomes, ends = _newton(boxed, y, x, starts, tau0, OdeOpts())
     assert outcomes.count(LEFT_BOX) == 2
     # the lanes left the box inside a batch whose other lanes ran to the end
     assert any(LEFT_BOX in b and any(not isinstance(e, str) for e in b) for b in batches)
@@ -281,10 +283,10 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
 
 # ---------------------------------------------------- conjugacy and Jacobians
 
-def test_conjugacy_threshold_raises():
-    opts = ShootOpts(conjugacy_tol=1e6)
+def test_conjugacy_threshold_raises(monkeypatch):
+    monkeypatch.setattr(geoflow, "CONJUGACY_TOL", 1e6)
     with pytest.raises(ConjugatePointError):
-        shoot_geodesic(constant_model(2), [-0.5, 0.0], [0.5, 0.0], shoot_opts=opts)
+        shoot_geodesic(constant_model(2), [-0.5, 0.0], [0.5, 0.0])
 
 
 def test_det_exp_prime_positive_branch():
@@ -337,24 +339,16 @@ def test_exp_prime_constant_is_unity():
 # -------------------------------------------------------------------- options
 
 def test_option_parsing_round_trip():
-    ode = OdeOpts.from_config({"rel_tol": 1e-9, "abs_tol": 1e-11})
-    assert ode == OdeOpts(rel_tol=1e-9, abs_tol=1e-11)
-    shoot = ShootOpts.from_config({"newton_tol": 1e-9, "multistart": 4})
-    assert shoot == ShootOpts(newton_tol=1e-9, multistart=4)
-    assert OdeOpts.from_config(None) == OdeOpts()
-    assert ShootOpts.from_config({}) == ShootOpts()   # one set of defaults
+    """shooting.multistart, the one solver key, reaches RunConfig; nothing else passes."""
+    base = {"dimension": 2, "potential": {"kind": "constant", "params": {"value": -0.6}}}
+    for shooting, count in ((None, None), ({}, None), ({"multistart": None}, None),
+                            ({"multistart": 4}, 4), ({"multistart": 4.0}, 4)):
+        assert RunConfig.from_dict(dict(base, shooting=shooting)).multistart == count
+    assert RunConfig.from_dict(base).multistart is None
+    for shooting in ({"multistart": 0}, {"multistart": True}, {"multistart": 2.5},
+                     {"multistart": "4"}, {"max_iter": 40}, [4]):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(dict(base, shooting=shooting))
+    with pytest.raises(ConfigError, match="unknown config field"):
+        RunConfig.from_dict(dict(base, ode={"rel_tol": 1e-10}))
 
-
-def test_option_parsing_rejects_unknown_keys():
-    with pytest.raises(DomainError):
-        OdeOpts.from_config({"rtol": 1e-9})
-    with pytest.raises(DomainError):
-        ShootOpts.from_config({"max_iter": True})   # a boolean is not a count
-    with pytest.raises(DomainError):
-        ShootOpts.from_config({"allow_conjugate": True})  # not an option
-    with pytest.raises(DomainError):
-        OdeOpts.from_config({"max_step": 0.5})             # not an option
-    with pytest.raises(DomainError):
-        OdeOpts(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        ShootOpts(multistart=0)
