@@ -338,13 +338,20 @@ def test_exp_prime_constant_is_unity():
 
 # -------------------------------------------------------------------- options
 
+_OPTION_BASE = {"dimension": 2, "potential": {"kind": "constant", "params": {"value": -0.6}}}
+
+
 def test_option_parsing_round_trip():
-    """shooting.multistart, the one solver key, reaches RunConfig; nothing else passes."""
-    base = {"dimension": 2, "potential": {"kind": "constant", "params": {"value": -0.6}}}
+    """shooting.multistart, the one solver key, reaches RunConfig."""
     for shooting, count in ((None, None), ({}, None), ({"multistart": None}, None),
                             ({"multistart": 4}, 4), ({"multistart": 4.0}, 4)):
-        assert RunConfig.from_dict(dict(base, shooting=shooting)).multistart == count
-    assert RunConfig.from_dict(base).multistart is None
+        assert RunConfig.from_dict(dict(_OPTION_BASE, shooting=shooting)).multistart == count
+    assert RunConfig.from_dict(_OPTION_BASE).multistart is None
+
+
+def test_option_parsing_rejects_unknown_keys():
+    """Unknown solver keys, booleans and non-counts are refused; nothing else passes."""
+    base = _OPTION_BASE
     for shooting in ({"multistart": 0}, {"multistart": True}, {"multistart": 2.5},
                      {"multistart": "4"}, {"max_iter": 40}, [4]):
         with pytest.raises(ConfigError):
