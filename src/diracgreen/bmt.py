@@ -95,9 +95,12 @@ def left_factor(lambda_plus, w):
 def spin_generator(model, x, p):
     """2 x 2 hermitian precession generator M = sigma.(E x p)/(-2V(1-V))."""
     v, grad, _ = model.evaluate(x)
-    field = -grad
-    m_vec = np.cross(field, p) / (-2.0 * v * (1.0 - v))
-    return _sigma_dot(m_vec)
+    f0, f1, f2 = (-grad).tolist()   # the field E = -grad V
+    q0, q1, q2 = p.tolist()
+    scale = -2.0 * v * (1.0 - v)
+    # np.cross's own component operations, without its per-call overhead
+    return _sigma_dot([(f1 * q2 - f2 * q1) / scale, (f2 * q0 - f0 * q2) / scale,
+                       (f0 * q1 - f1 * q0) / scale])
 
 
 @dataclass(frozen=True)

@@ -492,8 +492,9 @@ def _load_config(args):
                 tok for tok in args.h_list.split(",") if tok.strip()))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        # DomainError (a bad potential) is a ValueError too
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # DomainError (a bad potential) is a ValueError too; an integer too
+        # large for a float raises OverflowError
         raise ConfigError(f"bad config value ({type(exc).__name__}): {exc}") from exc
     return cfg
 

@@ -144,6 +144,9 @@ class Trajectory:
 def _flow_rhs(model, variational):
     d = model.dim
     i_var = _var_index(d)
+    box_half = model.box_half
+    evaluate = model.evaluate_unchecked
+    eye = np.eye(d)
 
     def rhs(t, y):
         x = y[:d]
@@ -151,7 +154,10 @@ def _flow_rhs(model, variational):
         p2 = float(p @ p)
         if p2 >= 1.0 - 1e-12:
             raise DomainError(f"{_BALL_EXIT} at t = {t}")
-        _, grad, hess = model.evaluate(x)
+        # fmax skips a NaN as evaluate's np.any(|x| > box_half) does
+        if np.fmax.reduce(np.abs(x)) > box_half:
+            raise model.box_error(x)
+        _, grad, hess = evaluate(x)
         w = math.sqrt(1.0 - p2)
         out = np.empty_like(y)
         out[:d] = p / w
@@ -160,7 +166,7 @@ def _flow_rhs(model, variational):
         if variational:
             dpx = y[i_var:i_var + d * d].reshape(d, d)
             dpp = y[i_var + d * d:].reshape(d, d)
-            hpp = np.eye(d) / w + np.outer(p, p) / w**3
+            hpp = eye / w + (p[:, None] * p) / w**3
             out[i_var:i_var + d * d] = (hpp @ dpp).ravel()
             out[i_var + d * d:] = (hess @ dpx).ravel()
         return out
@@ -168,9 +174,8 @@ def _flow_rhs(model, variational):
     return rhs
 
 
-def integrate_flow(model, x0, p0, tau, opts=None, variational=True):
-    """Integrate the flow from (x0, p0) for time tau with dense output."""
-    opts = opts or OdeOpts()
+def _solve_flow(model, x0, p0, tau, opts, variational, **output):
+    """solve_ivp of the flow from (x0, p0) over [0, tau], after the start checks."""
     if tau <= 0.0:
         raise DomainError(f"flight time must be positive, got {tau}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -180,10 +185,15 @@ def integrate_flow(model, x0, p0, tau, opts=None, variational=True):
     if p0 @ p0 >= 1.0:
         raise DomainError(f"phase point requires |p| < 1, got |p| = {np.linalg.norm(p0)}")
     sol = solve_ivp(_flow_rhs(model, variational), (0.0, float(tau)),
-                    _initial_state(x0, p0, variational),
-                    dense_output=True, **opts.solver_kwargs())
+                    _initial_state(x0, p0, variational), **output, **opts.solver_kwargs())
     if not sol.success:
         raise NumericalError(f"flow integration failed: {sol.message}")
+    return sol
+
+
+def integrate_flow(model, x0, p0, tau, opts=None, variational=True):
+    """Integrate the flow from (x0, p0) for time tau with dense output."""
+    sol = _solve_flow(model, x0, p0, tau, opts or OdeOpts(), variational, dense_output=True)
     return Trajectory(model, tau, sol, variational)
 
 
@@ -246,7 +256,7 @@ def _start_directions(dim, n_base, count):
 
 
 class _End(NamedTuple):
-    """Where one Newton iterate's orbit ends; traj only for a single start."""
+    """Where one Newton iterate's orbit ends; traj only for a dense single start."""
 
     x: np.ndarray
     v: np.ndarray
@@ -257,16 +267,32 @@ class _End(NamedTuple):
     traj: Trajectory | None
 
 
-def _flow_one(model, y_star, p0s, taus, opts):
-    """[_End or outcome] of one flow through integrate_flow, with dense output."""
+def _end_of(d, y, p0, tau, traj=None):
+    """The _End of a flow state y at time tau, started with momentum p0."""
+    i_var = _var_index(d)
+    p = y[d:2 * d]
+    return _End(y[:d], p / math.sqrt(1.0 - float(p @ p)), y[i_var:i_var + d * d].reshape(d, d),
+                p0, float(tau), float(y[2 * d]), traj)
+
+
+def _flow_one(model, y_star, p0s, taus, opts, dense):
+    """[_End or outcome] of one flow through solve_ivp.
+
+    Only a dense flow builds DOP853's interpolant on every step, for the
+    Trajectory its _End carries; otherwise the interpolant is built on the
+    last step alone, for the state at tau.
+    """
+    tau = taus[0]
     try:
-        traj = integrate_flow(model, y_star, p0s[0], taus[0], opts, variational=True)
+        if dense:
+            traj = integrate_flow(model, y_star, p0s[0], tau, opts, variational=True)
+            return [_end_of(model.dim, traj.sol(traj.tau), traj.p_start, tau, traj)]
+        sol = _solve_flow(model, y_star, p0s[0], tau, opts, variational=True, t_eval=[tau])
     except NumericalError:
         return [UNDERFLOW]
     except DomainError as exc:
         return [LEFT_BALL if str(exc).startswith(_BALL_EXIT) else LEFT_BOX]
-    return [_End(traj.x_end, traj.v_end, traj.dp_x(traj.tau), traj.p_start, traj.tau,
-                 traj.action_end, traj)]
+    return [_end_of(model.dim, sol.y[:, -1], p0s[0], tau)]
 
 
 def _lane_rhs(model, taus):
@@ -400,27 +426,21 @@ def _dop853_lanes(fun, y0, rtol, atol):
 
 def _flow_lanes(model, y_star, p0s, taus, opts):
     """[_End or outcome] of each flow from (y_star, p0s[k]) for time taus[k], as lanes."""
-    d = model.dim
-    i_var = _var_index(d)
     taus = np.asarray(taus, dtype=float)
     y0 = np.array([_initial_state(y_star, p0, True) for p0 in p0s])
     y_end, why = _dop853_lanes(_lane_rhs(model, taus), y0, opts.rel_tol, opts.abs_tol)
-    ends = []
-    for y, reason, p0, tau in zip(y_end, why, p0s, taus):
-        p = y[d:2 * d]
-        ends.append(reason or _End(y[:d], p / math.sqrt(1.0 - float(p @ p)),
-                                   y[i_var:i_var + d * d].reshape(d, d), p0, float(tau),
-                                   float(y[2 * d]), None))
-    return ends
+    return [reason or _end_of(model.dim, y, p0, tau)
+            for y, reason, p0, tau in zip(y_end, why, p0s, taus)]
 
 
-def _newton(model, y_star, x_star, directions, tau0, opts):
+def _newton(model, y_star, x_star, directions, tau0, opts, dense=False):
     """Damped Newton over (direction chart, flight time), all starts in lock step.
 
     Every iteration integrates the active starts together: several as lanes
-    of _dop853_lanes, a last one through integrate_flow, which keeps the
-    dense output the polish needs and beats a batch of one.  Returns each
-    start's outcome and, for a converged start, its _End.
+    of _dop853_lanes, a lone one through _flow_one, which beats a batch of
+    one.  A lone start keeps its dense output only if dense (the polish,
+    whose Trajectory transport and BMT read).  Returns each start's outcome
+    and, for a converged start, its _End.
     """
     d = model.dim
     r_y = math.sqrt(1.0 - model.value(y_star) ** 2)
@@ -434,9 +454,9 @@ def _newton(model, y_star, x_star, directions, tau0, opts):
     active = list(range(len(directions)))
     for _ in range(MAX_ITER):
         charts = [_sphere_chart(frames[k], us[k]) for k in active]
-        flow = _flow_one if len(active) == 1 else _flow_lanes
-        results = flow(model, y_star, [r_y * n for n, _ in charts],
-                       [taus[k] for k in active], opts)
+        p0s, flight = [r_y * n for n, _ in charts], [taus[k] for k in active]
+        results = (_flow_one(model, y_star, p0s, flight, opts, dense) if len(active) == 1
+                   else _flow_lanes(model, y_star, p0s, flight, opts))
         still = []
         for k, (_, cols), end in zip(active, charts, results):
             if isinstance(end, str):
@@ -531,7 +551,7 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     # keep the least-action connection, then polish at tight tolerance
     p0, tau, _ = min(distinct, key=lambda rec: rec[2])
     direction = p0 / np.linalg.norm(p0)
-    [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, TIGHT)
+    [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, TIGHT, dense=True)
     if end is None:
         raise ShootingError(f"polish stage failed to re-converge: {outcome}")
     polished = end.traj

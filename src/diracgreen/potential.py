@@ -129,6 +129,7 @@ class PotentialModel:
         object.__setattr__(self, "_center",
                            np.asarray(center, dtype=float) if family.radial else center)
         object.__setattr__(self, "_profile", family.profile and partial(family.profile, *args))
+        object.__setattr__(self, "_eye", np.eye(self.dim))
 
     def value(self, x):
         return self._eval(x)[0]
@@ -184,16 +185,12 @@ class PotentialModel:
         hess.reshape(n, d * d)[:, :: d + 1] += (2.0 * fp)[:, None]   # the diagonal
         return v, grad, hess, outside
 
-    def _check_point(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise DomainError(f"point must have length {self.dim}, got shape {x.shape}")
-        if np.any(np.abs(x) > self.box_half):
-            raise DomainError(f"point {x} outside the domain box [+-{self.box_half}]^{self.dim}")
-        return x
+    def evaluate_unchecked(self, x):
+        """evaluate's float operations on a length-dim float array, for a hot loop.
 
-    def _eval(self, x):
-        x = self._check_point(x)
+        It skips the shape and box checks: the caller keeps x inside the box
+        and raises box_error(x) where it is not.
+        """
         if self._profile is None:
             return self.params["value"], np.zeros(self.dim), np.zeros((self.dim, self.dim))
 
@@ -204,8 +201,23 @@ class PotentialModel:
         rel = x - self._center
         fp, fpp, v = self._profile(float(rel @ rel))
         grad = 2.0 * fp * rel
-        hess = 2.0 * fp * np.eye(self.dim) + 4.0 * fpp * np.outer(rel, rel)
+        hess = 2.0 * fp * self._eye + 4.0 * fpp * (rel[:, None] * rel)
         return v, grad, hess
+
+    def box_error(self, x):
+        """The DomainError of a point x outside the domain box."""
+        return DomainError(f"point {x} outside the domain box [+-{self.box_half}]^{self.dim}")
+
+    def _check_point(self, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.dim,):
+            raise DomainError(f"point must have length {self.dim}, got shape {x.shape}")
+        if np.any(np.abs(x) > self.box_half):
+            raise self.box_error(x)
+        return x
+
+    def _eval(self, x):
+        return self.evaluate_unchecked(self._check_point(x))
 
 
 def make_potential(dim, kind, params, delta=None, window=None, box_half=None):

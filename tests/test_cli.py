@@ -230,6 +230,17 @@ def test_validate1d_matches_its_golden_artifact(tmp_path, name, config):
     assert text == (DATA / f"validate1d_{name}.csv").read_text()
 
 
+@pytest.mark.parametrize("command,config,artifact", [
+    ("bmt", dict(BUMP_3D, shooting={"multistart": 1}), "bmt_d3_bump.csv"),
+    ("geodesic", BUMP_3D, "geodesic_d3_bump.json"),
+])
+def test_d3_shot_matches_its_golden_artifact(tmp_path, command, config, artifact):
+    """bmt after a single start and geodesic after the fan on the d=3 bump, byte for byte."""
+    code, text = run_to_file(tmp_path, command, config)
+    assert code == 0
+    assert text == (DATA / artifact).read_text()
+
+
 def test_validate1d_marches_once_per_side_per_h(tmp_path, monkeypatch):
     """G(y, x) for the adjoint check is glued from the last h's marches, not marched again."""
     calls = []
@@ -365,6 +376,9 @@ def bump_2d(**params):
     lambda c: c.update(ode={"max_step": 0.5}),                             # not an option
     lambda c: c.update(potential=dict(c["potential"], box_half=1e308),     # |x - y| overflows
                        x_star=[1e308, 0.1], y_star=[-1e308, 0.0]),
+    lambda c: c.update(h_list=[10**400]),                     # no float holds these
+    lambda c: c.update(x_star=[10**400, 0.0]),
+    lambda c: c.update(potential={"kind": "constant", "params": {"value": -10**400}}),
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))

@@ -14,9 +14,9 @@ from scipy.integrate import quad, solve_ivp
 from diracgreen import geoflow
 from diracgreen.clifford import DomainError
 from diracgreen.cli import ConfigError, RunConfig
-from diracgreen.geoflow import (CONVERGED, LEFT_BOX, ConjugatePointError, OdeOpts,
-                                ShootingError, _dop853_lanes, _fan_starts,
-                                _newton, _var_index, agmon_distance_quadrature_1d,
+from diracgreen.geoflow import (CHART_ESCAPE, CONVERGED, LEFT_BOX, TIGHT,
+                                ConjugatePointError, OdeOpts, ShootingError,
+                                _dop853_lanes, _fan_starts, _flow_one, _newton, _var_index, agmon_distance_quadrature_1d,
                                 bordered_determinant, det_exp_prime,
                                 exp_inverse_from_geodesic, exp_map_oracle,
                                 exp_prime_fd, integrate_flow, shoot_geodesic)
@@ -256,6 +256,41 @@ def test_lane_leaving_the_box_fails_alone(monkeypatch):
         assert (end is None) == (free is None)
         if end is not None:
             np.testing.assert_allclose(end.p0, free.p0, rtol=0.0, atol=1e-13)
+
+
+def test_single_start_leaving_the_box_matches_the_lanes():
+    """In a box of half-width 6 each d=2 start, shot alone, ends as it does in the fan."""
+    y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
+    boxed = make_potential(2, "bump_well", BUMP, box_half=6.0)
+    starts, tau0 = _fan_starts(boxed, y, x, None)
+    fan, _ = _newton(boxed, y, x, starts, tau0, OdeOpts())
+    assert fan == [CONVERGED] * 5 + [LEFT_BOX, CHART_ESCAPE, LEFT_BOX]
+    assert [_newton(boxed, y, x, [n], tau0, OdeOpts())[0][0] for n in starts] == fan
+
+
+def test_flow_leaving_the_box_names_the_point():
+    """The flow's box test raises evaluate's DomainError text."""
+    m = make_potential(2, "bump_well", BUMP, box_half=6.0)
+    with pytest.raises(DomainError, match=r"^point \[.+\] outside the domain box \[\+-6\.0\]\^2$"):
+        integrate_flow(m, [5.9, 0.0], [0.5, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("opts", [OdeOpts(), TIGHT], ids=["fan", "tight"])
+@pytest.mark.parametrize("dim,kind,params,y,x", FAN_PAIRS,
+                         ids=[f"d{p[0]}-{p[1]}-{i % 3}" for i, p in enumerate(FAN_PAIRS)])
+def test_end_state_matches_the_dense_trajectory(dim, kind, params, y, x, opts):
+    """A lone Newton iterate without dense output ends where the dense Trajectory does."""
+    m = make_potential(dim, kind, params)
+    y, x = np.array(y), np.array(x)
+    [n], tau0 = _fan_starts(m, y, x, 1)
+    p0 = math.sqrt(1.0 - m.value(y) ** 2) * n
+    [end] = _flow_one(m, y, [p0], [tau0], opts, False)
+    assert end.traj is None
+    traj = integrate_flow(m, y, p0, tau0, opts)
+    for got, want in ((end.x, traj.x_end), (end.v, traj.v_end),
+                      (end.dpx, traj.dp_x(traj.tau)), (end.p0, traj.p_start)):
+        assert np.all(got == want)
+    assert (end.tau, end.action) == (traj.tau, traj.action_end)
 
 
 def test_dop853_lanes_follow_scipy_lane_by_lane():
