@@ -483,7 +483,7 @@ def _load_config(args):
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
         cfg = RunConfig.from_dict(data)
@@ -501,11 +501,14 @@ def _load_config(args):
 
 def _emit(text, args, cfg=None):
     path = args.out or (cfg.out if cfg is not None else None)
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifact: {exc}") from exc
 
 
 def main(argv=None):

@@ -241,7 +241,13 @@ def _frame_from_direction(n0):
 
 
 def _start_directions(dim, n_base, count):
-    """Deterministic multistart fan: lattice directions of {-1,0,1}^d, base first."""
+    """Deterministic multistart fan: lattice directions of {-1,0,1}^d, base first.
+
+    In d = 1 the fan is the base direction alone, toward x* - y*, whatever count.
+    """
+    if dim == 1:
+        # on H = 0, |p|^2 = 1 - V^2 > 0 in the gap: p keeps its sign, so -n_base never connects
+        return [n_base]
     frame = _frame_from_direction(n_base)
     dirs = []
     # distinct vectors of {-1,0,1}^d never point the same way, so no duplicates
@@ -249,8 +255,7 @@ def _start_directions(dim, n_base, count):
         g = np.array(v, dtype=float) - 1.0
         if g.any():
             dirs.append(frame @ (g / np.linalg.norm(g)))
-    # base direction (lattice vector (1,0,..)) is first by ndindex order only
-    # for d = 1; force it to the front generally
+    # ndindex order does not put the base direction (lattice vector (1,0,..)) first
     dirs.sort(key=lambda v: -float(v @ n_base))
     return dirs[:count] if count is not None else dirs
 
@@ -514,8 +519,10 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     Newton iterates on the start direction (sphere chart) and the flight
     time; a deterministic multistart fan of the first multistart lattice
     directions (all 3^d - 1 when None) probes for competing connections
-    and fills the uniqueness report.  The returned solution is polished at
-    the TIGHT integrator tolerances.
+    and fills the uniqueness report.  In d = 1 the fan is the one start
+    toward x_star for any multistart: p keeps its sign on the zero-energy
+    level, so the other direction cannot connect.  The returned solution is
+    polished at the TIGHT integrator tolerances.
 
     Raises ShootingError if no start converges and ConjugatePointError if
     the bordered determinant falls under CONJUGACY_TOL * d_A^(d-1).

@@ -333,34 +333,32 @@ def validate_hypothesis(model, n_samples=1000, seed=0):
 def fd_consistency(model):
     """Worst-case mismatch of analytic derivatives against central differences.
 
-    Steps 1e-6 (gradient) and 1e-4 (Hessian) at 200 seeded points; residuals
-    are normalised by max(1, true magnitude).  Returns the pair (gradient
-    residual, Hessian residual).
+    Steps 1e-6 (gradient) and 1e-4 (Hessian) at 200 seeded points, each
+    point's stencil in one evaluate_many call; residuals are normalised by
+    max(1, true magnitude).  Returns the pair (gradient residual, Hessian
+    residual).
     """
     grad_step, hstep = 1e-6, 1e-4
+    d = model.dim
     rng = np.random.default_rng(7)
     # stay a step away from the box edge so stencils remain inside
     half = model.box_half - 10.0 * hstep
-    pts = rng.uniform(-half, half, size=(200, model.dim))
+    pts = rng.uniform(-half, half, size=(200, d))
+    # rows of step I are the step e_i
+    eg, eh = grad_step * np.eye(d), hstep * np.eye(d)
+    ii, jj = np.triu_indices(d, 1)
+    cuts = np.cumsum([d] * 4 + [len(ii)] * 3)
     worst_g = worst_h = 0.0
     for x in pts:
         v, grad, hess = model.evaluate(x)
-        fd_grad = np.zeros_like(grad)
-        for i in range(model.dim):
-            e = np.zeros(model.dim)
-            e[i] = grad_step
-            fd_grad[i] = (model.value(x + e) - model.value(x - e)) / (2.0 * grad_step)
+        stencil = np.concatenate([
+            x + eg, x - eg, x + eh, x - eh,
+            x + eh[ii] + eh[jj], x + eh[ii] - eh[jj], x - eh[ii] + eh[jj], x - eh[ii] - eh[jj]])
+        gp, gm, hp, hm, a, b, c, e = np.split(model.evaluate_many(stencil)[0], cuts)
+        fd_grad = (gp - gm) / (2.0 * grad_step)
         worst_g = max(worst_g, np.max(np.abs(grad - fd_grad)) / max(1.0, np.max(np.abs(fd_grad))))
         fd_hess = np.zeros_like(hess)
-        for i in range(model.dim):
-            ei = np.zeros(model.dim)
-            ei[i] = hstep
-            fd_hess[i, i] = (model.value(x + ei) - 2.0 * v + model.value(x - ei)) / hstep**2
-            for j in range(i + 1, model.dim):
-                ej = np.zeros(model.dim)
-                ej[j] = hstep
-                mixed = (model.value(x + ei + ej) - model.value(x + ei - ej)
-                         - model.value(x - ei + ej) + model.value(x - ei - ej)) / (4.0 * hstep**2)
-                fd_hess[i, j] = fd_hess[j, i] = mixed
+        fd_hess[np.diag_indices(d)] = (hp - 2.0 * v + hm) / hstep**2
+        fd_hess[ii, jj] = fd_hess[jj, ii] = (a - b - c + e) / (4.0 * hstep**2)
         worst_h = max(worst_h, np.max(np.abs(hess - fd_hess)) / max(1.0, np.max(np.abs(fd_hess))))
     return worst_g, worst_h

@@ -444,6 +444,30 @@ def test_missing_and_unreadable_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert cli.main(["geodesic", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    """An --out that cannot be opened, for a command and for selfcheck, is a config error."""
+    out = str(tmp_path / target)
+    assert cli.main(["constant", "--config", write_config(tmp_path, CONST_1D),
+                     "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
+    assert cli.main(["selfcheck", "--dim", "1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
+
+
+def test_unwritable_out_from_config_exits_2(tmp_path, capsys):
+    cfg = dict(CONST_1D, out=str(tmp_path / "missing" / "y"))
+    assert cli.main(["constant", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
+
+
 def test_bad_h_list_override(tmp_path):
     code, _ = run_to_file(tmp_path, "kernel", CONST_1D, extra=("--h-list", "0.05,0.1"))
     assert code == 2

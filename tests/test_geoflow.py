@@ -234,6 +234,38 @@ def test_lane_fan_matches_single_start_shots(dim, kind, params, y, x):
             np.testing.assert_allclose(end.p0, single.p0, rtol=0.0, atol=1e-13)
 
 
+D1_PAIRS = [row for row in FAN_PAIRS if row[0] == 1]
+
+
+@pytest.mark.parametrize("dim,kind,params,y,x", D1_PAIRS, ids=[p[1] for p in D1_PAIRS])
+def test_d1_fan_is_the_one_start_toward_x_star(dim, kind, params, y, x, monkeypatch):
+    """p keeps its sign on H = 0, so the d = 1 fan is one start, shot without lanes."""
+    m = make_potential(dim, kind, params)
+    y, x = np.array(y), np.array(x)
+    toward = np.sign(x - y)
+    for count in (None, 2):
+        starts, tau0 = _fan_starts(m, y, x, count)
+        assert len(starts) == 1 and np.array_equal(starts[0], toward)
+    single = shoot_geodesic(m, y, x, multistart=1)
+    lane_calls = []
+    flow_lanes = geoflow._flow_lanes
+
+    def spy(*args):
+        lane_calls.append(args)
+        return flow_lanes(*args)
+
+    monkeypatch.setattr(geoflow, "_flow_lanes", spy)
+    geo = shoot_geodesic(m, y, x)
+    assert lane_calls == []
+    assert geo.uniqueness["n_starts"] == 1
+    assert (geo.agmon, geo.tau, geo.bordered_det) == (single.agmon, single.tau,
+                                                      single.bordered_det)
+    assert np.array_equal(geo.p0, single.p0)
+    # the dropped start, shot alone, never connects
+    [outcome], [end] = _newton(m, y, x, [-toward], tau0, OdeOpts())
+    assert outcome != CONVERGED and end is None
+
+
 def test_lane_leaving_the_box_fails_alone(monkeypatch):
     """In a box of half-width 6 two d=2 starts leave it; the rest converge as in the wide box."""
     y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
