@@ -109,7 +109,6 @@ class SpinTransportResult:
     times: np.ndarray
     bloch: np.ndarray
     residual_path: np.ndarray
-    tau: float
     unitarity_defect: float
     bmt2_residual: float
     norm_drift: float
@@ -165,8 +164,7 @@ def solve_bmt_spin(model, traj, u0=None):
     residual_path = np.sqrt(np.vecdot(lhs - rhs_vec, lhs - rhs_vec))
 
     return SpinTransportResult(s_matrix=s_tau, times=times, bloch=bloch,
-                               residual_path=residual_path,
-                               tau=traj.tau, unitarity_defect=defect,
+                               residual_path=residual_path, unitarity_defect=defect,
                                bmt2_residual=float(residual_path.max()),
                                norm_drift=drift)
 
@@ -180,20 +178,19 @@ class EquivalenceReport:
     passed: bool
 
 
-def equivalence_check(model, rep, geo, spin=None, transport=None):
+def equivalence_check(model, rep, geo, spin, transport=None):
     """Compare four-spinor transport with the reduced two-spinor route.
 
     Builds T = U(tau) Lambda_plus(i omega(0)) and the frame sandwich
     sqrt(V(x)/V(y)) W(x, omega(tau)) s(tau) pair(y, omega(0)) for the two
     pairings (plain transpose W^T, hermitian left factor W_L), fitting a
     free scalar to each; passes when either matches to 1e-6 relative.
+    spin is solve_bmt_spin's result along geo.trajectory.
     """
     _require_standard_rep(rep)
     traj = geo.trajectory
     if transport is None:
         transport = solve_spinor_transport(model, rep, traj)
-    if spin is None:
-        spin = solve_bmt_spin(model, traj)
     lam_start = projector(rep, 1j * geo.p0).lambda_plus
     target = transport.u_matrix @ lam_start
 

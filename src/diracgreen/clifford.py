@@ -150,7 +150,7 @@ def lambda_branches(zeta, v):
     return root + v, -root + v
 
 
-def dirac_symbol(rep, zeta, v=0.0):
+def dirac_symbol(rep, zeta, v):
     """Symbol matrix alpha . zeta + alpha_0 + v I."""
     return rep.alpha_dot(zeta) + rep.alpha0 + v * np.eye(rep.dstar)
 

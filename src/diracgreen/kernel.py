@@ -163,7 +163,7 @@ def leading_kernel_multid(model, rep, geo, h, transport=None):
     return _assemble(model, rep, geo, h, transport.u_matrix)
 
 
-def leading_kernel_1d(model, rep, x, y, h, geo=None):
+def leading_kernel_1d(model, rep, x, y, h):
     """Leading kernel in 1D between scalar endpoints, assembled as in any dimension.
 
     Calls _assemble directly rather than leading_kernel_multid, so that a
@@ -173,8 +173,7 @@ def leading_kernel_1d(model, rep, x, y, h, geo=None):
         raise DomainError("leading_kernel_1d needs a 1D model and representation")
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
-    if geo is None:
-        geo = shoot_geodesic(model, np.atleast_1d(float(y)), np.atleast_1d(float(x)))
+    geo = shoot_geodesic(model, np.atleast_1d(float(y)), np.atleast_1d(float(x)))
     transport = solve_spinor_transport(model, rep, geo.trajectory)
     return _assemble(model, rep, geo, h, transport.u_matrix)
 

@@ -40,16 +40,17 @@ def _edge(model, points):
     return max([model.window] + [abs(s) for s in points]) + 0.5
 
 
-def decaying_solution(model, side, points, h, anchor=None):
+def decaying_solution(model, side, points, h):
     """The recessive solution on one side at each of points, as (vector, log_scale).
 
     The solution is vector * exp(log_scale), vector of order one.  side =
     "right" decays as s -> +inf and is marched leftward from its anchor (its
-    growing, numerically stable direction); side = "left" mirrors this.  One
-    Riccati march runs from the anchor to the farthest point and reads each
-    point, through t_eval, as tail[0] e^{i Im L} (1, w) with log_scale Re L;
-    points at or beyond the anchor take the exact exponential tail.  A march
-    whose |w| reaches 1 at an accepted step has left the u1 chart and raises.
+    growing, numerically stable direction); side = "left" mirrors this.  The
+    anchor lies half a unit past the constant window and every point, where
+    the solution is the exact exponential tail.  One Riccati march runs from
+    the anchor to the farthest point and reads each point, through t_eval,
+    as tail[0] e^{i Im L} (1, w) with log_scale Re L.  A march whose |w|
+    reaches 1 at an accepted step has left the u1 chart and raises.
     """
     if model.dim != 1:
         raise DomainError("the exact solver is 1D only")
@@ -58,24 +59,16 @@ def decaying_solution(model, side, points, h, anchor=None):
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
     points = [float(s) for s in points]
+    if not all(map(math.isfinite, points)):
+        raise DomainError(f"points must be finite, got {points}")
     sign = -1.0 if side == "right" else 1.0     # the direction of the march
-    anchor = -sign * _edge(model, points) if anchor is None else float(anchor)
+    # past every point, so that one box check covers every RHS call
+    anchor = -sign * _edge(model, points)
     if abs(anchor) > model.box_half:
         raise DomainError("anchor falls outside the domain box; widen box_half")
     e_tail = model.value(np.array([anchor]))
     kappa = math.sqrt(1.0 - e_tail * e_tail)
     tail = np.array([1j * kappa, sign * (1.0 + e_tail)]) / math.hypot(kappa, 1.0 + e_tail)
-    out = [(tail, -kappa * abs(s - anchor) / h)
-           if sign * (s - anchor) <= 0.0 else None for s in points]
-    pending = [i for i, val in enumerate(out) if val is None]
-    if not pending:
-        return out
-    # the march visits the distinct pending points in its own direction and
-    # stays in [anchor, farthest point], so one box check covers every RHS call
-    t_eval = sorted({points[i] for i in pending}, key=lambda s: sign * s)
-    for s in t_eval:
-        if not abs(s) <= model.box_half:
-            raise DomainError(f"point {s} outside the domain box [+-{model.box_half}]^1")
 
     v_at, ih = model.line_value(), 1j / h
 
@@ -99,17 +92,22 @@ def decaying_solution(model, side, points, h, anchor=None):
 
     chart.terminal = True
     w0 = tail[1] / tail[0]
-    res = solve_ivp(rhs, (anchor, t_eval[-1]), [w0.real, 0.0, w0.imag, 0.0],
-                    t_eval=t_eval, events=chart, **OdeOpts().solver_kwargs())
+    t_eval = sorted(set(points), key=lambda s: sign * s)    # in the march's direction
+    # a rejected trial stage may overflow; DOP853 then rejects the step,
+    # and the chart event sees only accepted states
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = solve_ivp(rhs, (anchor, t_eval[-1]), [w0.real, 0.0, w0.imag, 0.0],
+                        t_eval=t_eval, events=chart, **OdeOpts().solver_kwargs())
     if not res.success:
         raise NumericalError(f"decaying-solution integration failed: {res.message}")
     if peak >= 1.0:
         raise NumericalError(f"Riccati march left the u1 chart: max |u2/u1| = {peak:.3e}")
     column = {s: j for j, s in enumerate(t_eval)}
-    for i in pending:
-        z = res.y[:, column[points[i]]]
+    out = []
+    for s in points:
+        z = res.y[:, column[s]]
         w, log_u1 = z[:2] + 1j * z[2:]
-        out[i] = (tail[0] * np.exp(1j * log_u1.imag) * np.array([1.0, w]), log_u1.real)
+        out.append((tail[0] * np.exp(1j * log_u1.imag) * np.array([1.0, w]), log_u1.real))
     return out
 
 

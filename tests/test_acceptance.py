@@ -101,7 +101,7 @@ def test_criterion_02_1d_constant_exactness():
             y, x = -0.5 * r, 0.5 * r
             geo = shoot_geodesic(model, [y], [x])
             for h in (0.2, 0.1, 0.05):
-                lead = leading_kernel_1d(model, rep, x, y, h, geo=geo).matrix
+                lead = leading_kernel_multid(model, rep, geo, h).matrix
                 oracle = exact_green_kernel_1d(model, x, y, h)
                 closed = constant_V_exact(rep, e_value, [x], [y], h)
                 worst_oracle = max(worst_oracle,
@@ -197,7 +197,7 @@ def test_criterion_04_1d_leading_convergence():
         geo = shoot_geodesic(model, [-1.0], [1.0])
         devs = []
         for h in h_list:
-            lead = leading_kernel_1d(model, rep, 1.0, -1.0, h, geo=geo).matrix
+            lead = leading_kernel_multid(model, rep, geo, h).matrix
             oracle = exact_green_kernel_1d(model, 1.0, -1.0, h)
             norm2 = float(np.vdot(lead, lead).real)
             devs.append(abs(complex(np.vdot(lead, oracle)) / norm2 - 1.0))
@@ -245,14 +245,8 @@ def test_criterion_06_adjoint_symmetry(solved):
         rep = build_dirac_rep(d)
         for name, _, _, _, _ in rows:
             model, fwd, rev = solved[(d, name)]
-            if d == 1:
-                est_f = leading_kernel_1d(model, rep, fwd.x_star[0], fwd.y_star[0],
-                                          h, geo=fwd)
-                est_r = leading_kernel_1d(model, rep, rev.x_star[0], rev.y_star[0],
-                                          h, geo=rev)
-            else:
-                est_f = leading_kernel_multid(model, rep, fwd, h)
-                est_r = leading_kernel_multid(model, rep, rev, h)
+            est_f = leading_kernel_multid(model, rep, fwd, h)
+            est_r = leading_kernel_multid(model, rep, rev, h)
             m_f, m_r = est_f.amplitude, est_r.amplitude
             worst_m = max(worst_m, float(np.linalg.norm(m_f.conj().T - m_r)
                                          / np.linalg.norm(m_f)))

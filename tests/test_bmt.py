@@ -152,7 +152,7 @@ def test_equivalence_left_inverse_pairing():
     m = bump3()
     rep = build_dirac_rep(3)
     geo = shoot_geodesic(m, Y_OFF, X_OFF)
-    report = equivalence_check(m, rep, geo)
+    report = equivalence_check(m, rep, geo, solve_bmt_spin(m, geo.trajectory))
     assert report.passed
     assert report.best == "left_inverse"
     assert report.residual_left_inverse <= 1e-6
@@ -167,7 +167,7 @@ def test_equivalence_transpose_pairing_in_a_plane():
     rep = build_dirac_rep(3)
     geo = shoot_geodesic(m, [-1.0, 0.0, 0.3], [1.0, 0.0, -0.2])
     assert abs(geo.p0[1]) <= 1e-9   # the orbit stays in the x1-x3 plane
-    report = equivalence_check(m, rep, geo)
+    report = equivalence_check(m, rep, geo, solve_bmt_spin(m, geo.trajectory))
     assert report.passed
     assert report.residual_left_inverse <= 1e-6
     assert report.residual_transpose <= 1e-6
@@ -176,10 +176,11 @@ def test_equivalence_transpose_pairing_in_a_plane():
 def test_equivalence_requires_standard_rep():
     m = bump3()
     geo = shoot_geodesic(m, Y_OFF, X_OFF)
+    spin = solve_bmt_spin(m, geo.trajectory)
     with pytest.raises(DomainError):
-        equivalence_check(m, negate_rep(build_dirac_rep(3)), geo)
+        equivalence_check(m, negate_rep(build_dirac_rep(3)), geo, spin)
     with pytest.raises(DomainError):
-        equivalence_check(m, build_dirac_rep(2), geo)
+        equivalence_check(m, build_dirac_rep(2), geo, spin)
 
 
 def test_equivalence_reuses_precomputed_pieces():

@@ -1,17 +1,21 @@
 """End-to-end command line behaviour: artifacts, exit codes, determinism."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from diracgreen import cli, geoflow, oracle1d
-from diracgreen.clifford import build_dirac_rep
+from diracgreen import cli, geoflow, oracle1d, potential
+from diracgreen.clifford import build_dirac_rep, clifford_residual
 from diracgreen.kernel import constant_V_exact
 
 CONST_1D = {
@@ -72,16 +76,44 @@ def test_selfcheck_single_dimension(tmp_path):
         assert check["pass"]
 
 
-def test_selfcheck_fault_injection(tmp_path, capsys):
+def test_selfcheck_fault_injection(tmp_path, capsys, monkeypatch):
+    """One Clifford matrix entry off by 1e-6 fails its line, and no other."""
+    def perturbed(rep):
+        alphas = [a.copy() for a in rep.alphas]
+        alphas[0][0, -1] += 1e-6
+        return clifford_residual(replace(rep, alphas=tuple(alphas)))
+
+    monkeypatch.setattr(cli, "clifford_residual", perturbed)
     out = tmp_path / "report.json"
-    code = cli.main(["selfcheck", "--dim", "1", "--inject-fault", "clifford",
-                     "--out", str(out)])
+    code = cli.main(["selfcheck", "--dim", "1", "--out", str(out)])
     assert code == 1
     assert "clifford_relations_d1" in capsys.readouterr().err
     report = json.loads(out.read_text())
     assert not report["passed"]
     bad = [c for c in report["checks"] if not c["pass"]]
     assert [c["name"] for c in bad] == ["clifford_relations_d1"]
+
+
+def test_selfcheck_d3_potential_lines_can_fail(monkeypatch):
+    """A bump row with f'' off by 1e-3 and its minimum declared 0.05 too high, in d = 3.
+
+    Box draws alone miss the radius-2 well there; the draws near the
+    center trip both potential lines of selfcheck.
+    """
+    row = potential.FAMILIES["bump_well"]
+
+    def profile(*args):
+        fp, fpp, v = row.profile(*args)
+        return fp, fpp * (1.0 + 1e-3), v
+
+    def bounds(p):
+        lo, hi = row.bounds(p)
+        return lo + 0.05, hi
+
+    monkeypatch.setitem(potential.FAMILIES, "bump_well",
+                        replace(row, profile=profile, bounds=bounds))
+    failed = {c["name"] for c in cli.run_selfcheck((3,))["checks"] if not c["pass"]}
+    assert {"potential_derivatives_d3", "hypothesis_gap_d3"} <= failed
 
 
 # ------------------------------------------------------------------- geodesic
@@ -379,6 +411,8 @@ def bump_2d(**params):
     lambda c: c.update(h_list=[10**400]),                     # no float holds these
     lambda c: c.update(x_star=[10**400, 0.0]),
     lambda c: c.update(potential={"kind": "constant", "params": {"value": -10**400}}),
+    lambda c: c.update(potential=bump_2d(radius=5e-324)),  # radius^2 underflows to 0
+    lambda c: c.update(potential=bump_2d(radius=1e200)),   # radius^2 overflows
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))
@@ -423,6 +457,29 @@ def test_validate1d_tiny_kernel_keeps_its_ratio(tmp_path, h_list):
     assert abs(rows[1][2] - 1.0) < 1e-2     # ratio_re at the small h
 
 
+OFFCENTER_1D = dict(BUMP_1D, x_star=[1.2], potential={
+    "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": 0.3}})
+
+
+@pytest.mark.parametrize("name,config,h_list", [
+    ("offcenter", OFFCENTER_1D, "0.2,0.1,0.05,0.025"),
+    ("h0005", BUMP_1D, "0.2,0.005"),
+])
+def test_validate1d_trial_stage_overflow_is_silent(tmp_path, name, config, h_list):
+    """Runs whose oracle march overflows on a rejected trial stage: exit 0, no warning.
+
+    The golden files hold the stdout of the code before the march silenced
+    those warnings, which printed them to stderr.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracgreen.cli", "validate1d", "--config",
+         write_config(tmp_path, config), "--h-list", h_list],
+        capture_output=True, text=True, timeout=60, env=_src_env())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == (DATA / f"validate1d_bump_{name}.csv").read_text()
+
+
 def test_shooting_failure_tallies_start_outcomes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(geoflow, "MAX_ITER", 1)
     cfg = dict(CONST_2D, potential=bump_2d(), x_star=[1.0, 0.4], y_star=[-1.0, -0.3])
@@ -460,6 +517,41 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
     assert cli.main(["selfcheck", "--dim", "1", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
+
+
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch):
+    """The artifact path is checked before selfcheck or a shot runs."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its artifact path was checked")
+
+    monkeypatch.setattr(cli, "_dim_checks", no_work)
+    monkeypatch.setattr(cli, "shoot_geodesic", no_work)
+    out = str(tmp_path / "missing" / "x.json")
+    assert cli.main(["selfcheck", "--dim", "1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
+    assert cli.main(["geodesic", "--config", write_config(tmp_path, CONST_2D),
+                     "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_unwritable_out_still_exits_2_when_open_fails(tmp_path, capsys, monkeypatch):
+    """Past the early check, an artifact that open() refuses is still a config error."""
+    monkeypatch.setattr(cli, "_check_writable", lambda path: None)
+    assert cli.main(["constant", "--config", write_config(tmp_path, CONST_1D),
+                     "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
+
+
+def test_failed_run_keeps_the_existing_artifact(tmp_path, capsys, monkeypatch):
+    """A run that exits 3 neither truncates nor rewrites the artifact it would have written."""
+    out = tmp_path / "out.json"
+    out.write_text("the previous artifact\n")
+    monkeypatch.setattr(geoflow, "CONJUGACY_TOL", 1e6)
+    assert cli.main(["geodesic", "--config", write_config(tmp_path, CONST_2D),
+                     "--out", str(out)]) == 3
+    assert out.read_text() == "the previous artifact\n"
+    capsys.readouterr()
 
 
 def test_unwritable_out_from_config_exits_2(tmp_path, capsys):
@@ -521,10 +613,10 @@ def _mutated(config, path, edit):
     return cfg
 
 
-def _fuzz_exit(tmp_path, cfg):
+def _fuzz_exit(tmp_path, cfg, command="constant"):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(cfg))
-    return cli.main(["constant", "--config", str(path), "--out", str(tmp_path / "fuzz.csv")])
+    return cli.main([command, "--config", str(path), "--out", str(tmp_path / "fuzz.csv")])
 
 
 def test_fuzz_renamed_keys_exit_2(tmp_path, capsys):
@@ -557,4 +649,51 @@ def test_fuzz_every_field_exits_0_2_or_3(tmp_path, capsys, config):
             if code not in (0, 2, 3):
                 findings.append((path, value, code))
     capsys.readouterr()
+    assert findings == []
+
+
+# cheap shots: the d=2 well and a 1D well for validate1d, one start, two coarse h
+FUZZ_SHOT = dict(FUZZ_WELL, shooting={"multistart": 1})
+FUZZ_1D = dict(FUZZ_SHOT, dimension=1, x_star=[0.5], y_star=[-0.5], potential={
+    "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0},
+    "delta": 0.05, "window": 2.0, "box_half": 12.0})
+FUZZ_BUDGET_S = 10.0
+
+
+def _numbers(text):
+    """Every token of an artifact that reads as a float, nan and inf included."""
+    for token in re.split(r"[\s,=:\[\]{}\"]+", text):
+        try:
+            yield float(token)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("command,config", [
+    ("geodesic", FUZZ_SHOT), ("kernel", FUZZ_CONFIG), ("validate1d", FUZZ_1D),
+], ids=["geodesic", "kernel", "validate1d"])
+def test_fuzz_computing_commands(tmp_path, capsys, command, config):
+    """Each menu value in each field: exit 0, 2 or 3 within the time budget.
+
+    On exit 0 every number of the artifact is finite and stderr is empty.
+    """
+    artifact = tmp_path / "fuzz.csv"
+    findings = []
+    for path in _key_paths(config):
+        for value in FUZZ_MENU:
+            cfg = _mutated(config, path, lambda obj, key: obj.__setitem__(key, value))
+            artifact.unlink(missing_ok=True)
+            start = time.perf_counter()
+            try:
+                code = _fuzz_exit(tmp_path, cfg, command)
+            except Exception as exc:   # any escape is a finding, reported all at once
+                findings.append((path, value, repr(exc)))
+                continue
+            wall = time.perf_counter() - start
+            err = capsys.readouterr().err
+            if code not in (0, 2, 3) or wall > FUZZ_BUDGET_S:
+                findings.append((path, value, code, wall))
+            elif code == 0 and (err or not all(map(math.isfinite,
+                                                    _numbers(artifact.read_text())))):
+                findings.append((path, value, err, artifact.read_text()))
     assert findings == []

@@ -1,8 +1,11 @@
 """Potential families: values, derivatives, gap margin, config round trip."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from diracgreen import potential
 from diracgreen.clifford import DomainError
 from diracgreen.potential import (FAMILIES, Family, from_config, fd_consistency,
                                   make_potential, negated, validate_hypothesis)
@@ -206,19 +209,18 @@ def test_line_value_is_1d_only():
 
 def test_hypothesis_validation_passes_for_gap_families():
     m = make_potential(2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
-    rep = validate_hypothesis(m, n_samples=2000, seed=3)
+    rep = validate_hypothesis(m)
     assert rep.passed
-    assert rep.delta_hat >= rep.declared_delta
-    assert rep.n_samples == 2000
+    assert rep.delta_hat >= m.delta
 
 
 @pytest.mark.parametrize("dim,kind,params", MARGIN_CASES)
 def test_hypothesis_margin_matches_a_pointwise_loop(dim, kind, params):
     """The batched margin is the min over the same seeded samples of model.value, bit for bit."""
     m = make_potential(dim, kind, params, box_half=3.0)
-    pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(1500, dim))
+    pts = potential._samples(m, 1000, 0, 3.0)
     margin = min(min(-v, 1.0 + v) for v in map(m.value, pts))
-    assert validate_hypothesis(m, n_samples=1500, seed=5).delta_hat == margin
+    assert validate_hypothesis(m).delta_hat == margin
 
 
 def test_hypothesis_validation_flags_gap_violations():
@@ -231,12 +233,6 @@ def test_hypothesis_validation_flags_gap_violations():
     rep = validate_hypothesis(tight)
     assert not rep.passed
     assert rep.delta_hat == pytest.approx(0.3)
-
-
-def test_hypothesis_validation_sample_floor():
-    m = make_potential(1, "constant", {"value": -0.5})
-    with pytest.raises(DomainError):
-        validate_hypothesis(m, n_samples=100)
 
 
 def test_config_round_trip():
@@ -298,3 +294,44 @@ def test_a_new_family_needs_only_its_row(monkeypatch):
 
     neg = negated(m)
     assert all(neg.value(x) == -m.value(x) for x in xs)
+
+
+# every family with a profile in every d it allows, with selfcheck's parameters;
+# each faulty row must trip the selfcheck line that guards it
+FAULT_CASES = [(d, kind, params) for d in (1, 2, 3) for kind, params in (
+    ("bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
+    ("cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}))
+] + [(1, "tanh_step", {"base": -0.5, "amp": 0.2})]
+
+
+@pytest.mark.parametrize("slot", [0, 1], ids=["fp", "fpp"])
+@pytest.mark.parametrize("dim,kind,params", FAULT_CASES)
+def test_a_wrong_derivative_trips_potential_derivatives(monkeypatch, dim, kind, params, slot):
+    """f' or f'' scaled by 1 + 1e-3 pushes fd_consistency past selfcheck's 1e-6."""
+    row = FAMILIES[kind]
+
+    def faulty(*args):
+        out = list(row.profile(*args))
+        out[slot] *= 1.0 + 1e-3
+        return tuple(out)
+
+    monkeypatch.setitem(FAMILIES, kind, replace(row, profile=faulty))
+    assert max(fd_consistency(make_potential(dim, kind, params))) > 1e-6
+
+
+@pytest.mark.parametrize("dim,kind,params", FAULT_CASES)
+def test_a_misstated_range_trips_hypothesis_gap(monkeypatch, dim, kind, params):
+    """bounds 0.05 inside the true range at each end (a well's minimum too high).
+
+    The declared margin then exceeds the sampled one: selfcheck's residual
+    delta - delta_hat is above its tolerance 0.0.
+    """
+    row = FAMILIES[kind]
+
+    def narrowed(p):
+        lo, hi = row.bounds(p)
+        return lo + 0.05, hi - 0.05
+
+    monkeypatch.setitem(FAMILIES, kind, replace(row, bounds=narrowed))
+    m = make_potential(dim, kind, params)
+    assert m.delta - validate_hypothesis(m).delta_hat > 0.0
