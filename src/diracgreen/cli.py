@@ -333,8 +333,10 @@ def _dim_checks(d):
 
     fam = _families(d)
     add("potential_derivatives", max(max(fd_consistency(m)) for m in fam), 1e-6)
+    # the constant's sampled margin is its declared one, so only the wells' rows say anything
     add("hypothesis_gap",
-        max(m.delta - validate_hypothesis(m).delta_hat for m in fam), 0.0)
+        max(m.delta - validate_hypothesis(m).delta_hat for m in fam
+            if potential_mod.FAMILIES[m.kind].profile), 0.0)
 
     model = fam[1]  # the bump well; fam[0] is the constant V = -0.6
     y_pt, x_pt = (np.array(p) for p in _ENDPOINTS[d])

@@ -49,10 +49,15 @@ _BALL_EXIT = "flow reached the momentum ball boundary |p| -> 1"
 # scipy's RungeKutta step-size control, which _dop853_lanes repeats per lane
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
-# the shoot: a start converges once max |x(tau) - x*| <= NEWTON_TOL max(1, |x*|_inf),
-# within MAX_ITER Newton steps; connections closer than MERGE_TOL in (p0, tau) are one;
-# a bordered determinant under CONJUGACY_TOL d_A^(d-1) is near-conjugate
+# the shoot, with every residual max |x(tau) - x*| measured against tol * max(1, |x*|_inf):
+# a fan start integrates at LOOSE until its last residual is at most LOOSE_UNTIL, and at
+# the fan's OdeOpts() from then on; it converges only on an iterate integrated at the
+# fan's pair whose residual is at most NEWTON_TOL, within MAX_ITER Newton steps.  The
+# polish integrates every iterate at TIGHT and stops at POLISH_TOL, near the float floor.
+# Connections closer than MERGE_TOL in (p0, tau) are one; a bordered determinant under
+# CONJUGACY_TOL d_A^(d-1) is near-conjugate
 NEWTON_TOL, MAX_ITER, MERGE_TOL, CONJUGACY_TOL = 1e-10, 40, 1e-6, 1e-8
+LOOSE_UNTIL, POLISH_TOL = 1e-3, 1e-13
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,8 @@ class OdeOpts:
 
 # the polish, the spinor transport, the BMT spin solve and exp_map_oracle
 TIGHT = OdeOpts(1e-12, 1e-14)
+# a fan start far from its root (inexact Newton: Dembo, Eisenstat & Steihaug 1982)
+LOOSE = OdeOpts(1e-6, 1e-8)
 
 
 def _var_index(d):
@@ -347,8 +354,9 @@ def _dop853_lanes(fun, y0, rtol, atol):
     DOP853 tableau and step-size control (SAFETY 0.9, factors 0.2 and 10,
     exponent -1/8, its initial-step rule, a 10-ulp minimum step), with no
     dense output.  One shared step size would make every lane redo the
-    steps any one lane rejects.  A lane that leaves the domain
-    or whose step underflows stops with that reason; the others go on.
+    steps any one lane rejects.  rtol and atol are scalars or (n, 1) arrays,
+    one row per lane.  A lane that leaves the domain or whose step
+    underflows stops with that reason; the others go on.
     Returns the end states and the per-lane reasons ("" once at s = 1).
     """
     a_tab, b_tab, e3, e5 = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5
@@ -356,6 +364,7 @@ def _dop853_lanes(fun, y0, rtol, atol):
     exponent = -1.0 / (DOP853.error_estimator_order + 1)
     y = np.array(y0, dtype=float)
     n, m = y.shape
+    rtol, atol = (np.broadcast_to(np.asarray(tol, dtype=float), (n, 1)) for tol in (rtol, atol))
     lanes = np.arange(n)
     why = np.full(n, "", dtype=object)
 
@@ -382,6 +391,10 @@ def _dop853_lanes(fun, y0, rtol, atol):
 
     s = np.zeros(n)
     rejected = np.zeros(n, dtype=bool)  # a retry of a rejected step, not a fresh one
+    # the stages keep a row for every lane, live or not: a BLAS product rounds an entry by
+    # where it falls in its blocks, so each lane keeps its place and its numbers never
+    # depend on which other lanes are live
+    k = np.zeros((n_st + 1, n, m))
     while True:
         idx = np.flatnonzero((why == "") & (s < 1.0))
         if not idx.size:
@@ -399,20 +412,19 @@ def _dop853_lanes(fun, y0, rtol, atol):
         s_new = np.minimum(s_i + h, 1.0)
         h = s_new - s_i
 
-        k = np.empty((n_st + 1, idx.size, m))
-        k[0] = f[idx]
+        k[0] = f
         y_i = y[idx]
         for st in range(1, n_st):
-            dy = (a_tab[st, :st] @ k[:st].reshape(st, -1)).reshape(-1, m)
-            k[st], reasons = fun(y_i + dy * h[:, None], idx)
+            dy = (a_tab[st, :st] @ k[:st].reshape(st, -1)).reshape(n, m)[idx]
+            k[st, idx], reasons = fun(y_i + dy * h[:, None], idx)
             note(idx, reasons)
-        y_new = y_i + h[:, None] * (b_tab @ k[:n_st].reshape(n_st, -1)).reshape(-1, m)
-        k[n_st], reasons = fun(y_new, idx)
+        y_new = y_i + h[:, None] * (b_tab @ k[:n_st].reshape(n_st, -1)).reshape(n, m)[idx]
+        k[n_st, idx], reasons = fun(y_new, idx)
         note(idx, reasons)
 
-        scale = atol + np.maximum(np.abs(y_i), np.abs(y_new)) * rtol
-        err5 = (e5 @ k.reshape(n_st + 1, -1)).reshape(-1, m) / scale
-        err3 = (e3 @ k.reshape(n_st + 1, -1)).reshape(-1, m) / scale
+        scale = atol[idx] + np.maximum(np.abs(y_i), np.abs(y_new)) * rtol[idx]
+        err5 = (e5 @ k.reshape(n_st + 1, -1)).reshape(n, m)[idx] / scale
+        err3 = (e3 @ k.reshape(n_st + 1, -1)).reshape(n, m)[idx] / scale
         n5, n3 = np.sum(err5 * err5, axis=1), np.sum(err3 * err3, axis=1)
         zero = (n5 == 0.0) & (n3 == 0.0)
         err = np.where(zero, 0.0, h * n5 / np.sqrt(np.where(zero, 1.0, n5 + 0.01 * n3) * m))
@@ -425,27 +437,36 @@ def _dop853_lanes(fun, y0, rtol, atol):
         acc = ok & (why[idx] == "")
         s[idx[acc]] = s_new[acc]
         y[idx[acc]] = y_new[acc]
-        f[idx[acc]] = k[n_st][acc]
+        f[idx[acc]] = k[n_st, idx[acc]]
         rejected[idx] = ~ok
 
 
 def _flow_lanes(model, y_star, p0s, taus, opts):
-    """[_End or outcome] of each flow from (y_star, p0s[k]) for time taus[k], as lanes."""
+    """[_End or outcome] of each flow from (y_star, p0s[k]) over taus[k] at opts[k], as lanes."""
     taus = np.asarray(taus, dtype=float)
     y0 = np.array([_initial_state(y_star, p0, True) for p0 in p0s])
-    y_end, why = _dop853_lanes(_lane_rhs(model, taus), y0, opts.rel_tol, opts.abs_tol)
+    rtol = np.array([[o.rel_tol] for o in opts])
+    atol = np.array([[o.abs_tol] for o in opts])
+    y_end, why = _dop853_lanes(_lane_rhs(model, taus), y0, rtol, atol)
     return [reason or _end_of(model.dim, y, p0, tau)
             for y, reason, p0, tau in zip(y_end, why, p0s, taus)]
 
 
-def _newton(model, y_star, x_star, directions, tau0, opts, dense=False):
+def _newton(model, y_star, x_star, directions, tau0, polish=False):
     """Damped Newton over (direction chart, flight time), all starts in lock step.
 
     Every iteration integrates the active starts together: several as lanes
     of _dop853_lanes, a lone one through _flow_one, which beats a batch of
-    one.  A lone start keeps its dense output only if dense (the polish,
-    whose Trajectory transport and BMT read).  Returns each start's outcome
-    and, for a converged start, its _End.
+    one.  Residuals are max |x(tau) - x*| in units of max(1, |x*|_inf).  A
+    fan start is an inexact Newton iteration: it integrates at LOOSE until
+    its last residual is at most LOOSE_UNTIL, then at the fan's OdeOpts(),
+    and converges only on an iterate at the fan's pair with a residual of
+    at most NEWTON_TOL.  The polish integrates every iterate at TIGHT and
+    converges at POLISH_TOL; its first iterate starts from the fan's root,
+    about 1e-12 away, and so converges only when the fan's was exact (the
+    constant well).  So every later iterate keeps its dense output, the
+    Trajectory that transport and BMT read, and the first does not.
+    Returns each start's outcome and, for a converged start, its _End.
     """
     d = model.dim
     r_y = math.sqrt(1.0 - model.value(y_star) ** 2)
@@ -453,24 +474,31 @@ def _newton(model, y_star, x_star, directions, tau0, opts, dense=False):
     us = [np.zeros(d - 1) for _ in directions]
     taus = [tau0] * len(directions)
     # an absolute 1e-10 lies below the float spacing from |x*| = 2^19 (about 5.2e5) on
-    tol = NEWTON_TOL * max(1.0, float(np.max(np.abs(x_star))))
+    unit = max(1.0, float(np.max(np.abs(x_star))))
+    exact, tol = (TIGHT, POLISH_TOL * unit) if polish else (OdeOpts(), NEWTON_TOL * unit)
+    opts = [exact if polish else LOOSE] * len(directions)
     outcomes = [ITER_LIMIT] * len(directions)
     ends = [None] * len(directions)
     active = list(range(len(directions)))
-    for _ in range(MAX_ITER):
+    for it in range(MAX_ITER):
         charts = [_sphere_chart(frames[k], us[k]) for k in active]
         p0s, flight = [r_y * n for n, _ in charts], [taus[k] for k in active]
-        results = (_flow_one(model, y_star, p0s, flight, opts, dense) if len(active) == 1
-                   else _flow_lanes(model, y_star, p0s, flight, opts))
+        results = (_flow_one(model, y_star, p0s, flight, opts[active[0]], polish and it > 0)
+                   if len(active) == 1
+                   else _flow_lanes(model, y_star, p0s, flight, [opts[k] for k in active]))
         still = []
         for k, (_, cols), end in zip(active, charts, results):
             if isinstance(end, str):
                 outcomes[k] = end
                 continue
             res = end.x - x_star
-            if np.max(np.abs(res)) <= tol:
-                outcomes[k], ends[k] = CONVERGED, end
-                continue
+            err = np.max(np.abs(res))
+            if opts[k] is exact:
+                if err <= tol:
+                    outcomes[k], ends[k] = CONVERGED, end
+                    continue
+            elif err <= LOOSE_UNTIL * unit:
+                opts[k] = exact
             jac = np.empty((d, d))
             for j, col in enumerate(cols):
                 jac[:, j] = end.dpx @ (r_y * col)
@@ -521,8 +549,12 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     directions (all 3^d - 1 when None) probes for competing connections
     and fills the uniqueness report.  In d = 1 the fan is the one start
     toward x_star for any multistart: p keeps its sign on the zero-energy
-    level, so the other direction cannot connect.  The returned solution is
-    polished at the TIGHT integrator tolerances.
+    level, so the other direction cannot connect.  Each start integrates at
+    LOOSE until its residual max |x(tau) - x*| falls to LOOSE_UNTIL
+    max(1, |x*|_inf), then at the fan's OdeOpts(); it converges only on an
+    iterate at the fan's pair, at NEWTON_TOL.  The least-action connection
+    is then polished: every iterate at TIGHT, down to POLISH_TOL, so the
+    returned d_A does not depend on the path the fan took.
 
     Raises ShootingError if no start converges and ConjugatePointError if
     the bordered determinant falls under CONJUGACY_TOL * d_A^(d-1).
@@ -532,7 +564,7 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     d = model.dim
     count = multistart if multistart is not None else 3 ** d - 1
     starts, tau0 = _fan_starts(model, y_star, x_star, count)
-    outcomes, ends = _newton(model, y_star, x_star, starts, tau0, OdeOpts())
+    outcomes, ends = _newton(model, y_star, x_star, starts, tau0)
     found = [(end.p0, end.tau, end.action) for end in ends if end is not None]
 
     distinct = []
@@ -555,13 +587,13 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
             f"no connecting orbit found from {len(starts)} start directions: "
             f"{_tally(outcomes)}")
 
-    # keep the least-action connection, then polish at tight tolerance
+    # keep the least-action connection, then polish it at TIGHT down to POLISH_TOL
     p0, tau, _ = min(distinct, key=lambda rec: rec[2])
     direction = p0 / np.linalg.norm(p0)
-    [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, TIGHT, dense=True)
+    [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, polish=True)
     if end is None:
         raise ShootingError(f"polish stage failed to re-converge: {outcome}")
-    polished = end.traj
+    polished = end.traj or integrate_flow(model, y_star, end.p0, end.tau, TIGHT)
 
     v_y = polished.v_start
     v_x = polished.v_end

@@ -116,6 +116,74 @@ def test_selfcheck_d3_potential_lines_can_fail(monkeypatch):
     assert {"potential_derivatives_d3", "hypothesis_gap_d3"} <= failed
 
 
+def _force_off(monkeypatch):
+    """The lone flow's force grad V scaled by 1 + 1e-6: H drifts along the polished orbit."""
+    flow_rhs = geoflow._flow_rhs
+
+    def faulty(model, variational):
+        rhs, d = flow_rhs(model, variational), model.dim
+
+        def wrong(t, y):
+            out = rhs(t, y)
+            out[d:2 * d] *= 1.0 + 1e-6
+            return out
+        return wrong
+
+    monkeypatch.setattr(geoflow, "_flow_rhs", faulty)
+
+
+def _end_momentum_early(monkeypatch):
+    """p_end read at tau (1 - 1e-6): the reversed flow misses y*."""
+    init = geoflow.Trajectory.__init__
+
+    def early(self, *args):
+        init(self, *args)
+        self.p_end = self.phase(self.tau * (1.0 - 1e-6))[1]
+
+    monkeypatch.setattr(geoflow.Trajectory, "__init__", early)
+
+
+def _jacobi_off(monkeypatch):
+    """dp_x scaled by 1 + 1e-5, ten times jacobi_fd's tolerance."""
+    dp_x = geoflow.Trajectory.dp_x
+    monkeypatch.setattr(geoflow.Trajectory, "dp_x", lambda self, t: dp_x(self, t) * (1.0 + 1e-5))
+
+
+def _reverse_action_off(monkeypatch):
+    """The reverse shot's action d_A off by 1e-8, ten times agmon_reciprocity's tolerance."""
+    shoot = cli.shoot_geodesic
+
+    def reverse_off(model, y_star, x_star, **kwargs):
+        geo = shoot(model, y_star, x_star, **kwargs)
+        return replace(geo, agmon=geo.agmon + 1e-8) if y_star[0] > x_star[0] else geo
+
+    monkeypatch.setattr(cli, "shoot_geodesic", reverse_off)
+
+
+@pytest.fixture(scope="module")
+def selfcheck_d2():
+    return {c["name"]: c for c in cli._dim_checks(2)}
+
+
+@pytest.mark.parametrize("line,fault", [
+    ("flow_energy", _force_off), ("flow_reversal", _end_momentum_early),
+    ("jacobi_fd", _jacobi_off), ("agmon_reciprocity", _reverse_action_off),
+], ids=["flow_energy", "flow_reversal", "jacobi_fd", "agmon_reciprocity"])
+def test_a_flow_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d2, line, fault):
+    """Each flow line of selfcheck fails under one plausible fault of what it reads (d = 2)."""
+    assert selfcheck_d2[f"{line}_d2"]["pass"]
+    fault(monkeypatch)
+    checks = {c["name"]: c for c in cli._dim_checks(2)}
+    assert not checks[f"{line}_d2"]["pass"], checks[f"{line}_d2"]
+
+
+def test_hypothesis_gap_reads_the_wells(selfcheck_d2):
+    """The residual is the wells' margin gap (-0.00035 bump, -0.00064 cosine in d = 2),
+    not the constant's 0.0 by construction."""
+    gap = selfcheck_d2["hypothesis_gap_d2"]
+    assert -1e-3 < gap["residual"] < -1e-4 and gap["pass"]
+
+
 # ------------------------------------------------------------------- geodesic
 
 def test_geodesic_json_artifact(tmp_path):

@@ -14,9 +14,10 @@ from scipy.integrate import quad, solve_ivp
 from diracgreen import geoflow
 from diracgreen.clifford import DomainError
 from diracgreen.cli import ConfigError, RunConfig
-from diracgreen.geoflow import (CHART_ESCAPE, CONVERGED, LEFT_BOX, TIGHT,
+from diracgreen.geoflow import (CHART_ESCAPE, CONVERGED, LEFT_BOX, LOOSE, POLISH_TOL, TIGHT,
                                 ConjugatePointError, OdeOpts, ShootingError,
-                                _dop853_lanes, _fan_starts, _flow_one, _newton, _var_index, agmon_distance_quadrature_1d,
+                                _dop853_lanes, _fan_starts, _flow_one, _newton, _var_index,
+                                agmon_distance_quadrature_1d,
                                 bordered_determinant, det_exp_prime,
                                 exp_inverse_from_geodesic, exp_map_oracle,
                                 exp_prime_fd, integrate_flow, shoot_geodesic)
@@ -225,10 +226,10 @@ def test_lane_fan_matches_single_start_shots(dim, kind, params, y, x):
     m = make_potential(dim, kind, params)
     y, x = np.array(y), np.array(x)
     starts, tau0 = _fan_starts(m, y, x, None)
-    outcomes, ends = _newton(m, y, x, starts, tau0, OdeOpts())
+    outcomes, ends = _newton(m, y, x, starts, tau0)
     assert CONVERGED in outcomes
     for n, outcome, end in zip(starts, outcomes, ends):
-        [alone], [single] = _newton(m, y, x, [n], tau0, OdeOpts())
+        [alone], [single] = _newton(m, y, x, [n], tau0)
         assert (outcome == CONVERGED) == (alone == CONVERGED)
         if end is not None:
             np.testing.assert_allclose(end.p0, single.p0, rtol=0.0, atol=1e-13)
@@ -262,7 +263,7 @@ def test_d1_fan_is_the_one_start_toward_x_star(dim, kind, params, y, x, monkeypa
                                                       single.bordered_det)
     assert np.array_equal(geo.p0, single.p0)
     # the dropped start, shot alone, never connects
-    [outcome], [end] = _newton(m, y, x, [-toward], tau0, OdeOpts())
+    [outcome], [end] = _newton(m, y, x, [-toward], tau0)
     assert outcome != CONVERGED and end is None
 
 
@@ -270,7 +271,7 @@ def test_lane_leaving_the_box_fails_alone(monkeypatch):
     """In a box of half-width 6 two d=2 starts leave it; the rest converge as in the wide box."""
     y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
     starts, tau0 = _fan_starts(bump_model(2), y, x, None)
-    _, free_ends = _newton(bump_model(2), y, x, starts, tau0, OdeOpts())
+    _, free_ends = _newton(bump_model(2), y, x, starts, tau0)
     batches = []
     flow_lanes = geoflow._flow_lanes
 
@@ -280,7 +281,7 @@ def test_lane_leaving_the_box_fails_alone(monkeypatch):
 
     monkeypatch.setattr(geoflow, "_flow_lanes", recording)
     boxed = make_potential(2, "bump_well", BUMP, box_half=6.0)
-    outcomes, ends = _newton(boxed, y, x, starts, tau0, OdeOpts())
+    outcomes, ends = _newton(boxed, y, x, starts, tau0)
     assert outcomes.count(LEFT_BOX) == 2
     # the lanes left the box inside a batch whose other lanes ran to the end
     assert any(LEFT_BOX in b and any(not isinstance(e, str) for e in b) for b in batches)
@@ -295,9 +296,9 @@ def test_single_start_leaving_the_box_matches_the_lanes():
     y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
     boxed = make_potential(2, "bump_well", BUMP, box_half=6.0)
     starts, tau0 = _fan_starts(boxed, y, x, None)
-    fan, _ = _newton(boxed, y, x, starts, tau0, OdeOpts())
+    fan, _ = _newton(boxed, y, x, starts, tau0)
     assert fan == [CONVERGED] * 5 + [LEFT_BOX, CHART_ESCAPE, LEFT_BOX]
-    assert [_newton(boxed, y, x, [n], tau0, OdeOpts())[0][0] for n in starts] == fan
+    assert [_newton(boxed, y, x, [n], tau0)[0][0] for n in starts] == fan
 
 
 def test_flow_leaving_the_box_names_the_point():
@@ -346,6 +347,97 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     fenced_end, why = _dop853_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12)
     assert list(why) == ["", LEFT_BOX, "", ""]
     np.testing.assert_allclose(fenced_end[[0, 2, 3]], y_end[[0, 2, 3]], rtol=1e-13)
+
+
+def test_dop853_lanes_take_per_lane_tolerances():
+    """Each lane of a mixed-tolerance batch is its run at its own scalar pair, bit for bit."""
+    rates = np.array([0.5, 1.0, 3.0, 10.0])
+
+    def decay(y, rows):
+        return -rates[rows, None] * y, None
+
+    pairs = [(1e-6, 1e-8), (1e-10, 1e-12), (1e-12, 1e-14), (1e-6, 1e-8)]
+    rtol, atol = (np.array(col)[:, None] for col in zip(*pairs))
+    mixed, why = _dop853_lanes(decay, np.ones((4, 2)), rtol, atol)
+    assert list(why) == [""] * 4
+    for k, (r, a) in enumerate(pairs):
+        alone, _ = _dop853_lanes(decay, np.ones((4, 2)), r, a)
+        assert np.array_equal(mixed[k], alone[k])
+        broadcast, _ = _dop853_lanes(decay, np.ones((4, 2)), np.full((4, 1), r), np.full((4, 1), a))
+        assert np.array_equal(broadcast, alone)
+
+
+SCHEDULE_PAIRS = [FAN_PAIRS[i] for i in (0, 3, 6)]   # the bump in d = 1, 2, 3
+
+
+@pytest.mark.parametrize("dim,kind,params,y,x", SCHEDULE_PAIRS,
+                         ids=[f"d{p[0]}-{p[1]}" for p in SCHEDULE_PAIRS])
+def test_a_start_converges_only_at_the_fans_pair(dim, kind, params, y, x, monkeypatch):
+    """Loose iterates come first and never converge; the polish is TIGHT throughout."""
+    m = make_potential(dim, kind, params)
+    y, x = np.array(y), np.array(x)
+    made = []   # (_End or outcome, the OdeOpts it was integrated at)
+    flow_one, flow_lanes = geoflow._flow_one, geoflow._flow_lanes
+
+    def one(model, y_star, p0s, taus, opts, dense):
+        out = flow_one(model, y_star, p0s, taus, opts, dense)
+        made.extend(zip(out, [opts]))
+        return out
+
+    def lanes(model, y_star, p0s, taus, opts):
+        out = flow_lanes(model, y_star, p0s, taus, opts)
+        made.extend(zip(out, opts))
+        return out
+
+    monkeypatch.setattr(geoflow, "_flow_one", one)
+    monkeypatch.setattr(geoflow, "_flow_lanes", lanes)
+    starts, tau0 = _fan_starts(m, y, x, None)
+    outcomes, ends = _newton(m, y, x, starts, tau0)
+    opts_of = {id(end): opts for end, opts in made}
+    assert {opts for _, opts in made} == {LOOSE, OdeOpts()}
+    assert outcomes.count(CONVERGED) >= 1
+    for outcome, end in zip(outcomes, ends):
+        assert (outcome == CONVERGED) == (end is not None)
+        if end is not None:
+            assert opts_of[id(end)] == OdeOpts()
+    made.clear()
+    [outcome], [end] = _newton(m, y, x, [starts[0]], tau0, polish=True)
+    assert outcome == CONVERGED and {opts for _, opts in made} == {TIGHT}
+    assert np.max(np.abs(end.x - x)) <= POLISH_TOL * max(1.0, np.max(np.abs(x)))
+
+
+def test_d3_bump_fan_lane_calls(monkeypatch):
+    """The d=3 bump fan shares at most 3,000 lane RHS calls (3,922 with every iterate at 1e-10)."""
+    calls = []
+    lane_rhs = geoflow._lane_rhs
+
+    def counted(model, taus):
+        rhs = lane_rhs(model, taus)
+
+        def call(y, rows):
+            calls.append(len(rows))
+            return rhs(y, rows)
+        return call
+
+    monkeypatch.setattr(geoflow, "_lane_rhs", counted)
+    geo = shoot_geodesic(bump_model(3), [-1.0, -0.3, 0.2], [1.0, 0.4, -0.2])
+    assert (geo.uniqueness["n_converged"], geo.uniqueness["n_distinct"]) == (17, 1)
+    assert len(calls) <= 3000
+
+
+PATH_PAIRS = [FAN_PAIRS[i] for i in (3, 4, 6, 7)]   # the d=2 and d=3 bump and cosine
+
+
+@pytest.mark.parametrize("dim,kind,params,y,x", PATH_PAIRS,
+                         ids=[f"d{p[0]}-{p[1]}" for p in PATH_PAIRS])
+def test_polished_agmon_does_not_depend_on_the_path(dim, kind, params, y, x):
+    """The fan, one start and the reverse fan polish to one d_A within 1e-13 relative."""
+    m = make_potential(dim, kind, params)
+    fan = shoot_geodesic(m, y, x)
+    one = shoot_geodesic(m, y, x, multistart=1)
+    rev = shoot_geodesic(m, x, y)
+    for other in (one, rev):
+        assert other.agmon == pytest.approx(fan.agmon, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------- conjugacy and Jacobians

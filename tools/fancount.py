@@ -1,0 +1,91 @@
+"""Count the flow RHS calls of the multistart fan over its twelve benchmark shots.
+
+    python tools/fancount.py
+
+The shots are the geodesic-fan pairs (bump, cosine and bump_b in d = 2
+and d = 3), each forward and reversed, with the default fan.  The tool
+wraps geoflow._lane_rhs and geoflow._flow_rhs, so it counts
+
+* lane calls: calls of the batched RHS that the fan's lanes share,
+* lane rows: the rows (one per live lane) over those calls,
+* lone calls: calls of the one-trajectory RHS (a lone start and the polish),
+
+and prints them per shot and in total, next to the uniqueness counts and
+d_A.  These counts do not drift with the host, so they tell a change in
+the work done from a change in its speed.  The package is imported from
+this checkout's src/; copy the file into another checkout to compare.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
+
+from runset import PAIRS  # noqa: E402
+
+from diracgreen import geoflow  # noqa: E402
+from diracgreen.potential import make_potential  # noqa: E402
+
+FAN_PAIRS = ("bump", "cosine", "bump_b")
+
+
+def counted(counts):
+    """Patch geoflow's two RHS builders so every call adds to counts."""
+    lane_rhs, flow_rhs = geoflow._lane_rhs, geoflow._flow_rhs
+
+    def lanes(model, taus):
+        rhs = lane_rhs(model, taus)
+
+        def wrapped(y, rows):
+            counts["lane_calls"] += 1
+            counts["lane_rows"] += len(rows)
+            return rhs(y, rows)
+        return wrapped
+
+    def lone(model, variational):
+        rhs = flow_rhs(model, variational)
+
+        def wrapped(t, y):
+            counts["lone_calls"] += 1
+            return rhs(t, y)
+        return wrapped
+
+    geoflow._lane_rhs, geoflow._flow_rhs = lanes, lone
+
+
+def shots():
+    """(label, model, y_star, x_star) of the twelve fan shots."""
+    for dim in (2, 3):
+        for name, kind, params, y, x in PAIRS[dim]:
+            if name in FAN_PAIRS:
+                model = make_potential(dim, kind, params)
+                yield f"d{dim}_{name}_fwd", model, y, x
+                yield f"d{dim}_{name}_rev", model, x, y
+
+
+def main():
+    keys = ("lane_calls", "lane_rows", "lone_calls")
+    total = dict.fromkeys(keys, 0)
+    counts = dict(total)
+    counted(counts)
+    print(f"{'shot':18s} {'lane_calls':>10s} {'lane_rows':>10s} {'lone_calls':>10s}"
+          f" {'starts':>6s} {'conv':>4s} {'dist':>4s}  d_A")
+    for label, model, y, x in shots():
+        counts.update(dict.fromkeys(keys, 0))
+        geo = geoflow.shoot_geodesic(model, y, x)
+        u = geo.uniqueness
+        print(f"{label:18s} {counts['lane_calls']:10d} {counts['lane_rows']:10d}"
+              f" {counts['lone_calls']:10d} {u['n_starts']:6d} {u['n_converged']:4d}"
+              f" {u['n_distinct']:4d}  {geo.agmon!r}", flush=True)
+        for key in keys:
+            total[key] += counts[key]
+    print(f"{'total':18s} {total['lane_calls']:10d} {total['lane_rows']:10d}"
+          f" {total['lone_calls']:10d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
