@@ -287,24 +287,23 @@ def _end_of(d, y, p0, tau, traj=None):
                 p0, float(tau), float(y[2 * d]), traj)
 
 
-def _flow_one(model, y_star, p0s, taus, opts, dense):
-    """[_End or outcome] of one flow through solve_ivp.
+def _flow_one(model, y_star, p0, tau, opts, dense):
+    """_End or outcome of one flow through solve_ivp.
 
     Only a dense flow builds DOP853's interpolant on every step, for the
     Trajectory its _End carries; otherwise the interpolant is built on the
     last step alone, for the state at tau.
     """
-    tau = taus[0]
     try:
         if dense:
-            traj = integrate_flow(model, y_star, p0s[0], tau, opts, variational=True)
-            return [_end_of(model.dim, traj.sol(traj.tau), traj.p_start, tau, traj)]
-        sol = _solve_flow(model, y_star, p0s[0], tau, opts, variational=True, t_eval=[tau])
+            traj = integrate_flow(model, y_star, p0, tau, opts, variational=True)
+            return _end_of(model.dim, traj.sol(traj.tau), traj.p_start, tau, traj)
+        sol = _solve_flow(model, y_star, p0, tau, opts, variational=True, t_eval=[tau])
     except NumericalError:
-        return [UNDERFLOW]
+        return UNDERFLOW
     except DomainError as exc:
-        return [LEFT_BALL if str(exc).startswith(_BALL_EXIT) else LEFT_BOX]
-    return [_end_of(model.dim, sol.y[:, -1], p0s[0], tau)]
+        return LEFT_BALL if str(exc).startswith(_BALL_EXIT) else LEFT_BOX
+    return _end_of(model.dim, sol.y[:, -1], p0, tau)
 
 
 def _lane_rhs(model, taus):
@@ -345,7 +344,7 @@ def _rms(a):
     return np.sqrt(np.sum(a * a, axis=1) / a.shape[1])
 
 
-def _dop853_lanes(fun, y0, rtol, atol):
+def _dop853_lanes(fun, y0, rtol, atol, restart=None):
     """Integrate dy/ds = fun(y) over s in [0, 1] for every row (lane) of y0.
 
     The lanes share the calls to fun(y, rows), which returns the derivatives
@@ -357,46 +356,72 @@ def _dop853_lanes(fun, y0, rtol, atol):
     steps any one lane rejects.  rtol and atol are scalars or (n, 1) arrays,
     one row per lane.  A lane that leaves the domain or whose step
     underflows stops with that reason; the others go on.
-    Returns the end states and the per-lane reasons ("" once at s = 1).
+
+    When lane k reaches s = 1 or stops, the loop calls restart(k, y_end,
+    reason), reason "" at s = 1.  The hook returns None to retire the lane,
+    or the lane's next initial state after setting its rows of rtol and atol
+    in place; the lane then starts again at s = 0 with the initial-step rule
+    of its own, while the other lanes keep stepping.  Without a hook every
+    lane retires at its first end.  Returns each lane's last end state and
+    reason.
     """
     a_tab, b_tab, e3, e5 = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5
     n_st = DOP853.n_stages
     exponent = -1.0 / (DOP853.error_estimator_order + 1)
     y = np.array(y0, dtype=float)
     n, m = y.shape
+    # views, not copies: a restart hook sets its lane's rows in the caller's arrays
     rtol, atol = (np.broadcast_to(np.asarray(tol, dtype=float), (n, 1)) for tol in (rtol, atol))
-    lanes = np.arange(n)
     why = np.full(n, "", dtype=object)
+    f = np.empty_like(y)
+    h_abs = np.empty(n)
 
     def note(rows, reasons):
         if reasons is not None:
             first = (why[rows] == "") & (reasons != "")
             why[rows[first]] = reasons[first]
 
-    f, reasons = fun(y, lanes)
-    note(lanes, reasons)
-
-    # scipy's select_initial_step, with RMS norms over each lane's state
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    flat = (d0 < 1e-5) | (d1 < 1e-5)
-    h0 = np.minimum(np.where(flat, 1e-6, 0.01 * d0 / np.where(flat, 1.0, d1)), 1.0)
-    f1, reasons = fun(y + h0[:, None] * f, lanes)
-    note(lanes, reasons)
-    d2 = _rms((f1 - f) / scale) / h0
-    both = (d1 <= 1e-15) & (d2 <= 1e-15)
-    h1 = np.where(both, np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.where(both, 1.0, np.maximum(d1, d2))) ** -exponent)
-    h_abs = np.minimum(np.minimum(100.0 * h0, h1), 1.0)
+    def initial_step(rows):
+        """scipy's select_initial_step for lanes rows, with RMS norms over each lane's state."""
+        y_r = y[rows]
+        f_r, reasons = fun(y_r, rows)
+        note(rows, reasons)
+        scale = atol[rows] + np.abs(y_r) * rtol[rows]
+        d0, d1 = _rms(y_r / scale), _rms(f_r / scale)
+        flat = (d0 < 1e-5) | (d1 < 1e-5)
+        h0 = np.minimum(np.where(flat, 1e-6, 0.01 * d0 / np.where(flat, 1.0, d1)), 1.0)
+        f1, reasons = fun(y_r + h0[:, None] * f_r, rows)
+        note(rows, reasons)
+        d2 = _rms((f1 - f_r) / scale) / h0
+        both = (d1 <= 1e-15) & (d2 <= 1e-15)
+        h1 = np.where(both, np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.where(both, 1.0, np.maximum(d1, d2))) ** -exponent)
+        h_abs[rows] = np.minimum(np.minimum(100.0 * h0, h1), 1.0)
+        f[rows] = f_r
 
     s = np.zeros(n)
     rejected = np.zeros(n, dtype=bool)  # a retry of a rejected step, not a fresh one
+    live = np.ones(n, dtype=bool)
     # the stages keep a row for every lane, live or not: a BLAS product rounds an entry by
     # where it falls in its blocks, so each lane keeps its place and its numbers never
     # depend on which other lanes are live
     k = np.zeros((n_st + 1, n, m))
+    fresh = np.arange(n)
     while True:
-        idx = np.flatnonzero((why == "") & (s < 1.0))
+        if fresh.size:
+            initial_step(fresh)
+        restarted = []
+        for lane in np.flatnonzero(live & ((why != "") | (s >= 1.0))):
+            state = None if restart is None else restart(lane, y[lane].copy(), why[lane])
+            if state is None:
+                live[lane] = False
+            else:
+                y[lane], s[lane], why[lane], rejected[lane] = state, 0.0, "", False
+                restarted.append(lane)
+        fresh = np.array(restarted, dtype=int)
+        if fresh.size:
+            continue
+        idx = np.flatnonzero(live)
         if not idx.size:
             return y, why
         s_i = s[idx]
@@ -441,87 +466,101 @@ def _dop853_lanes(fun, y0, rtol, atol):
         rejected[idx] = ~ok
 
 
-def _flow_lanes(model, y_star, p0s, taus, opts):
-    """[_End or outcome] of each flow from (y_star, p0s[k]) over taus[k] at opts[k], as lanes."""
-    taus = np.asarray(taus, dtype=float)
-    y0 = np.array([_initial_state(y_star, p0, True) for p0 in p0s])
-    rtol = np.array([[o.rel_tol] for o in opts])
-    atol = np.array([[o.abs_tol] for o in opts])
-    y_end, why = _dop853_lanes(_lane_rhs(model, taus), y0, rtol, atol)
-    return [reason or _end_of(model.dim, y, p0, tau)
-            for y, reason, p0, tau in zip(y_end, why, p0s, taus)]
-
-
 def _newton(model, y_star, x_star, directions, tau0, polish=False):
-    """Damped Newton over (direction chart, flight time), all starts in lock step.
+    """Damped Newton over (direction chart, flight time), one sequence per start.
 
-    Every iteration integrates the active starts together: several as lanes
-    of _dop853_lanes, a lone one through _flow_one, which beats a batch of
-    one.  Residuals are max |x(tau) - x*| in units of max(1, |x*|_inf).  A
-    fan start is an inexact Newton iteration: it integrates at LOOSE until
+    A lone start (d = 1, multistart 1, the polish) integrates each iterate
+    through _flow_one, which beats a lane run of one.  Several starts share
+    one _dop853_lanes run, each in the lane of its own index: when a lane
+    reaches s = 1 or stops, the restart hook makes that start's Newton
+    update at once and restarts the lane from the next iterate, or retires
+    it, while the other lanes keep stepping.  Residuals are max
+    |x(tau) - x*| in units of max(1, |x*|_inf).
+    A fan start is an inexact Newton iteration: it integrates at LOOSE until
     its last residual is at most LOOSE_UNTIL, then at the fan's OdeOpts(),
     and converges only on an iterate at the fan's pair with a residual of
-    at most NEWTON_TOL.  The polish integrates every iterate at TIGHT and
-    converges at POLISH_TOL; its first iterate starts from the fan's root,
-    about 1e-12 away, and so converges only when the fan's was exact (the
-    constant well).  So every later iterate keeps its dense output, the
-    Trajectory that transport and BMT read, and the first does not.
+    at most NEWTON_TOL, within MAX_ITER iterates of its own.  The polish
+    integrates every iterate at TIGHT and converges at POLISH_TOL; its first
+    iterate starts from the fan's root, about 1e-12 away, and so converges
+    only when the fan's was exact (the constant well).  So every later
+    iterate keeps its dense output, the Trajectory that transport and BMT
+    read, and the first does not.
     Returns each start's outcome and, for a converged start, its _End.
     """
     d = model.dim
+    n = len(directions)
     r_y = math.sqrt(1.0 - model.value(y_star) ** 2)
-    frames = [_frame_from_direction(n) for n in directions]
+    frames = [_frame_from_direction(v) for v in directions]
     us = [np.zeros(d - 1) for _ in directions]
-    taus = [tau0] * len(directions)
+    taus = np.full(n, float(tau0))   # the lanes' RHS reads each restarted lane's new tau
     # an absolute 1e-10 lies below the float spacing from |x*| = 2^19 (about 5.2e5) on
     unit = max(1.0, float(np.max(np.abs(x_star))))
     exact, tol = (TIGHT, POLISH_TOL * unit) if polish else (OdeOpts(), NEWTON_TOL * unit)
-    opts = [exact if polish else LOOSE] * len(directions)
-    outcomes = [ITER_LIMIT] * len(directions)
-    ends = [None] * len(directions)
-    active = list(range(len(directions)))
-    for it in range(MAX_ITER):
-        charts = [_sphere_chart(frames[k], us[k]) for k in active]
-        p0s, flight = [r_y * n for n, _ in charts], [taus[k] for k in active]
-        results = (_flow_one(model, y_star, p0s, flight, opts[active[0]], polish and it > 0)
-                   if len(active) == 1
-                   else _flow_lanes(model, y_star, p0s, flight, [opts[k] for k in active]))
-        still = []
-        for k, (_, cols), end in zip(active, charts, results):
-            if isinstance(end, str):
-                outcomes[k] = end
-                continue
-            res = end.x - x_star
-            err = np.max(np.abs(res))
-            if opts[k] is exact:
-                if err <= tol:
-                    outcomes[k], ends[k] = CONVERGED, end
-                    continue
-            elif err <= LOOSE_UNTIL * unit:
-                opts[k] = exact
-            jac = np.empty((d, d))
-            for j, col in enumerate(cols):
-                jac[:, j] = end.dpx @ (r_y * col)
-            jac[:, d - 1] = end.v
-            try:
-                step = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError:
-                outcomes[k] = SINGULAR
-                continue
-            du, dtau = step[: d - 1], step[d - 1]
-            nrm = np.linalg.norm(du)
-            if nrm > 1.0:
-                du = du / nrm
-                dtau *= 1.0 / nrm
-            us[k] = us[k] + du
-            taus[k] = float(np.clip(taus[k] + dtau, 0.02 * tau0, 50.0 * tau0))
-            if np.linalg.norm(us[k]) > 2.5 or not np.isfinite(taus[k]):
-                outcomes[k] = CHART_ESCAPE
-                continue
-            still.append(k)
-        active = still
-        if not active:
-            break
+    opts = [exact if polish else LOOSE] * n
+    outcomes = [ITER_LIMIT] * n
+    ends = [None] * n
+    iters = [0] * n
+    charts = [None] * n
+
+    def start(k):
+        """Start k's next initial momentum, from its chart."""
+        charts[k] = _sphere_chart(frames[k], us[k])
+        return r_y * charts[k][0]
+
+    def advance(k, end):
+        """Start k's Newton update from its iterate's _End or outcome; False once it is done."""
+        iters[k] += 1
+        if isinstance(end, str):
+            outcomes[k] = end
+            return False
+        res = end.x - x_star
+        err = np.max(np.abs(res))
+        if opts[k] is exact:
+            if err <= tol:
+                outcomes[k], ends[k] = CONVERGED, end
+                return False
+        elif err <= LOOSE_UNTIL * unit:
+            opts[k] = exact
+        jac = np.empty((d, d))
+        for j, col in enumerate(charts[k][1]):
+            jac[:, j] = end.dpx @ (r_y * col)
+        jac[:, d - 1] = end.v
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            outcomes[k] = SINGULAR
+            return False
+        du, dtau = step[: d - 1], step[d - 1]
+        nrm = np.linalg.norm(du)
+        if nrm > 1.0:
+            du = du / nrm
+            dtau *= 1.0 / nrm
+        us[k] = us[k] + du
+        taus[k] = np.clip(taus[k] + dtau, 0.02 * tau0, 50.0 * tau0)
+        if np.linalg.norm(us[k]) > 2.5 or not np.isfinite(taus[k]):
+            outcomes[k] = CHART_ESCAPE
+            return False
+        return iters[k] < MAX_ITER   # else ITER_LIMIT
+
+    if n == 1:
+        while advance(0, _flow_one(model, y_star, start(0), float(taus[0]), opts[0],
+                                   polish and iters[0] > 0)):
+            pass
+        return outcomes, ends
+
+    p0s = [start(k) for k in range(n)]
+    rtol = np.array([[o.rel_tol] for o in opts])
+    atol = np.array([[o.abs_tol] for o in opts])
+
+    def restart(k, y_end, reason):
+        if not advance(k, reason or _end_of(d, y_end, p0s[k], taus[k])):
+            return None
+        p0s[k] = start(k)
+        rtol[k], atol[k] = opts[k].rel_tol, opts[k].abs_tol
+        return _initial_state(y_star, p0s[k], True)
+
+    y0 = np.array([_initial_state(y_star, p0, True) for p0 in p0s])
+    _dop853_lanes(_lane_rhs(model, taus), y0, rtol, atol, restart)
     return outcomes, ends
 
 
@@ -549,12 +588,15 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     directions (all 3^d - 1 when None) probes for competing connections
     and fills the uniqueness report.  In d = 1 the fan is the one start
     toward x_star for any multistart: p keeps its sign on the zero-energy
-    level, so the other direction cannot connect.  Each start integrates at
-    LOOSE until its residual max |x(tau) - x*| falls to LOOSE_UNTIL
-    max(1, |x*|_inf), then at the fan's OdeOpts(); it converges only on an
-    iterate at the fan's pair, at NEWTON_TOL.  The least-action connection
-    is then polished: every iterate at TIGHT, down to POLISH_TOL, so the
-    returned d_A does not depend on the path the fan took.
+    level, so the other direction cannot connect.  Each start runs a Newton
+    sequence of its own: the fan's starts share one _dop853_lanes run, in
+    which a start restarts its lane from its next iterate the moment its
+    last one ends, without waiting for the other starts.  Each start
+    integrates at LOOSE until its residual max |x(tau) - x*| falls to
+    LOOSE_UNTIL max(1, |x*|_inf), then at the fan's OdeOpts(); it converges
+    only on an iterate at the fan's pair, at NEWTON_TOL.  The least-action
+    connection is then polished: every iterate at TIGHT, down to POLISH_TOL,
+    so the returned d_A does not depend on the path the fan took.
 
     Raises ShootingError if no start converges and ConjugatePointError if
     the bordered determinant falls under CONJUGACY_TOL * d_A^(d-1).

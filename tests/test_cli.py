@@ -177,6 +177,42 @@ def test_a_flow_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d2, line, 
     assert not checks[f"{line}_d2"]["pass"], checks[f"{line}_d2"]
 
 
+def _lambda_plus_off(monkeypatch):
+    """lambda_plus off by 1e-10 in every entry, a hundred times the projector lines' tolerance."""
+    make = cli.projector
+
+    def off(rep, zeta):
+        pr = make(rep, zeta)
+        return replace(pr, lambda_plus=pr.lambda_plus + 1e-10)
+
+    monkeypatch.setattr(cli, "projector", off)
+
+
+@pytest.fixture(scope="module")
+def projector_fault_d2():
+    with pytest.MonkeyPatch.context() as mp:
+        _lambda_plus_off(mp)
+        return {c["name"]: c for c in cli._dim_checks(2)}
+
+
+@pytest.mark.parametrize("line", ["projector_algebra", "projector_eigenrelation",
+                                  "projector_trace"])
+def test_a_projector_fault_trips_its_selfcheck_line(selfcheck_d2, projector_fault_d2, line):
+    """Each projector line of selfcheck fails when lambda_plus is off by 1e-10 (d = 2)."""
+    assert selfcheck_d2[f"{line}_d2"]["pass"]
+    assert not projector_fault_d2[f"{line}_d2"]["pass"], projector_fault_d2[f"{line}_d2"]
+
+
+def test_a_bessel_fault_trips_its_selfcheck_line(monkeypatch):
+    """bessel_K scaled by 1 + 1e-9, ten times bessel_oracle's tolerance, fails the line."""
+    [line] = cli.run_selfcheck(())["checks"]
+    assert line["name"] == "bessel_oracle" and line["pass"]
+    bessel_K = cli.bessel_K
+    monkeypatch.setattr(cli, "bessel_K", lambda nu, rho: bessel_K(nu, rho) * (1.0 + 1e-9))
+    [line] = cli.run_selfcheck(())["checks"]
+    assert not line["pass"], line
+
+
 def test_hypothesis_gap_reads_the_wells(selfcheck_d2):
     """The residual is the wells' margin gap (-0.00035 bump, -0.00064 cosine in d = 2),
     not the constant's 0.0 by construction."""
@@ -653,11 +689,18 @@ FUZZ_CONFIG = {
     "shooting": {"multistart": 4},
     "out": "unused.csv",
 }
-# the constant command rejects this well after parsing it, so it exits 2 when unmutated
+# the constant command rejects these wells after parsing them, so they exit 2 when unmutated
 FUZZ_WELL = dict(FUZZ_CONFIG, potential={
     "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0,
                                     "center": [0.25, -0.5]},
     "delta": 0.05, "window": 3.0, "box_half": 12.0})
+FUZZ_COSINE = dict(FUZZ_CONFIG, potential={
+    "kind": "cosine_well", "params": {"base": -0.55, "depth": 0.35, "radius": 2.5,
+                                      "center": [-0.3, 0.2]},
+    "delta": 0.05, "window": 3.0, "box_half": 12.0})
+FUZZ_TANH = dict(FUZZ_CONFIG, dimension=1, x_star=[0.5], y_star=[-0.5], potential={
+    "kind": "tanh_step", "params": {"base": -0.5, "amp": 0.2, "center": 0.1},
+    "delta": 0.05, "window": 20.0, "box_half": 24.0})
 FUZZ_MENU = [float("nan"), float("inf"), -float("inf"), -1, 0, 2, 0.5, -0.5, 1e308,
              -1e308, 5e-324, True, False, "x", "0.5", [], {}, None, [True, 0.5],
              [0.5], [[0.5, 0.5]], {"value": -0.6}]
@@ -702,7 +745,8 @@ def test_fuzz_renamed_keys_exit_2(tmp_path, capsys):
     assert findings == []
 
 
-@pytest.mark.parametrize("config", [FUZZ_CONFIG, FUZZ_WELL], ids=["constant", "well"])
+@pytest.mark.parametrize("config", [FUZZ_CONFIG, FUZZ_WELL, FUZZ_COSINE, FUZZ_TANH],
+                         ids=["constant", "well", "cosine_d2", "tanh_d1"])
 def test_fuzz_every_field_exits_0_2_or_3(tmp_path, capsys, config):
     """Each value of a fixed menu in each field: a documented exit code, never an exception."""
     findings = []

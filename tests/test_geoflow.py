@@ -203,7 +203,7 @@ def test_phase_integral_closed_form_1d():
     assert theta == pytest.approx(expected, abs=1e-10)
 
 
-# ------------------------------------------------------------ lock-step fan
+# ------------------------------------------------------------------ lane fan
 
 # the CONFIGS pairs of the acceptance gate
 FAN_PAIRS = [
@@ -222,7 +222,7 @@ FAN_PAIRS = [
 @pytest.mark.parametrize("dim,kind,params,y,x", FAN_PAIRS,
                          ids=[f"d{p[0]}-{p[1]}-{i % 3}" for i, p in enumerate(FAN_PAIRS)])
 def test_lane_fan_matches_single_start_shots(dim, kind, params, y, x):
-    """The lock-step fan converges on the starts one shot per start does, to the same p0."""
+    """The lane fan converges on the starts one shot per start does, to the same p0."""
     m = make_potential(dim, kind, params)
     y, x = np.array(y), np.array(x)
     starts, tau0 = _fan_starts(m, y, x, None)
@@ -249,13 +249,13 @@ def test_d1_fan_is_the_one_start_toward_x_star(dim, kind, params, y, x, monkeypa
         assert len(starts) == 1 and np.array_equal(starts[0], toward)
     single = shoot_geodesic(m, y, x, multistart=1)
     lane_calls = []
-    flow_lanes = geoflow._flow_lanes
+    dop853_lanes = geoflow._dop853_lanes
 
     def spy(*args):
         lane_calls.append(args)
-        return flow_lanes(*args)
+        return dop853_lanes(*args)
 
-    monkeypatch.setattr(geoflow, "_flow_lanes", spy)
+    monkeypatch.setattr(geoflow, "_dop853_lanes", spy)
     geo = shoot_geodesic(m, y, x)
     assert lane_calls == []
     assert geo.uniqueness["n_starts"] == 1
@@ -272,19 +272,24 @@ def test_lane_leaving_the_box_fails_alone(monkeypatch):
     y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
     starts, tau0 = _fan_starts(bump_model(2), y, x, None)
     _, free_ends = _newton(bump_model(2), y, x, starts, tau0)
-    batches = []
-    flow_lanes = geoflow._flow_lanes
+    runs, ended = [], []   # the lane runs, and (lane, reason) of each end in order
+    dop853_lanes = geoflow._dop853_lanes
 
-    def recording(*args):
-        batches.append(flow_lanes(*args))
-        return batches[-1]
+    def recording(fun, y0, rtol, atol, restart):
+        def hook(k, y_end, reason):
+            ended.append((k, reason))
+            return restart(k, y_end, reason)
+        runs.append(len(y0))
+        return dop853_lanes(fun, y0, rtol, atol, hook)
 
-    monkeypatch.setattr(geoflow, "_flow_lanes", recording)
+    monkeypatch.setattr(geoflow, "_dop853_lanes", recording)
     boxed = make_potential(2, "bump_well", BUMP, box_half=6.0)
     outcomes, ends = _newton(boxed, y, x, starts, tau0)
-    assert outcomes.count(LEFT_BOX) == 2
-    # the lanes left the box inside a batch whose other lanes ran to the end
-    assert any(LEFT_BOX in b and any(not isinstance(e, str) for e in b) for b in batches)
+    assert outcomes.count(LEFT_BOX) == 2 and runs == [len(starts)]
+    # each lane left the box while other lanes of the run went on to reach s = 1
+    for i, (k, reason) in enumerate(ended):
+        if reason == LEFT_BOX:
+            assert any(j != k and why == "" for j, why in ended[i + 1:])
     for end, free in zip(ends, free_ends):
         assert (end is None) == (free is None)
         if end is not None:
@@ -317,7 +322,7 @@ def test_end_state_matches_the_dense_trajectory(dim, kind, params, y, x, opts):
     y, x = np.array(y), np.array(x)
     [n], tau0 = _fan_starts(m, y, x, 1)
     p0 = math.sqrt(1.0 - m.value(y) ** 2) * n
-    [end] = _flow_one(m, y, [p0], [tau0], opts, False)
+    end = _flow_one(m, y, p0, tau0, opts, False)
     assert end.traj is None
     traj = integrate_flow(m, y, p0, tau0, opts)
     for got, want in ((end.x, traj.x_end), (end.v, traj.v_end),
@@ -349,6 +354,44 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     np.testing.assert_allclose(fenced_end[[0, 2, 3]], y_end[[0, 2, 3]], rtol=1e-13)
 
 
+def test_dop853_lanes_restart_a_lane_from_the_hook():
+    """A restarted lane ends where a fresh run from its new state ends in its slot, bit for
+    bit, at the tolerances the hook set; a retired lane is never evaluated again."""
+    rates = np.array([0.5, 1.0, 3.0, 10.0])
+    calls = []   # the rows of every fun call
+
+    def fenced(y, rows):   # lane 1 leaves its domain once y < 0.5
+        calls.append(rows.copy())
+        return -rates[rows, None] * y, np.where((rows == 1) & (y[:, 0] < 0.5), LEFT_BOX, "")
+
+    rtol, atol = np.full((4, 1), 1e-10), np.full((4, 1), 1e-12)
+    fresh_state = np.array([[10.0, 10.0], [10.0, 10.0], [2.0, 3.0], [1.0, 1.0]])
+    seen, retired = [], {}
+
+    def restart(k, y_end, reason):
+        seen.append((k, reason))
+        if k in (0, 1, 2) and sum(j == k for j, _ in seen) == 1:
+            if k == 2:   # the second run of lane 2 is at other tolerances
+                rtol[k], atol[k] = 1e-6, 1e-8
+            return fresh_state[k]
+        retired[k] = len(calls)
+        return None
+
+    y_end, why = _dop853_lanes(fenced, np.ones((4, 2)), rtol, atol, restart)
+    in_run = len(calls)
+    # lane 1 first stops outside its domain; its restart from 10 clears the reason
+    assert (1, LEFT_BOX) in seen and list(why) == [""] * 4
+    assert sorted(seen) == [(0, ""), (0, ""), (1, ""), (1, LEFT_BOX), (2, ""), (2, ""), (3, "")]
+    fresh, _ = _dop853_lanes(fenced, fresh_state, 1e-10, 1e-12)
+    assert np.array_equal(y_end[[0, 1]], fresh[[0, 1]])
+    loose, _ = _dop853_lanes(fenced, fresh_state, 1e-6, 1e-8)
+    assert np.array_equal(y_end[2], loose[2])
+    once, _ = _dop853_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12)
+    assert np.array_equal(y_end[3], once[3])
+    for k, n_calls in retired.items():
+        assert all(k not in rows for rows in calls[n_calls:in_run])
+
+
 def test_dop853_lanes_take_per_lane_tolerances():
     """Each lane of a mixed-tolerance batch is its run at its own scalar pair, bit for bit."""
     rates = np.array([0.5, 1.0, 3.0, 10.0])
@@ -376,38 +419,45 @@ def test_a_start_converges_only_at_the_fans_pair(dim, kind, params, y, x, monkey
     """Loose iterates come first and never converge; the polish is TIGHT throughout."""
     m = make_potential(dim, kind, params)
     y, x = np.array(y), np.array(x)
-    made = []   # (_End or outcome, the OdeOpts it was integrated at)
-    flow_one, flow_lanes = geoflow._flow_one, geoflow._flow_lanes
+    used = set()   # the OdeOpts of every iterate
+    last = {}      # start -> (x(tau), OdeOpts) of its latest iterate
+    flow_one, dop853_lanes = geoflow._flow_one, geoflow._dop853_lanes
 
-    def one(model, y_star, p0s, taus, opts, dense):
-        out = flow_one(model, y_star, p0s, taus, opts, dense)
-        made.extend(zip(out, [opts]))
+    def one(model, y_star, p0, tau, opts, dense):
+        out = flow_one(model, y_star, p0, tau, opts, dense)
+        used.add(opts)
+        last[0] = (None if isinstance(out, str) else out.x, opts)
         return out
 
-    def lanes(model, y_star, p0s, taus, opts):
-        out = flow_lanes(model, y_star, p0s, taus, opts)
-        made.extend(zip(out, opts))
-        return out
+    def lanes(fun, y0, rtol, atol, restart):
+        def hook(k, y_end, reason):
+            opts = OdeOpts(float(rtol[k, 0]), float(atol[k, 0]))
+            used.add(opts)
+            last[k] = (None if reason else y_end[:dim].copy(), opts)
+            return restart(k, y_end, reason)
+        return dop853_lanes(fun, y0, rtol, atol, hook)
 
     monkeypatch.setattr(geoflow, "_flow_one", one)
-    monkeypatch.setattr(geoflow, "_flow_lanes", lanes)
+    monkeypatch.setattr(geoflow, "_dop853_lanes", lanes)
     starts, tau0 = _fan_starts(m, y, x, None)
     outcomes, ends = _newton(m, y, x, starts, tau0)
-    opts_of = {id(end): opts for end, opts in made}
-    assert {opts for _, opts in made} == {LOOSE, OdeOpts()}
+    assert used == {LOOSE, OdeOpts()}
     assert outcomes.count(CONVERGED) >= 1
-    for outcome, end in zip(outcomes, ends):
+    for k, (outcome, end) in enumerate(zip(outcomes, ends)):
         assert (outcome == CONVERGED) == (end is not None)
         if end is not None:
-            assert opts_of[id(end)] == OdeOpts()
-    made.clear()
+            # the converged _End is the start's last iterate, integrated at the fan's pair
+            x_end, opts = last[k]
+            assert np.array_equal(end.x, x_end) and opts == OdeOpts()
+    used.clear()
     [outcome], [end] = _newton(m, y, x, [starts[0]], tau0, polish=True)
-    assert outcome == CONVERGED and {opts for _, opts in made} == {TIGHT}
+    assert outcome == CONVERGED and used == {TIGHT}
     assert np.max(np.abs(end.x - x)) <= POLISH_TOL * max(1.0, np.max(np.abs(x)))
 
 
 def test_d3_bump_fan_lane_calls(monkeypatch):
-    """The d=3 bump fan shares at most 3,000 lane RHS calls (3,922 with every iterate at 1e-10)."""
+    """The d=3 bump fan shares at most 2,000 lane RHS calls (1,746 with each start restarting
+    its lane at once, 2,748 in lock step, 3,922 in lock step with every iterate at 1e-10)."""
     calls = []
     lane_rhs = geoflow._lane_rhs
 
@@ -422,7 +472,7 @@ def test_d3_bump_fan_lane_calls(monkeypatch):
     monkeypatch.setattr(geoflow, "_lane_rhs", counted)
     geo = shoot_geodesic(bump_model(3), [-1.0, -0.3, 0.2], [1.0, 0.4, -0.2])
     assert (geo.uniqueness["n_converged"], geo.uniqueness["n_distinct"]) == (17, 1)
-    assert len(calls) <= 3000
+    assert len(calls) <= 2000
 
 
 PATH_PAIRS = [FAN_PAIRS[i] for i in (3, 4, 6, 7)]   # the d=2 and d=3 bump and cosine

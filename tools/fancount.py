@@ -8,6 +8,9 @@ wraps geoflow._lane_rhs and geoflow._flow_rhs, so it counts
 
 * lane calls: calls of the batched RHS that the fan's lanes share,
 * lane rows: the rows (one per live lane) over those calls,
+* longest: the most rows any one start used, tallied per lane from the
+  rows of each call; a start keeps its lane, so this is the floor the
+  lane calls could reach if no start ever waited for another,
 * lone calls: calls of the one-trajectory RHS (a lone start and the polish),
 
 and prints them per shot and in total, next to the uniqueness counts and
@@ -19,6 +22,7 @@ this checkout's src/; copy the file into another checkout to compare.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +46,7 @@ def counted(counts):
         def wrapped(y, rows):
             counts["lane_calls"] += 1
             counts["lane_rows"] += len(rows)
+            counts["per_lane"].update(rows.tolist())
             return rhs(y, rows)
         return wrapped
 
@@ -67,23 +72,23 @@ def shots():
 
 
 def main():
-    keys = ("lane_calls", "lane_rows", "lone_calls")
+    keys = ("lane_calls", "lane_rows", "longest", "lone_calls")
     total = dict.fromkeys(keys, 0)
     counts = dict(total)
     counted(counts)
-    print(f"{'shot':18s} {'lane_calls':>10s} {'lane_rows':>10s} {'lone_calls':>10s}"
-          f" {'starts':>6s} {'conv':>4s} {'dist':>4s}  d_A")
+    print(" ".join([f"{'shot':18s}", *(f"{key:>10s}" for key in keys),
+                    f"{'starts':>6s} {'conv':>4s} {'dist':>4s}  d_A"]))
     for label, model, y, x in shots():
-        counts.update(dict.fromkeys(keys, 0))
+        counts.update(dict.fromkeys(keys, 0), per_lane=Counter())
         geo = geoflow.shoot_geodesic(model, y, x)
+        counts["longest"] = max(counts["per_lane"].values(), default=0)
         u = geo.uniqueness
-        print(f"{label:18s} {counts['lane_calls']:10d} {counts['lane_rows']:10d}"
-              f" {counts['lone_calls']:10d} {u['n_starts']:6d} {u['n_converged']:4d}"
-              f" {u['n_distinct']:4d}  {geo.agmon!r}", flush=True)
+        print(" ".join([f"{label:18s}", *(f"{counts[key]:10d}" for key in keys),
+                        f"{u['n_starts']:6d} {u['n_converged']:4d} {u['n_distinct']:4d}"
+                        f"  {geo.agmon!r}"]), flush=True)
         for key in keys:
             total[key] += counts[key]
-    print(f"{'total':18s} {total['lane_calls']:10d} {total['lane_rows']:10d}"
-          f" {total['lone_calls']:10d}")
+    print(" ".join([f"{'total':18s}", *(f"{total[key]:10d}" for key in keys)]))
     return 0
 
 
