@@ -27,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .clifford import SIGMA_1, SIGMA_2, SIGMA_3, DomainError, projector
-from .geoflow import TIGHT, NumericalError
+from .geoflow import TIGHT, NumericalError, solve_ivp
 from .kernel import scalar_ratio
 from .transport import solve_spinor_transport
 

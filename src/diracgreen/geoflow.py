@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853, quad, solve_ivp
+from scipy.integrate import DOP853, DenseOutput, OdeSolution, quad
 
 from .clifford import DomainError
 
@@ -68,7 +68,7 @@ class OdeOpts:
     abs_tol: float = 1e-12
 
     def solver_kwargs(self):
-        return dict(method="DOP853", rtol=self.rel_tol, atol=self.abs_tol)
+        return dict(rtol=self.rel_tol, atol=self.abs_tol)
 
 
 # the polish, the spinor transport, the BMT spin solve and exp_map_oracle
@@ -338,6 +338,176 @@ def _lane_rhs(model, taus):
         return out, why
 
     return rhs
+
+
+class _Dop853Step(DenseOutput):
+    """DOP853's 7th-order interpolant over one step, evaluated as scipy's Dop853DenseOutput."""
+
+    def __init__(self, t_old, t, y_old, F):
+        super().__init__(t_old, t)
+        self.h, self.F, self.y_old = t - t_old, F, y_old
+
+    def _call_impl(self, t):
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old
+        return y.T
+
+
+class IvpResult(NamedTuple):
+    """solve_ivp's result: y at t_eval or at every step end, sol when dense_output."""
+
+    y: np.ndarray
+    sol: OdeSolution | None
+    nfev: int
+    success: bool
+    status: int
+    message: str
+
+
+# the DOP853 tableau as scipy's rk_step and _dense_output_impl slice it, times as floats
+_STAGES = [(s, DOP853.A[s, :s], float(c)) for s, c in enumerate(DOP853.C[1:], start=1)]
+_EXTRA = [(s, a[:s], float(c)) for s, (a, c) in
+          enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
+_MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
+             1: "A termination event occurred.",
+             -1: "Required step size is less than spacing between numbers."}
+
+
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, events=None):
+    """scipy.integrate.solve_ivp(method="DOP853") for one solve, bit for bit, without its wrappers.
+
+    Repeats the installed scipy's numerics with the same numpy calls in the
+    same order: select_initial_step, the rk_step stages, the error norm and
+    step-size control, t_eval read through each step's 7th-order
+    interpolant, and dense output as an OdeSolution of those interpolants.
+    So y, sol and nfev equal scipy's.  y0 may be real or complex.  events
+    is one event function g(t, y), always terminal: it is read at the start
+    and at each accepted step, and the solve stops (status 1) at the first
+    accepted step where g changes sign, without scipy's root refinement;
+    y then holds the t_eval points of the steps before it, or every step
+    end up to it.
+    """
+    t, t_bound = map(float, t_span)
+    y = np.asarray(y0)
+    dtype = complex if np.iscomplexobj(y) else float
+    y = y.astype(dtype, copy=False)
+    n = y.size
+    direction = 1.0 if t_bound >= t else -1.0
+    n_st = DOP853.n_stages
+    exponent = -1 / (DOP853.error_estimator_order + 1)
+    k = np.empty((DOP853.A_EXTRA.shape[1], n), dtype=dtype)
+    k_t, k_err_t = k.T, k[:n_st + 1].T
+
+    def norm(x):
+        # np.linalg.norm's own operations on a vector, without its checks
+        if dtype is complex:
+            return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+        return math.sqrt(x.dot(x))
+
+    # scipy's select_initial_step, with its RMS norm |x| / sqrt(size)
+    f = np.asarray(fun(t, y), dtype=dtype)
+    interval = abs(t_bound - t)
+    scale = atol + np.abs(y) * rtol
+    d0 = norm(y / scale) / n ** 0.5
+    d1 = norm(f / scale) / n ** 0.5
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    f1 = np.asarray(fun(t + h0 * direction, y + h0 * direction * f), dtype=dtype)
+    d2 = norm((f1 - f) / scale) / n ** 0.5 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -exponent
+    h_abs = min(100 * h0, h1, interval)
+    nfev = 2
+    k[n_st] = f
+
+    points = [] if t_eval is None else list(map(float, t_eval))
+    i_pt = 0
+    g = None if events is None else events(t, y)
+    ys = [y] if t_eval is None else []
+    ts, steps = [t], []
+    status = None
+    while status is None:
+        # RungeKutta._step_impl
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        k[0] = k[n_st]
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            for s, a, c in _STAGES:
+                k[s] = fun(t + c * h, y + k_t[:, :s].dot(a) * h)
+            y_new = y + h * k_t[:, :n_st].dot(DOP853.B)
+            k[n_st] = fun(t + h, y_new)
+            nfev += n_st
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5_2 = norm(k_err_t.dot(DOP853.E5) / scale) ** 2
+            err3_2 = norm(k_err_t.dot(DOP853.E3) / scale) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                err = 0.0
+            else:
+                err = abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * n)
+            if err < 1:
+                factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err ** exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** exponent)
+            rejected = True
+        if status is not None:
+            break
+        t_old, y_old, t, y = t, y, t_new, y_new
+        if direction * (t - t_bound) >= 0:
+            status = 0
+
+        j = i_pt    # points[i_pt:j] lie in this step
+        while j < len(points) and direction * (points[j] - t) <= 0:
+            j += 1
+        if dense_output or j > i_pt:
+            # DOP853._dense_output_impl
+            for s, a, c in _EXTRA:
+                k[s] = fun(t_old + c * h, y_old + k_t[:, :s].dot(a) * h)
+            nfev += len(_EXTRA)
+            F = np.empty((DOP853.D.shape[0] + 3, n), dtype=dtype)
+            delta_y = y - y_old
+            F[0] = delta_y
+            F[1] = h * k[0] - delta_y
+            F[2] = 2 * delta_y - h * (k[n_st] + k[0])
+            F[3:] = h * DOP853.D.dot(k)
+            step = _Dop853Step(t_old, t, y_old, F)
+        if dense_output:
+            ts.append(t)
+            steps.append(step)
+        if events is not None:
+            g_old, g = g, events(t, y)
+            if g_old <= 0 <= g or g_old >= 0 >= g:
+                status = 1
+        if t_eval is None:
+            ys.append(y)
+        elif j > i_pt and status != 1:
+            ys.append(step(np.array(points[i_pt:j])))
+            i_pt = j
+
+    if t_eval is None:
+        y_out = np.vstack(ys).T
+    else:
+        y_out = np.hstack(ys) if ys else np.empty((n, 0), dtype=dtype)
+    return IvpResult(y_out, OdeSolution(ts, steps) if dense_output else None, nfev,
+                     status >= 0, status, _MESSAGES[status])
 
 
 def _rms(a):

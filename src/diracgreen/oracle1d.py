@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .clifford import SIGMA_1, DomainError
-from .geoflow import NumericalError, OdeOpts
+from .geoflow import NumericalError, OdeOpts, solve_ivp
 
 _COND_LIMIT = 1e12
 
@@ -79,18 +78,15 @@ def decaying_solution(model, side, points, h):
         dl = -ih * (v - 1.0) * w
         return [dw.real, dl.real, dw.imag, dl.imag]
 
-    peak = 0.0    # max |w| over the march's accepted steps, until one reaches 1
+    peak = 0.0    # max |w| over the march's accepted steps, up to the one that reaches 1
 
     def chart(t, y):
-        # scipy calls this at the start, at each accepted step, and on the
-        # interpolant only once a step has crossed, so peak stops there
+        # read at the start and at each accepted step; the march stops at the first that crosses
         nonlocal peak
         r = math.hypot(y[0], y[2])
-        if peak < 1.0:
-            peak = max(peak, r)
+        peak = max(peak, r)
         return 1.0 - r
 
-    chart.terminal = True
     w0 = tail[1] / tail[0]
     t_eval = sorted(set(points), key=lambda s: sign * s)    # in the march's direction
     # a rejected trial stage may overflow; DOP853 then rejects the step,

@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .clifford import DomainError, projector
-from .geoflow import TIGHT, NumericalError
+from .geoflow import TIGHT, NumericalError, solve_ivp
 
 _UNITARITY_TOL = 1e-9
 

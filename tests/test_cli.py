@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
-from diracgreen import cli, geoflow, oracle1d, potential
+from diracgreen import bmt, cli, geoflow, oracle1d, potential, transport
 from diracgreen.clifford import build_dirac_rep, clifford_residual
+from diracgreen.geoflow import solve_ivp
 from diracgreen.kernel import constant_V_exact
 
 CONST_1D = {
@@ -160,6 +160,48 @@ def _reverse_action_off(monkeypatch):
     monkeypatch.setattr(cli, "shoot_geodesic", reverse_off)
 
 
+def _transport_damped(monkeypatch):
+    """A hermitian part 1e-9 * 1 in the transport generator, so U(tau) is not unitary.
+
+    The solve's own guard raises at the line's 1e-9; it is lifted, so that
+    the line is what reports the defect.
+    """
+    solve = transport.solve_ivp
+    monkeypatch.setattr(transport, "_UNITARITY_TOL", math.inf)
+    monkeypatch.setattr(transport, "solve_ivp", lambda fun, *args, **kwargs: solve(
+        lambda t, y: fun(t, y) + 1e-9 * y, *args, **kwargs))
+
+
+def _transport_reversed(monkeypatch):
+    """The transport generator's sign flipped: U(tau) stays unitary but turns the wrong way."""
+    solve = transport.solve_ivp
+    monkeypatch.setattr(transport, "solve_ivp", lambda fun, *args, **kwargs: solve(
+        lambda t, y: -fun(t, y), *args, **kwargs))
+
+
+def _reverse_amplitude_off(monkeypatch):
+    """The reverse shot's amplitude matrix scaled by 1 + 1e-7, ten times the adjoint tolerance."""
+    make = cli.transport_matrix
+
+    def reverse_off(model, rep, geo, u_matrix):
+        m, residual = make(model, rep, geo, u_matrix)
+        return (m * (1.0 + 1e-7) if geo.y_star[0] > geo.x_star[0] else m), residual
+
+    monkeypatch.setattr(cli, "transport_matrix", reverse_off)
+
+
+def _transported_projector_off(monkeypatch):
+    """The amplitude's lambda_plus off by 1e-9 in every entry, ten times the annihilation
+    tolerance: M picks up a component in the range of lambda_minus."""
+    make = transport.projector
+
+    def off(rep, zeta):
+        pr = make(rep, zeta)
+        return replace(pr, lambda_plus=pr.lambda_plus + 1e-9)
+
+    monkeypatch.setattr(transport, "projector", off)
+
+
 @pytest.fixture(scope="module")
 def selfcheck_d2():
     return {c["name"]: c for c in cli._dim_checks(2)}
@@ -168,13 +210,46 @@ def selfcheck_d2():
 @pytest.mark.parametrize("line,fault", [
     ("flow_energy", _force_off), ("flow_reversal", _end_momentum_early),
     ("jacobi_fd", _jacobi_off), ("agmon_reciprocity", _reverse_action_off),
-], ids=["flow_energy", "flow_reversal", "jacobi_fd", "agmon_reciprocity"])
+    ("transport_unitarity", _transport_damped), ("amplitude_left_identity", _transport_reversed),
+    ("amplitude_adjoint", _reverse_amplitude_off),
+    ("kernel_annihilation", _transported_projector_off),
+], ids=["flow_energy", "flow_reversal", "jacobi_fd", "agmon_reciprocity", "transport_unitarity",
+        "amplitude_left_identity", "amplitude_adjoint", "kernel_annihilation"])
 def test_a_flow_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d2, line, fault):
-    """Each flow line of selfcheck fails under one plausible fault of what it reads (d = 2)."""
+    """Each flow, transport and amplitude line of selfcheck fails under one plausible fault
+    of what it reads (d = 2)."""
     assert selfcheck_d2[f"{line}_d2"]["pass"]
     fault(monkeypatch)
     checks = {c["name"]: c for c in cli._dim_checks(2)}
     assert not checks[f"{line}_d2"]["pass"], checks[f"{line}_d2"]
+
+
+def _closed_phase_off(monkeypatch):
+    """The closed-form phase theta_1d off by 1e-7, ten times the U gap's tolerance."""
+    theta = cli.theta_1d
+    monkeypatch.setattr(cli, "theta_1d", lambda model, a, b: theta(model, a, b) + 1e-7)
+
+
+def _oracle_off(monkeypatch):
+    """exact_green_kernel_1d scaled by 1 + 1e-8, ten times oracle_constant's tolerance."""
+    exact = cli.exact_green_kernel_1d
+    monkeypatch.setattr(cli, "exact_green_kernel_1d", lambda *args: exact(*args) * (1.0 + 1e-8))
+
+
+@pytest.fixture(scope="module")
+def selfcheck_d1():
+    return {c["name"]: c for c in cli._dim_checks(1)}
+
+
+@pytest.mark.parametrize("line,fault", [
+    ("theta_closed_form", _closed_phase_off), ("oracle_constant", _oracle_off),
+], ids=["theta_closed_form", "oracle_constant"])
+def test_a_d1_reference_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d1, line, fault):
+    """Each d = 1 reference line fails under one plausible fault of what it reads."""
+    assert selfcheck_d1[f"{line}_d1"]["pass"]
+    fault(monkeypatch)
+    checks = {c["name"]: c for c in cli._dim_checks(1)}
+    assert not checks[f"{line}_d1"]["pass"], checks[f"{line}_d1"]
 
 
 def _lambda_plus_off(monkeypatch):
@@ -201,6 +276,52 @@ def test_a_projector_fault_trips_its_selfcheck_line(selfcheck_d2, projector_faul
     """Each projector line of selfcheck fails when lambda_plus is off by 1e-10 (d = 2)."""
     assert selfcheck_d2[f"{line}_d2"]["pass"]
     assert not projector_fault_d2[f"{line}_d2"]["pass"], projector_fault_d2[f"{line}_d2"]
+
+
+def _checks_d3(fault):
+    with pytest.MonkeyPatch.context() as mp:
+        fault(mp)
+        return {c["name"]: c for c in cli._dim_checks(3)}
+
+
+def _spin_damped(monkeypatch):
+    """M plus 1e-9 i * 1, so that i M, the precession generator, has a hermitian part
+    -1e-9 * 1: s(t) shrinks."""
+    generator = bmt.spin_generator
+    monkeypatch.setattr(bmt, "spin_generator",
+                        lambda *args: generator(*args) + 1e-9j * np.eye(2))
+
+
+def _field_flipped(monkeypatch):
+    """The precession generator built from E = +grad V: the spin precesses the wrong way."""
+    generator = bmt.spin_generator
+    monkeypatch.setattr(bmt, "spin_generator", lambda *args: -generator(*args))
+
+
+@pytest.fixture(scope="module")
+def selfcheck_d3():
+    return _checks_d3(lambda mp: None)
+
+
+@pytest.fixture(scope="module")
+def spin_damped_d3():
+    return _checks_d3(_spin_damped)
+
+
+@pytest.fixture(scope="module")
+def field_flipped_d3():
+    return _checks_d3(_field_flipped)
+
+
+@pytest.mark.parametrize("line,faulted", [
+    ("bmt_unitarity", "spin_damped_d3"), ("bmt_bloch_norm", "spin_damped_d3"),
+    ("bmt_equation", "field_flipped_d3"), ("bmt_equivalence", "field_flipped_d3"),
+])
+def test_a_bmt_fault_trips_its_selfcheck_line(request, selfcheck_d3, line, faulted):
+    """Each bmt line of selfcheck fails under one plausible fault of the spin solve (d = 3)."""
+    assert selfcheck_d3[f"{line}_d3"]["pass"]
+    checks = request.getfixturevalue(faulted)
+    assert not checks[f"{line}_d3"]["pass"], checks[f"{line}_d3"]
 
 
 def test_a_bessel_fault_trips_its_selfcheck_line(monkeypatch):
@@ -764,11 +885,17 @@ def test_fuzz_every_field_exits_0_2_or_3(tmp_path, capsys, config):
     assert findings == []
 
 
-# cheap shots: the d=2 well and a 1D well for validate1d, one start, two coarse h
+# cheap shots: the d=2 well, a 1D well for validate1d and a d=3 well for bmt, one start,
+# two coarse h
 FUZZ_SHOT = dict(FUZZ_WELL, shooting={"multistart": 1})
 FUZZ_1D = dict(FUZZ_SHOT, dimension=1, x_star=[0.5], y_star=[-0.5], potential={
     "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0},
     "delta": 0.05, "window": 2.0, "box_half": 12.0})
+FUZZ_3D = dict(FUZZ_SHOT, dimension=3, x_star=[0.5, 0.1, 0.0], y_star=[-0.5, 0.0, 0.1],
+               potential={"kind": "bump_well",
+                          "params": {"base": -0.6, "depth": 0.3, "radius": 2.0,
+                                     "center": [0.25, -0.5, 0.0]},
+                          "delta": 0.05, "window": 3.0, "box_half": 12.0})
 FUZZ_BUDGET_S = 10.0
 
 
@@ -781,31 +908,65 @@ def _numbers(text):
             pass
 
 
-@pytest.mark.parametrize("command,config", [
-    ("geodesic", FUZZ_SHOT), ("kernel", FUZZ_CONFIG), ("validate1d", FUZZ_1D),
-], ids=["geodesic", "kernel", "validate1d"])
-def test_fuzz_computing_commands(tmp_path, capsys, command, config):
-    """Each menu value in each field: exit 0, 2 or 3 within the time budget.
+def _fuzz_finding(capsys, artifact, run):
+    """None if run() exits 0, 2 or 3 within the budget, with on exit 0 an empty stderr and
+    only finite numbers in the artifact; else what went wrong.  An argparse refusal is exit 2.
+    """
+    artifact.unlink(missing_ok=True)
+    start = time.perf_counter()
+    try:
+        code = run()
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:   # any escape is a finding
+        return repr(exc)
+    wall = time.perf_counter() - start
+    err = capsys.readouterr().err
+    if code not in (0, 2, 3) or wall > FUZZ_BUDGET_S:
+        return code, wall
+    if code == 0 and (err or not all(map(math.isfinite, _numbers(artifact.read_text())))):
+        return err, artifact.read_text()
+    return None
+
+
+@pytest.mark.parametrize("command,config,fields", [
+    ("geodesic", FUZZ_SHOT, None), ("kernel", FUZZ_CONFIG, None), ("validate1d", FUZZ_1D, None),
+    ("bmt", FUZZ_3D, ("potential", "x_star", "y_star")),
+], ids=["geodesic", "kernel", "validate1d", "bmt"])
+def test_fuzz_computing_commands(tmp_path, capsys, command, config, fields):
+    """Each menu value in each field (under the top-level keys fields, when given): exit 0,
+    2 or 3 within the time budget.
 
     On exit 0 every number of the artifact is finite and stderr is empty.
     """
-    artifact = tmp_path / "fuzz.csv"
     findings = []
     for path in _key_paths(config):
+        if fields and path[0] not in fields:
+            continue
         for value in FUZZ_MENU:
             cfg = _mutated(config, path, lambda obj, key: obj.__setitem__(key, value))
-            artifact.unlink(missing_ok=True)
-            start = time.perf_counter()
-            try:
-                code = _fuzz_exit(tmp_path, cfg, command)
-            except Exception as exc:   # any escape is a finding, reported all at once
-                findings.append((path, value, repr(exc)))
-                continue
-            wall = time.perf_counter() - start
-            err = capsys.readouterr().err
-            if code not in (0, 2, 3) or wall > FUZZ_BUDGET_S:
-                findings.append((path, value, code, wall))
-            elif code == 0 and (err or not all(map(math.isfinite,
-                                                    _numbers(artifact.read_text())))):
-                findings.append((path, value, err, artifact.read_text()))
+            finding = _fuzz_finding(capsys, tmp_path / "fuzz.csv",
+                                    lambda: _fuzz_exit(tmp_path, cfg, command))
+            if finding is not None:
+                findings.append((path, value, finding))
     assert findings == []
+
+
+def test_fuzz_selfcheck_dim(tmp_path, capsys):
+    """selfcheck --dim with each menu value: exit 0, 2 or 3 within the time budget.
+
+    argparse refuses every value but 2, which runs the d = 2 lines.
+    """
+    artifact = tmp_path / "fuzz.json"
+    findings, ran = [], []
+
+    def selfcheck(value):
+        code = cli.main(["selfcheck", "--dim", str(value), "--out", str(artifact)])
+        ran.append(value)
+        return code
+
+    for value in FUZZ_MENU:
+        finding = _fuzz_finding(capsys, artifact, lambda: selfcheck(value))
+        if finding is not None:
+            findings.append((value, finding))
+    assert findings == [] and ran == [2]

@@ -354,6 +354,71 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     np.testing.assert_allclose(fenced_end[[0, 2, 3]], y_end[[0, 2, 3]], rtol=1e-13)
 
 
+def _pendulum(t, y):
+    return [y[1], -math.sin(y[0]) * (1.0 + 0.3 * t)]
+
+
+_bump_flow = geoflow._flow_rhs(bump_model(2), True)
+
+
+def _precession(t, y):
+    return 1j * np.array([[0.2, 1.0 + t], [1.0 + t, -0.5]]) @ y
+
+
+# (fun, t_span, y0, keywords, times at which sol is compared)
+LEAN_CASES = {
+    # backward, with two points 1e-9 apart (so in one step) and a point at the end
+    "backward_t_eval": (_pendulum, (3.0, -2.0), [0.3, 1.2],
+                        dict(t_eval=[2.0, 2.0 - 1e-9, 0.5, -2.0]), None),
+    # the lone Newton iterate: a forward flow read at its end alone
+    "flow_t_end": (_bump_flow, (0.0, 2.1),
+                   geoflow._initial_state(np.array([-1.0, -0.3]), np.array([0.7, 0.2]), True),
+                   dict(t_eval=[2.1]), None),
+    "complex_dense": (_precession, (0.0, 2.0), np.array([1.0, 0.5j]),
+                      dict(dense_output=True), [0.0, 0.3, 1.7, 2.0, np.linspace(0.0, 2.0, 41)]),
+}
+
+
+@pytest.mark.parametrize("name", list(LEAN_CASES))
+def test_lean_solve_ivp_is_scipys_dop853_bit_for_bit(name):
+    """y, sol(t) and nfev equal scipy's solve_ivp(method="DOP853") exactly."""
+    fun, t_span, y0, extra, times = LEAN_CASES[name]
+    tols = dict(rtol=1e-10, atol=1e-12)
+    got = geoflow.solve_ivp(fun, t_span, y0, **tols, **extra)
+    ref = solve_ivp(fun, t_span, y0, method="DOP853", **tols, **extra)
+    assert (got.status, got.success, got.message) == (ref.status, ref.success, ref.message)
+    assert got.nfev == ref.nfev
+    assert got.y.dtype == ref.y.dtype and np.array_equal(got.y, ref.y)
+    for t in times or ():
+        assert np.array_equal(got.sol(t), ref.sol(t))
+
+
+def test_lean_solve_ivp_stops_at_the_step_where_the_event_fires():
+    """A terminal event ends the solve at the first accepted step where it changes sign.
+
+    Up to that step the solve is scipy's, bit for bit; scipy then refines the
+    root on the step's interpolant, which lies inside the step the lean
+    solve ends on.  With dense output both build that interpolant, so the
+    RHS counts agree.
+    """
+    def event(t, y):
+        return y[0] - 0.35
+
+    event.terminal = True
+    tols = dict(rtol=1e-10, atol=1e-12, dense_output=True)
+    got = geoflow.solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2], events=event, **tols)
+    ref = solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2], method="DOP853", events=event, **tols)
+    assert (got.status, got.message) == (ref.status, ref.message) == (
+        1, "A termination event occurred.")
+    assert got.nfev == ref.nfev
+    assert np.array_equal(got.y[:, :-1], ref.y[:, :-1])
+    t_old, t_stop = got.sol.ts[-2:]
+    assert event(t_old, got.sol(t_old)) < 0.0 <= event(t_stop, got.y[:, -1])
+    assert t_old < ref.t_events[0][0] <= t_stop < 10.0
+    times = np.linspace(0.0, t_old, 17)
+    assert np.array_equal(got.sol(times), ref.sol(times))
+
+
 def test_dop853_lanes_restart_a_lane_from_the_hook():
     """A restarted lane ends where a fresh run from its new state ends in its slot, bit for
     bit, at the tolerances the hook set; a retired lane is never evaluated again."""

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from diracgreen import oracle1d
 from diracgreen.clifford import SIGMA_1, DomainError, build_dirac_rep
-from diracgreen.geoflow import NumericalError, shoot_geodesic
+from diracgreen.geoflow import NumericalError, shoot_geodesic, solve_ivp
 from diracgreen.kernel import constant_V_exact
 from diracgreen.oracle1d import (decaying_solution, exact_green_kernel_1d,
                                  exact_green_kernel_pair_1d)
@@ -176,10 +175,14 @@ def test_march_leaving_the_chart_is_a_numerical_failure(monkeypatch):
     Past V = 0 the Riccati flow draws |w| to sqrt((1 + V)/(1 - V)) > 1; this
     well (not a config the CLI accepts) reaches V = 0.6 at its center.
     """
-    results = []
+    results, seen = [], []
 
-    def recording(*args, **kwargs):
-        results.append(solve_ivp(*args, **kwargs))
+    def recording(fun, t_span, y0, events, **kwargs):
+        def chart(t, y):
+            seen.append((t, math.hypot(y[0], y[2])))
+            return events(t, y)
+
+        results.append(solve_ivp(fun, t_span, y0, events=chart, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(oracle1d, "solve_ivp", recording)
@@ -187,8 +190,11 @@ def test_march_leaving_the_chart_is_a_numerical_failure(monkeypatch):
     with pytest.raises(NumericalError, match="u1 chart"):
         decaying_solution(m, "right", (0.0,), 0.1)
     (res,) = results
-    assert res.status == 1 and res.t_events[0].size == 1   # the chart event ended it
-    assert res.t_events[0][0] > 0.0      # short of the target point 0.0
+    assert res.status == 1      # the chart event ended it
+    radii = [r for _, r in seen]
+    # at the first accepted step with |w| >= 1, short of the target point 0.0
+    assert radii[-1] >= 1.0 and max(radii[:-1]) < 1.0
+    assert seen[-1][0] > 0.0
 
 
 # validate1d runs whose marches overflow on a rejected trial stage: the bump
@@ -219,7 +225,6 @@ def test_overflow_stays_in_rejected_trial_stages(monkeypatch, name):
             accepted.append(np.array(y))
             return events(t, y)
 
-        chart.terminal = events.terminal
         res = solve_ivp(rhs, t_span, y0, events=chart, **kwargs)
         accepted.extend(res.y.T)
         return res
