@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import SIGMA_1, SIGMA_2, SIGMA_3, DomainError, projector
-from .geoflow import TIGHT, NumericalError, solve_ivp
+from .dop853 import TIGHT, NumericalError, solve_ivp
 from .kernel import scalar_ratio
 from .transport import solve_spinor_transport
 

@@ -11,7 +11,8 @@ closed form, which makes it the natural end-to-end validation target: the
 ratio of the exact kernel to the assembled leading term must tend to 1
 linearly in h.  The modified Bessel functions occur at the orders d/2 and
 their neighbours (0, 1/2, 1, 3/2): the half orders in closed form, K_0 and
-K_1 from scipy.special, with an independent quadrature oracle as the check.
+K_1 from scipy.special; selfcheck holds the independent quadrature oracle
+that checks them.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from .clifford import DomainError, negate_rep
-from .geoflow import NumericalError, shoot_geodesic
+from .dop853 import NumericalError
+from .geoflow import shoot_geodesic
 from .potential import constant_model, negated
 from .transport import solve_spinor_transport, transport_matrix
 
@@ -61,25 +62,6 @@ def bessel_K_prime(nu, rho):
     if nu == 0.0:
         return -float(special.k1(rho))
     raise DomainError(f"unsupported order {nu}; supported: {_BESSEL_ORDERS}")
-
-
-def bessel_K_oracle(nu, rho):
-    """Independent quadrature int_0^inf exp(-rho cosh t) cosh(nu t) dt.
-
-    The integrand is scaled by exp(rho) so it is O(1) and the absolute
-    quadrature tolerance stays meaningful for large rho.
-    """
-    rho = float(rho)
-    if rho <= 0.0:
-        raise DomainError(f"bessel_K_oracle requires rho > 0, got {rho}")
-    # past t_max the scaled integrand underflows to zero
-    t_max = math.acosh(1.0 + 760.0 / rho)
-
-    def integrand(t):
-        return math.exp(rho * (1.0 - math.cosh(t))) * math.cosh(nu * t)
-
-    val, _ = quad(integrand, 0.0, t_max, epsabs=1e-15, epsrel=1e-13, limit=400)
-    return float(val) * math.exp(-rho)
 
 
 def constant_V_exact(rep, e_value, x, y, h):

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .clifford import SIGMA_1, DomainError
-from .geoflow import NumericalError, OdeOpts, solve_ivp
+from .dop853 import NumericalError, OdeOpts, solve_ivp
 
 _COND_LIMIT = 1e12
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import DomainError, projector
-from .geoflow import TIGHT, NumericalError, solve_ivp
+from .dop853 import TIGHT, NumericalError, solve_ivp
 
 _UNITARITY_TOL = 1e-9
 

@@ -14,13 +14,13 @@ import pytest
 from diracgreen.bmt import equivalence_check, solve_bmt_spin
 from diracgreen.clifford import (build_dirac_rep, clifford_residual,
                                  dirac_symbol, lambda_branches, projector)
-from diracgreen.geoflow import (exp_inverse_from_geodesic, exp_prime_fd,
-                                integrate_flow, shoot_geodesic)
+from diracgreen.geoflow import integrate_flow, shoot_geodesic
 from diracgreen.kernel import (constant_V_exact, leading_kernel_1d,
                                leading_kernel_multid,
                                positive_potential_kernel, ratio_sweep)
 from diracgreen.oracle1d import exact_green_kernel_1d
 from diracgreen.potential import make_potential
+from diracgreen.selfcheck import exp_inverse_from_geodesic, exp_prime_fd
 from diracgreen.transport import rotation_1d, solve_spinor_transport, theta_1d
 
 BUMP = {"base": -0.6, "depth": 0.3, "radius": 2.0}

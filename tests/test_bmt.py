@@ -10,7 +10,8 @@ from diracgreen.clifford import (SIGMA_1, SIGMA_2, SIGMA_3, DomainError, build_d
                                  negate_rep, projector)
 from diracgreen.bmt import (build_W, equivalence_check, left_factor,
                             solve_bmt_spin, spin_generator)
-from diracgreen.geoflow import shoot_geodesic, solve_ivp
+from diracgreen.dop853 import solve_ivp
+from diracgreen.geoflow import shoot_geodesic
 from diracgreen.potential import make_potential
 from diracgreen.transport import solve_spinor_transport
 

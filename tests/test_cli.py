@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracgreen import bmt, cli, geoflow, oracle1d, potential, transport
+from diracgreen import bmt, cli, geoflow, oracle1d, potential, selfcheck, transport
 from diracgreen.clifford import build_dirac_rep, clifford_residual
-from diracgreen.geoflow import solve_ivp
+from diracgreen.dop853 import solve_ivp
 from diracgreen.kernel import constant_V_exact
 
 CONST_1D = {
@@ -83,7 +83,7 @@ def test_selfcheck_fault_injection(tmp_path, capsys, monkeypatch):
         alphas[0][0, -1] += 1e-6
         return clifford_residual(replace(rep, alphas=tuple(alphas)))
 
-    monkeypatch.setattr(cli, "clifford_residual", perturbed)
+    monkeypatch.setattr(selfcheck, "clifford_residual", perturbed)
     out = tmp_path / "report.json"
     code = cli.main(["selfcheck", "--dim", "1", "--out", str(out)])
     assert code == 1
@@ -112,7 +112,7 @@ def test_selfcheck_d3_potential_lines_can_fail(monkeypatch):
 
     monkeypatch.setitem(potential.FAMILIES, "bump_well",
                         replace(row, profile=profile, bounds=bounds))
-    failed = {c["name"] for c in cli.run_selfcheck((3,))["checks"] if not c["pass"]}
+    failed = {c["name"] for c in selfcheck.run_selfcheck((3,))["checks"] if not c["pass"]}
     assert {"potential_derivatives_d3", "hypothesis_gap_d3"} <= failed
 
 
@@ -151,13 +151,13 @@ def _jacobi_off(monkeypatch):
 
 def _reverse_action_off(monkeypatch):
     """The reverse shot's action d_A off by 1e-8, ten times agmon_reciprocity's tolerance."""
-    shoot = cli.shoot_geodesic
+    shoot = selfcheck.shoot_geodesic
 
     def reverse_off(model, y_star, x_star, **kwargs):
         geo = shoot(model, y_star, x_star, **kwargs)
         return replace(geo, agmon=geo.agmon + 1e-8) if y_star[0] > x_star[0] else geo
 
-    monkeypatch.setattr(cli, "shoot_geodesic", reverse_off)
+    monkeypatch.setattr(selfcheck, "shoot_geodesic", reverse_off)
 
 
 def _transport_damped(monkeypatch):
@@ -181,13 +181,13 @@ def _transport_reversed(monkeypatch):
 
 def _reverse_amplitude_off(monkeypatch):
     """The reverse shot's amplitude matrix scaled by 1 + 1e-7, ten times the adjoint tolerance."""
-    make = cli.transport_matrix
+    make = selfcheck.transport_matrix
 
     def reverse_off(model, rep, geo, u_matrix):
         m, residual = make(model, rep, geo, u_matrix)
         return (m * (1.0 + 1e-7) if geo.y_star[0] > geo.x_star[0] else m), residual
 
-    monkeypatch.setattr(cli, "transport_matrix", reverse_off)
+    monkeypatch.setattr(selfcheck, "transport_matrix", reverse_off)
 
 
 def _transported_projector_off(monkeypatch):
@@ -204,7 +204,7 @@ def _transported_projector_off(monkeypatch):
 
 @pytest.fixture(scope="module")
 def selfcheck_d2():
-    return {c["name"]: c for c in cli._dim_checks(2)}
+    return {c["name"]: c for c in selfcheck._dim_checks(2)}
 
 
 @pytest.mark.parametrize("line,fault", [
@@ -220,25 +220,25 @@ def test_a_flow_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d2, line, 
     of what it reads (d = 2)."""
     assert selfcheck_d2[f"{line}_d2"]["pass"]
     fault(monkeypatch)
-    checks = {c["name"]: c for c in cli._dim_checks(2)}
+    checks = {c["name"]: c for c in selfcheck._dim_checks(2)}
     assert not checks[f"{line}_d2"]["pass"], checks[f"{line}_d2"]
 
 
 def _closed_phase_off(monkeypatch):
     """The closed-form phase theta_1d off by 1e-7, ten times the U gap's tolerance."""
-    theta = cli.theta_1d
-    monkeypatch.setattr(cli, "theta_1d", lambda model, a, b: theta(model, a, b) + 1e-7)
+    theta = selfcheck.theta_1d
+    monkeypatch.setattr(selfcheck, "theta_1d", lambda model, a, b: theta(model, a, b) + 1e-7)
 
 
 def _oracle_off(monkeypatch):
     """exact_green_kernel_1d scaled by 1 + 1e-8, ten times oracle_constant's tolerance."""
-    exact = cli.exact_green_kernel_1d
-    monkeypatch.setattr(cli, "exact_green_kernel_1d", lambda *args: exact(*args) * (1.0 + 1e-8))
+    exact = selfcheck.exact_green_kernel_1d
+    monkeypatch.setattr(selfcheck, "exact_green_kernel_1d", lambda *args: exact(*args) * (1.0 + 1e-8))
 
 
 @pytest.fixture(scope="module")
 def selfcheck_d1():
-    return {c["name"]: c for c in cli._dim_checks(1)}
+    return {c["name"]: c for c in selfcheck._dim_checks(1)}
 
 
 @pytest.mark.parametrize("line,fault", [
@@ -248,26 +248,26 @@ def test_a_d1_reference_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d1
     """Each d = 1 reference line fails under one plausible fault of what it reads."""
     assert selfcheck_d1[f"{line}_d1"]["pass"]
     fault(monkeypatch)
-    checks = {c["name"]: c for c in cli._dim_checks(1)}
+    checks = {c["name"]: c for c in selfcheck._dim_checks(1)}
     assert not checks[f"{line}_d1"]["pass"], checks[f"{line}_d1"]
 
 
 def _lambda_plus_off(monkeypatch):
     """lambda_plus off by 1e-10 in every entry, a hundred times the projector lines' tolerance."""
-    make = cli.projector
+    make = selfcheck.projector
 
     def off(rep, zeta):
         pr = make(rep, zeta)
         return replace(pr, lambda_plus=pr.lambda_plus + 1e-10)
 
-    monkeypatch.setattr(cli, "projector", off)
+    monkeypatch.setattr(selfcheck, "projector", off)
 
 
 @pytest.fixture(scope="module")
 def projector_fault_d2():
     with pytest.MonkeyPatch.context() as mp:
         _lambda_plus_off(mp)
-        return {c["name"]: c for c in cli._dim_checks(2)}
+        return {c["name"]: c for c in selfcheck._dim_checks(2)}
 
 
 @pytest.mark.parametrize("line", ["projector_algebra", "projector_eigenrelation",
@@ -281,7 +281,7 @@ def test_a_projector_fault_trips_its_selfcheck_line(selfcheck_d2, projector_faul
 def _checks_d3(fault):
     with pytest.MonkeyPatch.context() as mp:
         fault(mp)
-        return {c["name"]: c for c in cli._dim_checks(3)}
+        return {c["name"]: c for c in selfcheck._dim_checks(3)}
 
 
 def _spin_damped(monkeypatch):
@@ -326,11 +326,11 @@ def test_a_bmt_fault_trips_its_selfcheck_line(request, selfcheck_d3, line, fault
 
 def test_a_bessel_fault_trips_its_selfcheck_line(monkeypatch):
     """bessel_K scaled by 1 + 1e-9, ten times bessel_oracle's tolerance, fails the line."""
-    [line] = cli.run_selfcheck(())["checks"]
+    [line] = selfcheck.run_selfcheck(())["checks"]
     assert line["name"] == "bessel_oracle" and line["pass"]
-    bessel_K = cli.bessel_K
-    monkeypatch.setattr(cli, "bessel_K", lambda nu, rho: bessel_K(nu, rho) * (1.0 + 1e-9))
-    [line] = cli.run_selfcheck(())["checks"]
+    bessel_K = selfcheck.bessel_K
+    monkeypatch.setattr(selfcheck, "bessel_K", lambda nu, rho: bessel_K(nu, rho) * (1.0 + 1e-9))
+    [line] = selfcheck.run_selfcheck(())["checks"]
     assert not line["pass"], line
 
 
@@ -749,7 +749,7 @@ def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the command ran before its artifact path was checked")
 
-    monkeypatch.setattr(cli, "_dim_checks", no_work)
+    monkeypatch.setattr(selfcheck, "_dim_checks", no_work)
     monkeypatch.setattr(cli, "shoot_geodesic", no_work)
     out = str(tmp_path / "missing" / "x.json")
     assert cli.main(["selfcheck", "--dim", "1", "--out", out]) == 2

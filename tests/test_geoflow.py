@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from diracgreen import geoflow
+from diracgreen import dop853, geoflow
 from diracgreen.clifford import DomainError
 from diracgreen.cli import ConfigError, RunConfig
-from diracgreen.geoflow import (CHART_ESCAPE, CONVERGED, LEFT_BOX, LOOSE, POLISH_TOL, TIGHT,
-                                ConjugatePointError, OdeOpts, ShootingError,
-                                _dop853_lanes, _fan_starts, _flow_one, _newton, _var_index,
-                                agmon_distance_quadrature_1d,
+from diracgreen.dop853 import TIGHT, OdeOpts, solve_lanes
+from diracgreen.geoflow import (CHART_ESCAPE, CONVERGED, LEFT_BOX, LOOSE, POLISH_TOL,
+                                ConjugatePointError, ShootingError,
+                                _fan_starts, _flow_one, _newton, _var_index,
                                 bordered_determinant, det_exp_prime,
-                                exp_inverse_from_geodesic, exp_map_oracle,
-                                exp_prime_fd, integrate_flow, shoot_geodesic)
+                                integrate_flow, shoot_geodesic)
+from diracgreen.selfcheck import (agmon_distance_quadrature_1d, exp_inverse_from_geodesic,
+                                  exp_map_oracle, exp_prime_fd)
 from diracgreen.potential import make_potential
 
 BUMP = {"base": -0.6, "depth": 0.3, "radius": 2.0}
@@ -249,13 +250,13 @@ def test_d1_fan_is_the_one_start_toward_x_star(dim, kind, params, y, x, monkeypa
         assert len(starts) == 1 and np.array_equal(starts[0], toward)
     single = shoot_geodesic(m, y, x, multistart=1)
     lane_calls = []
-    dop853_lanes = geoflow._dop853_lanes
+    dop853_lanes = geoflow.solve_lanes
 
     def spy(*args):
         lane_calls.append(args)
         return dop853_lanes(*args)
 
-    monkeypatch.setattr(geoflow, "_dop853_lanes", spy)
+    monkeypatch.setattr(geoflow, "solve_lanes", spy)
     geo = shoot_geodesic(m, y, x)
     assert lane_calls == []
     assert geo.uniqueness["n_starts"] == 1
@@ -273,7 +274,7 @@ def test_lane_leaving_the_box_fails_alone(monkeypatch):
     starts, tau0 = _fan_starts(bump_model(2), y, x, None)
     _, free_ends = _newton(bump_model(2), y, x, starts, tau0)
     runs, ended = [], []   # the lane runs, and (lane, reason) of each end in order
-    dop853_lanes = geoflow._dop853_lanes
+    dop853_lanes = geoflow.solve_lanes
 
     def recording(fun, y0, rtol, atol, restart):
         def hook(k, y_end, reason):
@@ -282,7 +283,7 @@ def test_lane_leaving_the_box_fails_alone(monkeypatch):
         runs.append(len(y0))
         return dop853_lanes(fun, y0, rtol, atol, hook)
 
-    monkeypatch.setattr(geoflow, "_dop853_lanes", recording)
+    monkeypatch.setattr(geoflow, "solve_lanes", recording)
     boxed = make_potential(2, "bump_well", BUMP, box_half=6.0)
     outcomes, ends = _newton(boxed, y, x, starts, tau0)
     assert outcomes.count(LEFT_BOX) == 2 and runs == [len(starts)]
@@ -338,7 +339,7 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     def decay(y, rows):
         return -rates[rows, None] * y, None
 
-    y_end, why = _dop853_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12)
+    y_end, why = solve_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12)
     assert list(why) == [""] * 4
     for k, rate in enumerate(rates):
         ref = solve_ivp(lambda t, y: -rate * y, (0.0, 1.0), np.ones(2), method="DOP853",
@@ -349,7 +350,7 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     def fenced(y, rows):   # lane 1 leaves its domain once y < 0.5
         return -rates[rows, None] * y, np.where((rows == 1) & (y[:, 0] < 0.5), LEFT_BOX, "")
 
-    fenced_end, why = _dop853_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12)
+    fenced_end, why = solve_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12)
     assert list(why) == ["", LEFT_BOX, "", ""]
     np.testing.assert_allclose(fenced_end[[0, 2, 3]], y_end[[0, 2, 3]], rtol=1e-13)
 
@@ -384,7 +385,7 @@ def test_lean_solve_ivp_is_scipys_dop853_bit_for_bit(name):
     """y, sol(t) and nfev equal scipy's solve_ivp(method="DOP853") exactly."""
     fun, t_span, y0, extra, times = LEAN_CASES[name]
     tols = dict(rtol=1e-10, atol=1e-12)
-    got = geoflow.solve_ivp(fun, t_span, y0, **tols, **extra)
+    got = dop853.solve_ivp(fun, t_span, y0, **tols, **extra)
     ref = solve_ivp(fun, t_span, y0, method="DOP853", **tols, **extra)
     assert (got.status, got.success, got.message) == (ref.status, ref.success, ref.message)
     assert got.nfev == ref.nfev
@@ -406,7 +407,7 @@ def test_lean_solve_ivp_stops_at_the_step_where_the_event_fires():
 
     event.terminal = True
     tols = dict(rtol=1e-10, atol=1e-12, dense_output=True)
-    got = geoflow.solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2], events=event, **tols)
+    got = dop853.solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2], events=event, **tols)
     ref = solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2], method="DOP853", events=event, **tols)
     assert (got.status, got.message) == (ref.status, ref.message) == (
         1, "A termination event occurred.")
@@ -442,16 +443,16 @@ def test_dop853_lanes_restart_a_lane_from_the_hook():
         retired[k] = len(calls)
         return None
 
-    y_end, why = _dop853_lanes(fenced, np.ones((4, 2)), rtol, atol, restart)
+    y_end, why = solve_lanes(fenced, np.ones((4, 2)), rtol, atol, restart)
     in_run = len(calls)
     # lane 1 first stops outside its domain; its restart from 10 clears the reason
     assert (1, LEFT_BOX) in seen and list(why) == [""] * 4
     assert sorted(seen) == [(0, ""), (0, ""), (1, ""), (1, LEFT_BOX), (2, ""), (2, ""), (3, "")]
-    fresh, _ = _dop853_lanes(fenced, fresh_state, 1e-10, 1e-12)
+    fresh, _ = solve_lanes(fenced, fresh_state, 1e-10, 1e-12)
     assert np.array_equal(y_end[[0, 1]], fresh[[0, 1]])
-    loose, _ = _dop853_lanes(fenced, fresh_state, 1e-6, 1e-8)
+    loose, _ = solve_lanes(fenced, fresh_state, 1e-6, 1e-8)
     assert np.array_equal(y_end[2], loose[2])
-    once, _ = _dop853_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12)
+    once, _ = solve_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12)
     assert np.array_equal(y_end[3], once[3])
     for k, n_calls in retired.items():
         assert all(k not in rows for rows in calls[n_calls:in_run])
@@ -466,12 +467,12 @@ def test_dop853_lanes_take_per_lane_tolerances():
 
     pairs = [(1e-6, 1e-8), (1e-10, 1e-12), (1e-12, 1e-14), (1e-6, 1e-8)]
     rtol, atol = (np.array(col)[:, None] for col in zip(*pairs))
-    mixed, why = _dop853_lanes(decay, np.ones((4, 2)), rtol, atol)
+    mixed, why = solve_lanes(decay, np.ones((4, 2)), rtol, atol)
     assert list(why) == [""] * 4
     for k, (r, a) in enumerate(pairs):
-        alone, _ = _dop853_lanes(decay, np.ones((4, 2)), r, a)
+        alone, _ = solve_lanes(decay, np.ones((4, 2)), r, a)
         assert np.array_equal(mixed[k], alone[k])
-        broadcast, _ = _dop853_lanes(decay, np.ones((4, 2)), np.full((4, 1), r), np.full((4, 1), a))
+        broadcast, _ = solve_lanes(decay, np.ones((4, 2)), np.full((4, 1), r), np.full((4, 1), a))
         assert np.array_equal(broadcast, alone)
 
 
@@ -486,7 +487,7 @@ def test_a_start_converges_only_at_the_fans_pair(dim, kind, params, y, x, monkey
     y, x = np.array(y), np.array(x)
     used = set()   # the OdeOpts of every iterate
     last = {}      # start -> (x(tau), OdeOpts) of its latest iterate
-    flow_one, dop853_lanes = geoflow._flow_one, geoflow._dop853_lanes
+    flow_one, dop853_lanes = geoflow._flow_one, geoflow.solve_lanes
 
     def one(model, y_star, p0, tau, opts, dense):
         out = flow_one(model, y_star, p0, tau, opts, dense)
@@ -503,7 +504,7 @@ def test_a_start_converges_only_at_the_fans_pair(dim, kind, params, y, x, monkey
         return dop853_lanes(fun, y0, rtol, atol, hook)
 
     monkeypatch.setattr(geoflow, "_flow_one", one)
-    monkeypatch.setattr(geoflow, "_dop853_lanes", lanes)
+    monkeypatch.setattr(geoflow, "solve_lanes", lanes)
     starts, tau0 = _fan_starts(m, y, x, None)
     outcomes, ends = _newton(m, y, x, starts, tau0)
     assert used == {LOOSE, OdeOpts()}

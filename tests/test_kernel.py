@@ -22,13 +22,15 @@ import pytest
 
 from diracgreen.clifford import (SIGMA_1, SIGMA_3, DomainError,
                                  build_dirac_rep, projector)
-from diracgreen.geoflow import NumericalError, shoot_geodesic
-from diracgreen.kernel import (KernelEstimate, bessel_K, bessel_K_oracle,
+from diracgreen.dop853 import NumericalError
+from diracgreen.geoflow import shoot_geodesic
+from diracgreen.kernel import (KernelEstimate, bessel_K,
                                bessel_K_prime, constant_V_exact,
                                leading_kernel_1d, leading_kernel_multid,
                                loglog_slope, positive_potential_kernel,
                                ratio_sweep, scalar_ratio)
 from diracgreen.potential import make_potential
+from diracgreen.selfcheck import bessel_K_oracle
 from diracgreen.transport import rotation_1d, theta_1d, transport_matrix
 
 RHO_GRID = (0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0, 10.0, 25.0, 50.0)

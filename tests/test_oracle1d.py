@@ -7,7 +7,8 @@ import pytest
 
 from diracgreen import oracle1d
 from diracgreen.clifford import SIGMA_1, DomainError, build_dirac_rep
-from diracgreen.geoflow import NumericalError, shoot_geodesic, solve_ivp
+from diracgreen.dop853 import NumericalError, solve_ivp
+from diracgreen.geoflow import shoot_geodesic
 from diracgreen.kernel import constant_V_exact
 from diracgreen.oracle1d import (decaying_solution, exact_green_kernel_1d,
                                  exact_green_kernel_pair_1d)

@@ -8,7 +8,8 @@ import pytest
 from diracgreen import transport
 from diracgreen.clifford import (SIGMA_1, SIGMA_3, DomainError,
                                  build_dirac_rep, negate_rep, projector)
-from diracgreen.geoflow import NumericalError, shoot_geodesic
+from diracgreen.dop853 import NumericalError
+from diracgreen.geoflow import shoot_geodesic
 from diracgreen.potential import make_potential
 from diracgreen.transport import (rotation_1d, solve_spinor_transport,
                                   theta_1d, transport_matrix)
