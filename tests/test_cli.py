@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracgreen import bmt, cli, geoflow, oracle1d, potential, selfcheck, transport
+from diracgreen import bmt, cli, geoflow, kernel, oracle1d, potential, selfcheck, transport
 from diracgreen.clifford import build_dirac_rep, clifford_residual
 from diracgreen.dop853 import solve_ivp
 from diracgreen.kernel import constant_V_exact
@@ -113,7 +113,7 @@ def test_selfcheck_d3_potential_lines_can_fail(monkeypatch):
     monkeypatch.setitem(potential.FAMILIES, "bump_well",
                         replace(row, profile=profile, bounds=bounds))
     failed = {c["name"] for c in selfcheck.run_selfcheck((3,))["checks"] if not c["pass"]}
-    assert {"potential_derivatives_d3", "hypothesis_gap_d3"} <= failed
+    assert {"potential_derivatives_d3", "hypothesis_gap_bump_well_d3"} <= failed
 
 
 def _force_off(monkeypatch):
@@ -161,15 +161,14 @@ def _reverse_action_off(monkeypatch):
 
 
 def _transport_damped(monkeypatch):
-    """A hermitian part 1e-9 * 1 in the transport generator, so U(tau) is not unitary.
+    """A hermitian part 1e-11 * 1 in the transport generator, so U(tau) is not unitary.
 
-    The solve's own guard raises at the line's 1e-9; it is lifted, so that
-    the line is what reports the defect.
+    The defect (about 1e-10) lies between the line's 1e-12 and the solve's
+    own 1e-9 guard, so the line reports it and the solve does not raise.
     """
     solve = transport.solve_ivp
-    monkeypatch.setattr(transport, "_UNITARITY_TOL", math.inf)
     monkeypatch.setattr(transport, "solve_ivp", lambda fun, *args, **kwargs: solve(
-        lambda t, y: fun(t, y) + 1e-9 * y, *args, **kwargs))
+        lambda t, y: fun(t, y) + 1e-11 * y, *args, **kwargs))
 
 
 def _transport_reversed(monkeypatch):
@@ -188,6 +187,32 @@ def _reverse_amplitude_off(monkeypatch):
         return (m * (1.0 + 1e-7) if geo.y_star[0] > geo.x_star[0] else m), residual
 
     monkeypatch.setattr(selfcheck, "transport_matrix", reverse_off)
+
+
+def _tail_power_off(monkeypatch):
+    """The prefactor's power of 2 pi d_A / h written -d/2 instead of -(d-1)/2: the kernel's
+    h-structure changes, which kernel_scale_structure compares at h = 0.2 and 0.05."""
+    leading = selfcheck.leading_kernel_multid
+
+    def off(*args, **kwargs):
+        est = leading(*args, **kwargs)
+        return replace(est, prefactor=est.prefactor
+                       * (2.0 * math.pi * est.agmon / est.h) ** -0.5)
+
+    monkeypatch.setattr(selfcheck, "leading_kernel_multid", off)
+
+
+def _det_exp_power_off(monkeypatch):
+    """det exp' divided by d_A^d instead of d_A^(d-1): the constant well's 1 reads 1/d_A."""
+    convert = geoflow.det_exp_prime
+    monkeypatch.setattr(geoflow, "det_exp_prime", lambda model, y, x, agmon, bdet: convert(
+        model, y, x, agmon, bdet) / agmon)
+
+
+def _exp_prime_fd_off(monkeypatch):
+    """exp_prime_fd scaled by 1 + 1e-4, ten times exp_map_identity's tolerance."""
+    fd = selfcheck.exp_prime_fd
+    monkeypatch.setattr(selfcheck, "exp_prime_fd", lambda *args: fd(*args) * (1.0 + 1e-4))
 
 
 def _transported_projector_off(monkeypatch):
@@ -213,11 +238,14 @@ def selfcheck_d2():
     ("transport_unitarity", _transport_damped), ("amplitude_left_identity", _transport_reversed),
     ("amplitude_adjoint", _reverse_amplitude_off),
     ("kernel_annihilation", _transported_projector_off),
+    ("kernel_scale_structure", _tail_power_off), ("det_exp_constant", _det_exp_power_off),
+    ("exp_map_identity", _exp_prime_fd_off),
 ], ids=["flow_energy", "flow_reversal", "jacobi_fd", "agmon_reciprocity", "transport_unitarity",
-        "amplitude_left_identity", "amplitude_adjoint", "kernel_annihilation"])
+        "amplitude_left_identity", "amplitude_adjoint", "kernel_annihilation",
+        "kernel_scale_structure", "det_exp_constant", "exp_map_identity"])
 def test_a_flow_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d2, line, fault):
-    """Each flow, transport and amplitude line of selfcheck fails under one plausible fault
-    of what it reads (d = 2)."""
+    """Each flow, transport, amplitude and kernel line of selfcheck fails under one plausible
+    fault of what it reads (d = 2)."""
     assert selfcheck_d2[f"{line}_d2"]["pass"]
     fault(monkeypatch)
     checks = {c["name"]: c for c in selfcheck._dim_checks(2)}
@@ -236,6 +264,20 @@ def _oracle_off(monkeypatch):
     monkeypatch.setattr(selfcheck, "exact_green_kernel_1d", lambda *args: exact(*args) * (1.0 + 1e-8))
 
 
+def _quadrature_off(monkeypatch):
+    """agmon_distance_quadrature_1d plus 1e-7, ten times agmon_quadrature's tolerance."""
+    quadrature = selfcheck.agmon_distance_quadrature_1d
+    monkeypatch.setattr(selfcheck, "agmon_distance_quadrature_1d",
+                        lambda *args: quadrature(*args) + 1e-7)
+
+
+def _closed_form_off(monkeypatch):
+    """The constant-V closed form scaled by 1 + 1e-8 inside the sweep, ten times
+    constant_ratio's tolerance."""
+    exact = kernel.constant_V_exact
+    monkeypatch.setattr(kernel, "constant_V_exact", lambda *args: exact(*args) * (1.0 + 1e-8))
+
+
 @pytest.fixture(scope="module")
 def selfcheck_d1():
     return {c["name"]: c for c in selfcheck._dim_checks(1)}
@@ -243,9 +285,15 @@ def selfcheck_d1():
 
 @pytest.mark.parametrize("line,fault", [
     ("theta_closed_form", _closed_phase_off), ("oracle_constant", _oracle_off),
-], ids=["theta_closed_form", "oracle_constant"])
+    ("agmon_quadrature", _quadrature_off), ("constant_ratio", _closed_form_off),
+    ("amplitude_left_identity", _transport_reversed), ("amplitude_adjoint", _transport_reversed),
+    ("theta_closed_form", _transport_reversed),
+], ids=["theta_closed_form", "oracle_constant", "agmon_quadrature", "constant_ratio",
+        "transport_reversed-amplitude_left_identity", "transport_reversed-amplitude_adjoint",
+        "transport_reversed-theta_closed_form"])
 def test_a_d1_reference_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d1, line, fault):
-    """Each d = 1 reference line fails under one plausible fault of what it reads."""
+    """Each d = 1 reference line fails under one plausible fault of what it reads, and the
+    transport lines see the generator's sign flipped (the d = 1 pair is asymmetric)."""
     assert selfcheck_d1[f"{line}_d1"]["pass"]
     fault(monkeypatch)
     checks = {c["name"]: c for c in selfcheck._dim_checks(1)}
@@ -335,10 +383,12 @@ def test_a_bessel_fault_trips_its_selfcheck_line(monkeypatch):
 
 
 def test_hypothesis_gap_reads_the_wells(selfcheck_d2):
-    """The residual is the wells' margin gap (-0.00035 bump, -0.00064 cosine in d = 2),
-    not the constant's 0.0 by construction."""
-    gap = selfcheck_d2["hypothesis_gap_d2"]
-    assert -1e-3 < gap["residual"] < -1e-4 and gap["pass"]
+    """Each well has its own line, its margin gap (-0.00035 bump, -0.00064 cosine in d = 2);
+    the constant, 0.0 by construction, has none."""
+    for kind in ("bump_well", "cosine_well"):
+        gap = selfcheck_d2[f"hypothesis_gap_{kind}_d2"]
+        assert -1e-3 < gap["residual"] < -1e-4 and gap["pass"]
+    assert not any(name.startswith("hypothesis_gap_constant") for name in selfcheck_d2)
 
 
 # ------------------------------------------------------------------- geodesic
@@ -652,6 +702,23 @@ def _src_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_each_module_loads_only_what_it_uses(tmp_path):
+    """In a fresh interpreter the 1D oracle and the transport load no flow module, and a
+    geodesic run loads no self-check."""
+    probe = "\n".join([
+        "import sys",
+        "import diracgreen.oracle1d, diracgreen.transport",
+        "print('diracgreen.geoflow' in sys.modules)",
+        "from diracgreen import cli",
+        f"code = cli.main(['geodesic', '--config', {write_config(tmp_path, CONST_2D)!r},",
+        f"                 '--out', {str(tmp_path / 'geo.json')!r}])",
+        "print(code, 'diracgreen.selfcheck' in sys.modules)"])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False"]
 
 
 @pytest.mark.parametrize("h_list", ["0.2,1e-6", "0.2,1e-100"])
