@@ -48,8 +48,9 @@ _BALL_EXIT = "flow reached the momentum ball boundary |p| -> 1"
 # the fan's OdeOpts() from then on; it converges only on an iterate integrated at the
 # fan's pair whose residual is at most NEWTON_TOL, within MAX_ITER Newton steps.  The
 # polish integrates every iterate at TIGHT and stops at POLISH_TOL, near the float floor.
-# Connections closer than MERGE_TOL in (p0, tau) are one; a bordered determinant under
-# CONJUGACY_TOL d_A^(d-1) is near-conjugate
+# Connections closer than MERGE_TOL in (p0, tau) are one, and a fan start whose next
+# iterate is that close to a certified connection retires into it; a bordered
+# determinant under CONJUGACY_TOL d_A^(d-1) is near-conjugate
 NEWTON_TOL, MAX_ITER, MERGE_TOL, CONJUGACY_TOL = 1e-10, 40, 1e-6, 1e-8
 LOOSE_UNTIL, POLISH_TOL = 1e-3, 1e-13
 # a fan start far from its root (inexact Newton: Dembo, Eisenstat & Steihaug 1982)
@@ -319,6 +320,11 @@ def _lane_rhs(model, taus):
     return rhs
 
 
+def _merged(p0, tau, q0, qtau):
+    """Whether the connections (p0, tau) and (q0, qtau) are one, within MERGE_TOL."""
+    return max(np.max(np.abs(p0 - q0)), abs(tau - qtau)) < MERGE_TOL
+
+
 def _newton(model, y_star, x_star, directions, tau0, polish=False):
     """Damped Newton over (direction chart, flight time), one sequence per start.
 
@@ -332,13 +338,19 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     A fan start is an inexact Newton iteration: it integrates at LOOSE until
     its last residual is at most LOOSE_UNTIL, then at the fan's OdeOpts(),
     and converges only on an iterate at the fan's pair with a residual of
-    at most NEWTON_TOL, within MAX_ITER iterates of its own.  The polish
+    at most NEWTON_TOL, within MAX_ITER iterates of its own.  A start that
+    shares the lanes also converges, without integrating it, when its next
+    iterate is due at the fan's pair and lies within MERGE_TOL (_merged) of
+    a connection that another start has certified: it retires with its _End,
+    the same object, since an iterate this close has joined the root's
+    Newton basin and would only certify it again.  The polish
     integrates every iterate at TIGHT and converges at POLISH_TOL; its first
     iterate starts from the fan's root, about 1e-12 away, and so converges
     only when the fan's was exact (the constant well).  So every later
     iterate keeps its dense output, the Trajectory that transport and BMT
     read, and the first does not.
-    Returns each start's outcome and, for a converged start, its _End.
+    Returns each start's outcome and, for a converged start, its _End or
+    the _End it retired into.
     """
     d = model.dim
     n = len(directions)
@@ -409,6 +421,12 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
         if not advance(k, reason or _end_of(d, y_end, p0s[k], taus[k])):
             return None
         p0s[k] = start(k)
+        if opts[k] is exact:
+            # an iterate this close to a root another start certified has joined its basin
+            for end in ends:
+                if end is not None and _merged(p0s[k], taus[k], end.p0, end.tau):
+                    outcomes[k], ends[k] = CONVERGED, end
+                    return None
         rtol[k], atol[k] = opts[k].rel_tol, opts[k].abs_tol
         return _initial_state(y_star, p0s[k], True)
 
@@ -418,12 +436,21 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
 
 
 def _fan_starts(model, y_star, x_star, count):
-    """The fan's start directions and its flight-time guess, straight-line at V(midpoint)."""
+    """The fan's start directions and its flight-time guess, straight-line at V(midpoint).
+
+    The guess reads V at the midpoint and every start's momentum V at y_star;
+    either value outside the gap (-1, 0) raises DomainError.
+    """
     sep = x_star - y_star
     r = float(np.linalg.norm(sep))
     if r == 0.0:
         raise DomainError("endpoints must be distinct")
-    v_mid = model.value(0.5 * (x_star + y_star))
+    mid = 0.5 * (x_star + y_star)
+    v_mid = model.value(mid)
+    for name, point, v in (("start", y_star, model.value(y_star)), ("midpoint", mid, v_mid)):
+        if not -1.0 < v < 0.0:
+            raise DomainError(f"V = {v!r} at the {name} {point.tolist()} lies outside "
+                              "the gap (-1, 0)")
     tau0 = r * (-v_mid) / math.sqrt(1.0 - v_mid * v_mid)
     return _start_directions(model.dim, sep / r, count), tau0
 
@@ -447,7 +474,12 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     last one ends, without waiting for the other starts.  Each start
     integrates at LOOSE until its residual max |x(tau) - x*| falls to
     LOOSE_UNTIL max(1, |x*|_inf), then at the fan's OdeOpts(); it converges
-    only on an iterate at the fan's pair, at NEWTON_TOL.  The least-action
+    only on an iterate at the fan's pair, at NEWTON_TOL, or retires into a
+    connection another start has certified once its next iterate at the
+    fan's pair lies within MERGE_TOL of it in (p0, tau).  n_converged
+    counts the certified starts plus those retired into a certified
+    connection; n_distinct counts the connections after the same
+    MERGE_TOL merge.  The least-action
     connection is then polished: every iterate at TIGHT, down to POLISH_TOL,
     so the returned d_A does not depend on the path the fan took.
 
@@ -465,7 +497,7 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     distinct = []
     for p0, tau, act in found:
         for q0, qtau, _ in distinct:
-            if max(np.max(np.abs(p0 - q0)), abs(tau - qtau)) < MERGE_TOL:
+            if _merged(p0, tau, q0, qtau):
                 break
         else:
             distinct.append((p0, tau, act))

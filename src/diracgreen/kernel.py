@@ -64,6 +64,12 @@ def bessel_K_prime(nu, rho):
     raise DomainError(f"unsupported order {nu}; supported: {_BESSEL_ORDERS}")
 
 
+def _closed_form_dim(rep):
+    if rep.dim not in (1, 2, 3):
+        raise DomainError("constant-potential closed form covers d in {1, 2, 3}")
+    return rep.dim
+
+
 def constant_V_exact(rep, e_value, x, y, h):
     """Exact Green kernel G(x, y; h) for constant potential E, d in {1, 2, 3}.
 
@@ -73,9 +79,7 @@ def constant_V_exact(rep, e_value, x, y, h):
 
     with k = sqrt(1-E^2), r = |x-y|, u the unit vector from y to x.
     """
-    d = rep.dim
-    if d not in (1, 2, 3):
-        raise DomainError("constant-potential closed form covers d in {1, 2, 3}")
+    d = _closed_form_dim(rep)
     e_value = float(e_value)
     if not -1.0 < e_value < 1.0:
         raise DomainError(f"constant level must satisfy |E| < 1, got {e_value}")
@@ -264,7 +268,7 @@ def exact_sweep(model, rep, x, y, h_list, exact, *, multistart=None):
 
 
 def ratio_sweep(rep, e_value, x, y, h_list, *, multistart=None):
-    """exact_sweep against the constant-V closed form; needs E in (-1, 0), two h > 0."""
+    """exact_sweep against the constant-V closed form; needs E in (-1, 0), two h > 0, d <= 3."""
     e_value = float(e_value)
     if not -1.0 < e_value < 0.0:
         raise DomainError(f"the sweep needs a gap level E in (-1, 0), got {e_value}")
@@ -273,6 +277,6 @@ def ratio_sweep(rep, e_value, x, y, h_list, *, multistart=None):
         raise DomainError("need at least two h values to fit a slope")
     if any(h <= 0.0 for h in h_list):
         raise DomainError("all h values must be positive")
-    return exact_sweep(constant_model(rep.dim, e_value), rep, x, y, h_list,
+    return exact_sweep(constant_model(_closed_form_dim(rep), e_value), rep, x, y, h_list,
                        lambda h: constant_V_exact(rep, e_value, x, y, h),
                        multistart=multistart)

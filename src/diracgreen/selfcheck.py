@@ -277,9 +277,10 @@ def _dim_checks(d):
         sweep = ratio_sweep(rep, -0.6, [0.5], [-0.5], [0.2, 0.1])
         add("constant_ratio", max(sweep.deviations), 1e-9)
 
-        pos_model = make_potential(1, "constant", {"value": 0.6})
+        # the bump mirrored into the upper gap: its negation must flip base and depth
+        pos_model = make_potential(1, "bump_well", {"base": 0.6, "depth": -0.3, "radius": 2.0})
         pos = positive_potential_kernel(pos_model, rep, [0.5], [-0.5], 0.1)
-        neg = leading_kernel_1d(fam[0], rep, 0.5, -0.5, 0.1)
+        neg = leading_kernel_1d(fam[1], rep, 0.5, -0.5, 0.1)
         add("positive_prefactor",
             abs(pos.prefactor - neg.prefactor) / neg.prefactor, 1e-12)
 

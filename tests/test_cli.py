@@ -278,6 +278,12 @@ def _closed_form_off(monkeypatch):
     monkeypatch.setattr(kernel, "constant_V_exact", lambda *args: exact(*args) * (1.0 + 1e-8))
 
 
+def _depth_not_linear(monkeypatch):
+    """The bump's negation flips base alone: the mirrored well is not the bump's mirror."""
+    family = potential.FAMILIES["bump_well"]
+    monkeypatch.setitem(potential.FAMILIES, "bump_well", replace(family, linear=("base",)))
+
+
 @pytest.fixture(scope="module")
 def selfcheck_d1():
     return {c["name"]: c for c in selfcheck._dim_checks(1)}
@@ -287,13 +293,14 @@ def selfcheck_d1():
     ("theta_closed_form", _closed_phase_off), ("oracle_constant", _oracle_off),
     ("agmon_quadrature", _quadrature_off), ("constant_ratio", _closed_form_off),
     ("amplitude_left_identity", _transport_reversed), ("amplitude_adjoint", _transport_reversed),
-    ("theta_closed_form", _transport_reversed),
+    ("theta_closed_form", _transport_reversed), ("positive_prefactor", _depth_not_linear),
 ], ids=["theta_closed_form", "oracle_constant", "agmon_quadrature", "constant_ratio",
         "transport_reversed-amplitude_left_identity", "transport_reversed-amplitude_adjoint",
-        "transport_reversed-theta_closed_form"])
+        "transport_reversed-theta_closed_form", "positive_prefactor"])
 def test_a_d1_reference_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d1, line, fault):
-    """Each d = 1 reference line fails under one plausible fault of what it reads, and the
-    transport lines see the generator's sign flipped (the d = 1 pair is asymmetric)."""
+    """Each d = 1 reference line fails under one plausible fault of what it reads, the
+    transport lines see the generator's sign flipped (the d = 1 pair is asymmetric), and the
+    upper-gap prefactor sees a negation that misses a linear parameter."""
     assert selfcheck_d1[f"{line}_d1"]["pass"]
     fault(monkeypatch)
     checks = {c["name"]: c for c in selfcheck._dim_checks(1)}
@@ -486,6 +493,18 @@ def test_kernel_h_list_override(tmp_path):
 def test_kernel_rejects_nonconstant_potential(tmp_path):
     code, _ = run_to_file(tmp_path, "kernel", BUMP_1D)
     assert code == 2
+
+
+def test_kernel_beyond_the_closed_form_exits_2_before_the_shoot(tmp_path, capsys, monkeypatch):
+    """d = 4 has no constant-V closed form: kernel exits 2 without shooting."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("shoot_geodesic called")
+
+    monkeypatch.setattr(kernel, "shoot_geodesic", refuse)
+    cfg = dict(CONST_2D, dimension=4, x_star=[0.5, 0.0, 0.0, 0.0], y_star=[-0.5, 0.0, 0.0, 0.0])
+    code, text = run_to_file(tmp_path, "kernel", cfg)
+    assert (code, text) == (2, "")
+    assert "closed form covers d in {1, 2, 3}" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- validate1d
