@@ -92,10 +92,14 @@ def left_factor(lambda_plus, w):
 
 
 def spin_generator(model, x, p):
-    """2 x 2 hermitian precession generator M = sigma.(E x p)/(-2V(1-V))."""
-    v, grad, _ = model.evaluate(x)
-    f0, f1, f2 = (-grad).tolist()   # the field E = -grad V
-    q0, q1, q2 = p.tolist()
+    """2 x 2 hermitian precession generator M = sigma.(E x p)/(-2V(1-V)).
+
+    x and p are sequences of three floats; an x outside the domain box raises DomainError.
+    """
+    model.check_box(x)
+    v, r, gamma, _, _ = model.terms(x)
+    f0, f1, f2 = (-gamma * c for c in r)   # the field E = -grad V
+    q0, q1, q2 = p
     scale = -2.0 * v * (1.0 - v)
     # np.cross's own component operations, without its per-call overhead
     return _sigma_dot([(f1 * q2 - f2 * q1) / scale, (f2 * q0 - f0 * q2) / scale,
@@ -132,7 +136,7 @@ def solve_bmt_spin(model, traj, u0=None):
 
     def rhs(t, y):
         s = y.reshape(2, 2)
-        return (1j * spin_generator(model, *traj.phase(t)) @ s).ravel()
+        return (1j * spin_generator(model, *traj.phase_at(t)) @ s).ravel()
 
     sol = solve_ivp(rhs, (0.0, traj.tau), np.eye(2, dtype=complex).ravel(),
                     dense_output=True, **TIGHT.solver_kwargs())

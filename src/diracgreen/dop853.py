@@ -53,6 +53,23 @@ class _Dop853Step(DenseOutput):
     def __init__(self, t_old, t, y_old, F):
         super().__init__(t_old, t)
         self.h, self.F, self.y_old = t - t_old, F, y_old
+        self._heads = {}
+
+    def head(self, t, m):
+        """The first m components of self(t) at a float t, as a list of floats.
+
+        _call_impl's operations in Python floats, component by component, so
+        the read equals self(t)[:m] bit for bit without numpy's per-call cost.
+        """
+        rows = self._heads.get(m)
+        if rows is None:
+            rows = self._heads[m] = (self.F[::-1, :m].tolist(), self.y_old[:m].tolist())
+        x = (t - self.t_old) / self.h
+        y = [0.0] * m
+        for i, f in enumerate(rows[0]):
+            s = x if i % 2 == 0 else 1 - x
+            y = [(a + b) * s for a, b in zip(y, f)]
+        return [a + b for a, b in zip(y, rows[1])]
 
     def _call_impl(self, t):
         x = (t - self.t_old) / self.h

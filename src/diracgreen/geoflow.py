@@ -19,8 +19,10 @@ direction (chart on the sphere) and the flight time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +87,7 @@ class Trajectory:
         self.variational = variational
         d = self.dim
         self._i_var = _var_index(d)
+        self._ts = self.sol.ts.tolist()
         y_end = self.sol(self.tau)
         self.p_start = self.sol(0.0)[d:2 * d]
         self.x_end, self.p_end = y_end[:d], y_end[d:2 * d]
@@ -106,6 +109,18 @@ class Trajectory:
         """(x, p) at time t, or as rows at an array of times, from one dense-output call."""
         y = self.sol(t)
         return y[: self.dim].T, y[self.dim: 2 * self.dim].T
+
+    def phase_at(self, t):
+        """(x, p) at a float t as two lists of floats, equal to phase(t) bit for bit.
+
+        sol(t)'s segment rule (the first step whose end is at or past t,
+        clamped to the steps) and its interpolant's operations in floats, for
+        a right-hand side that reads the orbit.
+        """
+        d, steps = self.dim, self.sol.interpolants
+        k = min(max(bisect_left(self._ts, t) - 1, 0), len(steps) - 1)
+        y = steps[k].head(t, 2 * d)
+        return y[:d], y[d:]
 
     def potential_along(self, times):
         """(p, V, grad V) at an array of times: one dense-output call, one evaluate_many.
@@ -129,34 +144,38 @@ class Trajectory:
 
 
 def _flow_rhs(model, variational):
+    """The flow's right-hand side on one state, in Python floats.
+
+    With grad V = gamma r and Hess V = alpha I + beta r r^T from model.terms
+    and w = sqrt(1 - |p|^2): x' = p / w, p' = gamma r, the action rate
+    |p|^2 / w, dpX' = dpP / w + p (p^T dpP) / w^3 and dpP' = alpha dpX +
+    beta r (r^T dpX).  On a 25-number state this beats numpy's per-call cost.
+    """
     d = model.dim
     i_var = _var_index(d)
-    box_half = model.box_half
-    evaluate = model.evaluate_unchecked
-    eye = np.eye(d)
+    dd = d * d
+    check_box, terms = model.check_box, model.terms
 
     def rhs(t, y):
-        x = y[:d]
-        p = y[d:2 * d]
-        p2 = float(p @ p)
+        ys = y.tolist()
+        x, p = ys[:d], ys[d:2 * d]
+        p2 = math.fsum(map(mul, p, p))
         if p2 >= 1.0 - 1e-12:
             raise DomainError(f"{_BALL_EXIT} at t = {t}")
-        # fmax skips a NaN as evaluate's np.any(|x| > box_half) does
-        if np.fmax.reduce(np.abs(x)) > box_half:
-            raise model.box_error(x)
-        _, grad, hess = evaluate(x)
+        check_box(x)
+        _, r, gamma, alpha, beta = terms(x)
         w = math.sqrt(1.0 - p2)
-        out = np.empty_like(y)
-        out[:d] = p / w
-        out[d:2 * d] = grad
-        out[2 * d] = p2 / w
+        out = [c / w for c in p] + [gamma * c for c in r] + [p2 / w]
         if variational:
-            dpx = y[i_var:i_var + d * d].reshape(d, d)
-            dpp = y[i_var + d * d:].reshape(d, d)
-            hpp = eye / w + (p[:, None] * p) / w**3
-            out[i_var:i_var + d * d] = (hpp @ dpp).ravel()
-            out[i_var + d * d:] = (hess @ dpx).ravel()
-        return out
+            dpx, dpp = ys[i_var:i_var + dd], ys[i_var + dd:]
+            w3 = w ** 3
+            # row i of p (p^T dpP) / w^3 is p_i q and row i of beta r (r^T dpX) is b_i s
+            q = [math.fsum(map(mul, p, dpp[j::d])) / w3 for j in range(d)]
+            s = [math.fsum(map(mul, r, dpx[j::d])) for j in range(d)]
+            b = [beta * c for c in r]
+            out += [dpp[i * d + j] / w + p[i] * q[j] for i in range(d) for j in range(d)]
+            out += [alpha * dpx[i * d + j] + b[i] * s[j] for i in range(d) for j in range(d)]
+        return np.array(out)
 
     return rhs
 

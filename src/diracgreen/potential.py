@@ -15,6 +15,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 
 import numpy as np
 
@@ -121,15 +122,22 @@ class PotentialModel:
     box_half: float
 
     def __post_init__(self):
-        # bind the profile's parameters and the center once: evaluate is the hot path
+        # bind the profile's parameters and the center once: the evaluators are hot paths
         family = FAMILIES[self.kind]
         args = (self.params[k] for k in family.params if k != "center")
         center = self.params.get("center", 0.0)
+        if family.radial:
+            center = np.asarray(center, dtype=float)
+            # terms' center, one float per coordinate
+            floats = center.ravel().tolist()
+            object.__setattr__(self, "_center_floats", floats * self.dim if center.ndim == 0
+                               else floats)
         object.__setattr__(self, "_radial", family.radial)
-        object.__setattr__(self, "_center",
-                           np.asarray(center, dtype=float) if family.radial else center)
+        object.__setattr__(self, "_center", center)
         object.__setattr__(self, "_profile", family.profile and partial(family.profile, *args))
         object.__setattr__(self, "_eye", np.eye(self.dim))
+        # terms' r of the constant family and of a family along x_1
+        object.__setattr__(self, "_r", [0.0] * self.dim if family.profile is None else [1.0])
 
     def value(self, x):
         return self._eval(x)[0]
@@ -185,12 +193,44 @@ class PotentialModel:
         hess.reshape(n, d * d)[:, :: d + 1] += (2.0 * fp)[:, None]   # the diagonal
         return v, grad, hess, outside
 
-    def evaluate_unchecked(self, x):
-        """evaluate's float operations on a length-dim float array, for a hot loop.
+    def terms(self, x):
+        """V and the rank-one form of its derivatives at a list of dim floats, in floats.
 
-        It skips the shape and box checks: the caller keeps x inside the box
-        and raises box_error(x) where it is not.
+        Returns (V, r, gamma, alpha, beta) with r a list of floats, grad V =
+        gamma r and Hess V = alpha I + beta r r^T: for a radial well r = x - c,
+        gamma = alpha = 2 f' and beta = 4 f''; along x_1, r = (1), gamma = f',
+        alpha = 0 and beta = f''; the constant family is all zero.  For a hot
+        loop: without evaluate's numpy calls and without its shape and box
+        checks, so the caller keeps x inside the box (check_box).
         """
+        if self._profile is None:
+            return self.params["value"], self._r, 0.0, 0.0, 0.0
+        if not self._radial:
+            fp, fpp, v = self._profile(x[0] - self._center)
+            return v, self._r, fp, 0.0, fpp
+        r = [a - c for a, c in zip(x, self._center_floats)]
+        fp, fpp, v = self._profile(math.fsum(map(mul, r, r)))
+        return v, r, 2.0 * fp, 2.0 * fp, 4.0 * fpp
+
+    def box_error(self, x):
+        """The DomainError of a point x outside the domain box."""
+        return DomainError(f"point {x} outside the domain box [+-{self.box_half}]^{self.dim}")
+
+    def check_box(self, x):
+        """evaluate's box test on a list of floats: raise box_error(x) outside; NaN passes."""
+        if any(abs(c) > self.box_half for c in x):
+            raise self.box_error(np.array(x))
+
+    def _check_point(self, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.dim,):
+            raise DomainError(f"point must have length {self.dim}, got shape {x.shape}")
+        if np.any(np.abs(x) > self.box_half):
+            raise self.box_error(x)
+        return x
+
+    def _eval(self, x):
+        x = self._check_point(x)
         if self._profile is None:
             return self.params["value"], np.zeros(self.dim), np.zeros((self.dim, self.dim))
 
@@ -203,21 +243,6 @@ class PotentialModel:
         grad = 2.0 * fp * rel
         hess = 2.0 * fp * self._eye + 4.0 * fpp * (rel[:, None] * rel)
         return v, grad, hess
-
-    def box_error(self, x):
-        """The DomainError of a point x outside the domain box."""
-        return DomainError(f"point {x} outside the domain box [+-{self.box_half}]^{self.dim}")
-
-    def _check_point(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise DomainError(f"point must have length {self.dim}, got shape {x.shape}")
-        if np.any(np.abs(x) > self.box_half):
-            raise self.box_error(x)
-        return x
-
-    def _eval(self, x):
-        return self.evaluate_unchecked(self._check_point(x))
 
 
 def make_potential(dim, kind, params, delta=None, window=None, box_half=None):

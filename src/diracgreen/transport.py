@@ -48,9 +48,10 @@ def solve_spinor_transport(model, rep, traj):
 
     def rhs(t, y):
         u = y.reshape(n, n)
-        x, _ = traj.phase(t)
-        v, grad, _ = model.evaluate(x)
-        gen = rep.alpha_dot(grad) * (-0.5j / v)
+        x, _ = traj.phase_at(t)
+        model.check_box(x)
+        v, r, gamma, _, _ = model.terms(x)
+        gen = rep.alpha_dot([gamma * c for c in r]) * (-0.5j / v)
         return (gen @ u).ravel()
 
     y0 = np.eye(n, dtype=complex).ravel()

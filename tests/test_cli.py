@@ -149,6 +149,18 @@ def _jacobi_off(monkeypatch):
     monkeypatch.setattr(geoflow.Trajectory, "dp_x", lambda self, t: dp_x(self, t) * (1.0 + 1e-5))
 
 
+def _hessian_off(monkeypatch):
+    """beta of the float terms scaled by 1 + 1e-3: the lone flow's Jacobi blocks, which alone
+    read the Hessian, drift from the finite differences of its orbits."""
+    terms = potential.PotentialModel.terms
+
+    def off(self, x):
+        v, r, gamma, alpha, beta = terms(self, x)
+        return v, r, gamma, alpha, beta * (1.0 + 1e-3)
+
+    monkeypatch.setattr(potential.PotentialModel, "terms", off)
+
+
 def _reverse_action_off(monkeypatch):
     """The reverse shot's action d_A off by 1e-8, ten times agmon_reciprocity's tolerance."""
     shoot = selfcheck.shoot_geodesic
@@ -234,15 +246,15 @@ def selfcheck_d2():
 
 @pytest.mark.parametrize("line,fault", [
     ("flow_energy", _force_off), ("flow_reversal", _end_momentum_early),
-    ("jacobi_fd", _jacobi_off), ("agmon_reciprocity", _reverse_action_off),
-    ("transport_unitarity", _transport_damped), ("amplitude_left_identity", _transport_reversed),
-    ("amplitude_adjoint", _reverse_amplitude_off),
+    ("jacobi_fd", _jacobi_off), ("jacobi_fd", _hessian_off),
+    ("agmon_reciprocity", _reverse_action_off), ("transport_unitarity", _transport_damped),
+    ("amplitude_left_identity", _transport_reversed), ("amplitude_adjoint", _reverse_amplitude_off),
     ("kernel_annihilation", _transported_projector_off),
     ("kernel_scale_structure", _tail_power_off), ("det_exp_constant", _det_exp_power_off),
     ("exp_map_identity", _exp_prime_fd_off),
-], ids=["flow_energy", "flow_reversal", "jacobi_fd", "agmon_reciprocity", "transport_unitarity",
-        "amplitude_left_identity", "amplitude_adjoint", "kernel_annihilation",
-        "kernel_scale_structure", "det_exp_constant", "exp_map_identity"])
+], ids=["flow_energy", "flow_reversal", "jacobi_fd", "jacobi_fd_hessian", "agmon_reciprocity",
+        "transport_unitarity", "amplitude_left_identity", "amplitude_adjoint",
+        "kernel_annihilation", "kernel_scale_structure", "det_exp_constant", "exp_map_identity"])
 def test_a_flow_fault_trips_its_selfcheck_line(monkeypatch, selfcheck_d2, line, fault):
     """Each flow, transport, amplitude and kernel line of selfcheck fails under one plausible
     fault of what it reads (d = 2)."""

@@ -331,6 +331,72 @@ def test_flow_leaving_the_box_names_the_point():
         integrate_flow(m, [5.9, 0.0], [0.5, 0.0], 1.0)
 
 
+# every FAN_PAIRS family in the dimensions it is shot in, and a d = 4 bump
+RHS_MODELS = sorted({(dim, kind) for dim, kind, *_ in FAN_PAIRS}) + [(4, "bump_well")]
+_PARAMS = {"bump_well": BUMP, "cosine_well": COSINE, "tanh_step": {"base": -0.5, "amp": 0.2}}
+
+
+def _flow_states(d, n, seed):
+    """n seeded flow states: x near the well, |p| < 0.95, random Jacobi blocks."""
+    rng = np.random.default_rng(seed)
+    ys = rng.normal(size=(n, _var_index(d) + 2 * d * d))
+    ys[:, :d] = rng.uniform(-2.2, 2.2, size=(n, d))
+    p = rng.normal(size=(n, d))
+    ys[:, d:2 * d] = p * (rng.uniform(0.0, 0.95, n) / np.linalg.norm(p, axis=1))[:, None]
+    return ys
+
+
+@pytest.mark.parametrize("variational", [True, False], ids=["jacobi", "plain"])
+@pytest.mark.parametrize("dim,kind", RHS_MODELS, ids=[f"d{d}-{k}" for d, k in RHS_MODELS])
+def test_lone_flow_rhs_matches_a_lane_row(dim, kind, variational):
+    """The float right-hand side equals the batched one on a row at tau = 1, within 16 ulp."""
+    m = make_potential(dim, kind, _PARAMS[kind])
+    lone, lane = geoflow._flow_rhs(m, variational), geoflow._lane_rhs(m, np.ones(1))
+    for y in _flow_states(dim, 50, 3):
+        want, why = lane(y[None, :], np.zeros(1, dtype=int))
+        assert why is None
+        want = want[0, :len(y) if variational else _var_index(dim)]
+        got = lone(0.0, y if variational else y[:_var_index(dim)])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_lone_flow_rhs_names_the_ball_and_the_box():
+    """The ball and box exits raise their texts; a NaN coordinate is not a box exit."""
+    rhs = geoflow._flow_rhs(make_potential(2, "bump_well", BUMP, box_half=6.0), True)
+    y = _flow_states(2, 1, 4)[0]
+    y[2:4] = [0.6, 0.8]
+    with pytest.raises(DomainError, match=r"^flow reached the momentum ball boundary "
+                                          r"\|p\| -> 1 at t = 0\.5$"):
+        rhs(0.5, y)
+    y[2:4] = [0.3, 0.0]
+    y[:2] = [0.5, -6.5]
+    with pytest.raises(DomainError, match=r"^point \[ 0\.5 -6\.5\] outside the domain box "
+                                          r"\[\+-6\.0\]\^2$"):
+        rhs(0.0, y)
+    y[:2] = [math.nan, 0.5]
+    assert np.isnan(rhs(0.0, y)[2:4]).all()   # grad V at a NaN point
+
+
+READ_PAIRS = [FAN_PAIRS[1], FAN_PAIRS[4], FAN_PAIRS[6]]
+
+
+@pytest.mark.parametrize("dim,kind,params,y,x", READ_PAIRS,
+                         ids=[f"d{p[0]}-{p[1]}" for p in READ_PAIRS])
+def test_phase_at_is_phase_bit_for_bit(dim, kind, params, y, x):
+    """The float read of the orbit equals phase(t) at 0, tau, every step end and between."""
+    m = make_potential(dim, kind, params)
+    traj = shoot_geodesic(m, y, x, multistart=1).trajectory
+    ts = traj.sol.ts
+    times = np.concatenate([[0.0, traj.tau], ts, 0.5 * (ts[1:] + ts[:-1]),
+                            np.linspace(0.0, traj.tau, 101)])
+    for t in times.tolist():
+        x_t, p_t = traj.phase(t)
+        x_f, p_f = traj.phase_at(t)
+        assert all(type(c) is float for c in x_f + p_f)
+        assert np.array_equal(x_f, x_t) and np.array_equal(p_f, p_t)
+
+
 @pytest.mark.parametrize("opts", [OdeOpts(), TIGHT], ids=["fan", "tight"])
 @pytest.mark.parametrize("dim,kind,params,y,x", FAN_PAIRS,
                          ids=[f"d{p[0]}-{p[1]}-{i % 3}" for i, p in enumerate(FAN_PAIRS)])

@@ -49,6 +49,16 @@ LINE_CASES = [
     (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
 ]
 
+# every family in every dimension it allows, off-center wells included
+TERMS_CASES = [
+    *((dim, "constant", {"value": -0.6}) for dim in (1, 2, 3, 4)),
+    *((dim, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}) for dim in (1, 2, 3, 4)),
+    (3, "bump_well", {"base": -0.5, "depth": 0.25, "radius": 1.5, "center": [0.5, 0.0, -0.5]}),
+    *((dim, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2})
+      for dim in (1, 2, 3, 4)),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+]
+
 
 def test_constant_family():
     m = make_potential(2, "constant", {"value": -0.6})
@@ -190,6 +200,35 @@ def test_evaluate_many_matches_evaluate(dim, kind, params):
         m.evaluate_many(np.zeros((3, dim + 1)))
 
 
+@pytest.mark.parametrize("dim,kind,params", TERMS_CASES)
+def test_terms_match_evaluate(dim, kind, params):
+    """V, gamma r and alpha I + beta r r^T equal evaluate's arrays within 1e-14 of the
+    family's largest Hessian entry, at points at least 1% of the radius off the rim.
+
+    The cosine well is only C^1 at its rim, where f'' may flip sides.
+    """
+    m = make_potential(dim, kind, params)
+    rng = np.random.default_rng(13)
+    radius = params.get("radius", 2.0)
+    dirs = rng.normal(size=(300, dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = np.concatenate([np.zeros(5), rng.uniform(0.0, 1e-4, 20),           # the center
+                        rng.uniform(0.0, 0.99 * radius, 200),                # inside the rim
+                        rng.uniform(1.01 * radius, 2.0 * radius, 75)])       # outside it
+    xs = np.atleast_1d(params.get("center", 0.0)) + dirs * r[:, None]
+    if kind == "tanh_step":
+        xs = rng.uniform(-20.0, 20.0, size=(300, 1))   # past tanh(19) == 1 on both sides
+    rows = [(m.evaluate(x), m.terms(x.tolist())) for x in xs]
+    scale = max(np.max(np.abs(hess)) for (_, _, hess), _ in rows)
+    tol = 1e-14 * scale
+    for (v, grad, hess), (tv, tr, gamma, alpha, beta) in rows:
+        tr = np.array(tr)
+        assert all(type(c) is float for c in (tv, gamma, alpha, beta)) and tr.shape == grad.shape
+        assert abs(tv - v) <= tol
+        assert np.max(np.abs(gamma * tr - grad)) <= tol
+        assert np.max(np.abs(alpha * np.eye(dim) + beta * np.outer(tr, tr) - hess)) <= tol
+
+
 @pytest.mark.parametrize("dim,kind,params", LINE_CASES)
 def test_line_value_is_value_bit_for_bit(dim, kind, params):
     """The unchecked read of the 1D oracle march gives value's V on both window edges."""
@@ -251,7 +290,7 @@ def test_config_requires_kind():
 
 
 @pytest.mark.parametrize("cases", [FD_CASES, NEGATED_CASES, MANY_CASES, MARGIN_CASES,
-                                   LINE_CASES])
+                                   LINE_CASES, TERMS_CASES])
 def test_family_tests_cover_every_family(cases):
     assert {kind for _, kind, _ in cases} == set(FAMILIES)
 
