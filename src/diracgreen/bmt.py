@@ -34,6 +34,8 @@ from .kernel import scalar_ratio
 from .transport import solve_spinor_transport
 
 _SIGMA = (SIGMA_1, SIGMA_2, SIGMA_3)
+# the carried spinor whose Bloch vector solve_bmt_spin reports
+_U0 = np.array([1.0, 0.0], dtype=complex)
 
 
 def _sigma_dot(vec):
@@ -96,7 +98,6 @@ def spin_generator(model, x, p):
 
     x and p are sequences of three floats; an x outside the domain box raises DomainError.
     """
-    model.check_box(x)
     v, r, gamma, _, _ = model.terms(x)
     f0, f1, f2 = (-gamma * c for c in r)   # the field E = -grad V
     q0, q1, q2 = p
@@ -117,22 +118,19 @@ class SpinTransportResult:
     norm_drift: float
 
 
-def solve_bmt_spin(model, traj, u0=None):
+def solve_bmt_spin(model, traj):
     """Integrate the 2 x 2 spin propagator along a trajectory and check it.
 
     Integrated at TIGHT tolerances.
 
-    bloch is the path of the Bloch vector of s(t) u0 (default u0 = (1,0))
-    at 201 uniform times;
+    bloch is the path of the Bloch vector of s(t) u0, u0 = (1, 0), at 201
+    uniform times;
     residual_path finite-differences that path against its stated vector
     equation, testing reduction and integration together rather than
     restating the algebra that produced them.
     """
     if model.dim != 3:
         raise DomainError("spin precession applies to 3D trajectories")
-    u0 = np.array([1.0, 0.0], dtype=complex) if u0 is None else np.asarray(u0, dtype=complex)
-    if u0.shape != (2,):
-        raise DomainError("the carried spinor must live in C^2")
 
     def rhs(t, y):
         s = y.reshape(2, 2)
@@ -151,7 +149,7 @@ def solve_bmt_spin(model, traj, u0=None):
     # clamp so the FD stencil stays inside [0, tau]
     t_c = np.minimum(np.maximum(times, delta), traj.tau - delta)
     grid = np.concatenate([times, t_c, t_c - delta, t_c + delta])
-    spinors = (sol.sol(grid).T.reshape(-1, 2, 2) @ u0)[:, :, None]
+    spinors = (sol.sol(grid).T.reshape(-1, 2, 2) @ _U0)[:, :, None]
     # b_k = <u, sigma_k u>, one Bloch vector per grid row
     bloch_grid = np.stack([(spinors.conj().transpose(0, 2, 1) @ (s @ spinors))[:, 0, 0].real
                            for s in _SIGMA], axis=1)

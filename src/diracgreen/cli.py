@@ -41,15 +41,13 @@ def _fmt(value):
 
 @dataclass(frozen=True)
 class RunConfig:
-    dimension: int
-    model: object
+    model: object    # its dim is the config's dimension
     x_star: np.ndarray | None
     y_star: np.ndarray | None
     h_list: tuple
     multistart: int | None
-    out: str | None
 
-    _KEYS = ("dimension", "potential", "x_star", "y_star", "h_list", "shooting", "out")
+    _KEYS = ("dimension", "potential", "x_star", "y_star", "h_list", "shooting")
 
     @classmethod
     def from_dict(cls, data):
@@ -91,15 +89,11 @@ class RunConfig:
             if not math.isfinite(sep):
                 raise ConfigError("the separation |x_star - y_star| overflows a float; "
                                   "move the points closer together")
-        out = data.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError("out must be a string path")
         h_list = data.get("h_list", [])
         if not isinstance(h_list, list):
             raise ConfigError(f"h_list must be an array, got {h_list!r}")
-        return cls(dimension=dim, model=model, x_star=x_star, y_star=y_star,
-                   h_list=_h_list(h_list),
-                   multistart=_multistart(data.get("shooting")), out=out)
+        return cls(model=model, x_star=x_star, y_star=y_star, h_list=_h_list(h_list),
+                   multistart=_multistart(data.get("shooting")))
 
 
 def _multistart(shooting):
@@ -182,7 +176,7 @@ def cmd_kernel(cfg):
     if cfg.model.kind != "constant":
         raise ConfigError("the kernel command compares against the constant-potential "
                           "closed form; potential.kind must be 'constant'")
-    rep = build_dirac_rep(cfg.dimension)
+    rep = build_dirac_rep(cfg.model.dim)
     sweep = ratio_sweep(rep, cfg.model.params["value"], cfg.x_star, cfg.y_star,
                         cfg.h_list, multistart=cfg.multistart)
     header = (["h"] + _complex_columns("g", rep.dstar)
@@ -200,7 +194,7 @@ def cmd_kernel(cfg):
 
 def cmd_validate1d(cfg):
     _require(cfg, "x_star", "y_star", "h_list")
-    if cfg.dimension != 1:
+    if cfg.model.dim != 1:
         raise ConfigError("validate1d requires dimension = 1")
     x, y = float(cfg.x_star[0]), float(cfg.y_star[0])
     reverse = []    # G(y, x) at each h, glued from the forward kernel's marches
@@ -229,7 +223,7 @@ def cmd_constant(cfg):
     _require(cfg, "x_star", "y_star", "h_list")
     if cfg.model.kind != "constant":
         raise ConfigError("the constant command requires potential.kind = 'constant'")
-    rep = build_dirac_rep(cfg.dimension)
+    rep = build_dirac_rep(cfg.model.dim)
     header = ["h"] + _complex_columns("g", rep.dstar)
     lines = [",".join(header)]
     for h in cfg.h_list:
@@ -241,7 +235,7 @@ def cmd_constant(cfg):
 
 def cmd_bmt(cfg):
     _require(cfg, "x_star", "y_star")
-    if cfg.dimension != 3:
+    if cfg.model.dim != 3:
         raise ConfigError("the bmt command requires dimension = 3")
     rep = build_dirac_rep(3)
     geo = shoot_geodesic(cfg.model, cfg.y_star, cfg.x_star, multistart=cfg.multistart)
@@ -273,7 +267,7 @@ def _build_parser():
         description="Semiclassical Dirac Green-kernel harness")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="path to a JSON run configuration")
-    parser.add_argument("--out", help="output path (overrides config)")
+    parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--h-list", help="comma-separated h values (overrides config)")
     parser.add_argument("--dim", type=int, choices=(1, 2, 3),
                         help="restrict selfcheck to one dimension")
@@ -319,8 +313,7 @@ def _check_writable(path):
         raise ConfigError(f"cannot write artifact: no directory {where}")
 
 
-def _emit(text, args, cfg=None):
-    path = args.out or (cfg.out if cfg is not None else None)
+def _emit(text, path):
     if not path:
         sys.stdout.write(text)
         return
@@ -334,11 +327,17 @@ def _emit(text, args, cfg=None):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        # a flag the command does not read is refused, not ignored
+        unread = ({"--config": args.config, "--h-list": args.h_list}
+                  if args.command == "selfcheck" else {"--dim": args.dim})
+        for flag, value in unread.items():
+            if value is not None:
+                raise ConfigError(f"{args.command} does not take {flag}")
+        _check_writable(args.out)
         if args.command == "selfcheck":
-            _check_writable(args.out)
             from .selfcheck import run_selfcheck   # only this command loads the checks
             report = run_selfcheck((args.dim,) if args.dim else (1, 2, 3))
-            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args)
+            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
             if not report["passed"]:
                 first = next(c for c in report["checks"] if not c["pass"])
                 print(f"selfcheck failed: {first['name']} "
@@ -348,11 +347,10 @@ def main(argv=None):
             return EXIT_OK
 
         cfg = _load_config(args)
-        _check_writable(args.out or cfg.out)
         handler = {"geodesic": cmd_geodesic, "kernel": cmd_kernel,
                    "validate1d": cmd_validate1d, "constant": cmd_constant,
                    "bmt": cmd_bmt}[args.command]
-        _emit(handler(cfg), args, cfg)
+        _emit(handler(cfg), args.out)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

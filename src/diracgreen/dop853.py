@@ -238,7 +238,7 @@ def _rms(a):
     return np.sqrt(np.sum(a * a, axis=1) / a.shape[1])
 
 
-def solve_lanes(fun, y0, rtol, atol, restart=None):
+def solve_lanes(fun, y0, rtol, atol, restart):
     """Integrate dy/ds = fun(y) over s in [0, 1] for every row (lane) of y0.
 
     The lanes share the calls to fun(y, rows), which returns the derivatives
@@ -255,9 +255,8 @@ def solve_lanes(fun, y0, rtol, atol, restart=None):
     reason), reason "" at s = 1.  The hook returns None to retire the lane,
     or the lane's next initial state after setting its rows of rtol and atol
     in place; the lane then starts again at s = 0 with the initial-step rule
-    of its own, while the other lanes keep stepping.  Without a hook every
-    lane retires at its first end.  Returns each lane's last end state and
-    reason.
+    of its own, while the other lanes keep stepping.  Returns each lane's
+    last end state and reason.
     """
     b_tab, e3, e5 = DOP853.B, DOP853.E3, DOP853.E5
     n_st = DOP853.n_stages
@@ -306,7 +305,7 @@ def solve_lanes(fun, y0, rtol, atol, restart=None):
             initial_step(fresh)
         restarted = []
         for lane in np.flatnonzero(live & ((why != "") | (s >= 1.0))):
-            state = None if restart is None else restart(lane, y[lane].copy(), why[lane])
+            state = restart(lane, y[lane].copy(), why[lane])
             if state is None:
                 live[lane] = False
             else:

@@ -154,7 +154,7 @@ def _flow_rhs(model, variational):
     d = model.dim
     i_var = _var_index(d)
     dd = d * d
-    check_box, terms = model.check_box, model.terms
+    terms = model.terms
 
     def rhs(t, y):
         ys = y.tolist()
@@ -162,7 +162,6 @@ def _flow_rhs(model, variational):
         p2 = math.fsum(map(mul, p, p))
         if p2 >= 1.0 - 1e-12:
             raise DomainError(f"{_BALL_EXIT} at t = {t}")
-        check_box(x)
         _, r, gamma, alpha, beta = terms(x)
         w = math.sqrt(1.0 - p2)
         out = [c / w for c in p] + [gamma * c for c in r] + [p2 / w]

@@ -3,10 +3,12 @@
 Every shipped family is smooth, has analytic gradient and Hessian, and is
 meant to satisfy the gap condition -1 + delta <= V <= -delta on its domain
 box.  FAMILIES holds all the module knows about each family; a new family
-is one row there plus its profile function.  Radial wells are evaluated
-through s = |x - c|^2 so that no formula degenerates at the center.  A
-model may declare a window half-width L: outside |x_1| >= L the potential
-is exactly constant (the 1D Jost oracle anchors its integrations there).
+is one row there plus its profile function.  A model derives two facts
+from its row: the gap margin delta = min(-max V, 1 + min V) from the
+bounds, and from the reach the window half-width L past which, at
+|x_1| >= L, V is exactly constant (the 1D Jost oracle anchors its
+integrations there).  Radial wells are evaluated through s = |x - c|^2
+so that no formula degenerates at the center.
 """
 
 from __future__ import annotations
@@ -95,37 +97,36 @@ FAMILIES = {
 }
 
 
-def _least_window(family, params):
-    """The center's offset plus the family's reach: past it V is constant."""
-    if family.profile is None:
-        return 0.0
-    coff = float(np.max(np.abs(np.atleast_1d(params.get("center", 0.0)))))
-    return coff + family.reach(params)
-
-
 @dataclass(frozen=True)
 class PotentialModel:
     """A potential family instance with analytic derivatives.
 
-    kind is a FAMILIES key; params holds the family parameters, delta the
-    declared gap margin, window the half-width beyond which V is exactly
-    constant, box_half the domain half-width (evaluations outside raise
-    DomainError).  The evaluators branch on the shape of the family's
-    profile (none, along x_1, radial), never on its name.
+    kind is a FAMILIES key; params holds the family parameters, box_half
+    the domain half-width (evaluations outside raise DomainError), by
+    default max(10, window + 1).  The family's row gives margin, the gap
+    margin min(-max V, 1 + min V), and window, the half-width beyond which
+    V is exactly constant.  The evaluators branch on the shape of the
+    family's profile (none, along x_1, radial), never on its name.
     """
 
     dim: int
     kind: str
     params: dict
-    delta: float
-    window: float
-    box_half: float
+    box_half: float | None = None
 
     def __post_init__(self):
-        # bind the profile's parameters and the center once: the evaluators are hot paths
         family = FAMILIES[self.kind]
-        args = (self.params[k] for k in family.params if k != "center")
+        lo, hi = family.bounds(self.params)
         center = self.params.get("center", 0.0)
+        # past the center's offset plus the family's reach V is constant
+        window = 0.0 if family.profile is None else float(
+            float(np.max(np.abs(np.atleast_1d(center)))) + family.reach(self.params))
+        box_half = max(10.0, window + 1.0) if self.box_half is None else float(self.box_half)
+        object.__setattr__(self, "margin", float(min(-hi, 1.0 + lo)))
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "box_half", box_half)
+        # bind the profile's parameters and the center once: the evaluators are hot paths
+        args = (self.params[k] for k in family.params if k != "center")
         if family.radial:
             center = np.asarray(center, dtype=float)
             # terms' center, one float per coordinate
@@ -200,9 +201,11 @@ class PotentialModel:
         gamma r and Hess V = alpha I + beta r r^T: for a radial well r = x - c,
         gamma = alpha = 2 f' and beta = 4 f''; along x_1, r = (1), gamma = f',
         alpha = 0 and beta = f''; the constant family is all zero.  For a hot
-        loop: without evaluate's numpy calls and without its shape and box
-        checks, so the caller keeps x inside the box (check_box).
+        loop: without evaluate's numpy calls and shape check.  It keeps
+        evaluate's box test, raising box_error(x) outside; NaN passes.
         """
+        if any(abs(c) > self.box_half for c in x):
+            raise self.box_error(np.array(x))
         if self._profile is None:
             return self.params["value"], self._r, 0.0, 0.0, 0.0
         if not self._radial:
@@ -215,11 +218,6 @@ class PotentialModel:
     def box_error(self, x):
         """The DomainError of a point x outside the domain box."""
         return DomainError(f"point {x} outside the domain box [+-{self.box_half}]^{self.dim}")
-
-    def check_box(self, x):
-        """evaluate's box test on a list of floats: raise box_error(x) outside; NaN passes."""
-        if any(abs(c) > self.box_half for c in x):
-            raise self.box_error(np.array(x))
 
     def _check_point(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -245,23 +243,14 @@ class PotentialModel:
         return v, grad, hess
 
 
-def make_potential(dim, kind, params, delta=None, window=None, box_half=None):
-    """Build a model, filling delta/window/box defaults from the family."""
+def make_potential(dim, kind, params, box_half=None):
+    """Build a model of a known family that the dimension allows."""
     family = FAMILIES.get(kind)
     if family is None:
         raise DomainError(f"unknown potential kind {kind!r}")
     if family.profile and not family.radial and dim != 1:
         raise DomainError(f"{kind} is a 1D family")
-    params = dict(params)
-    lo, hi = family.bounds(params)
-    if delta is None:
-        delta = min(-hi, 1.0 + lo)
-    if window is None:
-        window = _least_window(family, params)
-    if box_half is None:
-        box_half = max(10.0, window + 1.0)
-    return PotentialModel(dim=dim, kind=kind, params=params, delta=float(delta),
-                          window=float(window), box_half=float(box_half))
+    return PotentialModel(dim=dim, kind=kind, params=dict(params), box_half=box_half)
 
 
 def constant_model(dim, value):
@@ -270,35 +259,31 @@ def constant_model(dim, value):
 
 
 def negated(model):
-    """The same family with V replaced by -V; window and box are kept."""
+    """The same family with V replaced by -V; the box is kept."""
     params = dict(model.params)
     for name in FAMILIES[model.kind].linear:
         params[name] = -params[name]
-    return make_potential(model.dim, model.kind, params,
-                          window=model.window, box_half=model.box_half)
+    return make_potential(model.dim, model.kind, params, box_half=model.box_half)
 
 
 def from_config(dim, cfg):
     """Parse the JSON sub-object; unlike make_potential, check every value.
 
-    Only the family's own parameters are accepted.  V must stay in (-1, 0)
-    and delta be a positive margin the family meets, a radius must lie in
-    [1e-50, 1e50], a center finite and of the model's shape, the
-    window finite and wide enough to hold the whole well, and the box
-    finite and at least as wide as the window.
+    Only the family's own parameters are accepted.  V must stay in (-1, 0),
+    a radius must lie in [1e-50, 1e50], a center be finite and of the
+    model's shape, and the box finite and at least as wide as the window.
     """
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise DomainError("potential config must be an object with a 'kind' field")
-    unknown = set(cfg) - {"kind", "params", "delta", "window", "box_half"}
+    unknown = set(cfg) - {"kind", "params", "box_half"}
     if unknown:
         raise DomainError(f"unknown potential field(s): {sorted(unknown)}")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise DomainError(f"potential params must be an object, got {params!r}")
-    for key in ("params", "delta", "window", "box_half"):
+    for key in ("params", "box_half"):
         refuse_booleans(f"potential.{key}", cfg.get(key))
-    model = make_potential(dim, cfg["kind"], params, delta=cfg.get("delta"),
-                           window=cfg.get("window"), box_half=cfg.get("box_half"))
+    model = make_potential(dim, cfg["kind"], params, box_half=cfg.get("box_half"))
     family = FAMILIES[model.kind]
     unknown = set(params) - set(family.params)
     if unknown:
@@ -307,10 +292,6 @@ def from_config(dim, cfg):
     lo, hi = family.bounds(model.params)
     if not -1.0 < lo <= hi < 0.0:
         raise DomainError(f"V must stay in (-1, 0), but the family spans [{lo}, {hi}]")
-    margin = min(-hi, 1.0 + lo)
-    if not 0.0 < model.delta <= margin:
-        raise DomainError(f"delta must lie in (0, {margin}], the family's gap margin, "
-                          f"got {model.delta}")
     params = model.params
     # the profiles take radius^4 and (pi/radius)^4, which must stay normal floats
     if "radius" in params and not 1e-50 <= params["radius"] <= 1e50:
@@ -321,10 +302,6 @@ def from_config(dim, cfg):
     if center.shape not in shapes or not np.all(np.isfinite(center)):
         raise DomainError(f"center must be a finite scalar or, in a radial family, a "
                           f"length-{dim} vector, got {params['center']!r}")
-    # the Jost oracle anchors past the window, which must cover the whole well
-    least = _least_window(family, params)
-    if not least <= model.window < math.inf:
-        raise DomainError(f"window must be finite and at least {least}, got {model.window}")
     # |x| > NaN is never true: a NaN box would switch the domain check off
     if not model.window <= model.box_half < math.inf:
         raise DomainError(f"box_half must be finite and at least the window "
@@ -352,23 +329,14 @@ def _samples(model, n, seed, half):
     return np.concatenate([pts, near])
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    delta_hat: float
-    passed: bool
-
-
 def validate_hypothesis(model):
-    """Sample min(min(-V), min(1+V)) over the domain box and compare to the margin.
+    """The sampled gap margin min(min(-V), min(1 + V)) over the domain box.
 
-    Passes iff the sampled gap margin delta_hat, over the seeded samples of
-    _samples (1000 box points and 500 near the center), is at least the
-    declared delta (and the declaration itself is positive).
+    Sampled at the seeded points of _samples (1000 box points and 500 near
+    the center); model.margin, the family's exact one, should not exceed it.
     """
     v = model.evaluate_many(_samples(model, 1000, 0, model.box_half))[0]
-    delta_hat = float(np.minimum(-v, 1.0 + v).min())
-    passed = bool(model.delta > 0.0 and delta_hat >= model.delta)
-    return HypothesisReport(delta_hat, passed)
+    return float(np.minimum(-v, 1.0 + v).min())
 
 
 def fd_consistency(model):

@@ -206,10 +206,10 @@ def _dim_checks(d):
 
     fam = _families(d)
     add("potential_derivatives", max(max(fd_consistency(m)) for m in fam), 1e-6)
-    # one line per well: the constant's sampled margin is its declared one by construction
+    # one line per well: the constant's sampled margin is its exact one by construction
     for m in fam:
         if FAMILIES[m.kind].profile:
-            add(f"hypothesis_gap_{m.kind}", m.delta - validate_hypothesis(m).delta_hat, 0.0)
+            add(f"hypothesis_gap_{m.kind}", m.margin - validate_hypothesis(m), 0.0)
 
     model = fam[1]  # the bump well; fam[0] is the constant V = -0.6
     y_pt, x_pt = (np.array(p) for p in _ENDPOINTS[d])

@@ -48,9 +48,7 @@ def solve_spinor_transport(model, rep, traj):
 
     def rhs(t, y):
         u = y.reshape(n, n)
-        x, _ = traj.phase_at(t)
-        model.check_box(x)
-        v, r, gamma, _, _ = model.terms(x)
+        v, r, gamma, _, _ = model.terms(traj.phase_at(t)[0])
         gen = rep.alpha_dot([gamma * c for c in r]) * (-0.5j / v)
         return (gen @ u).ravel()
 

@@ -108,8 +108,8 @@ def test_spin_samples_match_pointwise_formulas(monkeypatch):
     monkeypatch.setattr(bmt, "solve_ivp", recording_solve_ivp)
     m = bump3()
     traj = shoot_geodesic(m, Y_OFF, X_OFF).trajectory
-    u0 = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-    spin = solve_bmt_spin(m, traj, u0=u0)
+    u0 = np.array([1.0, 0.0])   # the carried spinor of every solve
+    spin = solve_bmt_spin(m, traj)
     (sol,) = solves
 
     def bloch_at(t):
@@ -127,17 +127,6 @@ def test_spin_samples_match_pointwise_formulas(monkeypatch):
         rhs = (np.cross(bloch_at(t_c), np.cross(-grad, p))
                / (-v * (1.0 - v)))
         assert spin.residual_path[i] == np.linalg.norm(lhs - rhs)
-
-
-def test_spin_transport_custom_carried_spinor():
-    m = bump3()
-    geo = shoot_geodesic(m, Y_OFF, X_OFF)
-    u0 = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-    spin = solve_bmt_spin(m, geo.trajectory, u0=u0)
-    assert spin.norm_drift <= 1e-9
-    assert spin.bmt2_residual <= 1e-6
-    with pytest.raises(DomainError):
-        solve_bmt_spin(m, geo.trajectory, u0=np.ones(3))
 
 
 def test_spin_transport_is_3d_only():

@@ -687,11 +687,11 @@ def bump_2d(**params):
     lambda c: c.update(dimension=1, x_star=[0.5], y_star=[-0.5],   # tanh: scalar center
                        potential={"kind": "tanh_step",
                                   "params": {"base": -0.5, "amp": 0.2, "center": [0.0]}}),
-    lambda c: c.update(potential=dict(bump_2d(), window=float("nan"))),  # window covers
-    lambda c: c.update(potential=dict(bump_2d(), window=-5.0)),          # the whole well
+    lambda c: c.update(potential=dict(bump_2d(), window=float("nan"))),  # the family sets
+    lambda c: c.update(potential=dict(bump_2d(), window=-5.0)),          # window and margin
     lambda c: c.update(potential=dict(bump_2d(), box_half=float("nan"))),  # box finite and
     lambda c: c.update(potential=dict(bump_2d(), box_half=-1.0)),          # covers the window
-    lambda c: c.update(potential=dict(bump_2d(), delta=float("nan"))),     # margin positive
+    lambda c: c.update(potential=dict(bump_2d(), delta=float("nan"))),
     lambda c: c.update(potential=dict(bump_2d(), delta=-0.5)),
     lambda c: c.update(potential={"kind": "bump_well",                     # misspelt center
                                   "params": dict(bump_2d()["params"], centre=[3.0, 0.0])}),
@@ -877,49 +877,72 @@ def test_failed_run_keeps_the_existing_artifact(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_unwritable_out_from_config_exits_2(tmp_path, capsys):
-    cfg = dict(CONST_1D, out=str(tmp_path / "missing" / "y"))
-    assert cli.main(["constant", "--config", write_config(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
-
-
 def test_bad_h_list_override(tmp_path):
     code, _ = run_to_file(tmp_path, "kernel", CONST_1D, extra=("--h-list", "0.05,0.1"))
     assert code == 2
 
 
-def test_out_path_from_config(tmp_path):
+@pytest.mark.parametrize("key", ["delta", "window", "out"])
+def test_derived_and_removed_keys_exit_2_and_name_the_key(tmp_path, capsys, key):
+    """The family gives the margin and the window, and --out alone the artifact path."""
     target = tmp_path / "from_config.csv"
-    cfg = dict(CONST_1D, out=str(target))
-    code = cli.main(["constant", "--config", write_config(tmp_path, cfg)])
-    assert code == 0
-    assert target.read_text().startswith("h,g00_re")
+    cfg = json.loads(json.dumps(CONST_1D))
+    if key == "out":
+        cfg["out"] = str(target)
+    else:
+        cfg["potential"][key] = 0.3
+    assert cli.main(["constant", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"['{key}']" in err
+    assert not target.exists()
+
+
+def test_dim_is_refused_outside_selfcheck(tmp_path, capsys):
+    """A d = 1 config does not run as d = 2, nor ignore the flag."""
+    out = tmp_path / "out.csv"
+    assert cli.main(["constant", "--config", write_config(tmp_path, CONST_1D),
+                     "--dim", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: constant does not take --dim\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,refused", [
+    (["--config", "/nonexistent.json", "--h-list", "0.3"], "--config"),
+    (["--config", "/nonexistent.json"], "--config"),
+    (["--h-list", "0.3"], "--h-list"),
+], ids=["both", "config", "h-list"])
+def test_selfcheck_refuses_config_and_h_list(capsys, monkeypatch, flags, refused):
+    """selfcheck reads neither flag: each exits 2 before any line runs."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("selfcheck ran with a flag it does not read")
+
+    monkeypatch.setattr(selfcheck, "_dim_checks", no_work)
+    assert cli.main(["selfcheck", "--dim", "1", *flags]) == 2
+    assert capsys.readouterr().err == f"config error: selfcheck does not take {refused}\n"
 
 
 # ------------------------------------------------------------ config fuzz
 
 FUZZ_CONFIG = {
     "dimension": 2,
-    "potential": {"kind": "constant", "params": {"value": -0.6},
-                  "delta": 0.3, "window": 1.0, "box_half": 12.0},
+    "potential": {"kind": "constant", "params": {"value": -0.6}, "box_half": 12.0},
     "x_star": [0.5, 0.1],
     "y_star": [-0.5, 0.0],
     "h_list": [0.2, 0.1],
     "shooting": {"multistart": 4},
-    "out": "unused.csv",
 }
 # the constant command rejects these wells after parsing them, so they exit 2 when unmutated
 FUZZ_WELL = dict(FUZZ_CONFIG, potential={
     "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0,
                                     "center": [0.25, -0.5]},
-    "delta": 0.05, "window": 3.0, "box_half": 12.0})
+    "box_half": 12.0})
 FUZZ_COSINE = dict(FUZZ_CONFIG, potential={
     "kind": "cosine_well", "params": {"base": -0.55, "depth": 0.35, "radius": 2.5,
                                       "center": [-0.3, 0.2]},
-    "delta": 0.05, "window": 3.0, "box_half": 12.0})
+    "box_half": 12.0})
 FUZZ_TANH = dict(FUZZ_CONFIG, dimension=1, x_star=[0.5], y_star=[-0.5], potential={
     "kind": "tanh_step", "params": {"base": -0.5, "amp": 0.2, "center": 0.1},
-    "delta": 0.05, "window": 20.0, "box_half": 24.0})
+    "box_half": 24.0})
 FUZZ_MENU = [float("nan"), float("inf"), -float("inf"), -1, 0, 2, 0.5, -0.5, 1e308,
              -1e308, 5e-324, True, False, "x", "0.5", [], {}, None, [True, 0.5],
              [0.5], [[0.5, 0.5]], {"value": -0.6}]
@@ -967,7 +990,18 @@ def test_fuzz_renamed_keys_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("config", [FUZZ_CONFIG, FUZZ_WELL, FUZZ_COSINE, FUZZ_TANH],
                          ids=["constant", "well", "cosine_d2", "tanh_d1"])
 def test_fuzz_every_field_exits_0_2_or_3(tmp_path, capsys, config):
-    """Each value of a fixed menu in each field: a documented exit code, never an exception."""
+    """Each value of a fixed menu in each field: a documented exit code, never an exception.
+
+    Unmutated, the constant config exits 0 and a well reaches the constant
+    command's refusal, so that a mutation is parsed as far as it can be.
+    """
+    code = _fuzz_exit(tmp_path, config)
+    err = capsys.readouterr().err
+    if config is FUZZ_CONFIG:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, "config error: the constant command requires "
+                                  "potential.kind = 'constant'\n")
     findings = []
     for path in _key_paths(config):
         for value in FUZZ_MENU:
@@ -988,12 +1022,12 @@ def test_fuzz_every_field_exits_0_2_or_3(tmp_path, capsys, config):
 FUZZ_SHOT = dict(FUZZ_WELL, shooting={"multistart": 1})
 FUZZ_1D = dict(FUZZ_SHOT, dimension=1, x_star=[0.5], y_star=[-0.5], potential={
     "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0},
-    "delta": 0.05, "window": 2.0, "box_half": 12.0})
+    "box_half": 12.0})
 FUZZ_3D = dict(FUZZ_SHOT, dimension=3, x_star=[0.5, 0.1, 0.0], y_star=[-0.5, 0.0, 0.1],
                potential={"kind": "bump_well",
                           "params": {"base": -0.6, "depth": 0.3, "radius": 2.0,
                                      "center": [0.25, -0.5, 0.0]},
-                          "delta": 0.05, "window": 3.0, "box_half": 12.0})
+                          "box_half": 12.0})
 FUZZ_BUDGET_S = 10.0
 
 
@@ -1036,7 +1070,10 @@ def test_fuzz_computing_commands(tmp_path, capsys, command, config, fields):
     2 or 3 within the time budget.
 
     On exit 0 every number of the artifact is finite and stderr is empty.
+    Unmutated, the config exits 0 through the command.
     """
+    assert _fuzz_exit(tmp_path, config, command) == 0
+    assert capsys.readouterr().err == ""
     findings = []
     for path in _key_paths(config):
         if fields and path[0] not in fields:

@@ -415,6 +415,11 @@ def test_end_state_matches_the_dense_trajectory(dim, kind, params, y, x, opts):
     assert (end.tau, end.action) == (traj.tau, traj.action_end)
 
 
+def _retire(k, y_end, reason):
+    """solve_lanes' restart hook that retires every lane at its first end."""
+    return None
+
+
 def test_dop853_lanes_follow_scipy_lane_by_lane():
     """Each lane takes scipy's DOP853 steps; a lane leaving the domain stops alone."""
     rates = np.array([0.5, 1.0, 3.0, 10.0])
@@ -422,7 +427,7 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     def decay(y, rows):
         return -rates[rows, None] * y, None
 
-    y_end, why = solve_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12)
+    y_end, why = solve_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12, _retire)
     assert list(why) == [""] * 4
     for k, rate in enumerate(rates):
         ref = solve_ivp(lambda t, y: -rate * y, (0.0, 1.0), np.ones(2), method="DOP853",
@@ -433,7 +438,7 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     def fenced(y, rows):   # lane 1 leaves its domain once y < 0.5
         return -rates[rows, None] * y, np.where((rows == 1) & (y[:, 0] < 0.5), LEFT_BOX, "")
 
-    fenced_end, why = solve_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12)
+    fenced_end, why = solve_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12, _retire)
     assert list(why) == ["", LEFT_BOX, "", ""]
     np.testing.assert_allclose(fenced_end[[0, 2, 3]], y_end[[0, 2, 3]], rtol=1e-13)
 
@@ -531,11 +536,11 @@ def test_dop853_lanes_restart_a_lane_from_the_hook():
     # lane 1 first stops outside its domain; its restart from 10 clears the reason
     assert (1, LEFT_BOX) in seen and list(why) == [""] * 4
     assert sorted(seen) == [(0, ""), (0, ""), (1, ""), (1, LEFT_BOX), (2, ""), (2, ""), (3, "")]
-    fresh, _ = solve_lanes(fenced, fresh_state, 1e-10, 1e-12)
+    fresh, _ = solve_lanes(fenced, fresh_state, 1e-10, 1e-12, _retire)
     assert np.array_equal(y_end[[0, 1]], fresh[[0, 1]])
-    loose, _ = solve_lanes(fenced, fresh_state, 1e-6, 1e-8)
+    loose, _ = solve_lanes(fenced, fresh_state, 1e-6, 1e-8, _retire)
     assert np.array_equal(y_end[2], loose[2])
-    once, _ = solve_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12)
+    once, _ = solve_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12, _retire)
     assert np.array_equal(y_end[3], once[3])
     for k, n_calls in retired.items():
         assert all(k not in rows for rows in calls[n_calls:in_run])
@@ -550,12 +555,13 @@ def test_dop853_lanes_take_per_lane_tolerances():
 
     pairs = [(1e-6, 1e-8), (1e-10, 1e-12), (1e-12, 1e-14), (1e-6, 1e-8)]
     rtol, atol = (np.array(col)[:, None] for col in zip(*pairs))
-    mixed, why = solve_lanes(decay, np.ones((4, 2)), rtol, atol)
+    mixed, why = solve_lanes(decay, np.ones((4, 2)), rtol, atol, _retire)
     assert list(why) == [""] * 4
     for k, (r, a) in enumerate(pairs):
-        alone, _ = solve_lanes(decay, np.ones((4, 2)), r, a)
+        alone, _ = solve_lanes(decay, np.ones((4, 2)), r, a, _retire)
         assert np.array_equal(mixed[k], alone[k])
-        broadcast, _ = solve_lanes(decay, np.ones((4, 2)), np.full((4, 1), r), np.full((4, 1), a))
+        broadcast, _ = solve_lanes(decay, np.ones((4, 2)), np.full((4, 1), r), np.full((4, 1), a),
+                                   _retire)
         assert np.array_equal(broadcast, alone)
 
 

@@ -59,13 +59,32 @@ TERMS_CASES = [
     (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
 ]
 
+# one row per family: the margin min(-max V, 1 + min V) of its bounds and the window
+# center offset + reach, in the float operations of their former defaults
+DERIVED_CASES = [
+    (2, "constant", {"value": -0.6}, min(0.6, 1.0 + -0.6), 0.0),
+    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]},
+     min(-(-0.6 - 0.0), 1.0 + (-0.6 - 0.3)), 0.5 + 2.0),
+    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2},
+     min(-(-0.55 - 0.0), 1.0 + (-0.55 - 0.35)), 0.2 + 2.5),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3},
+     min(-(-0.5 + 0.2), 1.0 + (-0.5 - 0.2)), 0.3 + 19.0),
+]
+
+
+@pytest.mark.parametrize("dim,kind,params,margin,window", DERIVED_CASES)
+def test_margin_and_window_come_from_the_family_row(dim, kind, params, margin, window):
+    m = make_potential(dim, kind, params)
+    assert (m.margin, m.window, m.box_half) == (margin, window, max(10.0, window + 1.0))
+    assert from_config(dim, {"kind": kind, "params": params}) == m
+
 
 def test_constant_family():
     m = make_potential(2, "constant", {"value": -0.6})
     v, g, h = m.evaluate([0.3, -0.4])
     assert v == -0.6
     assert np.all(g == 0.0) and np.all(h == 0.0)
-    assert m.delta == pytest.approx(0.4)
+    assert m.margin == pytest.approx(0.4)
     assert m.window == 0.0
 
 
@@ -80,7 +99,7 @@ def test_bump_well_center_and_tail():
         assert np.all(grad == 0.0)
         assert np.all(hess == 0.0)
     assert m.window == 2.0
-    assert m.delta == pytest.approx(0.1)
+    assert m.margin == pytest.approx(0.1)
 
 
 def test_cosine_well_center_and_tail():
@@ -113,7 +132,7 @@ def test_tanh_step_profile():
     assert m.value([19.5]) == -0.3
     assert m.value([-19.5]) == -0.7
     assert np.all(m.evaluate([19.5])[1] == 0.0)
-    assert m.delta == pytest.approx(0.3)
+    assert m.margin == pytest.approx(0.3)
 
 
 def test_tanh_step_is_one_dimensional_only():
@@ -248,9 +267,7 @@ def test_line_value_is_1d_only():
 
 def test_hypothesis_validation_passes_for_gap_families():
     m = make_potential(2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
-    rep = validate_hypothesis(m)
-    assert rep.passed
-    assert rep.delta_hat >= m.delta
+    assert validate_hypothesis(m) >= m.margin > 0.0
 
 
 @pytest.mark.parametrize("dim,kind,params", MARGIN_CASES)
@@ -259,25 +276,20 @@ def test_hypothesis_margin_matches_a_pointwise_loop(dim, kind, params):
     m = make_potential(dim, kind, params, box_half=3.0)
     pts = potential._samples(m, 1000, 0, 3.0)
     margin = min(min(-v, 1.0 + v) for v in map(m.value, pts))
-    assert validate_hypothesis(m).delta_hat == margin
+    assert validate_hypothesis(m) == margin
 
 
 def test_hypothesis_validation_flags_gap_violations():
     # amp large enough that V crosses zero on the right tail
     bad = make_potential(1, "tanh_step", {"base": -0.5, "amp": 0.6})
-    assert bad.delta <= 0.0
-    assert not validate_hypothesis(bad).passed
-    # declared margin stronger than the family actually achieves
-    tight = make_potential(1, "constant", {"value": -0.3}, delta=0.5)
-    rep = validate_hypothesis(tight)
-    assert not rep.passed
-    assert rep.delta_hat == pytest.approx(0.3)
+    assert bad.margin <= 0.0
+    assert validate_hypothesis(bad) <= 0.0
 
 
 def test_config_round_trip():
     cosine = {"base": -0.55, "depth": 0.35, "radius": 2.5}
-    assert (from_config(2, {"kind": "cosine_well", "params": cosine, "delta": 0.05})
-            == make_potential(2, "cosine_well", cosine, delta=0.05))
+    assert (from_config(2, {"kind": "cosine_well", "params": cosine})
+            == make_potential(2, "cosine_well", cosine))
     step = {"base": -0.5, "amp": 0.2}
     custom = from_config(1, {"kind": "tanh_step", "params": step, "box_half": 25.0})
     assert custom == make_potential(1, "tanh_step", step, box_half=25.0)
@@ -290,9 +302,9 @@ def test_config_requires_kind():
 
 
 @pytest.mark.parametrize("cases", [FD_CASES, NEGATED_CASES, MANY_CASES, MARGIN_CASES,
-                                   LINE_CASES, TERMS_CASES])
+                                   LINE_CASES, TERMS_CASES, DERIVED_CASES])
 def test_family_tests_cover_every_family(cases):
-    assert {kind for _, kind, _ in cases} == set(FAMILIES)
+    assert {case[1] for case in cases} == set(FAMILIES)
 
 
 def _cubic(b, a, big_l, s):
@@ -311,7 +323,7 @@ def test_a_new_family_needs_only_its_row(monkeypatch):
     params = {"base": -0.6, "depth": 0.3, "radius": 1.5, "center": [0.5, -0.75]}
     m = from_config(2, {"kind": "cubic_well", "params": params})
     assert m.window == 0.75 + 1.5
-    assert m.delta == pytest.approx(0.1)
+    assert m.margin == pytest.approx(0.1)
     assert m.value([0.5, -0.75]) == pytest.approx(-0.9, abs=1e-15)
     assert m.value([0.5, 0.75]) == -0.6
     with pytest.raises(DomainError, match="allowed: \\['base', 'depth', 'radius', 'center'\\]"):
@@ -362,8 +374,8 @@ def test_a_wrong_derivative_trips_potential_derivatives(monkeypatch, dim, kind, 
 def test_a_misstated_range_trips_hypothesis_gap(monkeypatch, dim, kind, params):
     """bounds 0.05 inside the true range at each end (a well's minimum too high).
 
-    The declared margin then exceeds the sampled one: selfcheck's residual
-    delta - delta_hat is above its tolerance 0.0.
+    The margin derived from them then exceeds the sampled one: selfcheck's
+    residual margin - validate_hypothesis is above its tolerance 0.0.
     """
     row = FAMILIES[kind]
 
@@ -373,4 +385,4 @@ def test_a_misstated_range_trips_hypothesis_gap(monkeypatch, dim, kind, params):
 
     monkeypatch.setitem(FAMILIES, kind, replace(row, bounds=narrowed))
     m = make_potential(dim, kind, params)
-    assert m.delta - validate_hypothesis(m).delta_hat > 0.0
+    assert m.margin - validate_hypothesis(m) > 0.0

@@ -8,8 +8,8 @@ checkout's src/.  To compare two versions, copy this file into the other
 checkout, run it there into a second directory, and `diff -r` the two:
 an empty diff means every artifact, message and exit code is
 byte-identical.  The runs go on min(cpu_count, 4) worker processes at a
-time, and each line is printed in run order.  The set (about 85 runs,
-about a minute on 2 cores):
+time, and each line is printed in run order.  The set (84 runs, about
+a minute on 2 cores):
 
 * validate1d and geodesic on ten 1D pairs (bump, steep and mild tanh,
   cosine, constant -0.6, each both ways); geodesic with the fan, one
