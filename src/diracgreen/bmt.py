@@ -96,7 +96,7 @@ def left_factor(lambda_plus, w):
 def spin_generator(model, x, p):
     """2 x 2 hermitian precession generator M = sigma.(E x p)/(-2V(1-V)).
 
-    x and p are sequences of three floats; an x outside the domain box raises DomainError.
+    x and p are sequences of three floats.
     """
     v, r, gamma, _, _ = model.terms(x)
     f0, f1, f2 = (-gamma * c for c in r)   # the field E = -grad V

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -72,11 +71,9 @@ class RunConfig:
             arr = np.asarray(data[key], dtype=float).reshape(-1)
             if arr.shape != (dim,):
                 raise ConfigError(f"{key} must have length {dim}")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{key} must be finite, got {arr.tolist()}")
-            if np.abs(arr).max() > model.box_half:
-                raise ConfigError(f"{key} {arr.tolist()} lies outside the domain box "
-                                  f"[+-{model.box_half}]^{dim}")
+            if not np.all(np.abs(arr) <= potential_mod.COORD_LIMIT):
+                raise ConfigError(f"{key} must be finite, each coordinate within "
+                                  f"+-{potential_mod.COORD_LIMIT:g}, got {arr.tolist()}")
             return arr
 
         x_star = point("x_star")
@@ -84,11 +81,6 @@ class RunConfig:
         if x_star is not None and y_star is not None:
             if np.array_equal(x_star, y_star):
                 raise ConfigError("x_star and y_star must differ")
-            with np.errstate(over="ignore"):
-                sep = float(np.linalg.norm(x_star - y_star))
-            if not math.isfinite(sep):
-                raise ConfigError("the separation |x_star - y_star| overflows a float; "
-                                  "move the points closer together")
         h_list = data.get("h_list", [])
         if not isinstance(h_list, list):
             raise ConfigError(f"h_list must be an array, got {h_list!r}")
@@ -286,9 +278,11 @@ def _load_config(args):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
         cfg = RunConfig.from_dict(data)
-        if args.h_list:
-            cfg = replace(cfg, h_list=_h_list(
-                tok for tok in args.h_list.split(",") if tok.strip()))
+        if args.h_list is not None:
+            h_list = _h_list(tok for tok in args.h_list.split(",") if tok.strip())
+            if not h_list:
+                raise ConfigError(f"--h-list names no h: {args.h_list!r}")
+            cfg = replace(cfg, h_list=h_list)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

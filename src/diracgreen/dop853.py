@@ -10,6 +10,10 @@ integrators share its tableau slices:
 * solve_lanes, many solves of dy/ds = fun(y) over s in [0, 1] that share
   each RHS call, one row (lane) per solve, each with scipy's step-size
   control of its own.
+
+Neither checks a domain: a right-hand side that is NaN at a trial stage
+makes the step's error estimate NaN, and the step is rejected and retried
+shorter, as any step whose error is too large.
 """
 
 from __future__ import annotations
@@ -242,21 +246,20 @@ def solve_lanes(fun, y0, rtol, atol, restart):
     """Integrate dy/ds = fun(y) over s in [0, 1] for every row (lane) of y0.
 
     The lanes share the calls to fun(y, rows), which returns the derivatives
-    at the rows of y (lanes `rows`) and None or, per row, "" or the reason
-    the point lies outside the flow's domain.  All else is per lane: scipy's
-    DOP853 tableau and step-size control (SAFETY 0.9, factors 0.2 and 10,
-    exponent -1/8, its initial-step rule, a 10-ulp minimum step), with no
-    dense output.  One shared step size would make every lane redo the
-    steps any one lane rejects.  rtol and atol are scalars or (n, 1) arrays,
-    one row per lane.  A lane that leaves the domain stops with fun's
-    reason, and one whose step underflows with UNDERFLOW; the others go on.
+    at the rows of y (lanes `rows`).  All else is per lane: scipy's DOP853
+    tableau and step-size control (SAFETY 0.9, factors 0.2 and 10, exponent
+    -1/8, its initial-step rule, a 10-ulp minimum step), with no dense
+    output.  One shared step size would make every lane redo the steps any
+    one lane rejects.  rtol and atol are scalars or (n, 1) arrays, one row
+    per lane.  A lane whose step underflows stops with UNDERFLOW, and the
+    others go on.
 
     When lane k reaches s = 1 or stops, the loop calls restart(k, y_end,
-    reason), reason "" at s = 1.  The hook returns None to retire the lane,
-    or the lane's next initial state after setting its rows of rtol and atol
-    in place; the lane then starts again at s = 0 with the initial-step rule
-    of its own, while the other lanes keep stepping.  Returns each lane's
-    last end state and reason.
+    reason), reason "" at s = 1 and UNDERFLOW on a stop.  The hook returns
+    None to retire the lane, or the lane's next initial state after setting
+    its rows of rtol and atol in place; the lane then starts again at s = 0
+    with the initial-step rule of its own, while the other lanes keep
+    stepping.  Returns each lane's last end state and reason.
     """
     b_tab, e3, e5 = DOP853.B, DOP853.E3, DOP853.E5
     n_st = DOP853.n_stages
@@ -269,26 +272,19 @@ def solve_lanes(fun, y0, rtol, atol, restart):
     f = np.empty_like(y)
     h_abs = np.empty(n)
 
-    def note(rows, reasons):
-        if reasons is not None:
-            first = (why[rows] == "") & (reasons != "")
-            why[rows[first]] = reasons[first]
-
     def initial_step(rows):
         """scipy's select_initial_step for lanes rows, with RMS norms over each lane's state."""
         y_r = y[rows]
-        f_r, reasons = fun(y_r, rows)
-        note(rows, reasons)
+        f_r = fun(y_r, rows)
         scale = atol[rows] + np.abs(y_r) * rtol[rows]
         d0, d1 = _rms(y_r / scale), _rms(f_r / scale)
         flat = (d0 < 1e-5) | (d1 < 1e-5)
         h0 = np.minimum(np.where(flat, 1e-6, 0.01 * d0 / np.where(flat, 1.0, d1)), 1.0)
-        f1, reasons = fun(y_r + h0[:, None] * f_r, rows)
-        note(rows, reasons)
-        d2 = _rms((f1 - f_r) / scale) / h0
+        d2 = _rms((fun(y_r + h0[:, None] * f_r, rows) - f_r) / scale) / h0
         both = (d1 <= 1e-15) & (d2 <= 1e-15)
+        # fmax, like scipy's max(d1, d2), passes over a NaN d2 from a trial past the domain
         h1 = np.where(both, np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.where(both, 1.0, np.maximum(d1, d2))) ** -exponent)
+                      (0.01 / np.where(both, 1.0, np.fmax(d1, d2))) ** -exponent)
         h_abs[rows] = np.minimum(np.minimum(100.0 * h0, h1), 1.0)
         f[rows] = f_r
 
@@ -323,7 +319,7 @@ def solve_lanes(fun, y0, rtol, atol, restart):
         h = np.where(~rejected[idx] & (h < min_step), min_step, h)
         keep = h >= min_step
         if not keep.all():
-            note(idx, np.where(keep, "", UNDERFLOW))
+            why[idx[~keep]] = UNDERFLOW
             idx, s_i, h = idx[keep], s_i[keep], h[keep]
             if not idx.size:
                 continue
@@ -334,11 +330,9 @@ def solve_lanes(fun, y0, rtol, atol, restart):
         y_i = y[idx]
         for st, a, _ in _STAGES:
             dy = (a @ k[:st].reshape(st, -1)).reshape(n, m)[idx]
-            k[st, idx], reasons = fun(y_i + dy * h[:, None], idx)
-            note(idx, reasons)
+            k[st, idx] = fun(y_i + dy * h[:, None], idx)
         y_new = y_i + h[:, None] * (b_tab @ k[:n_st].reshape(n_st, -1)).reshape(n, m)[idx]
-        k[n_st, idx], reasons = fun(y_new, idx)
-        note(idx, reasons)
+        k[n_st, idx] = fun(y_new, idx)
 
         scale = atol[idx] + np.maximum(np.abs(y_i), np.abs(y_new)) * rtol[idx]
         err5 = (e5 @ k.reshape(n_st + 1, -1)).reshape(n, m)[idx] / scale
@@ -352,9 +346,9 @@ def solve_lanes(fun, y0, rtol, atol, restart):
         factor = np.where(ok, np.where(rejected[idx], np.minimum(1.0, factor), factor),
                           np.fmax(MIN_FACTOR, grow))
         h_abs[idx] = h * factor
-        acc = ok & (why[idx] == "")
-        s[idx[acc]] = s_new[acc]
-        y[idx[acc]] = y_new[acc]
-        f[idx[acc]] = k[n_st, idx[acc]]
+        acc = idx[ok]
+        s[acc] = s_new[ok]
+        y[acc] = y_new[ok]
+        f[acc] = k[n_st, acc]
         rejected[idx] = ~ok
 

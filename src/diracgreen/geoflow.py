@@ -14,6 +14,13 @@ seeded by (dpX, dpP)(0) = (0, I), which feed the bordered determinant
 and its conversion to the Jacobian determinant of the metric exponential
 map.  Two-point connections are found by a Newton shoot over the initial
 direction (chart on the sphere) and the flight time.
+
+V is defined on all of R^d, so the flow's one domain is the momentum ball
+|p|^2 < BALL.  A start outside it is refused before any flow runs; the
+right-hand sides never raise, and a trial stage past the ball gets NaN
+derivatives, so that DOP853 rejects its step and retries a shorter one.
+An orbit that truly runs into the ball shrinks its steps until they
+underflow.
 """
 
 from __future__ import annotations
@@ -40,10 +47,11 @@ class ConjugatePointError(NumericalError):
 
 
 # outcome of each start of the Newton loop, in the order a failure tally lists them
-CONVERGED, LEFT_BALL, LEFT_BOX, SINGULAR, CHART_ESCAPE, ITER_LIMIT = (
-    "converged", "left |p|<1", "left box", "singular Jacobian", "chart escape", "max_iter")
-OUTCOMES = (CONVERGED, LEFT_BALL, LEFT_BOX, SINGULAR, CHART_ESCAPE, ITER_LIMIT, UNDERFLOW)
-_BALL_EXIT = "flow reached the momentum ball boundary |p| -> 1"
+CONVERGED, SINGULAR, CHART_ESCAPE, ITER_LIMIT = (
+    "converged", "singular Jacobian", "chart escape", "max_iter")
+OUTCOMES = (CONVERGED, SINGULAR, CHART_ESCAPE, ITER_LIMIT, UNDERFLOW)
+# the momentum ball: the flow is defined where |p|^2 < BALL, with w = sqrt(1 - |p|^2) > 1e-6
+BALL = 1.0 - 1e-12
 
 # the shoot, with every residual max |x(tau) - x*| measured against tol * max(1, |x*|_inf):
 # a fan start integrates at LOOSE until its last residual is at most LOOSE_UNTIL, and at
@@ -123,15 +131,9 @@ class Trajectory:
         return y[:d], y[d:]
 
     def potential_along(self, times):
-        """(p, V, grad V) at an array of times: one dense-output call, one evaluate_many.
-
-        Raises DomainError where the orbit leaves the domain box.
-        """
+        """(p, V, grad V) at an array of times: one dense-output call, one evaluate_many."""
         x, p = self.phase(times)
-        v, grad, _, outside = self.model.evaluate_many(x)
-        if outside.any():
-            raise DomainError(
-                f"orbit leaves the domain box [+-{self.model.box_half}]^{self.dim}")
+        v, grad, _ = self.model.evaluate_many(x)
         return p, v, grad
 
     def hamiltonian_sup(self):
@@ -150,6 +152,7 @@ def _flow_rhs(model, variational):
     and w = sqrt(1 - |p|^2): x' = p / w, p' = gamma r, the action rate
     |p|^2 / w, dpX' = dpP / w + p (p^T dpP) / w^3 and dpP' = alpha dpX +
     beta r (r^T dpX).  On a 25-number state this beats numpy's per-call cost.
+    Past the ball, |p|^2 >= BALL, w is NaN and so are the derivatives that read it.
     """
     d = model.dim
     i_var = _var_index(d)
@@ -160,10 +163,8 @@ def _flow_rhs(model, variational):
         ys = y.tolist()
         x, p = ys[:d], ys[d:2 * d]
         p2 = math.fsum(map(mul, p, p))
-        if p2 >= 1.0 - 1e-12:
-            raise DomainError(f"{_BALL_EXIT} at t = {t}")
+        w = math.sqrt(1.0 - p2) if p2 < BALL else math.nan
         _, r, gamma, alpha, beta = terms(x)
-        w = math.sqrt(1.0 - p2)
         out = [c / w for c in p] + [gamma * c for c in r] + [p2 / w]
         if variational:
             dpx, dpp = ys[i_var:i_var + dd], ys[i_var + dd:]
@@ -187,8 +188,10 @@ def _solve_flow(model, x0, p0, tau, opts, variational, **output):
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     if x0.shape != p0.shape:
         raise DomainError("position and momentum must have equal length")
-    if p0 @ p0 >= 1.0:
-        raise DomainError(f"phase point requires |p| < 1, got |p| = {np.linalg.norm(p0)}")
+    p2 = float(p0 @ p0)
+    if not p2 < BALL:
+        raise DomainError(f"phase point requires |p| < 1, with |p|^2 under {BALL!r}; "
+                          f"got |p|^2 = {p2!r}")
     sol = solve_ivp(_flow_rhs(model, variational), (0.0, float(tau)),
                     _initial_state(x0, p0, variational), **output, **opts.solver_kwargs())
     if not sol.success:
@@ -299,16 +302,14 @@ def _flow_one(model, y_star, p0, tau, opts, dense):
         sol = _solve_flow(model, y_star, p0, tau, opts, variational=True, t_eval=[tau])
     except NumericalError:
         return UNDERFLOW
-    except DomainError as exc:
-        return LEFT_BALL if str(exc).startswith(_BALL_EXIT) else LEFT_BOX
     return _end_of(model.dim, sol.y[:, -1], p0, tau)
 
 
 def _lane_rhs(model, taus):
     """Batched _flow_rhs on s in [0, 1]: row k is scaled by its flight time taus[k].
 
-    Returns the derivatives and None, or per row "" or the reason the point
-    is outside the flow's domain; the derivatives of such rows stay finite.
+    Returns the derivatives; a row past the ball, |p|^2 >= BALL, has NaN in
+    those that read w, as in _flow_rhs.
     """
     d = model.dim
     i_var = _var_index(d)
@@ -318,13 +319,9 @@ def _lane_rhs(model, taus):
     def rhs(y, rows):
         p = y[:, d:2 * d]
         p2 = np.vecdot(p, p)
-        ball = p2 >= 1.0 - 1e-12
-        _, grad, hess, outside = model.evaluate_many(y[:, :d])
-        why = None
-        if ball.any() or outside.any():
-            why = np.where(ball, LEFT_BALL, np.where(outside, LEFT_BOX, ""))
-            p2 = np.where(ball, 0.0, p2)
-        w = np.sqrt(1.0 - p2)
+        _, grad, hess = model.evaluate_many(y[:, :d])
+        # NaN past the ball, where 1 - p2 may be negative: np.sqrt would warn there
+        w = np.sqrt(np.where(p2 < BALL, 1.0 - p2, np.nan))
         out = np.empty_like(y)
         out[:, :d] = p / w[:, None]
         out[:, d:2 * d] = grad
@@ -333,7 +330,7 @@ def _lane_rhs(model, taus):
         out[:, i_var:i_var + dd] = (hpp @ y[:, i_var + dd:].reshape(-1, d, d)).reshape(-1, dd)
         out[:, i_var + dd:] = (hess @ y[:, i_var:i_var + dd].reshape(-1, d, d)).reshape(-1, dd)
         out *= taus[rows, None]
-        return out, why
+        return out
 
     return rhs
 
@@ -376,8 +373,7 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     frames = [_frame_from_direction(v) for v in directions]
     us = [np.zeros(d - 1) for _ in directions]
     taus = np.full(n, float(tau0))   # the lanes' RHS reads each restarted lane's new tau
-    # an absolute 1e-10 lies below the float spacing from |x*| = 2^19 (about 5.2e5) on
-    unit = max(1.0, float(np.max(np.abs(x_star))))
+    unit = _unit(x_star)
     exact, tol = (TIGHT, POLISH_TOL * unit) if polish else (OdeOpts(), NEWTON_TOL * unit)
     opts = [exact if polish else LOOSE] * n
     outcomes = [ITER_LIMIT] * n
@@ -453,22 +449,39 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     return outcomes, ends
 
 
+def _unit(x_star):
+    """max(1, |x*|_inf), the unit of the shoot's residuals.
+
+    An absolute 1e-10 lies below the float spacing from |x*| = 2^19 (about 5.2e5) on.
+    """
+    return max(1.0, float(np.max(np.abs(x_star))))
+
+
 def _fan_starts(model, y_star, x_star, count):
     """The fan's start directions and its flight-time guess, straight-line at V(midpoint).
 
     The guess reads V at the midpoint and every start's momentum V at y_star;
-    either value outside the gap (-1, 0) raises DomainError.
+    either value outside the gap (-1, 0) raises DomainError, and so does a
+    start momentum on the ball.  So do endpoints closer than 10 NEWTON_TOL /
+    MERGE_TOL in units of max(1, |x*|_inf): there the absolute Newton stop
+    is no longer small against the separation, and distinct iterates of one
+    connection no longer merge.
     """
     sep = x_star - y_star
     r = float(np.linalg.norm(sep))
-    if r == 0.0:
-        raise DomainError("endpoints must be distinct")
+    least = 10.0 * NEWTON_TOL / MERGE_TOL * _unit(x_star)
+    if not r >= least:
+        raise DomainError(f"endpoints {r!r} apart; the shoot needs a separation of at "
+                          f"least {least!r}")
     mid = 0.5 * (x_star + y_star)
-    v_mid = model.value(mid)
-    for name, point, v in (("start", y_star, model.value(y_star)), ("midpoint", mid, v_mid)):
+    v_y, v_mid = model.value(y_star), model.value(mid)
+    for name, point, v in (("start", y_star, v_y), ("midpoint", mid, v_mid)):
         if not -1.0 < v < 0.0:
             raise DomainError(f"V = {v!r} at the {name} {point.tolist()} lies outside "
                               "the gap (-1, 0)")
+    if not 1.0 - v_y * v_y < BALL:
+        raise DomainError(f"V = {v_y!r} at the start puts its momentum on the momentum "
+                          f"ball: |p|^2 = 1 - V^2 must stay under {BALL!r}")
     tau0 = r * (-v_mid) / math.sqrt(1.0 - v_mid * v_mid)
     return _start_directions(model.dim, sep / r, count), tau0
 

@@ -1,14 +1,15 @@
 """Scalar potential families confined to the spectral gap.
 
 Every shipped family is smooth, has analytic gradient and Hessian, and is
-meant to satisfy the gap condition -1 + delta <= V <= -delta on its domain
-box.  FAMILIES holds all the module knows about each family; a new family
+meant to satisfy the gap condition -1 + delta <= V <= -delta on all of
+R^d.  FAMILIES holds all the module knows about each family; a new family
 is one row there plus its profile function.  A model derives two facts
 from its row: the gap margin delta = min(-max V, 1 + min V) from the
 bounds, and from the reach the window half-width L past which, at
 |x_1| >= L, V is exactly constant (the 1D Jost oracle anchors its
-integrations there).  Radial wells are evaluated through s = |x - c|^2
-so that no formula degenerates at the center.
+integrations there, and the sampled checks cover the cube of half-width
+max(10, L + 1)).  Radial wells are evaluated through s = |x - c|^2 so
+that no formula degenerates at the center.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from operator import mul
 import numpy as np
 
 from .clifford import DomainError, refuse_booleans
+
+# the bound on every coordinate that comes from outside (x_star, y_star, a well's center):
+# squares and DOP853 error norms of states of size |x| / atol must stay finite
+COORD_LIMIT = 1e100
 
 
 def _bump(b, a, big_l, s):
@@ -101,18 +106,16 @@ FAMILIES = {
 class PotentialModel:
     """A potential family instance with analytic derivatives.
 
-    kind is a FAMILIES key; params holds the family parameters, box_half
-    the domain half-width (evaluations outside raise DomainError), by
-    default max(10, window + 1).  The family's row gives margin, the gap
-    margin min(-max V, 1 + min V), and window, the half-width beyond which
-    V is exactly constant.  The evaluators branch on the shape of the
-    family's profile (none, along x_1, radial), never on its name.
+    kind is a FAMILIES key and params holds the family parameters.  The
+    family's row gives margin, the gap margin min(-max V, 1 + min V), and
+    window, the half-width beyond which V is exactly constant.  The
+    evaluators branch on the shape of the family's profile (none, along
+    x_1, radial), never on its name.
     """
 
     dim: int
     kind: str
     params: dict
-    box_half: float | None = None
 
     def __post_init__(self):
         family = FAMILIES[self.kind]
@@ -121,10 +124,8 @@ class PotentialModel:
         # past the center's offset plus the family's reach V is constant
         window = 0.0 if family.profile is None else float(
             float(np.max(np.abs(np.atleast_1d(center)))) + family.reach(self.params))
-        box_half = max(10.0, window + 1.0) if self.box_half is None else float(self.box_half)
         object.__setattr__(self, "margin", float(min(-hi, 1.0 + lo)))
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "box_half", box_half)
         # bind the profile's parameters and the center once: the evaluators are hot paths
         args = (self.params[k] for k in family.params if k != "center")
         if family.radial:
@@ -146,8 +147,7 @@ class PotentialModel:
     def line_value(self):
         """V of a 1D model as a float function of s, for a hot loop.
 
-        It does value's float operations on s, without the shape and box
-        checks: the caller keeps s inside the box.
+        It does value's float operations on s, without the shape check.
         """
         if self.dim != 1:
             raise DomainError("line_value is for 1D models")
@@ -166,8 +166,6 @@ class PotentialModel:
     def evaluate_many(self, xs):
         """Batched evaluate: (n, d) points to V (n,), grad (n, d), Hess (n, d, d).
 
-        A fourth array flags the rows outside the domain box (or not finite)
-        instead of raising; their values are those of the formulas there.
         Rows go through the same float operations as evaluate, so both give
         the same numbers.  The profile is evaluate's, called per row: on a
         few dozen rows that beats a numpy pass per operation.
@@ -176,10 +174,9 @@ class PotentialModel:
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DomainError(f"points must have shape (n, {self.dim}), got {xs.shape}")
         n, d = xs.shape
-        outside = ~(np.abs(xs).max(axis=1) <= self.box_half)
         if self._profile is None:
             return (np.full(n, self.params["value"], dtype=float), np.zeros((n, d)),
-                    np.zeros((n, d, d)), outside)
+                    np.zeros((n, d, d)))
 
         rel = xs - self._center
         args = np.vecdot(rel, rel) if self._radial else rel[:, 0]
@@ -187,12 +184,12 @@ class PotentialModel:
         rows = [profile(a) for a in args.tolist()]
         fp, fpp, v = np.array(rows, dtype=float).reshape(n, 3).T
         if not self._radial:
-            return v, fp.reshape(n, 1), fpp.reshape(n, 1, 1), outside
+            return v, fp.reshape(n, 1), fpp.reshape(n, 1, 1)
         grad = (2.0 * fp)[:, None] * rel
         # evaluate's 2 fp I + 4 fpp rel rel^T, summed in the other order
         hess = (4.0 * fpp)[:, None, None] * (rel[:, :, None] * rel[:, None, :])
         hess.reshape(n, d * d)[:, :: d + 1] += (2.0 * fp)[:, None]   # the diagonal
-        return v, grad, hess, outside
+        return v, grad, hess
 
     def terms(self, x):
         """V and the rank-one form of its derivatives at a list of dim floats, in floats.
@@ -201,11 +198,8 @@ class PotentialModel:
         gamma r and Hess V = alpha I + beta r r^T: for a radial well r = x - c,
         gamma = alpha = 2 f' and beta = 4 f''; along x_1, r = (1), gamma = f',
         alpha = 0 and beta = f''; the constant family is all zero.  For a hot
-        loop: without evaluate's numpy calls and shape check.  It keeps
-        evaluate's box test, raising box_error(x) outside; NaN passes.
+        loop: without evaluate's numpy calls and shape check.
         """
-        if any(abs(c) > self.box_half for c in x):
-            raise self.box_error(np.array(x))
         if self._profile is None:
             return self.params["value"], self._r, 0.0, 0.0, 0.0
         if not self._radial:
@@ -215,16 +209,10 @@ class PotentialModel:
         fp, fpp, v = self._profile(math.fsum(map(mul, r, r)))
         return v, r, 2.0 * fp, 2.0 * fp, 4.0 * fpp
 
-    def box_error(self, x):
-        """The DomainError of a point x outside the domain box."""
-        return DomainError(f"point {x} outside the domain box [+-{self.box_half}]^{self.dim}")
-
     def _check_point(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise DomainError(f"point must have length {self.dim}, got shape {x.shape}")
-        if np.any(np.abs(x) > self.box_half):
-            raise self.box_error(x)
         return x
 
     def _eval(self, x):
@@ -243,14 +231,14 @@ class PotentialModel:
         return v, grad, hess
 
 
-def make_potential(dim, kind, params, box_half=None):
+def make_potential(dim, kind, params):
     """Build a model of a known family that the dimension allows."""
     family = FAMILIES.get(kind)
     if family is None:
         raise DomainError(f"unknown potential kind {kind!r}")
     if family.profile and not family.radial and dim != 1:
         raise DomainError(f"{kind} is a 1D family")
-    return PotentialModel(dim=dim, kind=kind, params=dict(params), box_half=box_half)
+    return PotentialModel(dim=dim, kind=kind, params=dict(params))
 
 
 def constant_model(dim, value):
@@ -259,31 +247,30 @@ def constant_model(dim, value):
 
 
 def negated(model):
-    """The same family with V replaced by -V; the box is kept."""
+    """The same family with V replaced by -V."""
     params = dict(model.params)
     for name in FAMILIES[model.kind].linear:
         params[name] = -params[name]
-    return make_potential(model.dim, model.kind, params, box_half=model.box_half)
+    return make_potential(model.dim, model.kind, params)
 
 
 def from_config(dim, cfg):
     """Parse the JSON sub-object; unlike make_potential, check every value.
 
     Only the family's own parameters are accepted.  V must stay in (-1, 0),
-    a radius must lie in [1e-50, 1e50], a center be finite and of the
-    model's shape, and the box finite and at least as wide as the window.
+    a radius must lie in [1e-50, 1e50], and a center be of the model's
+    shape with every coordinate within +-COORD_LIMIT.
     """
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise DomainError("potential config must be an object with a 'kind' field")
-    unknown = set(cfg) - {"kind", "params", "box_half"}
+    unknown = set(cfg) - {"kind", "params"}
     if unknown:
         raise DomainError(f"unknown potential field(s): {sorted(unknown)}")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise DomainError(f"potential params must be an object, got {params!r}")
-    for key in ("params", "box_half"):
-        refuse_booleans(f"potential.{key}", cfg.get(key))
-    model = make_potential(dim, cfg["kind"], params, box_half=cfg.get("box_half"))
+    refuse_booleans("potential.params", params)
+    model = make_potential(dim, cfg["kind"], params)
     family = FAMILIES[model.kind]
     unknown = set(params) - set(family.params)
     if unknown:
@@ -299,21 +286,23 @@ def from_config(dim, cfg):
     # only a radial family takes a vector center
     center = np.asarray(params.get("center", 0.0), dtype=float)
     shapes = ((), (dim,)) if family.radial else ((),)
-    if center.shape not in shapes or not np.all(np.isfinite(center)):
-        raise DomainError(f"center must be a finite scalar or, in a radial family, a "
-                          f"length-{dim} vector, got {params['center']!r}")
-    # |x| > NaN is never true: a NaN box would switch the domain check off
-    if not model.window <= model.box_half < math.inf:
-        raise DomainError(f"box_half must be finite and at least the window "
-                          f"{model.window}, got {model.box_half}")
+    if center.shape not in shapes or not np.all(np.abs(center) <= COORD_LIMIT):
+        raise DomainError(f"center must be a scalar or, in a radial family, a length-{dim} "
+                          f"vector, each coordinate within +-{COORD_LIMIT:g}, "
+                          f"got {params['center']!r}")
     return model
 
 
-def _samples(model, n, seed, half):
-    """n seeded points of the box [-half, half]^d, then n // 2 within the family's reach.
+def sample_half(model):
+    """The half-width of the cube the sampled checks cover: 10, or a unit past the window."""
+    return max(10.0, model.window + 1.0)
 
-    The second share is drawn from the part of the box within reach of the
-    center, per coordinate, where V varies: box draws alone miss a radius-2
+
+def _samples(model, n, seed, half):
+    """n seeded points of the cube [-half, half]^d, then n // 2 within the family's reach.
+
+    The second share is drawn from the part of the cube within reach of the
+    center, per coordinate, where V varies: cube draws alone miss a radius-2
     well in d = 3.  The constant family has no reach and no second share.
     """
     rng = np.random.default_rng(seed)
@@ -330,12 +319,12 @@ def _samples(model, n, seed, half):
 
 
 def validate_hypothesis(model):
-    """The sampled gap margin min(min(-V), min(1 + V)) over the domain box.
+    """The sampled gap margin min(min(-V), min(1 + V)) over the sample_half cube.
 
-    Sampled at the seeded points of _samples (1000 box points and 500 near
+    Sampled at the seeded points of _samples (1000 cube points and 500 near
     the center); model.margin, the family's exact one, should not exceed it.
     """
-    v = model.evaluate_many(_samples(model, 1000, 0, model.box_half))[0]
+    v = model.evaluate_many(_samples(model, 1000, 0, sample_half(model)))[0]
     return float(np.minimum(-v, 1.0 + v).min())
 
 
@@ -343,14 +332,14 @@ def fd_consistency(model):
     """Worst-case mismatch of analytic derivatives against central differences.
 
     Steps 1e-6 (gradient) and 1e-4 (Hessian) at the seeded points of
-    _samples (200 box points and 100 near the center), each point's stencil
-    in one evaluate_many call; residuals are normalised by max(1, true
-    magnitude).  Returns the pair (gradient residual, Hessian residual).
+    _samples (200 points of the sample_half cube, shrunk by ten Hessian
+    steps, and 100 near the center), each point's stencil in one
+    evaluate_many call; residuals are normalised by max(1, true magnitude).
+    Returns the pair (gradient residual, Hessian residual).
     """
     grad_step, hstep = 1e-6, 1e-4
     d = model.dim
-    # stay a step away from the box edge so stencils remain inside
-    pts = _samples(model, 200, 7, model.box_half - 10.0 * hstep)
+    pts = _samples(model, 200, 7, sample_half(model) - 10.0 * hstep)
     # rows of step I are the step e_i
     eg, eh = grad_step * np.eye(d), hstep * np.eye(d)
     ii, jj = np.triu_indices(d, 1)

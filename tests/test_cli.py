@@ -434,11 +434,79 @@ def test_geodesic_conjugacy_exit(tmp_path, capsys, monkeypatch):
 
 def test_geodesic_far_from_the_origin(tmp_path):
     """At |x*| = 9e5 the float spacing (1.16e-10) exceeds 1e-10: Newton's stop test scales."""
-    cfg = dict(CONST_2D, potential=dict(CONST_2D["potential"], box_half=1e6),
-               x_star=[9e5, 0.0], y_star=[-9e5, 0.0])
+    cfg = dict(CONST_2D, x_star=[9e5, 0.0], y_star=[-9e5, 0.0])
     code, text = run_to_file(tmp_path, "geodesic", cfg)
     assert code == 0
     assert json.loads(text)["dA"] == pytest.approx(1.44e6, rel=1e-12)
+
+
+WELLS = {"bump": {"kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0}},
+         "cosine": {"kind": "cosine_well",
+                    "params": {"base": -0.55, "depth": 0.35, "radius": 2.5}},
+         "tanh_steep": {"kind": "tanh_step", "params": {"base": -0.6, "amp": 0.3}}}
+# an endpoint a unit or more outside the well: the orbit crosses a stretch where V is flat,
+# its steps grow tenfold each, and trial stages land far off the energy shell
+FLAT_SHOTS = [(1, "bump", [-4.0], [0.0]), (1, "cosine", [-4.0], [4.0]),
+              (1, "tanh_steep", [-8.0], [8.0]), (2, "bump", [-3.0, -0.3], [3.0, 0.4]),
+              (3, "bump", [-3.0, -0.3, 0.2], [3.0, 0.4, -0.2]),
+              (3, "cosine", [-3.1, 0.3, -0.2], [2.9, -0.3, 0.3])]
+
+
+@pytest.mark.parametrize("dim,well,y,x", FLAT_SHOTS,
+                         ids=[f"d{dim}-{well}" for dim, well, *_ in FLAT_SHOTS])
+def test_geodesic_across_a_flat_stretch(tmp_path, dim, well, y, x):
+    """Fan and single start, both ways, exit 0: forward and reverse d_A agree within
+    agmon_reciprocity's 1e-9, and so do fan and single start; in d = 1 d_A is the
+    quadrature's within 1e-8."""
+    d_a = {}
+    for starts, count in (("fan", None), ("one", 1)):
+        for way, (a, b) in (("fwd", (y, x)), ("rev", (x, y))):
+            cfg = {"dimension": dim, "potential": WELLS[well], "y_star": a, "x_star": b,
+                   "shooting": {"multistart": count}}
+            code, text = run_to_file(tmp_path, "geodesic", cfg)
+            assert code == 0
+            d_a[starts, way] = json.loads(text)["dA"]
+    assert max(d_a.values()) - min(d_a.values()) <= 1e-9
+    if dim == 1:
+        model = potential.from_config(1, WELLS[well])
+        quadrature = selfcheck.agmon_distance_quadrature_1d(model, y[0], x[0])
+        assert abs(d_a["fan", "fwd"] - quadrature) <= 1e-8
+
+
+def test_validate1d_across_a_flat_stretch(tmp_path):
+    """The d = 1 bump from -4 to 0: the kernel converges to the oracle's at order h."""
+    cfg = dict(BUMP_1D, y_star=[-4.0], x_star=[0.0], h_list=[0.2, 0.1, 0.05, 0.025])
+    code, text = run_to_file(tmp_path, "validate1d", cfg)
+    assert code == 0
+    assert float(re.search(r"# slope = (.+)", text).group(1)) >= 0.8
+
+
+def test_a_start_on_the_momentum_ball_exits_2(tmp_path, capsys):
+    """V(y*) = -1e-7 puts |p0|^2 = 1 - 1e-14 past the ball: refused before any flow runs."""
+    cfg = dict(CONST_2D, potential={"kind": "constant", "params": {"value": -1e-7}})
+    code, _ = run_to_file(tmp_path, "geodesic", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: V = -1e-07 at the start") and "momentum ball" in err
+
+
+@pytest.mark.parametrize("x_star", [[1e-13, 0.0], [1e-300, 0.0]], ids=["1e-13", "1e-300"])
+def test_close_endpoints_exit_2(tmp_path, capsys, x_star):
+    """Under 10 NEWTON_TOL / MERGE_TOL = 1e-3 apart (times max(1, |x*|_inf)) the absolute
+    Newton stop and the merge can no longer tell one connection: refused, not shot wrong."""
+    cfg = dict(CONST_2D, potential=WELLS["bump"], y_star=[0.0, 0.0], x_star=x_star)
+    code, _ = run_to_file(tmp_path, "geodesic", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: endpoints ") and err.endswith(
+        "apart; the shoot needs a separation of at least 0.001\n")
+
+
+def test_endpoints_past_the_least_separation_connect_once(tmp_path):
+    cfg = dict(CONST_2D, potential=WELLS["bump"], y_star=[0.0, 0.0], x_star=[2e-3, 0.0])
+    code, text = run_to_file(tmp_path, "geodesic", cfg)
+    assert code == 0
+    assert json.loads(text)["uniqueness"]["n_distinct"] == 1
 
 
 # --------------------------------------------------------------------- kernel
@@ -689,8 +757,8 @@ def bump_2d(**params):
                                   "params": {"base": -0.5, "amp": 0.2, "center": [0.0]}}),
     lambda c: c.update(potential=dict(bump_2d(), window=float("nan"))),  # the family sets
     lambda c: c.update(potential=dict(bump_2d(), window=-5.0)),          # window and margin
-    lambda c: c.update(potential=dict(bump_2d(), box_half=float("nan"))),  # box finite and
-    lambda c: c.update(potential=dict(bump_2d(), box_half=-1.0)),          # covers the window
+    lambda c: c.update(potential=dict(bump_2d(), box_half=float("nan"))),  # V lives on R^d:
+    lambda c: c.update(potential=dict(bump_2d(), box_half=-1.0)),          # no box to set
     lambda c: c.update(potential=dict(bump_2d(), delta=float("nan"))),
     lambda c: c.update(potential=dict(bump_2d(), delta=-0.5)),
     lambda c: c.update(potential={"kind": "bump_well",                     # misspelt center
@@ -712,13 +780,14 @@ def bump_2d(**params):
                        potential={"kind": "tanh_step",
                                   "params": {"base": -0.5, "amp": 0.2, "center": False}}),
     lambda c: c.update(ode={"max_step": 0.5}),                             # not an option
-    lambda c: c.update(potential=dict(c["potential"], box_half=1e308),     # |x - y| overflows
-                       x_star=[1e308, 0.1], y_star=[-1e308, 0.0]),
+    lambda c: c.update(x_star=[1e308, 0.1], y_star=[-1e308, 0.0]),      # past +-1e100
     lambda c: c.update(h_list=[10**400]),                     # no float holds these
     lambda c: c.update(x_star=[10**400, 0.0]),
     lambda c: c.update(potential={"kind": "constant", "params": {"value": -10**400}}),
     lambda c: c.update(potential=bump_2d(radius=5e-324)),  # radius^2 underflows to 0
     lambda c: c.update(potential=bump_2d(radius=1e200)),   # radius^2 overflows
+    lambda c: c.update(x_star=[1.0000000000000002e100, 0.0]),  # just past +-1e100
+    lambda c: c.update(potential=bump_2d(center=[0.0, -1e101])),
 ])
 def test_config_rejection_paths(tmp_path, mutate, capsys):
     cfg = json.loads(json.dumps(CONST_2D))
@@ -882,9 +951,18 @@ def test_bad_h_list_override(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("key", ["delta", "window", "out"])
+@pytest.mark.parametrize("h_list", ["", ","], ids=["empty", "comma"])
+def test_an_empty_h_list_flag_exits_2_and_names_it(tmp_path, capsys, h_list):
+    """A given --h-list is read, not passed over for the config's h_list."""
+    code, _ = run_to_file(tmp_path, "constant", CONST_1D, extra=("--h-list", h_list))
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: --h-list names no h: {h_list!r}\n"
+
+
+@pytest.mark.parametrize("key", ["delta", "window", "box_half", "out"])
 def test_derived_and_removed_keys_exit_2_and_name_the_key(tmp_path, capsys, key):
-    """The family gives the margin and the window, and --out alone the artifact path."""
+    """The family gives the margin and the window, V has no domain box, and --out alone
+    gives the artifact path."""
     target = tmp_path / "from_config.csv"
     cfg = json.loads(json.dumps(CONST_1D))
     if key == "out":
@@ -925,7 +1003,7 @@ def test_selfcheck_refuses_config_and_h_list(capsys, monkeypatch, flags, refused
 
 FUZZ_CONFIG = {
     "dimension": 2,
-    "potential": {"kind": "constant", "params": {"value": -0.6}, "box_half": 12.0},
+    "potential": {"kind": "constant", "params": {"value": -0.6}},
     "x_star": [0.5, 0.1],
     "y_star": [-0.5, 0.0],
     "h_list": [0.2, 0.1],
@@ -934,15 +1012,12 @@ FUZZ_CONFIG = {
 # the constant command rejects these wells after parsing them, so they exit 2 when unmutated
 FUZZ_WELL = dict(FUZZ_CONFIG, potential={
     "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0,
-                                    "center": [0.25, -0.5]},
-    "box_half": 12.0})
+                                    "center": [0.25, -0.5]}})
 FUZZ_COSINE = dict(FUZZ_CONFIG, potential={
     "kind": "cosine_well", "params": {"base": -0.55, "depth": 0.35, "radius": 2.5,
-                                      "center": [-0.3, 0.2]},
-    "box_half": 12.0})
+                                      "center": [-0.3, 0.2]}})
 FUZZ_TANH = dict(FUZZ_CONFIG, dimension=1, x_star=[0.5], y_star=[-0.5], potential={
-    "kind": "tanh_step", "params": {"base": -0.5, "amp": 0.2, "center": 0.1},
-    "box_half": 24.0})
+    "kind": "tanh_step", "params": {"base": -0.5, "amp": 0.2, "center": 0.1}})
 FUZZ_MENU = [float("nan"), float("inf"), -float("inf"), -1, 0, 2, 0.5, -0.5, 1e308,
              -1e308, 5e-324, True, False, "x", "0.5", [], {}, None, [True, 0.5],
              [0.5], [[0.5, 0.5]], {"value": -0.6}]
@@ -1021,13 +1096,11 @@ def test_fuzz_every_field_exits_0_2_or_3(tmp_path, capsys, config):
 # two coarse h
 FUZZ_SHOT = dict(FUZZ_WELL, shooting={"multistart": 1})
 FUZZ_1D = dict(FUZZ_SHOT, dimension=1, x_star=[0.5], y_star=[-0.5], potential={
-    "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0},
-    "box_half": 12.0})
+    "kind": "bump_well", "params": {"base": -0.6, "depth": 0.3, "radius": 2.0}})
 FUZZ_3D = dict(FUZZ_SHOT, dimension=3, x_star=[0.5, 0.1, 0.0], y_star=[-0.5, 0.0, 0.1],
                potential={"kind": "bump_well",
                           "params": {"base": -0.6, "depth": 0.3, "radius": 2.0,
-                                     "center": [0.25, -0.5, 0.0]},
-                          "box_half": 12.0})
+                                     "center": [0.25, -0.5, 0.0]}})
 FUZZ_BUDGET_S = 10.0
 
 

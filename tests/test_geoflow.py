@@ -14,8 +14,8 @@ from scipy.integrate import quad, solve_ivp
 from diracgreen import dop853, geoflow
 from diracgreen.clifford import DomainError
 from diracgreen.cli import ConfigError, RunConfig
-from diracgreen.dop853 import TIGHT, OdeOpts, solve_lanes
-from diracgreen.geoflow import (CHART_ESCAPE, CONVERGED, LEFT_BOX, LOOSE, LOOSE_UNTIL, MERGE_TOL,
+from diracgreen.dop853 import TIGHT, UNDERFLOW, OdeOpts, solve_lanes
+from diracgreen.geoflow import (BALL, CHART_ESCAPE, CONVERGED, LOOSE, LOOSE_UNTIL, MERGE_TOL,
                                 POLISH_TOL,
                                 ConjugatePointError, ShootingError,
                                 _fan_starts, _flow_one, _newton, _var_index,
@@ -23,7 +23,7 @@ from diracgreen.geoflow import (CHART_ESCAPE, CONVERGED, LEFT_BOX, LOOSE, LOOSE_
                                 integrate_flow, shoot_geodesic)
 from diracgreen.selfcheck import (agmon_distance_quadrature_1d, exp_inverse_from_geodesic,
                                   exp_map_oracle, exp_prime_fd)
-from diracgreen.potential import make_potential
+from diracgreen.potential import PotentialModel, make_potential
 
 BUMP = {"base": -0.6, "depth": 0.3, "radius": 2.0}
 COSINE = {"base": -0.55, "depth": 0.35, "radius": 2.5}
@@ -54,7 +54,7 @@ def test_flow_rejects_nonpositive_time():
 
 
 def test_flow_stops_at_momentum_ball_boundary():
-    # |p| inside the guard band: the first derivative evaluation must refuse
+    # |p| inside the guard band: the start check must refuse
     m = make_potential(1, "tanh_step", {"base": -0.5, "amp": 0.2})
     with pytest.raises(DomainError):
         integrate_flow(m, [0.0], [math.sqrt(1.0 - 5e-13)], 5.0)
@@ -94,14 +94,13 @@ def test_trajectory_accessor_guards():
 
 
 def test_energy_diagnostic_keeps_the_domain_checks():
-    """hamiltonian_sup raises where hamiltonian does: |p| >= 1 or x outside the box."""
+    """hamiltonian_sup raises where hamiltonian does: |p| >= 1."""
     m = constant_model(2)
     traj = integrate_flow(m, [0.0, 0.0], [0.5, 0.0], 0.3, variational=False)
-    for x, p in (([0.0, 0.0], [0.6, 0.8]), ([20.0, 0.0], [0.5, 0.0])):
-        state = np.array(x + p + [0.0])
-        traj.sol = lambda t, y=state: np.multiply.outer(y, np.ones_like(t))
-        with pytest.raises(DomainError):
-            traj.hamiltonian_sup()
+    state = np.array([0.0, 0.0, 0.6, 0.8, 0.0])
+    traj.sol = lambda t: np.multiply.outer(state, np.ones_like(t))
+    with pytest.raises(DomainError):
+        traj.hamiltonian_sup()
 
 
 # ------------------------------------------------------------------- shooting
@@ -269,8 +268,24 @@ def test_d1_fan_is_the_one_start_toward_x_star(dim, kind, params, y, x, monkeypa
     assert outcome != CONVERGED and end is None
 
 
-def test_lane_leaving_the_box_fails_alone(monkeypatch):
-    """In a box of half-width 6 two d=2 starts leave it; the rest converge as in the wide box."""
+class _Fenced(PotentialModel):
+    """A model whose V and derivatives are NaN past |x|_inf = 6: no step may end there."""
+
+    def terms(self, x):
+        if max(map(abs, x)) <= 6.0:
+            return super().terms(x)
+        return math.nan, [math.nan] * self.dim, math.nan, math.nan, math.nan
+
+    def evaluate_many(self, xs):
+        v, grad, hess = super().evaluate_many(xs)
+        out = ~(np.abs(xs).max(axis=1) <= 6.0)
+        v[out], grad[out], hess[out] = math.nan, math.nan, math.nan
+        return v, grad, hess
+
+
+def test_lane_running_into_nan_underflows_alone(monkeypatch):
+    """Behind a NaN fence at |x|_inf = 6 two d=2 starts underflow; the rest converge as
+    without the fence."""
     y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
     starts, tau0 = _fan_starts(bump_model(2), y, x, None)
     _, free_ends = _newton(bump_model(2), y, x, starts, tau0)
@@ -285,27 +300,27 @@ def test_lane_leaving_the_box_fails_alone(monkeypatch):
         return dop853_lanes(fun, y0, rtol, atol, hook)
 
     monkeypatch.setattr(geoflow, "solve_lanes", recording)
-    boxed = make_potential(2, "bump_well", BUMP, box_half=6.0)
-    outcomes, ends = _newton(boxed, y, x, starts, tau0)
-    assert outcomes.count(LEFT_BOX) == 2 and runs == [len(starts)]
-    # each lane left the box while other lanes of the run went on to reach s = 1
-    for i, (k, reason) in enumerate(ended):
-        if reason == LEFT_BOX:
-            assert any(j != k and why == "" for j, why in ended[i + 1:])
+    outcomes, ends = _newton(_Fenced(2, "bump_well", BUMP), y, x, starts, tau0)
+    assert outcomes.count(UNDERFLOW) == 2 and runs == [len(starts)]
+    # the two fenced lanes stop once each, on UNDERFLOW; every other iterate reaches s = 1
+    assert sorted(k for k, reason in ended if reason) == [
+        k for k, outcome in enumerate(outcomes) if outcome == UNDERFLOW]
+    assert {reason for _, reason in ended} == {"", UNDERFLOW}
+    # a lane's numbers never depend on the other lanes
     for end, free in zip(ends, free_ends):
         assert (end is None) == (free is None)
         if end is not None:
-            np.testing.assert_allclose(end.p0, free.p0, rtol=0.0, atol=1e-13)
+            assert np.array_equal(end.p0, free.p0)
 
 
-def test_single_start_leaving_the_box_matches_the_lanes():
-    """In a box of half-width 6 each d=2 start, shot alone, ends as it does in the fan."""
+def test_single_start_running_into_nan_matches_the_lanes():
+    """Behind a NaN fence at |x|_inf = 6 each d=2 start, shot alone, ends as it does in the fan."""
     y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
-    boxed = make_potential(2, "bump_well", BUMP, box_half=6.0)
-    starts, tau0 = _fan_starts(boxed, y, x, None)
-    fan, _ = _newton(boxed, y, x, starts, tau0)
-    assert fan == [CONVERGED] * 5 + [LEFT_BOX, CHART_ESCAPE, LEFT_BOX]
-    assert [_newton(boxed, y, x, [n], tau0)[0][0] for n in starts] == fan
+    fenced = _Fenced(2, "bump_well", BUMP)
+    starts, tau0 = _fan_starts(fenced, y, x, None)
+    fan, _ = _newton(fenced, y, x, starts, tau0)
+    assert fan == [CONVERGED] * 5 + [UNDERFLOW, CHART_ESCAPE, UNDERFLOW]
+    assert [_newton(fenced, y, x, [n], tau0)[0][0] for n in starts] == fan
 
 
 @pytest.mark.parametrize("value", [0.6, 0.0, -1.2])
@@ -322,13 +337,6 @@ def test_a_midpoint_outside_the_gap_is_a_domain_error():
     m = make_potential(2, "bump_well", {"base": -0.6, "depth": 0.7, "radius": 2.0})
     with pytest.raises(DomainError, match=r"^V = .+ at the midpoint \[0\.0, 0\.0\] lies outside"):
         shoot_geodesic(m, [-3.0, 0.0], [3.0, 0.0])
-
-
-def test_flow_leaving_the_box_names_the_point():
-    """The flow's box test raises evaluate's DomainError text."""
-    m = make_potential(2, "bump_well", BUMP, box_half=6.0)
-    with pytest.raises(DomainError, match=r"^point \[.+\] outside the domain box \[\+-6\.0\]\^2$"):
-        integrate_flow(m, [5.9, 0.0], [0.5, 0.0], 1.0)
 
 
 # every FAN_PAIRS family in the dimensions it is shot in, and a d = 4 bump
@@ -353,29 +361,35 @@ def test_lone_flow_rhs_matches_a_lane_row(dim, kind, variational):
     m = make_potential(dim, kind, _PARAMS[kind])
     lone, lane = geoflow._flow_rhs(m, variational), geoflow._lane_rhs(m, np.ones(1))
     for y in _flow_states(dim, 50, 3):
-        want, why = lane(y[None, :], np.zeros(1, dtype=int))
-        assert why is None
+        want = lane(y[None, :], np.zeros(1, dtype=int))
         want = want[0, :len(y) if variational else _var_index(dim)]
         got = lone(0.0, y if variational else y[:_var_index(dim)])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(want))
 
 
-def test_lone_flow_rhs_names_the_ball_and_the_box():
-    """The ball and box exits raise their texts; a NaN coordinate is not a box exit."""
-    rhs = geoflow._flow_rhs(make_potential(2, "bump_well", BUMP, box_half=6.0), True)
-    y = _flow_states(2, 1, 4)[0]
-    y[2:4] = [0.6, 0.8]
-    with pytest.raises(DomainError, match=r"^flow reached the momentum ball boundary "
-                                          r"\|p\| -> 1 at t = 0\.5$"):
-        rhs(0.5, y)
+def test_flow_rhs_is_nan_past_the_ball():
+    """Past the ball both right-hand sides give NaN where they read w, with no warning (the
+    suite makes warnings errors); far out they stay finite, and a NaN coordinate gives a NaN
+    grad V."""
+    m = make_potential(2, "bump_well", BUMP)
+    lone, lane = geoflow._flow_rhs(m, True), geoflow._lane_rhs(m, np.ones(3))
+    ys = _flow_states(2, 3, 4)
+    ys[0, 2:4] = [0.6, 0.8]                       # on the sphere |p| = 1
+    ys[1, 2:4] = [1.0 - 1e-13, 0.0]               # |p|^2 = 1 - 2e-13, past BALL
+    ys[2, 2:4] = [0.8, 0.8]                       # outside it
+    assert ys[1, 2] ** 2 >= BALL
+    reads_w = np.r_[0:2, 4:9]                     # x', the action rate and dpX'
+    for y, row in zip(ys, lane(ys, np.arange(3))):
+        got = lone(0.0, y)
+        assert np.isnan(got[reads_w]).all() and np.isnan(row[reads_w]).all()
+        assert np.isfinite(got[2:4]).all() and np.isfinite(row[2:4]).all()
+    y = ys[0].copy()
     y[2:4] = [0.3, 0.0]
-    y[:2] = [0.5, -6.5]
-    with pytest.raises(DomainError, match=r"^point \[ 0\.5 -6\.5\] outside the domain box "
-                                          r"\[\+-6\.0\]\^2$"):
-        rhs(0.0, y)
+    y[:2] = [0.5, -1e100]
+    assert np.isfinite(lone(0.0, y)).all()
     y[:2] = [math.nan, 0.5]
-    assert np.isnan(rhs(0.0, y)[2:4]).all()   # grad V at a NaN point
+    assert np.isnan(lone(0.0, y)[2:4]).all()   # grad V at a NaN point
 
 
 READ_PAIRS = [FAN_PAIRS[1], FAN_PAIRS[4], FAN_PAIRS[6]]
@@ -420,12 +434,23 @@ def _retire(k, y_end, reason):
     return None
 
 
+def _fenced_decay(rates, calls=None):
+    """dy/ds = -rate y per lane, NaN on lane 1 once y < 0.5: that lane's steps shrink there."""
+    def fenced(y, rows):
+        if calls is not None:
+            calls.append(rows.copy())
+        dy = -rates[rows, None] * y
+        dy[(rows == 1) & (y[:, 0] < 0.5)] = math.nan
+        return dy
+    return fenced
+
+
 def test_dop853_lanes_follow_scipy_lane_by_lane():
-    """Each lane takes scipy's DOP853 steps; a lane leaving the domain stops alone."""
+    """Each lane takes scipy's DOP853 steps; a lane running into NaN underflows alone."""
     rates = np.array([0.5, 1.0, 3.0, 10.0])
 
     def decay(y, rows):
-        return -rates[rows, None] * y, None
+        return -rates[rows, None] * y
 
     y_end, why = solve_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12, _retire)
     assert list(why) == [""] * 4
@@ -435,11 +460,9 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
         np.testing.assert_allclose(y_end[k], ref.y[:, -1], rtol=1e-14)
         np.testing.assert_allclose(y_end[k], np.exp(-rate), rtol=1e-9, atol=1e-11)
 
-    def fenced(y, rows):   # lane 1 leaves its domain once y < 0.5
-        return -rates[rows, None] * y, np.where((rows == 1) & (y[:, 0] < 0.5), LEFT_BOX, "")
-
-    fenced_end, why = solve_lanes(fenced, np.ones((4, 2)), 1e-10, 1e-12, _retire)
-    assert list(why) == ["", LEFT_BOX, "", ""]
+    fenced_end, why = solve_lanes(_fenced_decay(rates), np.ones((4, 2)), 1e-10, 1e-12, _retire)
+    assert list(why) == ["", UNDERFLOW, "", ""]
+    assert 0.5 <= fenced_end[1, 0] < 0.5 + 1e-9
     np.testing.assert_allclose(fenced_end[[0, 2, 3]], y_end[[0, 2, 3]], rtol=1e-13)
 
 
@@ -513,10 +536,7 @@ def test_dop853_lanes_restart_a_lane_from_the_hook():
     bit, at the tolerances the hook set; a retired lane is never evaluated again."""
     rates = np.array([0.5, 1.0, 3.0, 10.0])
     calls = []   # the rows of every fun call
-
-    def fenced(y, rows):   # lane 1 leaves its domain once y < 0.5
-        calls.append(rows.copy())
-        return -rates[rows, None] * y, np.where((rows == 1) & (y[:, 0] < 0.5), LEFT_BOX, "")
+    fenced = _fenced_decay(rates, calls)
 
     rtol, atol = np.full((4, 1), 1e-10), np.full((4, 1), 1e-12)
     fresh_state = np.array([[10.0, 10.0], [10.0, 10.0], [2.0, 3.0], [1.0, 1.0]])
@@ -533,9 +553,9 @@ def test_dop853_lanes_restart_a_lane_from_the_hook():
 
     y_end, why = solve_lanes(fenced, np.ones((4, 2)), rtol, atol, restart)
     in_run = len(calls)
-    # lane 1 first stops outside its domain; its restart from 10 clears the reason
-    assert (1, LEFT_BOX) in seen and list(why) == [""] * 4
-    assert sorted(seen) == [(0, ""), (0, ""), (1, ""), (1, LEFT_BOX), (2, ""), (2, ""), (3, "")]
+    # lane 1 first underflows at its NaN fence; its restart from 10 clears the reason
+    assert (1, UNDERFLOW) in seen and list(why) == [""] * 4
+    assert sorted(seen) == [(0, ""), (0, ""), (1, ""), (1, UNDERFLOW), (2, ""), (2, ""), (3, "")]
     fresh, _ = solve_lanes(fenced, fresh_state, 1e-10, 1e-12, _retire)
     assert np.array_equal(y_end[[0, 1]], fresh[[0, 1]])
     loose, _ = solve_lanes(fenced, fresh_state, 1e-6, 1e-8, _retire)
@@ -551,7 +571,7 @@ def test_dop853_lanes_take_per_lane_tolerances():
     rates = np.array([0.5, 1.0, 3.0, 10.0])
 
     def decay(y, rows):
-        return -rates[rows, None] * y, None
+        return -rates[rows, None] * y
 
     pairs = [(1e-6, 1e-8), (1e-10, 1e-12), (1e-12, 1e-14), (1e-6, 1e-8)]
     rtol, atol = (np.array(col)[:, None] for col in zip(*pairs))

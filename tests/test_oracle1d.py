@@ -254,10 +254,6 @@ def test_input_validation():
         decaying_solution(m, "right", [0.0], -0.1)
     with pytest.raises(DomainError):
         decaying_solution(make_potential(2, "bump_well", BUMP), "right", [0.0], 0.1)
-    with pytest.raises(DomainError, match="anchor falls outside"):
-        decaying_solution(m, "right", [-9.8, 0.0], 0.1)   # anchored at 10.3, box 10
-    with pytest.raises(DomainError, match="anchor falls outside"):
-        decaying_solution(m, "left", [9.8], 0.1)
     with pytest.raises(DomainError, match="finite"):
         decaying_solution(m, "right", [0.0, float("nan")], 0.1)
     with pytest.raises(DomainError):

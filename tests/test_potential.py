@@ -8,7 +8,7 @@ import pytest
 from diracgreen import potential
 from diracgreen.clifford import DomainError
 from diracgreen.potential import (FAMILIES, Family, from_config, fd_consistency,
-                                  make_potential, negated, validate_hypothesis)
+                                  make_potential, negated, sample_half, validate_hypothesis)
 
 # one list per family-parametrised test; each must name every FAMILIES key
 FD_CASES = [
@@ -75,7 +75,7 @@ DERIVED_CASES = [
 @pytest.mark.parametrize("dim,kind,params,margin,window", DERIVED_CASES)
 def test_margin_and_window_come_from_the_family_row(dim, kind, params, margin, window):
     m = make_potential(dim, kind, params)
-    assert (m.margin, m.window, m.box_half) == (margin, window, max(10.0, window + 1.0))
+    assert (m.margin, m.window, sample_half(m)) == (margin, window, max(10.0, window + 1.0))
     assert from_config(dim, {"kind": kind, "params": params}) == m
 
 
@@ -146,11 +146,11 @@ def test_unknown_kind_rejected():
 
 
 def test_point_validation():
+    """A point must have the model's length; anywhere in R^d it has the family's value."""
     m = make_potential(2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
     with pytest.raises(DomainError):
         m.value([0.1, 0.2, 0.3])
-    with pytest.raises(DomainError):
-        m.value([11.0, 0.0])   # outside box_half = 10
+    assert m.value([11.0, 0.0]) == m.value([-1e100, 1e100]) == -0.6
 
 
 def test_scalar_point_in_1d():
@@ -177,7 +177,7 @@ def test_analytic_derivatives_match_finite_differences(dim, kind, params):
 def test_negated_flips_every_family(dim, kind, params):
     m = make_potential(dim, kind, params)
     neg = negated(m)
-    assert (neg.window, neg.box_half) == (m.window, m.box_half)
+    assert neg.window == m.window
     for x in np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, dim)):
         v, g, h = m.evaluate(x)
         nv, ng, nh = neg.evaluate(x)
@@ -188,7 +188,7 @@ def test_negated_flips_every_family(dim, kind, params):
 
 @pytest.mark.parametrize("dim,kind,params", MANY_CASES)
 def test_evaluate_many_matches_evaluate(dim, kind, params):
-    """Row by row within 4 ulp: at the center, inside, on the edge, outside the ball and box."""
+    """Row by row within 4 ulp: at the center, inside, on the edge, outside the ball, far out."""
     m = make_potential(dim, kind, params)
     rng = np.random.default_rng(11)
     radius = params.get("radius", 2.0)
@@ -196,25 +196,16 @@ def test_evaluate_many_matches_evaluate(dim, kind, params):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     r = np.concatenate([np.zeros(10), rng.uniform(0.0, 1e-4, 40),     # the center
                         rng.uniform(0.0, radius, 80), np.full(30, radius),
-                        rng.uniform(radius, 2.0 * m.box_half, 40)])
+                        rng.uniform(radius, 2.0 * sample_half(m), 35), np.full(5, 1e100)])
     xs = np.atleast_1d(params.get("center", 0.0)) + dirs * r[:, None]
-    v, grad, hess, outside = m.evaluate_many(xs)
+    v, grad, hess = m.evaluate_many(xs)
     assert v.shape == (200,) and grad.shape == (200, dim) and hess.shape == (200, dim, dim)
     ulp4 = 4.0 * np.finfo(float).eps
-    n_out = 0
     for k, x in enumerate(xs):
-        if np.any(np.abs(x) > m.box_half):
-            n_out += 1
-            assert outside[k]
-            with pytest.raises(DomainError):
-                m.evaluate(x)
-            continue
-        assert not outside[k]
         v1, g1, h1 = m.evaluate(x)
         np.testing.assert_allclose(v[k], v1, rtol=ulp4, atol=0.0)
         np.testing.assert_allclose(grad[k], g1, rtol=ulp4, atol=0.0)
         np.testing.assert_allclose(hess[k], h1, rtol=ulp4, atol=0.0)
-    assert n_out >= 5
     with pytest.raises(DomainError):
         m.evaluate_many(np.zeros((3, dim + 1)))
 
@@ -273,8 +264,8 @@ def test_hypothesis_validation_passes_for_gap_families():
 @pytest.mark.parametrize("dim,kind,params", MARGIN_CASES)
 def test_hypothesis_margin_matches_a_pointwise_loop(dim, kind, params):
     """The batched margin is the min over the same seeded samples of model.value, bit for bit."""
-    m = make_potential(dim, kind, params, box_half=3.0)
-    pts = potential._samples(m, 1000, 0, 3.0)
+    m = make_potential(dim, kind, params)
+    pts = potential._samples(m, 1000, 0, sample_half(m))
     margin = min(min(-v, 1.0 + v) for v in map(m.value, pts))
     assert validate_hypothesis(m) == margin
 
@@ -291,9 +282,10 @@ def test_config_round_trip():
     assert (from_config(2, {"kind": "cosine_well", "params": cosine})
             == make_potential(2, "cosine_well", cosine))
     step = {"base": -0.5, "amp": 0.2}
-    custom = from_config(1, {"kind": "tanh_step", "params": step, "box_half": 25.0})
-    assert custom == make_potential(1, "tanh_step", step, box_half=25.0)
-    assert custom.box_half == 25.0
+    assert from_config(1, {"kind": "tanh_step", "params": step}) == make_potential(
+        1, "tanh_step", step)
+    with pytest.raises(DomainError, match=r"unknown potential field\(s\): \['box_half'\]"):
+        from_config(1, {"kind": "tanh_step", "params": step, "box_half": 25.0})
 
 
 def test_config_requires_kind():
@@ -334,8 +326,7 @@ def test_a_new_family_needs_only_its_row(monkeypatch):
     assert h_res <= 1e-5
 
     xs = np.random.default_rng(3).uniform(-2.5, 2.5, size=(60, 2))
-    v, grad, hess, outside = m.evaluate_many(xs)
-    assert not outside.any()
+    v, grad, hess = m.evaluate_many(xs)
     ulp4 = 4.0 * np.finfo(float).eps
     for k, x in enumerate(xs):
         v1, g1, h1 = m.evaluate(x)

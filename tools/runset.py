@@ -8,18 +8,19 @@ checkout's src/.  To compare two versions, copy this file into the other
 checkout, run it there into a second directory, and `diff -r` the two:
 an empty diff means every artifact, message and exit code is
 byte-identical.  The runs go on min(cpu_count, 4) worker processes at a
-time, and each line is printed in run order.  The set (84 runs, about
+time, and each line is printed in run order.  The set (89 runs, about
 a minute on 2 cores):
 
 * validate1d and geodesic on ten 1D pairs (bump, steep and mild tanh,
   cosine, constant -0.6, each both ways); geodesic with the fan, one
   start and two starts; validate1d also on the bump at h = 0.1 alone, at
   (-1.6, 0.4), with one start, centred at 0.3, down to h = 0.005, and
-  down to h = 1e-6 (exit 3);
+  down to h = 1e-6 (exit 3); validate1d, and geodesic with the fan and
+  one start, on the bump from -4 to 0, across its flat stretch;
 * kernel in d = 1, 2, 3 with the fan and one start, constant in d = 1, 2, 3;
-* geodesic on five d = 2 and three d = 3 pairs and bmt on the three d = 3
-  pairs, each with the fan and one start; geodesic on a constant well at
-  +-9e5;
+* geodesic on four d = 2 and four d = 3 pairs and bmt on the four d = 3
+  pairs (the fourth across the bump's flat stretch), each with the fan
+  and one start; geodesic on a constant well at +-9e5;
 * five configs that exit 2, and the full selfcheck.
 """
 
@@ -55,13 +56,14 @@ PAIRS = {
          [-1.0, -0.3], [1.0, 0.4])],
     3: [("bump", "bump_well", BUMP, [-1.0, -0.3, 0.2], [1.0, 0.4, -0.2]),
         ("cosine", "cosine_well", COSINE, [-1.1, 0.3, -0.2], [0.9, -0.3, 0.3]),
-        ("bump_b", "bump_well", BUMP, [-0.9, 0.5, 0.1], [1.0, 0.2, -0.4])],
+        ("bump_b", "bump_well", BUMP, [-0.9, 0.5, 0.1], [1.0, 0.2, -0.4]),
+        ("bump_flat", "bump_well", BUMP, [-3.0, -0.3, 0.2], [3.0, 0.4, -0.2])],
 }
 STARTS = {"fan": None, "one": 1}
 
 
-def config(dim, kind, params, y_star, x_star, h_list=H_LIST, multistart=None, **potential):
-    return {"dimension": dim, "potential": dict(kind=kind, params=params, **potential),
+def config(dim, kind, params, y_star, x_star, h_list=H_LIST, multistart=None):
+    return {"dimension": dim, "potential": dict(kind=kind, params=params),
             "y_star": y_star, "x_star": x_star, "h_list": h_list,
             "shooting": {"multistart": multistart}}
 
@@ -87,6 +89,12 @@ def runs():
         ("validate1d_bump_h0005", "validate1d", bump, ("--h-list", "0.2,0.005")),
         ("validate1d_bump_underflow", "validate1d", bump, ("--h-list", "0.2,1e-6")),
     ]
+    # across the flat stretch, where a shot's steps grow tenfold each
+    flat = config(1, "bump_well", BUMP, [-4.0], [0.0])
+    out.append(("validate1d_bump_flat", "validate1d", flat, ()))
+    for starts, count in STARTS.items():
+        out.append((f"geodesic_d1_bump_flat_{starts}", "geodesic",
+                    dict(flat, shooting={"multistart": count}), ()))
     for dim in (1, 2, 3):
         ends = [[-0.5] + [0.0] * (dim - 1), [0.5] + [0.0] * (dim - 1)]
         for starts, count in STARTS.items():
@@ -95,16 +103,14 @@ def runs():
                                multistart=count), ()))
         out.append((f"constant_d{dim}", "constant",
                     config(dim, "constant", {"value": -0.6}, *ends), ()))
-    box6 = ("bump_box6", "bump_well", BUMP, [-1.0, -0.3], [1.0, 0.4])
     for dim, pairs in PAIRS.items():
-        for name, kind, params, y, x in pairs + ([box6] if dim == 2 else []):
-            extra = {"box_half": 6.0} if name == "bump_box6" else {}
+        for name, kind, params, y, x in pairs:
             for starts, count in STARTS.items():
-                cfg = config(dim, kind, params, y, x, multistart=count, **extra)
+                cfg = config(dim, kind, params, y, x, multistart=count)
                 out.append((f"geodesic_d{dim}_{name}_{starts}", "geodesic", cfg, ()))
                 if dim == 3:
                     out.append((f"bmt_d3_{name}_{starts}", "bmt", cfg, ()))
-    far = config(2, "constant", {"value": -0.6}, [-9e5, 0.0], [9e5, 0.0], box_half=1e6)
+    far = config(2, "constant", {"value": -0.6}, [-9e5, 0.0], [9e5, 0.0])
     out.append(("geodesic_d2_constant_far", "geodesic", far, ()))
     for name, kind, params in [("unknown_param", "bump_well", dict(BUMP, amp=0.1)),
                                ("bad_radius", "bump_well", dict(BUMP, radius=0.0)),
