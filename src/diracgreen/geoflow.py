@@ -471,8 +471,9 @@ def _fan_starts(model, y_star, x_star, count):
     r = float(np.linalg.norm(sep))
     least = 10.0 * NEWTON_TOL / MERGE_TOL * _unit(x_star)
     if not r >= least:
-        raise DomainError(f"endpoints {r!r} apart; the shoot needs a separation of at "
-                          f"least {least!r}")
+        # hypot scales, where the norm's squares underflow (1e-300 apart reads 0.0)
+        raise DomainError(f"endpoints {math.hypot(*sep.tolist())!r} apart; the shoot needs "
+                          f"a separation of at least {least!r}")
     mid = 0.5 * (x_star + y_star)
     v_y, v_mid = model.value(y_star), model.value(mid)
     for name, point, v in (("start", y_star, v_y), ("midpoint", mid, v_mid)):

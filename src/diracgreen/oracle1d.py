@@ -65,7 +65,7 @@ def decaying_solution(model, side, points, h):
         raise DomainError(f"points must be finite, got {points}")
     sign = -1.0 if side == "right" else 1.0     # the direction of the march
     anchor = -sign * _edge(model, points)
-    e_tail = model.value(np.array([anchor]))
+    e_tail = model.value(anchor)
     kappa = math.sqrt(1.0 - e_tail * e_tail)
     tail = np.array([1j * kappa, sign * (1.0 + e_tail)]) / math.hypot(kappa, 1.0 + e_tail)
 

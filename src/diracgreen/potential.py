@@ -9,7 +9,8 @@ bounds, and from the reach the window half-width L past which, at
 |x_1| >= L, V is exactly constant (the 1D Jost oracle anchors its
 integrations there, and the sampled checks cover the cube of half-width
 max(10, L + 1)).  Radial wells are evaluated through s = |x - c|^2 so
-that no formula degenerates at the center.
+that no formula degenerates at the center; every evaluator sums s left to
+right, one square at a time, so all of them agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 
 import numpy as np
 
@@ -137,12 +137,12 @@ class PotentialModel:
         object.__setattr__(self, "_radial", family.radial)
         object.__setattr__(self, "_center", center)
         object.__setattr__(self, "_profile", family.profile and partial(family.profile, *args))
-        object.__setattr__(self, "_eye", np.eye(self.dim))
         # terms' r of the constant family and of a family along x_1
         object.__setattr__(self, "_r", [0.0] * self.dim if family.profile is None else [1.0])
 
     def value(self, x):
-        return self._eval(x)[0]
+        """V at x, a scalar or a sequence of dim numbers."""
+        return self.terms(self._point(x))[0]
 
     def line_value(self):
         """V of a 1D model as a float function of s, for a hot loop.
@@ -160,15 +160,20 @@ class PotentialModel:
         return lambda s: profile(s - c)[2]
 
     def evaluate(self, x):
-        """Return (V, grad V, Hess V) at x."""
-        return self._eval(x)
+        """Return (V, grad V, Hess V) at x: terms' V, gamma r and alpha I + beta r r^T."""
+        v, r, gamma, alpha, beta = self.terms(self._point(x))
+        r = np.array(r)
+        return v, gamma * r, alpha * np.eye(self.dim) + beta * np.outer(r, r)
 
     def evaluate_many(self, xs):
         """Batched evaluate: (n, d) points to V (n,), grad (n, d), Hess (n, d, d).
 
         Rows go through the same float operations as evaluate, so both give
-        the same numbers.  The profile is evaluate's, called per row: on a
-        few dozen rows that beats a numpy pass per operation.
+        the same numbers: s is the running sum np.add.accumulate along the
+        row, which adds the squares left to right as terms does (numpy's row
+        sum goes pairwise from d = 8 on; np.cumsum is the same sum at about
+        2 µs more per call).  The profile is called per row: on a few dozen
+        rows that beats a numpy pass per operation.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
@@ -179,7 +184,7 @@ class PotentialModel:
                     np.zeros((n, d, d)))
 
         rel = xs - self._center
-        args = np.vecdot(rel, rel) if self._radial else rel[:, 0]
+        args = np.add.accumulate(rel * rel, axis=1)[:, -1] if self._radial else rel[:, 0]
         profile = self._profile
         rows = [profile(a) for a in args.tolist()]
         fp, fpp, v = np.array(rows, dtype=float).reshape(n, 3).T
@@ -199,6 +204,10 @@ class PotentialModel:
         gamma = alpha = 2 f' and beta = 4 f''; along x_1, r = (1), gamma = f',
         alpha = 0 and beta = f''; the constant family is all zero.  For a hot
         loop: without evaluate's numpy calls and shape check.
+
+        s = |r|^2 is summed left to right, one square at a time, in a float
+        loop: math.fsum rounds correctly and sum() is compensated from Python
+        3.12 on, and either would part from evaluate_many's running sum.
         """
         if self._profile is None:
             return self.params["value"], self._r, 0.0, 0.0, 0.0
@@ -206,29 +215,17 @@ class PotentialModel:
             fp, fpp, v = self._profile(x[0] - self._center)
             return v, self._r, fp, 0.0, fpp
         r = [a - c for a, c in zip(x, self._center_floats)]
-        fp, fpp, v = self._profile(math.fsum(map(mul, r, r)))
+        s = 0.0
+        for a in r:
+            s += a * a
+        fp, fpp, v = self._profile(s)
         return v, r, 2.0 * fp, 2.0 * fp, 4.0 * fpp
 
-    def _check_point(self, x):
+    def _point(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise DomainError(f"point must have length {self.dim}, got shape {x.shape}")
-        return x
-
-    def _eval(self, x):
-        x = self._check_point(x)
-        if self._profile is None:
-            return self.params["value"], np.zeros(self.dim), np.zeros((self.dim, self.dim))
-
-        if not self._radial:
-            fp, fpp, v = self._profile(x[0] - self._center)
-            return v, np.array([fp]), np.array([[fpp]])
-
-        rel = x - self._center
-        fp, fpp, v = self._profile(float(rel @ rel))
-        grad = 2.0 * fp * rel
-        hess = 2.0 * fp * self._eye + 4.0 * fpp * (rel[:, None] * rel)
-        return v, grad, hess
+        return x.tolist()
 
 
 def make_potential(dim, kind, params):

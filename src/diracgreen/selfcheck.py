@@ -50,8 +50,10 @@ def agmon_distance_quadrature_1d(model, a, b):
     if model.dim != 1:
         raise DomainError("the quadrature cross-check is 1D only")
 
+    v_at = model.line_value()
+
     def integrand(s):
-        v = model.value(np.array([s]))
+        v = v_at(s)
         return math.sqrt(1.0 - v * v)
 
     lo, hi = min(a, b), max(a, b)

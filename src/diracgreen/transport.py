@@ -74,8 +74,7 @@ def theta_1d(model, a, b):
     if model.dim != 1:
         raise DomainError("the closed-form phase is 1D only")
     lo, hi = (a, b) if a <= b else (b, a)
-    v_lo = model.value(np.atleast_1d(np.asarray(lo, dtype=float)))
-    v_hi = model.value(np.atleast_1d(np.asarray(hi, dtype=float)))
+    v_lo, v_hi = model.value(lo), model.value(hi)
     return 0.5 * (math.asin(v_lo) - math.asin(v_hi))
 
 

@@ -500,6 +500,8 @@ def test_close_endpoints_exit_2(tmp_path, capsys, x_star):
     err = capsys.readouterr().err
     assert err.startswith("domain error: endpoints ") and err.endswith(
         "apart; the shoot needs a separation of at least 0.001\n")
+    # the separation is named as it is, not as an underflowed 0.0
+    assert float(err.split()[3]) == x_star[0]
 
 
 def test_endpoints_past_the_least_separation_connect_once(tmp_path):

@@ -7,8 +7,9 @@ import pytest
 
 from diracgreen import potential
 from diracgreen.clifford import DomainError
-from diracgreen.potential import (FAMILIES, Family, from_config, fd_consistency,
-                                  make_potential, negated, sample_half, validate_hypothesis)
+from diracgreen.potential import (FAMILIES, Family, PotentialModel, from_config,
+                                  fd_consistency, make_potential, negated, sample_half,
+                                  validate_hypothesis)
 
 # one list per family-parametrised test; each must name every FAMILIES key
 FD_CASES = [
@@ -49,7 +50,8 @@ LINE_CASES = [
     (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
 ]
 
-# every family in every dimension it allows, off-center wells included
+# every family in every dimension it allows, off-center wells included; d = 9 is past
+# the d = 8 from which numpy's row sum goes pairwise
 TERMS_CASES = [
     *((dim, "constant", {"value": -0.6}) for dim in (1, 2, 3, 4)),
     *((dim, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}) for dim in (1, 2, 3, 4)),
@@ -57,6 +59,9 @@ TERMS_CASES = [
     *((dim, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2})
       for dim in (1, 2, 3, 4)),
     (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+    (9, "constant", {"value": -0.6}),
+    (9, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
+    (9, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2}),
 ]
 
 # one row per family: the margin min(-max V, 1 + min V) of its bounds and the window
@@ -188,7 +193,7 @@ def test_negated_flips_every_family(dim, kind, params):
 
 @pytest.mark.parametrize("dim,kind,params", MANY_CASES)
 def test_evaluate_many_matches_evaluate(dim, kind, params):
-    """Row by row within 4 ulp: at the center, inside, on the edge, outside the ball, far out."""
+    """Row by row bit for bit: at the center, inside, on the edge, outside the ball, far out."""
     m = make_potential(dim, kind, params)
     rng = np.random.default_rng(11)
     radius = params.get("radius", 2.0)
@@ -200,22 +205,20 @@ def test_evaluate_many_matches_evaluate(dim, kind, params):
     xs = np.atleast_1d(params.get("center", 0.0)) + dirs * r[:, None]
     v, grad, hess = m.evaluate_many(xs)
     assert v.shape == (200,) and grad.shape == (200, dim) and hess.shape == (200, dim, dim)
-    ulp4 = 4.0 * np.finfo(float).eps
     for k, x in enumerate(xs):
         v1, g1, h1 = m.evaluate(x)
-        np.testing.assert_allclose(v[k], v1, rtol=ulp4, atol=0.0)
-        np.testing.assert_allclose(grad[k], g1, rtol=ulp4, atol=0.0)
-        np.testing.assert_allclose(hess[k], h1, rtol=ulp4, atol=0.0)
+        assert v[k] == v1
+        np.testing.assert_array_equal(grad[k], g1)
+        np.testing.assert_array_equal(hess[k], h1)
     with pytest.raises(DomainError):
         m.evaluate_many(np.zeros((3, dim + 1)))
 
 
 @pytest.mark.parametrize("dim,kind,params", TERMS_CASES)
 def test_terms_match_evaluate(dim, kind, params):
-    """V, gamma r and alpha I + beta r r^T equal evaluate's arrays within 1e-14 of the
-    family's largest Hessian entry, at points at least 1% of the radius off the rim.
-
-    The cosine well is only C^1 at its rim, where f'' may flip sides.
+    """terms' V, gamma r and alpha I + beta r r^T, which value and evaluate return, are
+    each evaluate_many row bit for bit: the lone flow and the fan's lanes read the same V
+    at the center, inside, on the rim, outside it and far out.
     """
     m = make_potential(dim, kind, params)
     rng = np.random.default_rng(13)
@@ -223,20 +226,19 @@ def test_terms_match_evaluate(dim, kind, params):
     dirs = rng.normal(size=(300, dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     r = np.concatenate([np.zeros(5), rng.uniform(0.0, 1e-4, 20),           # the center
-                        rng.uniform(0.0, 0.99 * radius, 200),                # inside the rim
-                        rng.uniform(1.01 * radius, 2.0 * radius, 75)])       # outside it
+                        rng.uniform(0.0, radius, 200), np.full(20, radius),  # to the rim
+                        rng.uniform(radius, 2.0 * radius, 50), np.full(5, 1e100)])
     xs = np.atleast_1d(params.get("center", 0.0)) + dirs * r[:, None]
     if kind == "tanh_step":
         xs = rng.uniform(-20.0, 20.0, size=(300, 1))   # past tanh(19) == 1 on both sides
-    rows = [(m.evaluate(x), m.terms(x.tolist())) for x in xs]
-    scale = max(np.max(np.abs(hess)) for (_, _, hess), _ in rows)
-    tol = 1e-14 * scale
-    for (v, grad, hess), (tv, tr, gamma, alpha, beta) in rows:
+    v, grad, hess = m.evaluate_many(xs)
+    for k, x in enumerate(xs.tolist()):
+        tv, tr, gamma, alpha, beta = m.terms(x)
+        assert all(type(c) is float for c in (tv, gamma, alpha, beta)) and len(tr) == dim
         tr = np.array(tr)
-        assert all(type(c) is float for c in (tv, gamma, alpha, beta)) and tr.shape == grad.shape
-        assert abs(tv - v) <= tol
-        assert np.max(np.abs(gamma * tr - grad)) <= tol
-        assert np.max(np.abs(alpha * np.eye(dim) + beta * np.outer(tr, tr) - hess)) <= tol
+        assert tv == m.value(x) == v[k]
+        np.testing.assert_array_equal(gamma * tr, grad[k])
+        np.testing.assert_array_equal(alpha * np.eye(dim) + beta * np.outer(tr, tr), hess[k])
 
 
 @pytest.mark.parametrize("dim,kind,params", LINE_CASES)
@@ -327,12 +329,11 @@ def test_a_new_family_needs_only_its_row(monkeypatch):
 
     xs = np.random.default_rng(3).uniform(-2.5, 2.5, size=(60, 2))
     v, grad, hess = m.evaluate_many(xs)
-    ulp4 = 4.0 * np.finfo(float).eps
     for k, x in enumerate(xs):
         v1, g1, h1 = m.evaluate(x)
-        np.testing.assert_allclose(v[k], v1, rtol=ulp4, atol=0.0)
-        np.testing.assert_allclose(grad[k], g1, rtol=ulp4, atol=0.0)
-        np.testing.assert_allclose(hess[k], h1, rtol=ulp4, atol=0.0)
+        assert v[k] == v1
+        np.testing.assert_array_equal(grad[k], g1)
+        np.testing.assert_array_equal(hess[k], h1)
 
     neg = negated(m)
     assert all(neg.value(x) == -m.value(x) for x in xs)
@@ -358,6 +359,22 @@ def test_a_wrong_derivative_trips_potential_derivatives(monkeypatch, dim, kind, 
         return tuple(out)
 
     monkeypatch.setitem(FAMILIES, kind, replace(row, profile=faulty))
+    assert max(fd_consistency(make_potential(dim, kind, params))) > 1e-6
+
+
+@pytest.mark.parametrize("slot", [2, 4], ids=["gamma", "beta"])
+@pytest.mark.parametrize("dim,kind,params", FAULT_CASES)
+def test_a_wrong_term_trips_potential_derivatives(monkeypatch, dim, kind, params, slot):
+    """gamma or beta of terms, which the flows read, scaled by 1 + 1e-3 pushes
+    fd_consistency past selfcheck's 1e-6: the check reads the flows' derivatives."""
+    terms = PotentialModel.terms
+
+    def faulty(self, x):
+        out = list(terms(self, x))
+        out[slot] *= 1.0 + 1e-3
+        return tuple(out)
+
+    monkeypatch.setattr(PotentialModel, "terms", faulty)
     assert max(fd_consistency(make_potential(dim, kind, params))) > 1e-6
 
 
