@@ -3,7 +3,7 @@
 Orbits on the zero level set of H are, up to reparametrisation, geodesics of
 the conformal metric (1 - V^2(x)) I, and the action integral of <p, dx>
 along them is the corresponding distance.  The flow is integrated together
-with its variational (Jacobi) blocks
+with its Jacobi blocks
 
     d/dt dpX = H_pp dpX',   d/dt dpP = Hess V . dpX,
 
@@ -72,27 +72,23 @@ def _var_index(d):
     return 2 * d + 1
 
 
-def _initial_state(x0, p0, variational):
+def _initial_state(x0, p0):
     d = len(x0)
-    return np.concatenate([
-        x0, p0, [0.0],
-        (np.concatenate([np.zeros(d * d), np.eye(d).ravel()]) if variational else np.empty(0)),
-    ])
+    return np.concatenate([x0, p0, [0.0], np.zeros(d * d), np.eye(d).ravel()])
 
 
 class Trajectory:
-    """One flow solve with dense output and optional variational blocks.
+    """One flow solve with dense output, its Jacobi blocks included.
 
     State layout: x (d), p (d), action integral of <p, xdot>, then dpX and
     dpP row-major.
     """
 
-    def __init__(self, model, tau, result, variational):
+    def __init__(self, model, tau, result):
         self.model = model
         self.dim = model.dim
         self.tau = float(tau)
         self.sol = result.sol
-        self.variational = variational
         d = self.dim
         self._i_var = _var_index(d)
         self._ts = self.sol.ts.tolist()
@@ -108,8 +104,6 @@ class Trajectory:
         return p / math.sqrt(1.0 - float(p @ p))
 
     def dp_x(self, t):
-        if not self.variational:
-            raise DomainError("trajectory was integrated without variational blocks")
         d = self.dim
         return self.sol(t)[self._i_var: self._i_var + d * d].reshape(d, d)
 
@@ -131,10 +125,10 @@ class Trajectory:
         return y[:d], y[d:]
 
     def potential_along(self, times):
-        """(p, V, grad V) at an array of times: one dense-output call, one evaluate_many."""
+        """(p, V, grad V = gamma r) at an array of times: one dense-output call, one terms_many."""
         x, p = self.phase(times)
-        v, grad, _ = self.model.evaluate_many(x)
-        return p, v, grad
+        v, r, gamma, _, _ = self.model.terms_many(x)
+        return p, v, gamma[:, None] * r
 
     def hamiltonian_sup(self):
         """sup |H| on a uniform 201-point grid, an energy-conservation diagnostic."""
@@ -145,7 +139,7 @@ class Trajectory:
         return float(np.abs(-np.sqrt(1.0 - p2) - v).max())
 
 
-def _flow_rhs(model, variational):
+def _flow_rhs(model):
     """The flow's right-hand side on one state, in Python floats.
 
     With grad V = gamma r and Hess V = alpha I + beta r r^T from model.terms
@@ -165,22 +159,21 @@ def _flow_rhs(model, variational):
         p2 = math.fsum(map(mul, p, p))
         w = math.sqrt(1.0 - p2) if p2 < BALL else math.nan
         _, r, gamma, alpha, beta = terms(x)
-        out = [c / w for c in p] + [gamma * c for c in r] + [p2 / w]
-        if variational:
-            dpx, dpp = ys[i_var:i_var + dd], ys[i_var + dd:]
-            w3 = w ** 3
-            # row i of p (p^T dpP) / w^3 is p_i q and row i of beta r (r^T dpX) is b_i s
-            q = [math.fsum(map(mul, p, dpp[j::d])) / w3 for j in range(d)]
-            s = [math.fsum(map(mul, r, dpx[j::d])) for j in range(d)]
-            b = [beta * c for c in r]
-            out += [dpp[i * d + j] / w + p[i] * q[j] for i in range(d) for j in range(d)]
-            out += [alpha * dpx[i * d + j] + b[i] * s[j] for i in range(d) for j in range(d)]
-        return np.array(out)
+        dpx, dpp = ys[i_var:i_var + dd], ys[i_var + dd:]
+        w3 = w ** 3
+        # row i of p (p^T dpP) / w^3 is p_i q and row i of beta r (r^T dpX) is b_i s
+        q = [math.fsum(map(mul, p, dpp[j::d])) / w3 for j in range(d)]
+        s = [math.fsum(map(mul, r, dpx[j::d])) for j in range(d)]
+        b = [beta * c for c in r]
+        return np.array([c / w for c in p] + [gamma * c for c in r] + [p2 / w]
+                        + [dpp[i * d + j] / w + p[i] * q[j] for i in range(d) for j in range(d)]
+                        + [alpha * dpx[i * d + j] + b[i] * s[j]
+                           for i in range(d) for j in range(d)])
 
     return rhs
 
 
-def _solve_flow(model, x0, p0, tau, opts, variational, **output):
+def _solve_flow(model, x0, p0, tau, opts, **output):
     """solve_ivp of the flow from (x0, p0) over [0, tau], after the start checks."""
     if tau <= 0.0:
         raise DomainError(f"flight time must be positive, got {tau}")
@@ -192,17 +185,17 @@ def _solve_flow(model, x0, p0, tau, opts, variational, **output):
     if not p2 < BALL:
         raise DomainError(f"phase point requires |p| < 1, with |p|^2 under {BALL!r}; "
                           f"got |p|^2 = {p2!r}")
-    sol = solve_ivp(_flow_rhs(model, variational), (0.0, float(tau)),
-                    _initial_state(x0, p0, variational), **output, **opts.solver_kwargs())
+    sol = solve_ivp(_flow_rhs(model), (0.0, float(tau)), _initial_state(x0, p0),
+                    **output, **opts.solver_kwargs())
     if not sol.success:
         raise NumericalError(f"flow integration failed: {sol.message}")
     return sol
 
 
-def integrate_flow(model, x0, p0, tau, opts=None, variational=True):
-    """Integrate the flow from (x0, p0) for time tau with dense output."""
-    sol = _solve_flow(model, x0, p0, tau, opts or OdeOpts(), variational, dense_output=True)
-    return Trajectory(model, tau, sol, variational)
+def integrate_flow(model, x0, p0, tau, opts=None):
+    """Integrate the flow and its Jacobi blocks from (x0, p0) for time tau with dense output."""
+    sol = _solve_flow(model, x0, p0, tau, opts or OdeOpts(), dense_output=True)
+    return Trajectory(model, tau, sol)
 
 
 @dataclass(frozen=True)
@@ -297,9 +290,9 @@ def _flow_one(model, y_star, p0, tau, opts, dense):
     """
     try:
         if dense:
-            traj = integrate_flow(model, y_star, p0, tau, opts, variational=True)
+            traj = integrate_flow(model, y_star, p0, tau, opts)
             return _end_of(model.dim, traj.sol(traj.tau), traj.p_start, tau, traj)
-        sol = _solve_flow(model, y_star, p0, tau, opts, variational=True, t_eval=[tau])
+        sol = _solve_flow(model, y_star, p0, tau, opts, t_eval=[tau])
     except NumericalError:
         return UNDERFLOW
     return _end_of(model.dim, sol.y[:, -1], p0, tau)
@@ -308,27 +301,32 @@ def _flow_one(model, y_star, p0, tau, opts, dense):
 def _lane_rhs(model, taus):
     """Batched _flow_rhs on s in [0, 1]: row k is scaled by its flight time taus[k].
 
-    Returns the derivatives; a row past the ball, |p|^2 >= BALL, has NaN in
-    those that read w, as in _flow_rhs.
+    The rows take _flow_rhs's formulas on terms_many's rank-one derivatives,
+    with numpy's sums (np.vecdot, batched matmul) for math.fsum, so a row
+    may part from _flow_rhs in its last bits.  A row past the ball, |p|^2 >=
+    BALL, has NaN in the derivatives that read w, as in _flow_rhs.
     """
     d = model.dim
     i_var = _var_index(d)
     dd = d * d
-    eye = np.eye(d)
 
     def rhs(y, rows):
         p = y[:, d:2 * d]
         p2 = np.vecdot(p, p)
-        _, grad, hess = model.evaluate_many(y[:, :d])
+        _, r, gamma, alpha, beta = model.terms_many(y[:, :d])
         # NaN past the ball, where 1 - p2 may be negative: np.sqrt would warn there
         w = np.sqrt(np.where(p2 < BALL, 1.0 - p2, np.nan))
+        dpx = y[:, i_var:i_var + dd].reshape(-1, d, d)
+        dpp = y[:, i_var + dd:].reshape(-1, d, d)
+        q = (p[:, None, :] @ dpp) / (w**3)[:, None, None]
+        s = r[:, None, :] @ dpx
         out = np.empty_like(y)
         out[:, :d] = p / w[:, None]
-        out[:, d:2 * d] = grad
+        out[:, d:2 * d] = gamma[:, None] * r
         out[:, 2 * d] = p2 / w
-        hpp = eye / w[:, None, None] + p[:, :, None] * p[:, None, :] / (w**3)[:, None, None]
-        out[:, i_var:i_var + dd] = (hpp @ y[:, i_var + dd:].reshape(-1, d, d)).reshape(-1, dd)
-        out[:, i_var + dd:] = (hess @ y[:, i_var:i_var + dd].reshape(-1, d, d)).reshape(-1, dd)
+        out[:, i_var:i_var + dd] = (dpp / w[:, None, None] + p[:, :, None] * q).reshape(-1, dd)
+        out[:, i_var + dd:] = (alpha[:, None, None] * dpx
+                               + (beta[:, None] * r)[:, :, None] * s).reshape(-1, dd)
         out *= taus[rows, None]
         return out
 
@@ -442,9 +440,9 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
                     outcomes[k], ends[k] = CONVERGED, end
                     return None
         rtol[k], atol[k] = opts[k].rel_tol, opts[k].abs_tol
-        return _initial_state(y_star, p0s[k], True)
+        return _initial_state(y_star, p0s[k])
 
-    y0 = np.array([_initial_state(y_star, p0, True) for p0 in p0s])
+    y0 = np.array([_initial_state(y_star, p0) for p0 in p0s])
     solve_lanes(_lane_rhs(model, taus), y0, rtol, atol, restart)
     return outcomes, ends
 

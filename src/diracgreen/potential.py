@@ -165,36 +165,30 @@ class PotentialModel:
         r = np.array(r)
         return v, gamma * r, alpha * np.eye(self.dim) + beta * np.outer(r, r)
 
-    def evaluate_many(self, xs):
-        """Batched evaluate: (n, d) points to V (n,), grad (n, d), Hess (n, d, d).
+    def terms_many(self, xs):
+        """terms on each row of an (n, d) array: V (n,), r (n, d), gamma, alpha, beta (n,).
 
-        Rows go through the same float operations as evaluate, so both give
-        the same numbers: s is the running sum np.add.accumulate along the
-        row, which adds the squares left to right as terms does (numpy's row
-        sum goes pairwise from d = 8 on; np.cumsum is the same sum at about
-        2 µs more per call).  The profile is called per row: on a few dozen
-        rows that beats a numpy pass per operation.
+        Row k is terms(xs[k]) bit for bit: s is the running sum
+        np.add.accumulate along the row, which adds the squares left to right
+        as terms does (numpy's row sum goes pairwise from d = 8 on).  The
+        profile is called per row: on a few dozen rows that beats a numpy
+        pass per operation.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise DomainError(f"points must have shape (n, {self.dim}), got {xs.shape}")
-        n, d = xs.shape
+        n = len(xs)
         if self._profile is None:
-            return (np.full(n, self.params["value"], dtype=float), np.zeros((n, d)),
-                    np.zeros((n, d, d)))
-
+            gamma, alpha, beta = np.zeros((3, n))
+            return (np.full(n, self.params["value"], dtype=float), np.zeros_like(xs),
+                    gamma, alpha, beta)
         rel = xs - self._center
         args = np.add.accumulate(rel * rel, axis=1)[:, -1] if self._radial else rel[:, 0]
         profile = self._profile
-        rows = [profile(a) for a in args.tolist()]
-        fp, fpp, v = np.array(rows, dtype=float).reshape(n, 3).T
+        fp, fpp, v = np.array([profile(a) for a in args.tolist()], dtype=float).reshape(n, 3).T
         if not self._radial:
-            return v, fp.reshape(n, 1), fpp.reshape(n, 1, 1)
-        grad = (2.0 * fp)[:, None] * rel
-        # evaluate's 2 fp I + 4 fpp rel rel^T, summed in the other order
-        hess = (4.0 * fpp)[:, None, None] * (rel[:, :, None] * rel[:, None, :])
-        hess.reshape(n, d * d)[:, :: d + 1] += (2.0 * fp)[:, None]   # the diagonal
-        return v, grad, hess
+            return v, np.ones((n, 1)), fp, np.zeros(n), fpp
+        return v, rel, 2.0 * fp, 2.0 * fp, 4.0 * fpp
 
     def terms(self, x):
         """V and the rank-one form of its derivatives at a list of dim floats, in floats.
@@ -207,7 +201,7 @@ class PotentialModel:
 
         s = |r|^2 is summed left to right, one square at a time, in a float
         loop: math.fsum rounds correctly and sum() is compensated from Python
-        3.12 on, and either would part from evaluate_many's running sum.
+        3.12 on, and either would part from terms_many's running sum.
         """
         if self._profile is None:
             return self.params["value"], self._r, 0.0, 0.0, 0.0
@@ -318,20 +312,22 @@ def _samples(model, n, seed, half):
 def validate_hypothesis(model):
     """The sampled gap margin min(min(-V), min(1 + V)) over the sample_half cube.
 
-    Sampled at the seeded points of _samples (1000 cube points and 500 near
-    the center); model.margin, the family's exact one, should not exceed it.
+    V is terms_many's first output at the seeded points of _samples (1000
+    cube points and 500 near the center); model.margin, the family's exact
+    one, should not exceed it.
     """
-    v = model.evaluate_many(_samples(model, 1000, 0, sample_half(model)))[0]
+    v = model.terms_many(_samples(model, 1000, 0, sample_half(model)))[0]
     return float(np.minimum(-v, 1.0 + v).min())
 
 
 def fd_consistency(model):
     """Worst-case mismatch of analytic derivatives against central differences.
 
-    Steps 1e-6 (gradient) and 1e-4 (Hessian) at the seeded points of
-    _samples (200 points of the sample_half cube, shrunk by ten Hessian
-    steps, and 100 near the center), each point's stencil in one
-    evaluate_many call; residuals are normalised by max(1, true magnitude).
+    evaluate's gradient and Hessian, assembled from terms, against steps
+    1e-6 (gradient) and 1e-4 (Hessian) at the seeded points of _samples (200
+    points of the sample_half cube, shrunk by ten Hessian steps, and 100
+    near the center); each point's stencil is one terms_many call, of which
+    only V is read.  Residuals are normalised by max(1, true magnitude).
     Returns the pair (gradient residual, Hessian residual).
     """
     grad_step, hstep = 1e-6, 1e-4
@@ -347,7 +343,7 @@ def fd_consistency(model):
         stencil = np.concatenate([
             x + eg, x - eg, x + eh, x - eh,
             x + eh[ii] + eh[jj], x + eh[ii] - eh[jj], x - eh[ii] + eh[jj], x - eh[ii] - eh[jj]])
-        gp, gm, hp, hm, a, b, c, e = np.split(model.evaluate_many(stencil)[0], cuts)
+        gp, gm, hp, hm, a, b, c, e = np.split(model.terms_many(stencil)[0], cuts)
         fd_grad = (gp - gm) / (2.0 * grad_step)
         worst_g = max(worst_g, np.max(np.abs(grad - fd_grad)) / max(1.0, np.max(np.abs(fd_grad))))
         fd_hess = np.zeros_like(hess)

@@ -226,7 +226,7 @@ def _dim_checks(d):
 
     dpx = traj.dp_x(geo.tau)
     fd = _central_jacobian(
-        lambda p0: integrate_flow(model, geo.y_star, p0, geo.tau, variational=False).x_end,
+        lambda p0: integrate_flow(model, geo.y_star, p0, geo.tau).x_end,
         geo.p0, 1e-5)
     add("jacobi_fd", np.linalg.norm(fd - dpx) / np.linalg.norm(dpx), 1e-6)
 

@@ -293,10 +293,8 @@ def test_criterion_08_flow_quality(solved):
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = eps
-                plus = integrate_flow(model, fwd.y_star, fwd.p0 + e, fwd.tau,
-                                      variational=False)
-                minus = integrate_flow(model, fwd.y_star, fwd.p0 - e, fwd.tau,
-                                       variational=False)
+                plus = integrate_flow(model, fwd.y_star, fwd.p0 + e, fwd.tau)
+                minus = integrate_flow(model, fwd.y_star, fwd.p0 - e, fwd.tau)
                 fd[:, j] = (plus.x_end - minus.x_end) / (2.0 * eps)
             worst_jac = max(worst_jac,
                             float(np.linalg.norm(fd - dpx) / np.linalg.norm(dpx)))

@@ -120,8 +120,8 @@ def _force_off(monkeypatch):
     """The lone flow's force grad V scaled by 1 + 1e-6: H drifts along the polished orbit."""
     flow_rhs = geoflow._flow_rhs
 
-    def faulty(model, variational):
-        rhs, d = flow_rhs(model, variational), model.dim
+    def faulty(model):
+        rhs, d = flow_rhs(model), model.dim
 
         def wrong(t, y):
             out = rhs(t, y)

@@ -75,7 +75,7 @@ def test_constant_flow_closed_form():
     assert traj.hamiltonian_sup() <= 1e-12
 
 
-def test_constant_flow_variational_blocks():
+def test_constant_flow_jacobi_blocks():
     # dpX(t) = t (I/w + p p^T / w^3), dpP(t) = I for a constant potential
     m = constant_model(3)
     traj = integrate_flow(m, [-0.5, 0.0, 0.0], [0.8, 0.0, 0.0], 0.75)
@@ -86,17 +86,10 @@ def test_constant_flow_variational_blocks():
     np.testing.assert_allclose(dpp, np.eye(3), atol=1e-12)
 
 
-def test_trajectory_accessor_guards():
-    m = constant_model(2)
-    traj = integrate_flow(m, [0.0, 0.0], [0.5, 0.0], 0.3, variational=False)
-    with pytest.raises(DomainError):
-        traj.dp_x(0.1)
-
-
 def test_energy_diagnostic_keeps_the_domain_checks():
     """hamiltonian_sup raises where hamiltonian does: |p| >= 1."""
     m = constant_model(2)
-    traj = integrate_flow(m, [0.0, 0.0], [0.5, 0.0], 0.3, variational=False)
+    traj = integrate_flow(m, [0.0, 0.0], [0.5, 0.0], 0.3)
     state = np.array([0.0, 0.0, 0.6, 0.8, 0.0])
     traj.sol = lambda t: np.multiply.outer(state, np.ones_like(t))
     with pytest.raises(DomainError):
@@ -276,11 +269,12 @@ class _Fenced(PotentialModel):
             return super().terms(x)
         return math.nan, [math.nan] * self.dim, math.nan, math.nan, math.nan
 
-    def evaluate_many(self, xs):
-        v, grad, hess = super().evaluate_many(xs)
+    def terms_many(self, xs):
         out = ~(np.abs(xs).max(axis=1) <= 6.0)
-        v[out], grad[out], hess[out] = math.nan, math.nan, math.nan
-        return v, grad, hess
+        rows = super().terms_many(xs)
+        for a in rows:
+            a[out] = math.nan
+        return rows
 
 
 def test_lane_running_into_nan_underflows_alone(monkeypatch):
@@ -354,16 +348,15 @@ def _flow_states(d, n, seed):
     return ys
 
 
-@pytest.mark.parametrize("variational", [True, False], ids=["jacobi", "plain"])
-@pytest.mark.parametrize("dim,kind", RHS_MODELS, ids=[f"d{d}-{k}" for d, k in RHS_MODELS])
-def test_lone_flow_rhs_matches_a_lane_row(dim, kind, variational):
-    """The float right-hand side equals the batched one on a row at tau = 1, within 16 ulp."""
+@pytest.mark.parametrize("dim,kind", RHS_MODELS, ids=[f"d{d}-{k}-jacobi" for d, k in RHS_MODELS])
+def test_lone_flow_rhs_matches_a_lane_row(dim, kind):
+    """The float right-hand side equals the batched one on a row at tau = 1, Jacobi blocks
+    included, within 16 ulp of the row's largest entry."""
     m = make_potential(dim, kind, _PARAMS[kind])
-    lone, lane = geoflow._flow_rhs(m, variational), geoflow._lane_rhs(m, np.ones(1))
+    lone, lane = geoflow._flow_rhs(m), geoflow._lane_rhs(m, np.ones(1))
     for y in _flow_states(dim, 50, 3):
-        want = lane(y[None, :], np.zeros(1, dtype=int))
-        want = want[0, :len(y) if variational else _var_index(dim)]
-        got = lone(0.0, y if variational else y[:_var_index(dim)])
+        want = lane(y[None, :], np.zeros(1, dtype=int))[0]
+        got = lone(0.0, y)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 16.0 * np.finfo(float).eps * np.max(np.abs(want))
 
@@ -373,7 +366,7 @@ def test_flow_rhs_is_nan_past_the_ball():
     suite makes warnings errors); far out they stay finite, and a NaN coordinate gives a NaN
     grad V."""
     m = make_potential(2, "bump_well", BUMP)
-    lone, lane = geoflow._flow_rhs(m, True), geoflow._lane_rhs(m, np.ones(3))
+    lone, lane = geoflow._flow_rhs(m), geoflow._lane_rhs(m, np.ones(3))
     ys = _flow_states(2, 3, 4)
     ys[0, 2:4] = [0.6, 0.8]                       # on the sphere |p| = 1
     ys[1, 2:4] = [1.0 - 1e-13, 0.0]               # |p|^2 = 1 - 2e-13, past BALL
@@ -470,7 +463,7 @@ def _pendulum(t, y):
     return [y[1], -math.sin(y[0]) * (1.0 + 0.3 * t)]
 
 
-_bump_flow = geoflow._flow_rhs(bump_model(2), True)
+_bump_flow = geoflow._flow_rhs(bump_model(2))
 
 
 def _precession(t, y):
@@ -484,7 +477,7 @@ LEAN_CASES = {
                         dict(t_eval=[2.0, 2.0 - 1e-9, 0.5, -2.0]), None),
     # the lone Newton iterate: a forward flow read at its end alone
     "flow_t_end": (_bump_flow, (0.0, 2.1),
-                   geoflow._initial_state(np.array([-1.0, -0.3]), np.array([0.7, 0.2]), True),
+                   geoflow._initial_state(np.array([-1.0, -0.3]), np.array([0.7, 0.2])),
                    dict(t_eval=[2.1]), None),
     "complex_dense": (_precession, (0.0, 2.0), np.array([1.0, 0.5j]),
                       dict(dense_output=True), [0.0, 0.3, 1.7, 2.0, np.linspace(0.0, 2.0, 41)]),

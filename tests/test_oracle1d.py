@@ -163,7 +163,7 @@ def test_riccati_ratio_stays_below_its_bound(kind, params, side):
     m = make_potential(1, kind, params)
     points = np.linspace(-3.0, 3.0, 121)
     edge = oracle1d._edge(m, points)    # the march spans the anchor at +-edge
-    v = m.evaluate_many(np.linspace(-edge, edge, 4001)[:, None])[0]
+    v = m.terms_many(np.linspace(-edge, edge, 4001)[:, None])[0]
     bound = float(np.max(np.sqrt((1.0 + v) / (1.0 - v))))
     assert bound < 1.0
     for vec, _ in decaying_solution(m, side, points, 0.025):

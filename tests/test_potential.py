@@ -27,14 +27,6 @@ NEGATED_CASES = [
     (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
     (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
 ]
-MANY_CASES = [
-    (2, "constant", {"value": -0.6}),
-    (3, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
-    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]}),
-    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2}),
-    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
-    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
-]
 MARGIN_CASES = [
     (2, "constant", {"value": -0.6}),
     (3, "bump_well", {"base": -0.5, "depth": 0.25, "radius": 1.5, "center": [0.5, 0.0, -0.5]}),
@@ -62,6 +54,7 @@ TERMS_CASES = [
     (9, "constant", {"value": -0.6}),
     (9, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
     (9, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2}),
+    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]}),
 ]
 
 # one row per family: the margin min(-max V, 1 + min V) of its bounds and the window
@@ -191,34 +184,11 @@ def test_negated_flips_every_family(dim, kind, params):
     assert negated(neg) == m
 
 
-@pytest.mark.parametrize("dim,kind,params", MANY_CASES)
-def test_evaluate_many_matches_evaluate(dim, kind, params):
-    """Row by row bit for bit: at the center, inside, on the edge, outside the ball, far out."""
-    m = make_potential(dim, kind, params)
-    rng = np.random.default_rng(11)
-    radius = params.get("radius", 2.0)
-    dirs = rng.normal(size=(200, dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    r = np.concatenate([np.zeros(10), rng.uniform(0.0, 1e-4, 40),     # the center
-                        rng.uniform(0.0, radius, 80), np.full(30, radius),
-                        rng.uniform(radius, 2.0 * sample_half(m), 35), np.full(5, 1e100)])
-    xs = np.atleast_1d(params.get("center", 0.0)) + dirs * r[:, None]
-    v, grad, hess = m.evaluate_many(xs)
-    assert v.shape == (200,) and grad.shape == (200, dim) and hess.shape == (200, dim, dim)
-    for k, x in enumerate(xs):
-        v1, g1, h1 = m.evaluate(x)
-        assert v[k] == v1
-        np.testing.assert_array_equal(grad[k], g1)
-        np.testing.assert_array_equal(hess[k], h1)
-    with pytest.raises(DomainError):
-        m.evaluate_many(np.zeros((3, dim + 1)))
-
-
 @pytest.mark.parametrize("dim,kind,params", TERMS_CASES)
 def test_terms_match_evaluate(dim, kind, params):
-    """terms' V, gamma r and alpha I + beta r r^T, which value and evaluate return, are
-    each evaluate_many row bit for bit: the lone flow and the fan's lanes read the same V
-    at the center, inside, on the rim, outside it and far out.
+    """Each terms_many row is terms, value and evaluate's assembled V, gamma r and
+    alpha I + beta r r^T bit for bit: the lone flow and the fan's lanes read the same V
+    at the center, inside, on the rim, outside it, far out and at 1e100.
     """
     m = make_potential(dim, kind, params)
     rng = np.random.default_rng(13)
@@ -227,18 +197,24 @@ def test_terms_match_evaluate(dim, kind, params):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     r = np.concatenate([np.zeros(5), rng.uniform(0.0, 1e-4, 20),           # the center
                         rng.uniform(0.0, radius, 200), np.full(20, radius),  # to the rim
-                        rng.uniform(radius, 2.0 * radius, 50), np.full(5, 1e100)])
+                        rng.uniform(radius, 2.0 * sample_half(m), 50), np.full(5, 1e100)])
     xs = np.atleast_1d(params.get("center", 0.0)) + dirs * r[:, None]
     if kind == "tanh_step":
         xs = rng.uniform(-20.0, 20.0, size=(300, 1))   # past tanh(19) == 1 on both sides
-    v, grad, hess = m.evaluate_many(xs)
+    rows = m.terms_many(xs)
+    assert [a.shape for a in rows] == [(300,), (300, dim), (300,), (300,), (300,)]
     for k, x in enumerate(xs.tolist()):
         tv, tr, gamma, alpha, beta = m.terms(x)
         assert all(type(c) is float for c in (tv, gamma, alpha, beta)) and len(tr) == dim
+        assert [tv, tr, gamma, alpha, beta] == [rows[0][k], rows[1][k].tolist(),
+                                                rows[2][k], rows[3][k], rows[4][k]]
         tr = np.array(tr)
-        assert tv == m.value(x) == v[k]
-        np.testing.assert_array_equal(gamma * tr, grad[k])
-        np.testing.assert_array_equal(alpha * np.eye(dim) + beta * np.outer(tr, tr), hess[k])
+        v, grad, hess = m.evaluate(x)
+        assert v == m.value(x) == tv
+        np.testing.assert_array_equal(grad, gamma * tr)
+        np.testing.assert_array_equal(hess, alpha * np.eye(dim) + beta * np.outer(tr, tr))
+    with pytest.raises(DomainError):
+        m.terms_many(np.zeros((3, dim + 1)))
 
 
 @pytest.mark.parametrize("dim,kind,params", LINE_CASES)
@@ -295,8 +271,8 @@ def test_config_requires_kind():
         from_config(1, {"params": {"value": -0.5}})
 
 
-@pytest.mark.parametrize("cases", [FD_CASES, NEGATED_CASES, MANY_CASES, MARGIN_CASES,
-                                   LINE_CASES, TERMS_CASES, DERIVED_CASES])
+@pytest.mark.parametrize("cases", [FD_CASES, NEGATED_CASES, MARGIN_CASES, LINE_CASES,
+                                   TERMS_CASES, DERIVED_CASES])
 def test_family_tests_cover_every_family(cases):
     assert {case[1] for case in cases} == set(FAMILIES)
 
@@ -328,12 +304,12 @@ def test_a_new_family_needs_only_its_row(monkeypatch):
     assert h_res <= 1e-5
 
     xs = np.random.default_rng(3).uniform(-2.5, 2.5, size=(60, 2))
-    v, grad, hess = m.evaluate_many(xs)
+    v, r, gamma, alpha, beta = m.terms_many(xs)
     for k, x in enumerate(xs):
         v1, g1, h1 = m.evaluate(x)
         assert v[k] == v1
-        np.testing.assert_array_equal(grad[k], g1)
-        np.testing.assert_array_equal(hess[k], h1)
+        np.testing.assert_array_equal(gamma[k] * r[k], g1)
+        np.testing.assert_array_equal(alpha[k] * np.eye(2) + beta[k] * np.outer(r[k], r[k]), h1)
 
     neg = negated(m)
     assert all(neg.value(x) == -m.value(x) for x in xs)

@@ -1,10 +1,13 @@
-"""Count the flow RHS calls of the multistart fan over its twelve benchmark shots.
+"""Count the flow RHS calls of the multistart fan over its benchmark and flat-stretch shots.
 
     python tools/fancount.py
 
-The shots are the geodesic-fan pairs (bump, cosine and bump_b in d = 2
-and d = 3), each forward and reversed, with the default fan.  The tool
-wraps geoflow._lane_rhs and geoflow._flow_rhs, so it counts
+The first table holds the twelve geodesic-fan shots (bump, cosine and
+bump_b in d = 2 and d = 3), the second the three flat-stretch shots in
+d >= 2 of tests/test_cli.py (the d = 2 and d = 3 bump and the d = 3 cosine
+from an endpoint a unit or more outside the well), each forward and
+reversed, with the default fan.  The tool wraps geoflow._lane_rhs and
+geoflow._flow_rhs, so it counts
 
 * lane calls: calls of the batched RHS that the fan's lanes share,
 * lane rows: the rows (one per live lane) over those calls,
@@ -13,10 +16,11 @@ wraps geoflow._lane_rhs and geoflow._flow_rhs, so it counts
   lane calls could reach if no start ever waited for another,
 * lone calls: calls of the one-trajectory RHS (a lone start and the polish),
 
-and prints them per shot and in total, next to the uniqueness counts and
-d_A.  These counts do not drift with the host, so they tell a change in
-the work done from a change in its speed.  The package is imported from
-this checkout's src/; copy the file into another checkout to compare.
+and prints them per shot and in total per table, next to the uniqueness
+counts and d_A.  These counts do not drift with the host, so they tell a
+change in the work done from a change in its speed.  The package is
+imported from this checkout's src/; copy the file into another checkout to
+compare.
 """
 
 from __future__ import annotations
@@ -28,12 +32,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
-from runset import PAIRS  # noqa: E402
+from runset import BUMP, COSINE, PAIRS  # noqa: E402
 
 from diracgreen import geoflow  # noqa: E402
 from diracgreen.potential import make_potential  # noqa: E402
 
 FAN_PAIRS = ("bump", "cosine", "bump_b")
+# (dim, name, kind, params, y_star, x_star): the orbit crosses a stretch where V is flat
+FLAT_PAIRS = [(2, "bump", "bump_well", BUMP, [-3.0, -0.3], [3.0, 0.4]),
+              (3, "bump", "bump_well", BUMP, [-3.0, -0.3, 0.2], [3.0, 0.4, -0.2]),
+              (3, "cosine", "cosine_well", COSINE, [-3.1, 0.3, -0.2], [2.9, -0.3, 0.3])]
 
 
 def counted(counts):
@@ -50,8 +58,8 @@ def counted(counts):
             return rhs(y, rows)
         return wrapped
 
-    def lone(model, variational):
-        rhs = flow_rhs(model, variational)
+    def lone(model):
+        rhs = flow_rhs(model)
 
         def wrapped(t, y):
             counts["lone_calls"] += 1
@@ -61,34 +69,52 @@ def counted(counts):
     geoflow._lane_rhs, geoflow._flow_rhs = lanes, lone
 
 
-def shots():
+def both_ways(label, model, y, x):
+    yield f"{label}_fwd", model, y, x
+    yield f"{label}_rev", model, x, y
+
+
+def fan_shots():
     """(label, model, y_star, x_star) of the twelve fan shots."""
     for dim in (2, 3):
         for name, kind, params, y, x in PAIRS[dim]:
             if name in FAN_PAIRS:
-                model = make_potential(dim, kind, params)
-                yield f"d{dim}_{name}_fwd", model, y, x
-                yield f"d{dim}_{name}_rev", model, x, y
+                yield from both_ways(f"d{dim}_{name}", make_potential(dim, kind, params), y, x)
 
 
-def main():
-    keys = ("lane_calls", "lane_rows", "longest", "lone_calls")
-    total = dict.fromkeys(keys, 0)
-    counts = dict(total)
-    counted(counts)
-    print(" ".join([f"{'shot':18s}", *(f"{key:>10s}" for key in keys),
+def flat_shots():
+    """(label, model, y_star, x_star) of the six flat-stretch shots."""
+    for dim, name, kind, params, y, x in FLAT_PAIRS:
+        yield from both_ways(f"d{dim}_{name}_flat", make_potential(dim, kind, params), y, x)
+
+
+KEYS = ("lane_calls", "lane_rows", "longest", "lone_calls")
+
+
+def table(shots, counts):
+    """Shoot each shot with the default fan and print its counts, then their total."""
+    total = dict.fromkeys(KEYS, 0)
+    print(" ".join([f"{'shot':18s}", *(f"{key:>10s}" for key in KEYS),
                     f"{'starts':>6s} {'conv':>4s} {'dist':>4s}  d_A"]))
-    for label, model, y, x in shots():
-        counts.update(dict.fromkeys(keys, 0), per_lane=Counter())
+    for label, model, y, x in shots:
+        counts.update(dict.fromkeys(KEYS, 0), per_lane=Counter())
         geo = geoflow.shoot_geodesic(model, y, x)
         counts["longest"] = max(counts["per_lane"].values(), default=0)
         u = geo.uniqueness
-        print(" ".join([f"{label:18s}", *(f"{counts[key]:10d}" for key in keys),
+        print(" ".join([f"{label:18s}", *(f"{counts[key]:10d}" for key in KEYS),
                         f"{u['n_starts']:6d} {u['n_converged']:4d} {u['n_distinct']:4d}"
                         f"  {geo.agmon!r}"]), flush=True)
-        for key in keys:
+        for key in KEYS:
             total[key] += counts[key]
-    print(" ".join([f"{'total':18s}", *(f"{total[key]:10d}" for key in keys)]))
+    print(" ".join([f"{'total':18s}", *(f"{total[key]:10d}" for key in KEYS)]))
+
+
+def main():
+    counts = {}
+    counted(counts)
+    table(fan_shots(), counts)
+    print()
+    table(flat_shots(), counts)
     return 0
 
 
