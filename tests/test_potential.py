@@ -27,6 +27,14 @@ NEGATED_CASES = [
     (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
     (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
 ]
+MANY_CASES = [
+    (2, "constant", {"value": -0.6}),
+    (3, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0}),
+    (2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0, "center": [0.5, -0.25]}),
+    (3, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5, "center": 0.2}),
+    (2, "cosine_well", {"base": -0.55, "depth": 0.35, "radius": 2.5}),
+    (1, "tanh_step", {"base": -0.5, "amp": 0.2, "center": 0.3}),
+]
 MARGIN_CASES = [
     (2, "constant", {"value": -0.6}),
     (3, "bump_well", {"base": -0.5, "depth": 0.25, "radius": 1.5, "center": [0.5, 0.0, -0.5]}),
@@ -184,6 +192,33 @@ def test_negated_flips_every_family(dim, kind, params):
     assert negated(neg) == m
 
 
+@pytest.mark.parametrize("dim,kind,params", MANY_CASES)
+def test_evaluate_many_matches_evaluate(dim, kind, params):
+    """Row by row bit for bit: terms_many's V, gamma r and alpha I + beta r r^T are
+    evaluate's at the center, inside, on the edge, outside the ball, far out.
+    """
+    m = make_potential(dim, kind, params)
+    rng = np.random.default_rng(11)
+    radius = params.get("radius", 2.0)
+    dirs = rng.normal(size=(200, dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = np.concatenate([np.zeros(10), rng.uniform(0.0, 1e-4, 40),     # the center
+                        rng.uniform(0.0, radius, 80), np.full(30, radius),
+                        rng.uniform(radius, 2.0 * sample_half(m), 35), np.full(5, 1e100)])
+    xs = np.atleast_1d(params.get("center", 0.0)) + dirs * r[:, None]
+    v, rel, gamma, alpha, beta = m.terms_many(xs)
+    assert v.shape == gamma.shape == alpha.shape == beta.shape == (200,)
+    assert rel.shape == (200, dim)
+    for k, x in enumerate(xs):
+        v1, g1, h1 = m.evaluate(x)
+        assert v[k] == v1
+        np.testing.assert_array_equal(gamma[k] * rel[k], g1)
+        np.testing.assert_array_equal(
+            alpha[k] * np.eye(dim) + beta[k] * np.outer(rel[k], rel[k]), h1)
+    with pytest.raises(DomainError):
+        m.terms_many(np.zeros((3, dim + 1)))
+
+
 @pytest.mark.parametrize("dim,kind,params", TERMS_CASES)
 def test_terms_match_evaluate(dim, kind, params):
     """Each terms_many row is terms, value and evaluate's assembled V, gamma r and
@@ -271,8 +306,8 @@ def test_config_requires_kind():
         from_config(1, {"params": {"value": -0.5}})
 
 
-@pytest.mark.parametrize("cases", [FD_CASES, NEGATED_CASES, MARGIN_CASES, LINE_CASES,
-                                   TERMS_CASES, DERIVED_CASES])
+@pytest.mark.parametrize("cases", [FD_CASES, NEGATED_CASES, MANY_CASES, MARGIN_CASES,
+                                   LINE_CASES, TERMS_CASES, DERIVED_CASES])
 def test_family_tests_cover_every_family(cases):
     assert {case[1] for case in cases} == set(FAMILIES)
 
