@@ -47,7 +47,8 @@ class OdeOpts:
         return dict(rtol=self.rel_tol, atol=self.abs_tol)
 
 
-# the polish, the spinor transport, the BMT spin solve and exp_map_oracle
+# a lone start near its root, the polish, the spinor transport, the BMT spin solve and
+# exp_map_oracle
 TIGHT = OdeOpts(1e-12, 1e-14)
 
 

@@ -54,10 +54,11 @@ OUTCOMES = (CONVERGED, SINGULAR, CHART_ESCAPE, ITER_LIMIT, UNDERFLOW)
 BALL = 1.0 - 1e-12
 
 # the shoot, with every residual max |x(tau) - x*| measured against tol * max(1, |x*|_inf):
-# a fan start integrates at LOOSE until its last residual is at most LOOSE_UNTIL, and at
-# the fan's OdeOpts() from then on; it converges only on an iterate integrated at the
-# fan's pair whose residual is at most NEWTON_TOL, within MAX_ITER Newton steps.  The
-# polish integrates every iterate at TIGHT and stops at POLISH_TOL, near the float floor.
+# a start integrates at LOOSE until its last residual is at most LOOSE_UNTIL.  A fan start
+# then integrates at the fan's OdeOpts() and converges only on an iterate at the fan's
+# pair whose residual is at most NEWTON_TOL; a lone start goes straight to TIGHT and
+# converges at POLISH_TOL, near the float floor, as the polish does from its first
+# iterate on; each within MAX_ITER Newton steps.
 # Connections closer than MERGE_TOL in (p0, tau) are one, and a fan start whose next
 # iterate is that close to a certified connection retires into it; a bordered
 # determinant under CONJUGACY_TOL d_A^(d-1) is near-conjugate
@@ -348,20 +349,24 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     update at once and restarts the lane from the next iterate, or retires
     it, while the other lanes keep stepping.  Residuals are max
     |x(tau) - x*| in units of max(1, |x*|_inf).
-    A fan start is an inexact Newton iteration: it integrates at LOOSE until
-    its last residual is at most LOOSE_UNTIL, then at the fan's OdeOpts(),
-    and converges only on an iterate at the fan's pair with a residual of
-    at most NEWTON_TOL, within MAX_ITER iterates of its own.  A start that
-    shares the lanes also converges, without integrating it, when its next
-    iterate is due at the fan's pair and lies within MERGE_TOL (_merged) of
-    a connection that another start has certified: it retires with its _End,
-    the same object, since an iterate this close has joined the root's
-    Newton basin and would only certify it again.  The polish
-    integrates every iterate at TIGHT and converges at POLISH_TOL; its first
-    iterate starts from the fan's root, about 1e-12 away, and so converges
-    only when the fan's was exact (the constant well).  So every later
-    iterate keeps its dense output, the Trajectory that transport and BMT
-    read, and the first does not.
+    A start is an inexact Newton iteration: it integrates at LOOSE until
+    its last residual is at most LOOSE_UNTIL.  A fan start then integrates
+    at the fan's OdeOpts() and converges only on an iterate at the fan's
+    pair with a residual of at most NEWTON_TOL, within MAX_ITER iterates of
+    its own.  A lone start has nothing to merge with, so it goes from LOOSE
+    straight to TIGHT and converges at POLISH_TOL: it is its own polish.
+    A start that shares the lanes also converges, without integrating it,
+    when its next iterate is due at the fan's pair and lies within
+    MERGE_TOL (_merged) of a connection that another start has certified:
+    it retires with its _End, the same object, since an iterate this close
+    has joined the root's Newton basin and would only certify it again.
+    The polish of a fan's root integrates every iterate at TIGHT.  Its
+    first iterate, like a lone start's first at TIGHT, only measures the
+    residual: it starts off the root (about 1e-12 away for the polish, one
+    LOOSE step away for a lone start) and so converges only on the constant
+    well, where a step is exact.  So every later iterate at TIGHT keeps its
+    dense output, the Trajectory that transport and BMT read, and the first
+    does not.
     Returns each start's outcome and, for a converged start, its _End or
     the _End it retired into.
     """
@@ -372,7 +377,7 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     us = [np.zeros(d - 1) for _ in directions]
     taus = np.full(n, float(tau0))   # the lanes' RHS reads each restarted lane's new tau
     unit = _unit(x_star)
-    exact, tol = (TIGHT, POLISH_TOL * unit) if polish else (OdeOpts(), NEWTON_TOL * unit)
+    exact, tol = (TIGHT, POLISH_TOL * unit) if n == 1 else (OdeOpts(), NEWTON_TOL * unit)
     opts = [exact if polish else LOOSE] * n
     outcomes = [ITER_LIMIT] * n
     ends = [None] * n
@@ -420,10 +425,13 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
         return iters[k] < MAX_ITER   # else ITER_LIMIT
 
     if n == 1:
-        while advance(0, _flow_one(model, y_star, start(0), float(taus[0]), opts[0],
-                                   polish and iters[0] > 0)):
-            pass
-        return outcomes, ends
+        dense = False   # from the second iterate at TIGHT on; the first measures the residual
+        while True:
+            tight = opts[0] is exact
+            if not advance(0, _flow_one(model, y_star, start(0), float(taus[0]), opts[0],
+                                        dense)):
+                return outcomes, ends
+            dense = tight
 
     p0s = [start(k) for k in range(n)]
     rtol = np.array([[o.rel_tol] for o in opts])
@@ -503,15 +511,18 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     which a start restarts its lane from its next iterate the moment its
     last one ends, without waiting for the other starts.  Each start
     integrates at LOOSE until its residual max |x(tau) - x*| falls to
-    LOOSE_UNTIL max(1, |x*|_inf), then at the fan's OdeOpts(); it converges
-    only on an iterate at the fan's pair, at NEWTON_TOL, or retires into a
-    connection another start has certified once its next iterate at the
-    fan's pair lies within MERGE_TOL of it in (p0, tau).  n_converged
-    counts the certified starts plus those retired into a certified
-    connection; n_distinct counts the connections after the same
-    MERGE_TOL merge.  The least-action
-    connection is then polished: every iterate at TIGHT, down to POLISH_TOL,
-    so the returned d_A does not depend on the path the fan took.
+    LOOSE_UNTIL max(1, |x*|_inf).  A fan start then integrates at the fan's
+    OdeOpts(); it converges only on an iterate at the fan's pair, at
+    NEWTON_TOL, or retires into a connection another start has certified
+    once its next iterate at the fan's pair lies within MERGE_TOL of it in
+    (p0, tau).  n_converged counts the certified starts plus those retired
+    into a certified connection; n_distinct counts the connections after
+    the same MERGE_TOL merge.  The fan's least-action connection is then
+    polished: every iterate at TIGHT, down to POLISH_TOL, so the returned
+    d_A does not depend on the path the fan took.  A lone start (d = 1, or
+    multistart 1) integrates at TIGHT after LOOSE and converges at
+    POLISH_TOL, so its root is the polished connection, and its one
+    distinct entry is the returned orbit bit for bit.
 
     Raises ShootingError if no start converges and ConjugatePointError if
     the bordered determinant falls under CONJUGACY_TOL * d_A^(d-1).
@@ -544,12 +555,15 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
             f"no connecting orbit found from {len(starts)} start directions: "
             f"{_tally(outcomes)}")
 
-    # keep the least-action connection, then polish it at TIGHT down to POLISH_TOL
-    p0, tau, _ = min(distinct, key=lambda rec: rec[2])
-    direction = p0 / np.linalg.norm(p0)
-    [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, polish=True)
-    if end is None:
-        raise ShootingError(f"polish stage failed to re-converge: {outcome}")
+    if len(starts) == 1:
+        [end] = ends   # a lone start converged at TIGHT, down to POLISH_TOL
+    else:
+        # keep the least-action connection, then polish it at TIGHT down to POLISH_TOL
+        p0, tau, _ = min(distinct, key=lambda rec: rec[2])
+        direction = p0 / np.linalg.norm(p0)
+        [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, polish=True)
+        if end is None:
+            raise ShootingError(f"polish stage failed to re-converge: {outcome}")
     polished = end.traj or integrate_flow(model, y_star, end.p0, end.tau, TIGHT)
 
     v_y = polished.v_start

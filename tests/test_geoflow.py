@@ -588,7 +588,8 @@ def test_a_start_converges_only_at_the_fans_pair(dim, kind, params, y, x, monkey
 
     A converged _End is the last iterate, at the fan's pair, of a start that certified it;
     a start that carries another start's _End retired into it: its next iterate, due at the
-    fan's pair, lay within MERGE_TOL of that connection in (p0, tau).
+    fan's pair, lay within MERGE_TOL of that connection in (p0, tau).  A lone start (d = 1)
+    goes from LOOSE straight to TIGHT, never at the fan's pair, and converges at POLISH_TOL.
     """
     m = make_potential(dim, kind, params)
     y, x = np.array(y), np.array(x)
@@ -635,13 +636,16 @@ def test_a_start_converges_only_at_the_fans_pair(dim, kind, params, y, x, monkey
     monkeypatch.setattr(geoflow, "_lane_rhs", rhs)
     starts, tau0 = _fan_starts(m, y, x, None)
     outcomes, ends = _newton(m, y, x, starts, tau0)
-    assert used == {LOOSE, OdeOpts()}
+    exact = TIGHT if len(starts) == 1 else OdeOpts()
+    assert used == {LOOSE, exact}
     assert outcomes.count(CONVERGED) >= 1
+    if len(starts) == 1:
+        assert np.max(np.abs(ends[0].x - x)) <= POLISH_TOL * unit
 
     def certified(k, end):
-        """Whether end is start k's own last iterate, integrated at the fan's pair."""
+        """Whether end is start k's own last iterate, integrated at exact."""
         x_end, opts = last[k]
-        return x_end is not None and np.array_equal(end.x, x_end) and opts == OdeOpts()
+        return x_end is not None and np.array_equal(end.x, x_end) and opts == exact
 
     for k, (outcome, end) in enumerate(zip(outcomes, ends)):
         assert (outcome == CONVERGED) == (end is not None)
@@ -658,6 +662,45 @@ def test_a_start_converges_only_at_the_fans_pair(dim, kind, params, y, x, monkey
     [outcome], [end] = _newton(m, y, x, [starts[0]], tau0, polish=True)
     assert outcome == CONVERGED and used == {TIGHT}
     assert np.max(np.abs(end.x - x)) <= POLISH_TOL * max(1.0, np.max(np.abs(x)))
+
+
+LONE_PAIRS = [FAN_PAIRS[i] for i in (0, 6)]   # the bump in d = 1 and d = 3
+
+
+@pytest.mark.parametrize("dim,kind,params,y,x", LONE_PAIRS,
+                         ids=[f"d{p[0]}-{p[1]}" for p in LONE_PAIRS])
+def test_a_lone_shoot_runs_one_newton(dim, kind, params, y, x, monkeypatch):
+    """A lone start is its own polish: one Newton sequence, whose last _End is the orbit."""
+    calls = []
+    newton = geoflow._newton
+
+    def counted(*args, **kwargs):
+        calls.append(newton(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(geoflow, "_newton", counted)
+    geo = shoot_geodesic(make_potential(dim, kind, params), y, x, multistart=1)
+    [(outcomes, ends)] = calls
+    assert outcomes == [CONVERGED]
+    assert ends[0].traj is not None and geo.trajectory is ends[0].traj
+
+
+ONE_CONNECTION_SHOTS = [
+    (1, "bump_well", BUMP, [-1.0], [1.0]),
+    (1, "constant", {"value": -0.6}, [-0.5], [0.5]),
+    (2, "constant", {"value": -0.6}, [-0.5, 0.0], [0.5, 0.0]),
+    FAN_PAIRS[6],   # the d = 3 bump
+    FAN_PAIRS[7],   # the d = 3 cosine
+]
+
+
+@pytest.mark.parametrize("dim,kind,params,y,x", ONE_CONNECTION_SHOTS,
+                         ids=[f"d{p[0]}-{p[1]}" for p in ONE_CONNECTION_SHOTS])
+def test_a_lone_shoot_reports_one_connection(dim, kind, params, y, x):
+    """A lone shoot's one distinct connection is the returned orbit, bit for bit."""
+    geo = shoot_geodesic(make_potential(dim, kind, params), y, x, multistart=1)
+    [distinct] = geo.uniqueness["distinct"]
+    assert distinct == {"p0": geo.p0.tolist(), "tau": geo.tau, "action": geo.agmon}
 
 
 def test_d3_bump_fan_lane_calls(monkeypatch):

@@ -1,4 +1,4 @@
-"""Count the flow RHS calls of the multistart fan over its benchmark and flat-stretch shots.
+"""Count the flow RHS calls of the multistart fan and of lone starts over fixed shots.
 
     python tools/fancount.py
 
@@ -6,7 +6,11 @@ The first table holds the twelve geodesic-fan shots (bump, cosine and
 bump_b in d = 2 and d = 3), the second the three flat-stretch shots in
 d >= 2 of tests/test_cli.py (the d = 2 and d = 3 bump and the d = 3 cosine
 from an endpoint a unit or more outside the well), each forward and
-reversed, with the default fan.  The tool wraps geoflow._lane_rhs and
+reversed, with the default fan.  The third, the lone table, holds the
+twelve lone shots of the benchmark: the three amplitude3d-single pairs in
+d = 3 (PAIRS[3] of bench/workloads.py) with multistart 1, and the bump,
+tanh and cosine pairs of validate1d-oracle in d = 1, each forward and
+reversed, with their lone calls alone.  The tool wraps geoflow._lane_rhs and
 geoflow._flow_rhs, so it counts
 
 * lane calls: calls of the batched RHS that the fan's lanes share,
@@ -30,9 +34,10 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools"), str(ROOT / "bench")]
 
 from runset import BUMP, COSINE, PAIRS  # noqa: E402
+from workloads import PAIRS as BENCH_PAIRS, VALIDATE1D_PAIRS  # noqa: E402
 
 from diracgreen import geoflow  # noqa: E402
 from diracgreen.potential import make_potential  # noqa: E402
@@ -88,25 +93,34 @@ def flat_shots():
         yield from both_ways(f"d{dim}_{name}_flat", make_potential(dim, kind, params), y, x)
 
 
+def lone_shots():
+    """(label, model, y_star, x_star) of the twelve lone shots."""
+    for name, kind, params, y, x in BENCH_PAIRS[3]:
+        yield from both_ways(f"d3_{name}_one", make_potential(3, kind, params), y, x)
+    for name, kind, params, y, x in VALIDATE1D_PAIRS:
+        if kind != "constant":
+            yield from both_ways(f"d1_{name}", make_potential(1, kind, params), y, x)
+
+
 KEYS = ("lane_calls", "lane_rows", "longest", "lone_calls")
 
 
-def table(shots, counts):
-    """Shoot each shot with the default fan and print its counts, then their total."""
-    total = dict.fromkeys(KEYS, 0)
-    print(" ".join([f"{'shot':18s}", *(f"{key:>10s}" for key in KEYS),
+def table(shots, counts, keys=KEYS, multistart=None):
+    """Shoot each shot and print its counts of keys, then their total."""
+    total = dict.fromkeys(keys, 0)
+    print(" ".join([f"{'shot':18s}", *(f"{key:>10s}" for key in keys),
                     f"{'starts':>6s} {'conv':>4s} {'dist':>4s}  d_A"]))
     for label, model, y, x in shots:
         counts.update(dict.fromkeys(KEYS, 0), per_lane=Counter())
-        geo = geoflow.shoot_geodesic(model, y, x)
+        geo = geoflow.shoot_geodesic(model, y, x, multistart=multistart)
         counts["longest"] = max(counts["per_lane"].values(), default=0)
         u = geo.uniqueness
-        print(" ".join([f"{label:18s}", *(f"{counts[key]:10d}" for key in KEYS),
+        print(" ".join([f"{label:18s}", *(f"{counts[key]:10d}" for key in keys),
                         f"{u['n_starts']:6d} {u['n_converged']:4d} {u['n_distinct']:4d}"
                         f"  {geo.agmon!r}"]), flush=True)
-        for key in KEYS:
+        for key in keys:
             total[key] += counts[key]
-    print(" ".join([f"{'total':18s}", *(f"{total[key]:10d}" for key in KEYS)]))
+    print(" ".join([f"{'total':18s}", *(f"{total[key]:10d}" for key in keys)]))
 
 
 def main():
@@ -115,6 +129,8 @@ def main():
     table(fan_shots(), counts)
     print()
     table(flat_shots(), counts)
+    print()
+    table(lone_shots(), counts, keys=("lone_calls",), multistart=1)
     return 0
 
 
