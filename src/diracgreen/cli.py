@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,20 +128,22 @@ def _require(cfg, *fields):
 
 
 def _complex_columns(prefix, n):
-    names = []
-    for i in range(n):
-        for j in range(n):
-            names.append(f"{prefix}{i}{j}_re")
-            names.append(f"{prefix}{i}{j}_im")
-    return names
+    return [f"{prefix}{i}{j}_{part}" for i in range(n) for j in range(n) for part in ("re", "im")]
 
 
-def _matrix_cells(mat):
-    cells = []
-    for entry in np.asarray(mat).ravel():
-        cells.append(_fmt(entry.real))
-        cells.append(_fmt(entry.imag))
-    return cells
+def _re_im(mat):
+    """A complex matrix's entries, row by row, each as its real then its imaginary part."""
+    return [part for entry in np.asarray(mat).ravel() for part in (entry.real, entry.imag)]
+
+
+def _csv(header, rows, **notes):
+    """A CSV artifact: the header, one line of numbers per row, then a `# name = value` line
+    per note, a number as 17 significant digits and a string as it is."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    lines += [f"# {name} = {value if isinstance(value, str) else _fmt(value)}"
+              for name, value in notes.items()]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +175,10 @@ def cmd_kernel(cfg):
                         cfg.h_list, multistart=cfg.multistart)
     header = (["h"] + _complex_columns("g", rep.dstar)
               + ["dA", "det_exp_prime", "ratio_re", "ratio_im", "abs_ratio_minus_1"])
-    lines = [",".join(header)]
-    for h, ratio, dev, est in zip(sweep.h_list, sweep.ratios, sweep.deviations,
-                                  sweep.estimates):
-        row = ([_fmt(h)] + _matrix_cells(est.matrix)
-               + [_fmt(sweep.agmon), _fmt(sweep.det_exp_prime),
-                  _fmt(ratio.real), _fmt(ratio.imag), _fmt(dev)])
-        lines.append(",".join(row))
-    lines.append(f"# slope = {_fmt(sweep.slope)}")
-    return "\n".join(lines) + "\n"
+    rows = [[h, *_re_im(est.matrix), sweep.agmon, sweep.det_exp_prime, ratio.real, ratio.imag, dev]
+            for h, ratio, dev, est in zip(sweep.h_list, sweep.ratios, sweep.deviations,
+                                          sweep.estimates)]
+    return _csv(header, rows, slope=sweep.slope)
 
 
 def cmd_validate1d(cfg):
@@ -198,17 +195,14 @@ def cmd_validate1d(cfg):
 
     sweep = exact_sweep(cfg.model, build_dirac_rep(1), cfg.x_star, cfg.y_star, cfg.h_list,
                         exact, multistart=cfg.multistart)
-    lines = ["h,dA,ratio_re,ratio_im,abs_ratio_minus_1"]
-    for h, ratio, dev in zip(sweep.h_list, sweep.ratios, sweep.deviations):
-        lines.append(",".join([_fmt(h), _fmt(sweep.agmon), _fmt(ratio.real),
-                               _fmt(ratio.imag), _fmt(dev)]))
+    rows = [[h, sweep.agmon, ratio.real, ratio.imag, dev]
+            for h, ratio, dev in zip(sweep.h_list, sweep.ratios, sweep.deviations)]
     # the adjoint check pairs the forward kernel at the smallest h with its reverse
     oracle, rev = sweep.references[-1], reverse[-1]
     s = unit_scale(oracle)
     adjoint = float(np.linalg.norm(s * oracle.conj().T - s * rev) / np.linalg.norm(s * oracle))
-    lines.append(f"# slope = {_fmt(sweep.slope)}")
-    lines.append(f"# adjoint_residual = {_fmt(adjoint)}")
-    return "\n".join(lines) + "\n"
+    return _csv(["h", "dA", "ratio_re", "ratio_im", "abs_ratio_minus_1"], rows,
+                slope=sweep.slope, adjoint_residual=adjoint)
 
 
 def cmd_constant(cfg):
@@ -216,13 +210,10 @@ def cmd_constant(cfg):
     if cfg.model.kind != "constant":
         raise ConfigError("the constant command requires potential.kind = 'constant'")
     rep = build_dirac_rep(cfg.model.dim)
-    header = ["h"] + _complex_columns("g", rep.dstar)
-    lines = [",".join(header)]
-    for h in cfg.h_list:
-        exact = constant_V_exact(rep, cfg.model.params["value"],
-                                 cfg.x_star, cfg.y_star, h)
-        lines.append(",".join([_fmt(h)] + _matrix_cells(exact)))
-    return "\n".join(lines) + "\n"
+    rows = [[h, *_re_im(constant_V_exact(rep, cfg.model.params["value"],
+                                         cfg.x_star, cfg.y_star, h))]
+            for h in cfg.h_list]
+    return _csv(["h"] + _complex_columns("g", rep.dstar), rows)
 
 
 def cmd_bmt(cfg):
@@ -233,18 +224,13 @@ def cmd_bmt(cfg):
     geo = shoot_geodesic(cfg.model, cfg.y_star, cfg.x_star, multistart=cfg.multistart)
     spin = solve_bmt_spin(cfg.model, geo.trajectory)
     report = equivalence_check(cfg.model, rep, geo, spin=spin)
-    lines = ["t,s1,s2,s3,abs_s,bmt2_residual"]
-    for i, t in enumerate(spin.times):
-        s_vec = spin.bloch[i]
-        lines.append(",".join([_fmt(t), _fmt(s_vec[0]), _fmt(s_vec[1]),
-                               _fmt(s_vec[2]), _fmt(np.linalg.norm(s_vec)),
-                               _fmt(spin.residual_path[i])]))
-    lines.append(f"# unitarity_defect = {_fmt(spin.unitarity_defect)}")
-    lines.append(f"# residual_left_inverse = {_fmt(report.residual_left_inverse)}")
-    lines.append(f"# residual_transpose = {_fmt(report.residual_transpose)}")
-    lines.append(f"# best = {report.best}")
-    lines.append(f"# passed = {'true' if report.passed else 'false'}")
-    return "\n".join(lines) + "\n"
+    rows = [[t, *s_vec, np.linalg.norm(s_vec), residual]
+            for t, s_vec, residual in zip(spin.times, spin.bloch, spin.residual_path)]
+    return _csv(["t", "s1", "s2", "s3", "abs_s", "bmt2_residual"], rows,
+                unitarity_defect=spin.unitarity_defect,
+                residual_left_inverse=report.residual_left_inverse,
+                residual_transpose=report.residual_transpose,
+                best=report.best, passed="true" if report.passed else "false")
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +246,6 @@ def _build_parser():
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="path to a JSON run configuration")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--h-list", help="comma-separated h values (overrides config)")
-    parser.add_argument("--dim", type=int, choices=(1, 2, 3),
-                        help="restrict selfcheck to one dimension")
     return parser
 
 
@@ -277,19 +260,13 @@ def _load_config(args):
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
-        cfg = RunConfig.from_dict(data)
-        if args.h_list is not None:
-            h_list = _h_list(tok for tok in args.h_list.split(",") if tok.strip())
-            if not h_list:
-                raise ConfigError(f"--h-list names no h: {args.h_list!r}")
-            cfg = replace(cfg, h_list=h_list)
+        return RunConfig.from_dict(data)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # DomainError (a bad potential) is a ValueError too; an integer too
         # large for a float raises OverflowError
         raise ConfigError(f"bad config value ({type(exc).__name__}): {exc}") from exc
-    return cfg
 
 
 def _check_writable(path):
@@ -321,16 +298,13 @@ def _emit(text, path):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        # a flag the command does not read is refused, not ignored
-        unread = ({"--config": args.config, "--h-list": args.h_list}
-                  if args.command == "selfcheck" else {"--dim": args.dim})
-        for flag, value in unread.items():
-            if value is not None:
-                raise ConfigError(f"{args.command} does not take {flag}")
+        # selfcheck runs fixed wells: a config given to it is refused, not ignored
+        if args.command == "selfcheck" and args.config is not None:
+            raise ConfigError("selfcheck does not take --config")
         _check_writable(args.out)
         if args.command == "selfcheck":
             from .selfcheck import run_selfcheck   # only this command loads the checks
-            report = run_selfcheck((args.dim,) if args.dim else (1, 2, 3))
+            report = run_selfcheck((1, 2, 3))
             _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
             if not report["passed"]:
                 first = next(c for c in report["checks"] if not c["pass"])

@@ -259,7 +259,7 @@ def _start_directions(dim, n_base, count):
             dirs.append(frame @ (g / np.linalg.norm(g)))
     # ndindex order does not put the base direction (lattice vector (1,0,..)) first
     dirs.sort(key=lambda v: -float(v @ n_base))
-    return dirs[:count] if count is not None else dirs
+    return dirs[:count]
 
 
 class _End(NamedTuple):

@@ -130,8 +130,8 @@ def _glue(sols, points, src, h):
 
 def _marches(model, x, y, h):
     """Both recessive solutions at (y, x), for x != y."""
-    x = float(np.atleast_1d(x)[0]) if np.ndim(x) else float(x)
-    y = float(np.atleast_1d(y)[0]) if np.ndim(y) else float(y)
+    x = float(np.atleast_1d(x)[0])
+    y = float(np.atleast_1d(y)[0])
     if x == y:
         raise DomainError("the kernel diverges on the diagonal; x and y must differ")
     # each march runs to the farther of the two points, so the pair depends

@@ -56,10 +56,9 @@ def write_config(tmp_path, data, name="cfg.json"):
     return str(path)
 
 
-def run_to_file(tmp_path, command, config, extra=(), name="out.txt"):
+def run_to_file(tmp_path, command, config, name="out.txt"):
     out = tmp_path / name
-    code = cli.main([command, "--config", write_config(tmp_path, config),
-                     "--out", str(out), *extra])
+    code = cli.main([command, "--config", write_config(tmp_path, config), "--out", str(out)])
     return code, (out.read_text() if out.exists() else "")
 
 
@@ -67,25 +66,27 @@ def run_to_file(tmp_path, command, config, extra=(), name="out.txt"):
 
 def test_selfcheck_single_dimension(tmp_path):
     out = tmp_path / "report.json"
-    assert cli.main(["selfcheck", "--dim", "1", "--out", str(out)]) == 0
+    assert cli.main(["selfcheck", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["passed"]
-    assert report["n_checks"] >= 20
+    assert report["n_checks"] == len(report["checks"]) == 63
     for check in report["checks"]:
         assert set(check) == {"name", "residual", "tol", "pass"}
         assert check["pass"]
 
 
 def test_selfcheck_fault_injection(tmp_path, capsys, monkeypatch):
-    """One Clifford matrix entry off by 1e-6 fails its line, and no other."""
+    """One d = 1 Clifford matrix entry off by 1e-6 fails its line, and no other."""
     def perturbed(rep):
+        if rep.dim != 1:
+            return clifford_residual(rep)
         alphas = [a.copy() for a in rep.alphas]
         alphas[0][0, -1] += 1e-6
         return clifford_residual(replace(rep, alphas=tuple(alphas)))
 
     monkeypatch.setattr(selfcheck, "clifford_residual", perturbed)
     out = tmp_path / "report.json"
-    code = cli.main(["selfcheck", "--dim", "1", "--out", str(out)])
+    code = cli.main(["selfcheck", "--out", str(out)])
     assert code == 1
     assert "clifford_relations_d1" in capsys.readouterr().err
     report = json.loads(out.read_text())
@@ -564,14 +565,6 @@ def test_underflowed_leading_kernel_is_a_numerical_failure(tmp_path, command, co
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
-def test_kernel_h_list_override(tmp_path):
-    code, text = run_to_file(tmp_path, "kernel", CONST_1D,
-                             extra=("--h-list", "0.1,0.05"))
-    assert code == 0
-    rows = [ln for ln in text.strip().split("\n")[1:] if not ln.startswith("#")]
-    assert [float(r.split(",")[0]) for r in rows] == [0.1, 0.05]
-
-
 def test_kernel_rejects_nonconstant_potential(tmp_path):
     code, _ = run_to_file(tmp_path, "kernel", BUMP_1D)
     assert code == 2
@@ -605,7 +598,7 @@ def test_validate1d_artifact(tmp_path):
 
 def test_validate1d_single_h_has_zero_slope(tmp_path):
     # one h gives no log-log fit; the sweep reports slope 0 rather than failing
-    code, text = run_to_file(tmp_path, "validate1d", BUMP_1D, extra=("--h-list", "0.1"))
+    code, text = run_to_file(tmp_path, "validate1d", dict(BUMP_1D, h_list=[0.1]))
     assert code == 0
     lines = text.strip().split("\n")
     assert len(lines) == 4
@@ -633,7 +626,7 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("name,config", [("tanh", TANH_1D), ("bump", BUMP_1D)])
 def test_validate1d_matches_its_golden_artifact(tmp_path, name, config):
     """The steep tanh and the bump at h = 0.2, 0.025, byte for byte."""
-    code, text = run_to_file(tmp_path, "validate1d", config, extra=("--h-list", "0.2,0.025"))
+    code, text = run_to_file(tmp_path, "validate1d", dict(config, h_list=[0.2, 0.025]))
     assert code == 0
     assert text == (DATA / f"validate1d_{name}.csv").read_text()
 
@@ -823,12 +816,17 @@ def test_each_module_loads_only_what_it_uses(tmp_path):
     assert proc.stdout.split() == ["False", "0", "False"]
 
 
+def _hs(text):
+    """The h values of a comma-separated list, as a config's h_list."""
+    return [float(h) for h in text.split(",")]
+
+
 @pytest.mark.parametrize("h_list", ["0.2,1e-6", "0.2,1e-100"])
 def test_validate1d_underflowing_kernel_exits_3(tmp_path, h_list):
     """Where e^(-d_A/h) underflows, validate1d names d_A/h and exits 3 before the oracle runs."""
     proc = subprocess.run(
         [sys.executable, "-m", "diracgreen.cli", "validate1d", "--config",
-         write_config(tmp_path, BUMP_1D), "--h-list", h_list],
+         write_config(tmp_path, dict(BUMP_1D, h_list=_hs(h_list)))],
         capture_output=True, text=True, timeout=15, env=_src_env())
     assert proc.returncode == 3
     assert "d_A/h" in proc.stderr
@@ -840,7 +838,7 @@ def test_validate1d_tiny_kernel_keeps_its_ratio(tmp_path, h_list):
     """A kernel near 1e-211 or 1e-281 is not zero: the norms are taken after an exact rescale."""
     proc = subprocess.run(
         [sys.executable, "-m", "diracgreen.cli", "validate1d", "--config",
-         write_config(tmp_path, BUMP_1D), "--h-list", h_list],
+         write_config(tmp_path, dict(BUMP_1D, h_list=_hs(h_list)))],
         capture_output=True, text=True, timeout=60, env=_src_env())
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -867,7 +865,7 @@ def test_validate1d_trial_stage_overflow_is_silent(tmp_path, name, config, h_lis
     """
     proc = subprocess.run(
         [sys.executable, "-m", "diracgreen.cli", "validate1d", "--config",
-         write_config(tmp_path, config), "--h-list", h_list],
+         write_config(tmp_path, dict(config, h_list=_hs(h_list)))],
         capture_output=True, text=True, timeout=60, env=_src_env())
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -909,7 +907,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     assert cli.main(["constant", "--config", write_config(tmp_path, CONST_1D),
                      "--out", out]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
-    assert cli.main(["selfcheck", "--dim", "1", "--out", out]) == 2
+    assert cli.main(["selfcheck", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
 
 
@@ -921,7 +919,7 @@ def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(selfcheck, "_dim_checks", no_work)
     monkeypatch.setattr(cli, "shoot_geodesic", no_work)
     out = str(tmp_path / "missing" / "x.json")
-    assert cli.main(["selfcheck", "--dim", "1", "--out", out]) == 2
+    assert cli.main(["selfcheck", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot write artifact:")
     assert cli.main(["geodesic", "--config", write_config(tmp_path, CONST_2D),
                      "--out", out]) == 2
@@ -948,19 +946,6 @@ def test_failed_run_keeps_the_existing_artifact(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_bad_h_list_override(tmp_path):
-    code, _ = run_to_file(tmp_path, "kernel", CONST_1D, extra=("--h-list", "0.05,0.1"))
-    assert code == 2
-
-
-@pytest.mark.parametrize("h_list", ["", ","], ids=["empty", "comma"])
-def test_an_empty_h_list_flag_exits_2_and_names_it(tmp_path, capsys, h_list):
-    """A given --h-list is read, not passed over for the config's h_list."""
-    code, _ = run_to_file(tmp_path, "constant", CONST_1D, extra=("--h-list", h_list))
-    assert code == 2
-    assert capsys.readouterr().err == f"config error: --h-list names no h: {h_list!r}\n"
-
-
 @pytest.mark.parametrize("key", ["delta", "window", "box_half", "out"])
 def test_derived_and_removed_keys_exit_2_and_name_the_key(tmp_path, capsys, key):
     """The family gives the margin and the window, V has no domain box, and --out alone
@@ -977,28 +962,33 @@ def test_derived_and_removed_keys_exit_2_and_name_the_key(tmp_path, capsys, key)
     assert not target.exists()
 
 
-def test_dim_is_refused_outside_selfcheck(tmp_path, capsys):
-    """A d = 1 config does not run as d = 2, nor ignore the flag."""
-    out = tmp_path / "out.csv"
-    assert cli.main(["constant", "--config", write_config(tmp_path, CONST_1D),
-                     "--dim", "2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: constant does not take --dim\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("flags,refused", [
-    (["--config", "/nonexistent.json", "--h-list", "0.3"], "--config"),
     (["--config", "/nonexistent.json"], "--config"),
-    (["--h-list", "0.3"], "--h-list"),
-], ids=["both", "config", "h-list"])
+], ids=["config"])
 def test_selfcheck_refuses_config_and_h_list(capsys, monkeypatch, flags, refused):
-    """selfcheck reads neither flag: each exits 2 before any line runs."""
+    """selfcheck reads no config: it exits 2 before any line runs."""
     def no_work(*args, **kwargs):
         raise AssertionError("selfcheck ran with a flag it does not read")
 
     monkeypatch.setattr(selfcheck, "_dim_checks", no_work)
-    assert cli.main(["selfcheck", "--dim", "1", *flags]) == 2
+    assert cli.main(["selfcheck", *flags]) == 2
     assert capsys.readouterr().err == f"config error: selfcheck does not take {refused}\n"
+
+
+def test_removed_flags_exit_2(capsys):
+    """The config is every command's one input: argparse refuses --h-list and --dim."""
+    for command in cli._COMMANDS:
+        for flag in (["--h-list", "0.1"], ["--dim", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, *flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    proc = subprocess.run([sys.executable, "-m", "diracgreen.cli", "selfcheck", "--dim", "1"],
+                          capture_output=True, text=True, timeout=60, env=_src_env())
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: diracgreen")
+    assert "unrecognized arguments: --dim 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ------------------------------------------------------------ config fuzz
@@ -1117,14 +1107,12 @@ def _numbers(text):
 
 def _fuzz_finding(capsys, artifact, run):
     """None if run() exits 0, 2 or 3 within the budget, with on exit 0 an empty stderr and
-    only finite numbers in the artifact; else what went wrong.  An argparse refusal is exit 2.
+    only finite numbers in the artifact; else what went wrong.
     """
     artifact.unlink(missing_ok=True)
     start = time.perf_counter()
     try:
         code = run()
-    except SystemExit as exc:
-        code = exc.code
     except Exception as exc:   # any escape is a finding
         return repr(exc)
     wall = time.perf_counter() - start
@@ -1160,23 +1148,3 @@ def test_fuzz_computing_commands(tmp_path, capsys, command, config, fields):
             if finding is not None:
                 findings.append((path, value, finding))
     assert findings == []
-
-
-def test_fuzz_selfcheck_dim(tmp_path, capsys):
-    """selfcheck --dim with each menu value: exit 0, 2 or 3 within the time budget.
-
-    argparse refuses every value but 2, which runs the d = 2 lines.
-    """
-    artifact = tmp_path / "fuzz.json"
-    findings, ran = [], []
-
-    def selfcheck(value):
-        code = cli.main(["selfcheck", "--dim", str(value), "--out", str(artifact)])
-        ran.append(value)
-        return code
-
-    for value in FUZZ_MENU:
-        finding = _fuzz_finding(capsys, artifact, lambda: selfcheck(value))
-        if finding is not None:
-            findings.append((value, finding))
-    assert findings == [] and ran == [2]

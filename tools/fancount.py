@@ -7,10 +7,11 @@ bump_b in d = 2 and d = 3), the second the three flat-stretch shots in
 d >= 2 of tests/test_cli.py (the d = 2 and d = 3 bump and the d = 3 cosine
 from an endpoint a unit or more outside the well), each forward and
 reversed, with the default fan.  The third, the lone table, holds the
-twelve lone shots of the benchmark: the three amplitude3d-single pairs in
-d = 3 (PAIRS[3] of bench/workloads.py) with multistart 1, and the bump,
-tanh and cosine pairs of validate1d-oracle in d = 1, each forward and
-reversed, with their lone calls alone.  The tool wraps geoflow._lane_rhs and
+sixteen lone shots of the benchmark: the three amplitude3d-single pairs
+and its constant kernel pair in d = 3 (PAIRS[3] and KERNEL3D_PAIR of
+bench/workloads.py), and the bump, tanh, cosine and constant pairs of
+validate1d-oracle in d = 1, each forward and reversed, with multistart 1
+and their lone calls alone.  The tool wraps geoflow._lane_rhs and
 geoflow._flow_rhs, so it counts
 
 * lane calls: calls of the batched RHS that the fan's lanes share,
@@ -37,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools"), str(ROOT / "bench")]
 
 from runset import BUMP, COSINE, PAIRS  # noqa: E402
-from workloads import PAIRS as BENCH_PAIRS, VALIDATE1D_PAIRS  # noqa: E402
+from workloads import KERNEL3D_PAIR, PAIRS as BENCH_PAIRS, VALIDATE1D_PAIRS  # noqa: E402
 
 from diracgreen import geoflow  # noqa: E402
 from diracgreen.potential import make_potential  # noqa: E402
@@ -94,12 +95,11 @@ def flat_shots():
 
 
 def lone_shots():
-    """(label, model, y_star, x_star) of the twelve lone shots."""
-    for name, kind, params, y, x in BENCH_PAIRS[3]:
+    """(label, model, y_star, x_star) of the sixteen lone shots."""
+    for name, kind, params, y, x in [*BENCH_PAIRS[3], KERNEL3D_PAIR]:
         yield from both_ways(f"d3_{name}_one", make_potential(3, kind, params), y, x)
     for name, kind, params, y, x in VALIDATE1D_PAIRS:
-        if kind != "constant":
-            yield from both_ways(f"d1_{name}", make_potential(1, kind, params), y, x)
+        yield from both_ways(f"d1_{name}", make_potential(1, kind, params), y, x)
 
 
 KEYS = ("lane_calls", "lane_rows", "longest", "lone_calls")

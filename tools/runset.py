@@ -69,57 +69,57 @@ def config(dim, kind, params, y_star, x_star, h_list=H_LIST, multistart=None):
 
 
 def runs():
-    """(name, command, config or None, extra arguments) of every run."""
+    """(name, command, config or None) of every run."""
     out = []
     for name, kind, params, y, x in PAIRS_1D:
         for way, (a, b) in (("fwd", (y, x)), ("rev", (x, y))):
             out.append((f"validate1d_{name}_{way}", "validate1d",
-                        config(1, kind, params, a, b), ()))
+                        config(1, kind, params, a, b)))
             for starts, count in dict(STARTS, two=2).items():
                 out.append((f"geodesic_d1_{name}_{way}_{starts}", "geodesic",
-                            config(1, kind, params, a, b, multistart=count), ()))
+                            config(1, kind, params, a, b, multistart=count)))
     bump = config(1, "bump_well", BUMP, [-1.0], [1.0])
     out += [
-        ("validate1d_bump_h01", "validate1d", bump, ("--h-list", "0.1")),
+        ("validate1d_bump_h01", "validate1d", dict(bump, h_list=[0.1])),
         ("validate1d_bump_shifted", "validate1d",
-         config(1, "bump_well", BUMP, [-1.6], [0.4]), ()),
-        ("validate1d_bump_one", "validate1d", dict(bump, shooting={"multistart": 1}), ()),
+         config(1, "bump_well", BUMP, [-1.6], [0.4])),
+        ("validate1d_bump_one", "validate1d", dict(bump, shooting={"multistart": 1})),
         ("validate1d_bump_centre03", "validate1d",
-         config(1, "bump_well", dict(BUMP, center=0.3), [-1.0], [1.2]), ()),
-        ("validate1d_bump_h0005", "validate1d", bump, ("--h-list", "0.2,0.005")),
-        ("validate1d_bump_underflow", "validate1d", bump, ("--h-list", "0.2,1e-6")),
+         config(1, "bump_well", dict(BUMP, center=0.3), [-1.0], [1.2])),
+        ("validate1d_bump_h0005", "validate1d", dict(bump, h_list=[0.2, 0.005])),
+        ("validate1d_bump_underflow", "validate1d", dict(bump, h_list=[0.2, 1e-6])),
     ]
     # across the flat stretch, where a shot's steps grow tenfold each
     flat = config(1, "bump_well", BUMP, [-4.0], [0.0])
-    out.append(("validate1d_bump_flat", "validate1d", flat, ()))
+    out.append(("validate1d_bump_flat", "validate1d", flat))
     for starts, count in STARTS.items():
         out.append((f"geodesic_d1_bump_flat_{starts}", "geodesic",
-                    dict(flat, shooting={"multistart": count}), ()))
+                    dict(flat, shooting={"multistart": count})))
     for dim in (1, 2, 3):
         ends = [[-0.5] + [0.0] * (dim - 1), [0.5] + [0.0] * (dim - 1)]
         for starts, count in STARTS.items():
             out.append((f"kernel_d{dim}_{starts}", "kernel",
                         config(dim, "constant", {"value": -0.6}, *ends, h_list=[0.2, 0.1, 0.05],
-                               multistart=count), ()))
+                               multistart=count)))
         out.append((f"constant_d{dim}", "constant",
-                    config(dim, "constant", {"value": -0.6}, *ends), ()))
+                    config(dim, "constant", {"value": -0.6}, *ends)))
     for dim, pairs in PAIRS.items():
         for name, kind, params, y, x in pairs:
             for starts, count in STARTS.items():
                 cfg = config(dim, kind, params, y, x, multistart=count)
-                out.append((f"geodesic_d{dim}_{name}_{starts}", "geodesic", cfg, ()))
+                out.append((f"geodesic_d{dim}_{name}_{starts}", "geodesic", cfg))
                 if dim == 3:
-                    out.append((f"bmt_d3_{name}_{starts}", "bmt", cfg, ()))
+                    out.append((f"bmt_d3_{name}_{starts}", "bmt", cfg))
     far = config(2, "constant", {"value": -0.6}, [-9e5, 0.0], [9e5, 0.0])
-    out.append(("geodesic_d2_constant_far", "geodesic", far, ()))
+    out.append(("geodesic_d2_constant_far", "geodesic", far))
     for name, kind, params in [("unknown_param", "bump_well", dict(BUMP, amp=0.1)),
                                ("bad_radius", "bump_well", dict(BUMP, radius=0.0)),
                                ("range", "bump_well", dict(BUMP, depth=0.5)),
                                ("unknown_kind", "nope", {}),
                                ("tanh_d2", "tanh_step", {"base": -0.5, "amp": 0.2})]:
         out.append((f"exit2_{name}", "geodesic",
-                    config(2, kind, params, [-1.0, -0.3], [1.0, 0.4]), ()))
-    out.append(("selfcheck", "selfcheck", None, ()))
+                    config(2, kind, params, [-1.0, -0.3], [1.0, 0.4])))
+    out.append(("selfcheck", "selfcheck", None))
     return out
 
 
@@ -134,8 +134,8 @@ def main(argv=None):
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as work:
         def run(spec):
-            name, command, cfg, extra = spec
-            args = [sys.executable, "-m", "diracgreen.cli", command, *extra]
+            name, command, cfg = spec
+            args = [sys.executable, "-m", "diracgreen.cli", command]
             if cfg is not None:
                 path = Path(work) / f"{name}.json"
                 path.write_text(json.dumps(cfg), encoding="utf-8")
