@@ -56,14 +56,15 @@ BALL = 1.0 - 1e-12
 # the shoot, with every residual max |x(tau) - x*| measured against tol * max(1, |x*|_inf):
 # a start integrates at LOOSE until its last residual is at most LOOSE_UNTIL.  A fan start
 # then integrates at the fan's OdeOpts() and converges only on an iterate at the fan's
-# pair whose residual is at most NEWTON_TOL; a lone start goes straight to TIGHT and
-# converges at POLISH_TOL, near the float floor, as the polish does from its first
-# iterate on; each within MAX_ITER Newton steps.
+# pair whose residual is at most NEWTON_TOL, enough for the merge and the polish's start;
+# a lone start goes straight to TIGHT and converges at POLISH_TOL, near the float floor,
+# as the polish does from its first iterate on; each within MAX_ITER Newton steps, and
+# a start ends as max_iter once STALL iterates in a row fail to halve its best residual.
 # Connections closer than MERGE_TOL in (p0, tau) are one, and a fan start whose next
 # iterate is that close to a certified connection retires into it; a bordered
 # determinant under CONJUGACY_TOL d_A^(d-1) is near-conjugate
-NEWTON_TOL, MAX_ITER, MERGE_TOL, CONJUGACY_TOL = 1e-10, 40, 1e-6, 1e-8
-LOOSE_UNTIL, POLISH_TOL = 1e-3, 1e-13
+NEWTON_TOL, MAX_ITER, MERGE_TOL, CONJUGACY_TOL = 1e-8, 40, 1e-6, 1e-8
+LOOSE_UNTIL, POLISH_TOL, STALL = 1e-3, 1e-13, 15
 # a fan start far from its root (inexact Newton: Dembo, Eisenstat & Steihaug 1982)
 LOOSE = OdeOpts(1e-6, 1e-8)
 
@@ -352,9 +353,16 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     A start is an inexact Newton iteration: it integrates at LOOSE until
     its last residual is at most LOOSE_UNTIL.  A fan start then integrates
     at the fan's OdeOpts() and converges only on an iterate at the fan's
-    pair with a residual of at most NEWTON_TOL, within MAX_ITER iterates of
-    its own.  A lone start has nothing to merge with, so it goes from LOOSE
-    straight to TIGHT and converges at POLISH_TOL: it is its own polish.
+    pair with a residual of at most NEWTON_TOL = 1e-8, within MAX_ITER
+    iterates of its own: its root only feeds the MERGE_TOL merge and the
+    polish's start, so more digits would certify nothing.  A lone start has
+    nothing to merge with, so it goes from LOOSE straight to TIGHT and
+    converges at POLISH_TOL: it is its own polish.
+    A start whose residual stops contracting (Deuflhard, Newton Methods
+    for Nonlinear Problems, 2004, ch. 3) ends as max_iter once STALL
+    iterates in a row fail to halve its best residual, the one at its last
+    halving: on a flat stretch a start far from x* can cycle for all
+    MAX_ITER iterates, and the fan runs until its longest start ends.
     A start that shares the lanes also converges, without integrating it,
     when its next iterate is due at the fan's pair and lies within
     MERGE_TOL (_merged) of a connection that another start has certified:
@@ -362,7 +370,7 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     has joined the root's Newton basin and would only certify it again.
     The polish of a fan's root integrates every iterate at TIGHT.  Its
     first iterate, like a lone start's first at TIGHT, only measures the
-    residual: it starts off the root (about 1e-12 away for the polish, one
+    residual: it starts off the root (within NEWTON_TOL for the polish, one
     LOOSE step away for a lone start) and so converges only on the constant
     well, where a step is exact.  So every later iterate at TIGHT keeps its
     dense output, the Trajectory that transport and BMT read, and the first
@@ -382,6 +390,8 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     outcomes = [ITER_LIMIT] * n
     ends = [None] * n
     iters = [0] * n
+    best = [math.inf] * n   # each start's residual when it last halved
+    stalls = [0] * n        # its iterates since then
     charts = [None] * n
 
     def start(k):
@@ -403,6 +413,12 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
                 return False
         elif err <= LOOSE_UNTIL * unit:
             opts[k] = exact
+        if err <= 0.5 * best[k]:
+            best[k], stalls[k] = err, 0
+        else:
+            stalls[k] += 1
+            if stalls[k] == STALL:
+                return False   # ITER_LIMIT: the residual stopped contracting
         jac = np.empty((d, d))
         for j, col in enumerate(charts[k][1]):
             jac[:, j] = end.dpx @ (r_y * col)
@@ -458,7 +474,7 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
 def _unit(x_star):
     """max(1, |x*|_inf), the unit of the shoot's residuals.
 
-    An absolute 1e-10 lies below the float spacing from |x*| = 2^19 (about 5.2e5) on.
+    An absolute POLISH_TOL = 1e-13 lies below the float spacing from |x*| = 2^9 = 512 on.
     """
     return max(1.0, float(np.max(np.abs(x_star))))
 
@@ -468,14 +484,15 @@ def _fan_starts(model, y_star, x_star, count):
 
     The guess reads V at the midpoint and every start's momentum V at y_star;
     either value outside the gap (-1, 0) raises DomainError, and so does a
-    start momentum on the ball.  So do endpoints closer than 10 NEWTON_TOL /
-    MERGE_TOL in units of max(1, |x*|_inf): there the absolute Newton stop
-    is no longer small against the separation, and distinct iterates of one
-    connection no longer merge.
+    start momentum on the ball.  So do endpoints closer than LOOSE_UNTIL in
+    units of max(1, |x*|_inf): every stop of the shoot is absolute in that
+    unit, and a start leaves its LOOSE iterates once its residual is at most
+    LOOSE_UNTIL, so closer endpoints could end them on an orbit that misses
+    x* by more than the separation itself.
     """
     sep = x_star - y_star
     r = float(np.linalg.norm(sep))
-    least = 10.0 * NEWTON_TOL / MERGE_TOL * _unit(x_star)
+    least = LOOSE_UNTIL * _unit(x_star)
     if not r >= least:
         # hypot scales, where the norm's squares underflow (1e-300 apart reads 0.0)
         raise DomainError(f"endpoints {math.hypot(*sep.tolist())!r} apart; the shoot needs "
@@ -513,16 +530,19 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     integrates at LOOSE until its residual max |x(tau) - x*| falls to
     LOOSE_UNTIL max(1, |x*|_inf).  A fan start then integrates at the fan's
     OdeOpts(); it converges only on an iterate at the fan's pair, at
-    NEWTON_TOL, or retires into a connection another start has certified
-    once its next iterate at the fan's pair lies within MERGE_TOL of it in
-    (p0, tau).  n_converged counts the certified starts plus those retired
-    into a certified connection; n_distinct counts the connections after
-    the same MERGE_TOL merge.  The fan's least-action connection is then
-    polished: every iterate at TIGHT, down to POLISH_TOL, so the returned
-    d_A does not depend on the path the fan took.  A lone start (d = 1, or
-    multistart 1) integrates at TIGHT after LOOSE and converges at
-    POLISH_TOL, so its root is the polished connection, and its one
-    distinct entry is the returned orbit bit for bit.
+    NEWTON_TOL = 1e-8, or retires into a connection another start has
+    certified once its next iterate at the fan's pair lies within MERGE_TOL
+    of it in (p0, tau).  A start ends as max_iter after MAX_ITER iterates,
+    or once STALL iterates in a row fail to halve its best residual.
+    n_converged counts the certified starts plus those retired into a
+    certified connection; n_distinct counts the connections after the same
+    MERGE_TOL merge, and distinct holds the fan's roots, at NEWTON_TOL.
+    The fan's least-action connection is then polished: every iterate at
+    TIGHT, down to POLISH_TOL, so the returned d_A does not depend on the
+    path the fan took.  A lone start (d = 1, or multistart 1) integrates at
+    TIGHT after LOOSE and converges at POLISH_TOL, so its root is the
+    polished connection, and its one distinct entry is the returned orbit
+    bit for bit.
 
     Raises ShootingError if no start converges and ConjugatePointError if
     the bordered determinant falls under CONJUGACY_TOL * d_A^(d-1).

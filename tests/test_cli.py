@@ -434,7 +434,7 @@ def test_geodesic_conjugacy_exit(tmp_path, capsys, monkeypatch):
 
 
 def test_geodesic_far_from_the_origin(tmp_path):
-    """At |x*| = 9e5 the float spacing (1.16e-10) exceeds 1e-10: Newton's stop test scales."""
+    """At |x*| = 9e5 the float spacing (1.16e-10) exceeds POLISH_TOL: Newton's stops scale."""
     cfg = dict(CONST_2D, x_star=[9e5, 0.0], y_star=[-9e5, 0.0])
     code, text = run_to_file(tmp_path, "geodesic", cfg)
     assert code == 0
@@ -493,8 +493,8 @@ def test_a_start_on_the_momentum_ball_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("x_star", [[1e-13, 0.0], [1e-300, 0.0]], ids=["1e-13", "1e-300"])
 def test_close_endpoints_exit_2(tmp_path, capsys, x_star):
-    """Under 10 NEWTON_TOL / MERGE_TOL = 1e-3 apart (times max(1, |x*|_inf)) the absolute
-    Newton stop and the merge can no longer tell one connection: refused, not shot wrong."""
+    """Under LOOSE_UNTIL = 1e-3 apart (times max(1, |x*|_inf)) a start could leave its loose
+    iterates on an orbit that misses x* by more than the separation: refused, not shot wrong."""
     cfg = dict(CONST_2D, potential=WELLS["bump"], y_star=[0.0, 0.0], x_star=x_star)
     code, _ = run_to_file(tmp_path, "geodesic", cfg)
     assert code == 2

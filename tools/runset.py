@@ -7,7 +7,8 @@ and <name>.code its exit code.  The package is imported from this
 checkout's src/.  To compare two versions, copy this file into the other
 checkout, run it there into a second directory, and `diff -r` the two:
 an empty diff means every artifact, message and exit code is
-byte-identical.  The runs go on min(cpu_count, 4) worker processes at a
+byte-identical.  `tools/artdiff.py OLD NEW` compares them field by field
+where trailing digits moved.  The runs go on min(cpu_count, 4) worker processes at a
 time, and each line is printed in run order.  The set (89 runs, about
 a minute on 2 cores):
 
