@@ -12,7 +12,10 @@ b_k = <u, sigma_k u> of a spinor u carried by s(t) precesses as
 
     db/dt = b x (E x p) / (-V (1 - V)),
 
-which is checked here by finite differencing the integrated path.
+which is checked here by finite differencing the integrated path.  M is
+computed in one place, _precession, as four Python numbers from the field
+and momentum floats: the spin solve's right-hand side forms i M s from them
+in Python complex, and spin_generator builds its 2 x 2 matrix from them.
 
 Two candidate pairings close the frame sandwich on the left: the plain
 transpose W^T, and the hermitian pseudo-inverse (W*W)^(-1) W* restricted
@@ -93,9 +96,10 @@ def left_factor(lambda_plus, w):
     return np.linalg.solve(gram, w.conj().T @ lambda_plus)
 
 
-def spin_generator(model, x, p):
-    """2 x 2 hermitian precession generator M = sigma.(E x p)/(-2V(1-V)).
+def _precession(model, x, p):
+    """The entries (M00, M01, M10, M11) of M = sigma.(E x p)/(-2V(1-V)) as Python numbers.
 
+    With m = (E x p)/(-2V(1-V)), M = [[m2, m0 - i m1], [m0 + i m1, -m2]].
     x and p are sequences of three floats.
     """
     v, r, gamma, _, _ = model.terms(x)
@@ -103,8 +107,18 @@ def spin_generator(model, x, p):
     q0, q1, q2 = p
     scale = -2.0 * v * (1.0 - v)
     # np.cross's own component operations, without its per-call overhead
-    return _sigma_dot([(f1 * q2 - f2 * q1) / scale, (f2 * q0 - f0 * q2) / scale,
-                       (f0 * q1 - f1 * q0) / scale])
+    m0, m1, m2 = ((f1 * q2 - f2 * q1) / scale, (f2 * q0 - f0 * q2) / scale,
+                  (f0 * q1 - f1 * q0) / scale)
+    return m2, complex(m0, -m1), complex(m0, m1), -m2
+
+
+def spin_generator(model, x, p):
+    """2 x 2 hermitian precession generator M = sigma.(E x p)/(-2V(1-V)).
+
+    x and p are sequences of three floats.
+    """
+    m00, m01, m10, m11 = _precession(model, x, p)
+    return np.array([[m00, m01], [m10, m11]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -133,8 +147,13 @@ def solve_bmt_spin(model, traj):
         raise DomainError("spin precession applies to 3D trajectories")
 
     def rhs(t, y):
-        s = y.reshape(2, 2)
-        return (1j * spin_generator(model, *traj.phase_at(t)) @ s).ravel()
+        # i M s in Python complex: numpy's fixed cost per call outweighs four
+        # multiply-adds.  _precession is read from the module on every call, so a
+        # fault injected there reaches the solve.
+        m00, m01, m10, m11 = _precession(model, *traj.phase_at(t))
+        s00, s01, s10, s11 = y.tolist()
+        return [1j * (m00 * s00 + m01 * s10), 1j * (m00 * s01 + m01 * s11),
+                1j * (m10 * s00 + m11 * s10), 1j * (m10 * s01 + m11 * s11)]
 
     sol = solve_ivp(rhs, (0.0, traj.tau), np.eye(2, dtype=complex).ravel(),
                     dense_output=True, **TIGHT.solver_kwargs())

@@ -17,7 +17,7 @@ idempotent but not hermitian for complex momenta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,16 +58,29 @@ class DiracRep:
     dstar: int
     alpha0: np.ndarray
     alphas: tuple
+    # the alphas as the rows of one (dim, dstar^2) matrix, for alpha_dot's one product
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = np.array([a.ravel() for a in self.alphas], dtype=complex)
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
 
     def alpha_dot(self, vec):
-        """Contraction sum_j alpha_j vec_j for a (possibly complex) vector."""
+        """Contraction sum_j alpha_j vec_j for a (possibly complex) vector.
+
+        One product of vec with the alphas, stacked once per representation.
+        Every alpha entry is 0, +-1 or +-i, and no two alphas have a nonzero
+        real part, or a nonzero imaginary part, at the same entry.  So each
+        component of the result sums at most two nonzero exact terms and
+        exact zeros, which no summation order changes, and the product
+        equals the sum 0 + vec_1 alpha_1 + ... + vec_d alpha_d in index order
+        bit for bit.
+        """
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (self.dim,):
             raise DomainError(f"expected a vector of length {self.dim}, got shape {vec.shape}")
-        out = np.zeros((self.dstar, self.dstar), dtype=complex)
-        for a, v in zip(self.alphas, vec):
-            out += v * a
-        return out
+        return (vec @ self._rows).reshape(self.dstar, self.dstar)
 
 
 def _freeze(mat):

@@ -63,18 +63,19 @@ class _Dop853Step(DenseOutput):
     def head(self, t, m):
         """The first m components of self(t) at a float t, as a list of floats.
 
-        _call_impl's operations in Python floats, component by component, so
-        the read equals self(t)[:m] bit for bit without numpy's per-call cost.
+        _call_impl's operations in Python floats, in its order, one expression
+        per component over the cached columns (F6, ..., F0, y_old):
+        (((0.0 + F6) x + F5) (1 - x) + ... + F0) x + y_old.  So the read
+        equals self(t)[:m] bit for bit without numpy's per-call cost.
         """
-        rows = self._heads.get(m)
-        if rows is None:
-            rows = self._heads[m] = (self.F[::-1, :m].tolist(), self.y_old[:m].tolist())
+        cols = self._heads.get(m)
+        if cols is None:
+            cols = self._heads[m] = list(zip(*self.F[::-1, :m].tolist(),
+                                             self.y_old[:m].tolist()))
         x = (t - self.t_old) / self.h
-        y = [0.0] * m
-        for i, f in enumerate(rows[0]):
-            s = x if i % 2 == 0 else 1 - x
-            y = [(a + b) * s for a, b in zip(y, f)]
-        return [a + b for a, b in zip(y, rows[1])]
+        u = 1 - x
+        return [((((((((0.0 + f6) * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + f0)
+                 * x + y0) for f6, f5, f4, f3, f2, f1, f0, y0 in cols]
 
     def _call_impl(self, t):
         x = (t - self.t_old) / self.h

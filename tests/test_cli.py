@@ -355,15 +355,19 @@ def _checks_d3(fault):
 def _spin_damped(monkeypatch):
     """M plus 1e-9 i * 1, so that i M, the precession generator, has a hermitian part
     -1e-9 * 1: s(t) shrinks."""
-    generator = bmt.spin_generator
-    monkeypatch.setattr(bmt, "spin_generator",
-                        lambda *args: generator(*args) + 1e-9j * np.eye(2))
+    precession = bmt._precession
+
+    def damped(*args):
+        m00, m01, m10, m11 = precession(*args)
+        return m00 + 1e-9j, m01, m10, m11 + 1e-9j
+
+    monkeypatch.setattr(bmt, "_precession", damped)
 
 
 def _field_flipped(monkeypatch):
     """The precession generator built from E = +grad V: the spin precesses the wrong way."""
-    generator = bmt.spin_generator
-    monkeypatch.setattr(bmt, "spin_generator", lambda *args: -generator(*args))
+    precession = bmt._precession
+    monkeypatch.setattr(bmt, "_precession", lambda *args: tuple(-m for m in precession(*args)))
 
 
 @pytest.fixture(scope="module")

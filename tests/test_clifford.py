@@ -62,6 +62,30 @@ def test_alpha_dot_shape_check():
         rep.alpha_dot([1.0, 2.0, 3.0])
 
 
+def _summed_alpha_dot(rep, vec):
+    """The contraction as a sum of scaled alphas in index order, the reference for alpha_dot."""
+    out = np.zeros((rep.dstar, rep.dstar), dtype=complex)
+    for a, v in zip(rep.alphas, np.asarray(vec, dtype=complex)):
+        out += v * a
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_alpha_dot_is_the_summed_form_bit_for_bit(d):
+    """alpha_dot's one product equals the index-order sum of scaled alphas in every bit,
+    signed zeros included, for real vectors (the transport's gamma r) and purely imaginary
+    ones (the projector's i p), in both signs of the representation."""
+    rng = np.random.default_rng(d)
+    for rep in (build_dirac_rep(d), negate_rep(build_dirac_rep(d))):
+        for k in range(100):
+            v = rng.normal(size=d) * 10.0 ** rng.integers(-6, 6, size=d)
+            if k % 4 == 0:
+                v[rng.integers(d)] = (0.0, -0.0)[k % 8 // 4]
+            for vec in (v.tolist(), 1j * v):
+                got, want = rep.alpha_dot(vec), _summed_alpha_dot(rep, vec)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (rep, vec)
+
+
 def test_principal_sqrt_values():
     assert principal_sqrt(4.0) == 2.0
     val = principal_sqrt(2.0j)

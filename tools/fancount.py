@@ -11,8 +11,14 @@ sixteen lone shots of the benchmark: the three amplitude3d-single pairs
 and its constant kernel pair in d = 3 (PAIRS[3] and KERNEL3D_PAIR of
 bench/workloads.py), and the bump, tanh, cosine and constant pairs of
 validate1d-oracle in d = 1, each forward and reversed, with multistart 1
-and their lone calls alone.  The tool wraps geoflow._lane_rhs and
-geoflow._flow_rhs, so it counts
+and their lone calls alone.  The fourth, the amplitude table, holds the
+four single-start bmt shots of tools/runset.py in d = 3 (PAIRS[3]: bump,
+cosine, bump_b and the bump across its flat stretch), each forward and
+reversed; the first three pairs are those of amplitude3d-single.  Each shot
+runs what the bmt command runs after the shoot, the spin solve and the
+equivalence check with its spinor transport.  The tool wraps
+geoflow._lane_rhs and geoflow._flow_rhs, and the solve_ivp that transport
+and bmt bind, so it counts
 
 * lane calls: calls of the batched RHS that the fan's lanes share,
 * lane rows: the rows (one per live lane) over those calls,
@@ -20,6 +26,8 @@ geoflow._flow_rhs, so it counts
   rows of each call; a start keeps its lane, so this is the floor the
   lane calls could reach if no start ever waited for another,
 * lone calls: calls of the one-trajectory RHS (a lone start and the polish),
+* transport and bmt: calls of the spinor-transport and BMT spin
+  right-hand sides,
 
 and prints them per shot and in total per table, next to the uniqueness
 counts and d_A.  These counts do not drift with the host, so they tell a
@@ -40,7 +48,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools"), str(ROOT / "bench")]
 from runset import BUMP, COSINE, PAIRS  # noqa: E402
 from workloads import KERNEL3D_PAIR, PAIRS as BENCH_PAIRS, VALIDATE1D_PAIRS  # noqa: E402
 
-from diracgreen import geoflow  # noqa: E402
+from diracgreen import bmt, geoflow, transport  # noqa: E402
+from diracgreen.clifford import build_dirac_rep  # noqa: E402
 from diracgreen.potential import make_potential  # noqa: E402
 
 FAN_PAIRS = ("bump", "cosine", "bump_b")
@@ -74,6 +83,17 @@ def counted(counts):
 
     geoflow._lane_rhs, geoflow._flow_rhs = lanes, lone
 
+    def solves(solve_ivp, key):
+        def wrapped(fun, *args, **kwargs):
+            def rhs(t, y):
+                counts[key] += 1
+                return fun(t, y)
+            return solve_ivp(rhs, *args, **kwargs)
+        return wrapped
+
+    transport.solve_ivp = solves(transport.solve_ivp, "transport")
+    bmt.solve_ivp = solves(bmt.solve_ivp, "bmt")
+
 
 def both_ways(label, model, y, x):
     yield f"{label}_fwd", model, y, x
@@ -102,17 +122,32 @@ def lone_shots():
         yield from both_ways(f"d1_{name}", make_potential(1, kind, params), y, x)
 
 
-KEYS = ("lane_calls", "lane_rows", "longest", "lone_calls")
+def amplitude_shots():
+    """(label, model, y_star, x_star) of the eight single-start bmt shots."""
+    for name, kind, params, y, x in PAIRS[3]:
+        yield from both_ways(f"d3_{name}_bmt", make_potential(3, kind, params), y, x)
 
 
-def table(shots, counts, keys=KEYS, multistart=None):
-    """Shoot each shot and print its counts of keys, then their total."""
+def amplitude(model, geo):
+    """The bmt command's work after its shoot: the spin solve and the equivalence check."""
+    spin = bmt.solve_bmt_spin(model, geo.trajectory)
+    bmt.equivalence_check(model, build_dirac_rep(3), geo, spin)
+
+
+KEYS = ("lane_calls", "lane_rows", "longest", "lone_calls", "transport", "bmt")
+
+
+def table(shots, counts, keys=KEYS[:4], multistart=None, then=None):
+    """Shoot each shot, run then(model, geo) if given, and print its counts of keys, then
+    their total."""
     total = dict.fromkeys(keys, 0)
     print(" ".join([f"{'shot':18s}", *(f"{key:>10s}" for key in keys),
                     f"{'starts':>6s} {'conv':>4s} {'dist':>4s}  d_A"]))
     for label, model, y, x in shots:
         counts.update(dict.fromkeys(KEYS, 0), per_lane=Counter())
         geo = geoflow.shoot_geodesic(model, y, x, multistart=multistart)
+        if then is not None:
+            then(model, geo)
         counts["longest"] = max(counts["per_lane"].values(), default=0)
         u = geo.uniqueness
         print(" ".join([f"{label:18s}", *(f"{counts[key]:10d}" for key in keys),
@@ -131,6 +166,8 @@ def main():
     table(flat_shots(), counts)
     print()
     table(lone_shots(), counts, keys=("lone_calls",), multistart=1)
+    print()
+    table(amplitude_shots(), counts, keys=KEYS[3:], multistart=1, then=amplitude)
     return 0
 
 
