@@ -6,7 +6,8 @@ Prince & Dormand (1981), as the installed scipy implements it.  Two
 integrators share its tableau slices:
 
 * solve_ivp, one solve of dy/dt = fun(t, y), bit for bit scipy's
-  solve_ivp(method="DOP853") without its wrappers;
+  solve_ivp(method="DOP853") without its wrappers, up to its last
+  t_eval point;
 * solve_lanes, many solves of dy/ds = fun(y) over s in [0, 1] that share
   each RHS call, one row (lane) per solve, each with scipy's step-size
   control of its own.
@@ -123,7 +124,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
     and at each accepted step, and the solve stops (status 1) at the first
     accepted step where g changes sign, without scipy's root refinement;
     y then holds the t_eval points of the steps before it, or every step
-    end up to it.
+    end up to it.  With t_eval and no dense output the solve returns
+    (status 0) after the step that reads the last point, so the end of
+    t_span then only bounds the steps: y and nfev are scipy's when that
+    point is the end.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0)
@@ -231,6 +235,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
         elif j > i_pt and status != 1:
             ys.append(step(np.array(points[i_pt:j])))
             i_pt = j
+            if i_pt == len(points) and not dense_output:
+                status = 0      # the rest of t_span reads nothing
 
     if t_eval is None:
         y_out = np.vstack(ys).T

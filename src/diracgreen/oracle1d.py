@@ -42,17 +42,19 @@ def _edge(model, points):
     return max([model.window] + [abs(s) for s in points]) + 0.5
 
 
-def decaying_solution(model, side, points, h):
+def decaying_solution(model, side, points, h, span=None):
     """The recessive solution on one side at each of points, as (vector, log_scale).
 
     The solution is vector * exp(log_scale), vector of order one.  side =
     "right" decays as s -> +inf and is marched leftward from its anchor (its
-    growing, numerically stable direction); side = "left" mirrors this.  The
-    anchor lies half a unit past the constant window and every point, where
-    the solution is the exact exponential tail.  One Riccati march runs from
-    the anchor to the farthest point and reads each point, through t_eval,
-    as tail[0] e^{i Im L} (1, w) with log_scale Re L.  A march whose |w|
-    reaches 1 at an accepted step has left the u1 chart and raises.
+    growing, numerically stable direction); side = "left" mirrors this.
+    span (default: points) holds the points that place the march.  The
+    anchor lies half a unit past the constant window and every point of
+    span, where the solution is the exact exponential tail.  One Riccati
+    march runs from the anchor towards span's farthest point and reads each
+    of points, through t_eval, as tail[0] e^{i Im L} (1, w) with log_scale
+    Re L; it stops at the step that reads the last of them.  A march whose
+    |w| reaches 1 at an accepted step has left the u1 chart and raises.
     """
     if model.dim != 1:
         raise DomainError("the exact solver is 1D only")
@@ -61,10 +63,12 @@ def decaying_solution(model, side, points, h):
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
     points = [float(s) for s in points]
-    if not all(map(math.isfinite, points)):
-        raise DomainError(f"points must be finite, got {points}")
+    span = points if span is None else [float(s) for s in span]
+    if not all(map(math.isfinite, points + span)):
+        raise DomainError(f"points must be finite, got {points + span}")
     sign = -1.0 if side == "right" else 1.0     # the direction of the march
-    anchor = -sign * _edge(model, points)
+    anchor = -sign * _edge(model, span)
+    end = sign * max(sign * s for s in span)
     e_tail = model.value(anchor)
     kappa = math.sqrt(1.0 - e_tail * e_tail)
     tail = np.array([1j * kappa, sign * (1.0 + e_tail)]) / math.hypot(kappa, 1.0 + e_tail)
@@ -92,7 +96,7 @@ def decaying_solution(model, side, points, h):
     # a rejected trial stage may overflow; DOP853 then rejects the step,
     # and the chart event sees only accepted states
     with np.errstate(invalid="ignore", over="ignore"):
-        res = solve_ivp(rhs, (anchor, t_eval[-1]), [w0.real, 0.0, w0.imag, 0.0],
+        res = solve_ivp(rhs, (anchor, end), [w0.real, 0.0, w0.imag, 0.0],
                         t_eval=t_eval, events=chart, **OdeOpts().solver_kwargs())
     if not res.success:
         raise NumericalError(f"decaying-solution integration failed: {res.message}")
@@ -128,22 +132,28 @@ def _glue(sols, points, src, h):
     return np.outer(vec_dst, rows[k]) * math.exp(log_dst - log_src)
 
 
-def _marches(model, x, y, h):
-    """Both recessive solutions at (y, x), for x != y."""
+def _marches(model, x, y, h, pair):
+    """Both recessive solutions at (y, x), for x != y.
+
+    Each march is placed by both points, so it depends on min(x, y) and
+    max(x, y) alone: one pair serves G(x, y) and G(y, x).  Unless pair, the
+    solution recessive on the side away from x, which G(x, y) reads at y
+    alone, is read there alone, and its march stops at y.
+    """
     x = float(np.atleast_1d(x)[0])
     y = float(np.atleast_1d(y)[0])
     if x == y:
         raise DomainError("the kernel diverges on the diagonal; x and y must differ")
-    # each march runs to the farther of the two points, so the pair depends
-    # on min(x, y) and max(x, y) alone: it serves G(x, y) and G(y, x)
     points = (y, x)
-    return [decaying_solution(model, side, points, h)
+    away = "left" if x > y else "right"
+    return [decaying_solution(model, side, points if pair or side != away else points[:1], h,
+                              span=points)
             for side in ("right", "left")], points
 
 
 def exact_green_kernel_1d(model, x, y, h):
     """Exact kernel G(x, y; h) of the 1D operator, x != y, glued at the source point y."""
-    sols, points = _marches(model, x, y, h)
+    sols, points = _marches(model, x, y, h, pair=False)
     return _glue(sols, points, 0, h)
 
 
@@ -152,5 +162,5 @@ def exact_green_kernel_pair_1d(model, x, y, h):
 
     Each kernel equals exact_green_kernel_1d's bit for bit.
     """
-    sols, points = _marches(model, x, y, h)
+    sols, points = _marches(model, x, y, h, pair=True)
     return _glue(sols, points, 0, h), _glue(sols, points, 1, h)

@@ -660,6 +660,27 @@ def test_validate1d_marches_once_per_side_per_h(tmp_path, monkeypatch):
     assert len(calls) == 2 * len(BUMP_1D["h_list"])
 
 
+def test_validate1d_reads_the_pair_at_its_last_h_alone(tmp_path, monkeypatch):
+    """Only the last h's adjoint check reads G(y, x): earlier h march the away side to y alone.
+
+    G(x, y) reads the solution recessive away from x at y only, so each h
+    but the last reads three points over its two marches, and the last h,
+    whose marches also glue G(y, x), reads four.
+    """
+    reads, decaying_solution = [], oracle1d.decaying_solution
+
+    def counting(model, side, points, h, span=None):
+        reads.append((h, len(points)))
+        return decaying_solution(model, side, points, h, span)
+
+    monkeypatch.setattr(oracle1d, "decaying_solution", counting)
+    code, _ = run_to_file(tmp_path, "validate1d", BUMP_1D)
+    assert code == 0
+    *first, last = BUMP_1D["h_list"]
+    assert sorted(reads) == sorted([(h, 1) for h in first] + [(h, 2) for h in first]
+                                   + [(last, 2), (last, 2)])
+
+
 # ------------------------------------------------------------------- constant
 
 def test_constant_rows_match_library(tmp_path):

@@ -508,6 +508,20 @@ def test_lean_solve_ivp_is_scipys_dop853_bit_for_bit(name):
         assert np.array_equal(got.sol(t), ref.sol(t))
 
 
+def test_lean_solve_ivp_returns_after_its_last_t_eval_point():
+    """A span past the last t_eval point only bounds the steps: the same columns, fewer calls.
+
+    The solve stops after the step that reads the last point, so its columns
+    equal scipy's bit for bit while scipy goes on to the end of the span.
+    """
+    tols = dict(rtol=1e-10, atol=1e-12, t_eval=[0.5, 1.0, 1.0 + 1e-9, 2.5])
+    got = dop853.solve_ivp(_pendulum, (0.0, 9.0), [0.3, 1.2], **tols)
+    ref = solve_ivp(_pendulum, (0.0, 9.0), [0.3, 1.2], method="DOP853", **tols)
+    assert (got.status, got.success) == (0, True)
+    assert np.array_equal(got.y, ref.y)
+    assert got.nfev < ref.nfev
+
+
 def test_lean_solve_ivp_stops_at_the_step_where_the_event_fires():
     """A terminal event ends the solve at the first accepted step where it changes sign.
 

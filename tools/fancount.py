@@ -16,9 +16,14 @@ four single-start bmt shots of tools/runset.py in d = 3 (PAIRS[3]: bump,
 cosine, bump_b and the bump across its flat stretch), each forward and
 reversed; the first three pairs are those of amplitude3d-single.  Each shot
 runs what the bmt command runs after the shoot, the spin solve and the
-equivalence check with its spinor transport.  The tool wraps
-geoflow._lane_rhs and geoflow._flow_rhs, and the solve_ivp that transport
-and bmt bind, so it counts
+equivalence check with its spinor transport.  The fifth, the oracle table,
+runs the validate1d command on the four pairs of validate1d-oracle
+(VALIDATE1D_PAIRS and H_LIST of bench/workloads.py, unjittered) and gives
+the 1D Jost oracle's RHS calls per pair and h, and their total over one
+round of the workload, which runs the bump and the cosine twice.  The tool
+wraps geoflow._lane_rhs and geoflow._flow_rhs, the solve_ivp that
+transport, bmt and oracle1d bind, and oracle1d.decaying_solution (for the
+h of each march), so it counts
 
 * lane calls: calls of the batched RHS that the fan's lanes share,
 * lane rows: the rows (one per live lane) over those calls,
@@ -28,6 +33,7 @@ and bmt bind, so it counts
 * lone calls: calls of the one-trajectory RHS (a lone start and the polish),
 * transport and bmt: calls of the spinor-transport and BMT spin
   right-hand sides,
+* oracle: calls of the Riccati right-hand side of the oracle's marches,
 
 and prints them per shot and in total per table, next to the uniqueness
 counts and d_A.  These counts do not drift with the host, so they tell a
@@ -46,9 +52,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools"), str(ROOT / "bench")]
 
 from runset import BUMP, COSINE, PAIRS  # noqa: E402
-from workloads import KERNEL3D_PAIR, PAIRS as BENCH_PAIRS, VALIDATE1D_PAIRS  # noqa: E402
+from workloads import H_LIST, KERNEL3D_PAIR, PAIRS as BENCH_PAIRS, VALIDATE1D_PAIRS  # noqa: E402
 
-from diracgreen import bmt, geoflow, transport  # noqa: E402
+from diracgreen import bmt, cli, geoflow, oracle1d, transport  # noqa: E402
 from diracgreen.clifford import build_dirac_rep  # noqa: E402
 from diracgreen.potential import make_potential  # noqa: E402
 
@@ -60,7 +66,7 @@ FLAT_PAIRS = [(2, "bump", "bump_well", BUMP, [-3.0, -0.3], [3.0, 0.4]),
 
 
 def counted(counts):
-    """Patch geoflow's two RHS builders so every call adds to counts."""
+    """Patch the RHS builders and the solves so every call adds to counts."""
     lane_rhs, flow_rhs = geoflow._lane_rhs, geoflow._flow_rhs
 
     def lanes(model, taus):
@@ -93,6 +99,16 @@ def counted(counts):
 
     transport.solve_ivp = solves(transport.solve_ivp, "transport")
     bmt.solve_ivp = solves(bmt.solve_ivp, "bmt")
+    oracle1d.solve_ivp = solves(oracle1d.solve_ivp, "oracle")
+    decaying = oracle1d.decaying_solution
+
+    def marched(model, side, points, h, *args, **kwargs):
+        before = counts["oracle"]
+        out = decaying(model, side, points, h, *args, **kwargs)
+        counts["oracle_per_h"][h] += counts["oracle"] - before
+        return out
+
+    oracle1d.decaying_solution = marched
 
 
 def both_ways(label, model, y, x):
@@ -134,7 +150,7 @@ def amplitude(model, geo):
     bmt.equivalence_check(model, build_dirac_rep(3), geo, spin)
 
 
-KEYS = ("lane_calls", "lane_rows", "longest", "lone_calls", "transport", "bmt")
+KEYS = ("lane_calls", "lane_rows", "longest", "lone_calls", "transport", "bmt", "oracle")
 
 
 def table(shots, counts, keys=KEYS[:4], multistart=None, then=None):
@@ -158,6 +174,24 @@ def table(shots, counts, keys=KEYS[:4], multistart=None, then=None):
     print(" ".join([f"{'total':18s}", *(f"{total[key]:10d}" for key in keys)]))
 
 
+def oracle_table(counts):
+    """Run validate1d on each validate1d-oracle pair; print its oracle calls per h, then per round."""
+    print(" ".join([f"{'pair':18s}", *(f"{f'h={h}':>10s}" for h in H_LIST), f"{'total':>10s}"]))
+    per_pair = {}
+    for name, kind, params, y, x in VALIDATE1D_PAIRS:
+        counts.update(oracle=0, oracle_per_h=Counter())
+        cli.cmd_validate1d(cli.RunConfig.from_dict(
+            {"dimension": 1, "potential": {"kind": kind, "params": params},
+             "y_star": y, "x_star": x, "h_list": H_LIST}))
+        per_pair[name] = counts["oracle"]
+        print(" ".join([f"{'d1_' + name:18s}",
+                        *(f"{counts['oracle_per_h'][h]:10d}" for h in H_LIST),
+                        f"{counts['oracle']:10d}"]), flush=True)
+    # a round of validate1d-oracle runs the bump and the cosine twice
+    round_calls = sum(per_pair.values()) + per_pair["bump"] + per_pair["cosine"]
+    print(f"{'round':18s} {round_calls:10d}")
+
+
 def main():
     counts = {}
     counted(counts)
@@ -167,7 +201,9 @@ def main():
     print()
     table(lone_shots(), counts, keys=("lone_calls",), multistart=1)
     print()
-    table(amplitude_shots(), counts, keys=KEYS[3:], multistart=1, then=amplitude)
+    table(amplitude_shots(), counts, keys=KEYS[3:6], multistart=1, then=amplitude)
+    print()
+    oracle_table(counts)
     return 0
 
 
