@@ -35,11 +35,33 @@ from .clifford import SIGMA_1, DomainError
 from .dop853 import NumericalError, OdeOpts, solve_ivp
 
 _COND_LIMIT = 1e12
+# the e-folds by which a march forgets its start before it reads a point
+CONTRACTION = 40.0
 
 
 def _edge(model, points):
-    """Anchor distance: half a unit past the constant window and every point."""
+    """The outer anchor distance: half a unit past the constant window and every point."""
     return max([model.window] + [abs(s) for s in points]) + 0.5
+
+
+def _anchor(model, sign, span, h):
+    """Where the march in direction sign starts: CONTRACTION h / rho before span, or at _edge.
+
+    |w| stays in [r*(lo), r*(hi)], r*(V) = sqrt((1 + V)/(1 - V)), over the
+    family's bounds [lo, hi], where two Riccati solutions approach each
+    other at a rate (1 - V) (|w1| + |w2|) / h of at least rho / h,
+    rho = 2 (1 - hi) r*(lo).  So a start that far past span's farthest point
+    on the start side reaches every point with its error damped by
+    e^-CONTRACTION.  The anchor never lies past _edge, and stays there
+    where no such rate exists (|V| reaches 1).
+    """
+    edge = _edge(model, span)
+    lo, hi = model.bounds
+    if lo <= -1.0 or hi >= 1.0:
+        return -sign * edge
+    rho = 2.0 * (1.0 - hi) * math.sqrt((1.0 + lo) / (1.0 - lo))
+    far = max(-sign * s for s in span)
+    return -sign * min(edge, far + CONTRACTION * h / rho)
 
 
 def decaying_solution(model, side, points, h, span=None):
@@ -67,7 +89,7 @@ def decaying_solution(model, side, points, h, span=None):
     if not all(map(math.isfinite, points + span)):
         raise DomainError(f"points must be finite, got {points + span}")
     sign = -1.0 if side == "right" else 1.0     # the direction of the march
-    anchor = -sign * _edge(model, span)
+    anchor = _anchor(model, sign, span, h)
     end = sign * max(sign * s for s in span)
     e_tail = model.value(anchor)
     kappa = math.sqrt(1.0 - e_tail * e_tail)

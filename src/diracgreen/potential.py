@@ -107,8 +107,9 @@ class PotentialModel:
     """A potential family instance with analytic derivatives.
 
     kind is a FAMILIES key and params holds the family parameters.  The
-    family's row gives margin, the gap margin min(-max V, 1 + min V), and
-    window, the half-width beyond which V is exactly constant.  The
+    family's row gives bounds, the exact (min V, max V) over all of space,
+    margin, the gap margin min(-max V, 1 + min V), and window, the
+    half-width beyond which V is exactly constant.  The
     evaluators branch on the shape of the family's profile (none, along
     x_1, radial), never on its name.
     """
@@ -124,6 +125,7 @@ class PotentialModel:
         # past the center's offset plus the family's reach V is constant
         window = 0.0 if family.profile is None else float(
             float(np.max(np.abs(np.atleast_1d(center)))) + family.reach(self.params))
+        object.__setattr__(self, "bounds", (lo, hi))
         object.__setattr__(self, "margin", float(min(-hi, 1.0 + lo)))
         object.__setattr__(self, "window", window)
         # bind the profile's parameters and the center once: the evaluators are hot paths
@@ -267,7 +269,7 @@ def from_config(dim, cfg):
     if unknown:
         raise DomainError(f"unknown {model.kind} parameter(s): {sorted(unknown)}; "
                           f"allowed: {list(family.params)}")
-    lo, hi = family.bounds(model.params)
+    lo, hi = model.bounds
     if not -1.0 < lo <= hi < 0.0:
         raise DomainError(f"V must stay in (-1, 0), but the family spans [{lo}, {hi}]")
     params = model.params

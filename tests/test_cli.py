@@ -883,10 +883,12 @@ OFFCENTER_1D = dict(BUMP_1D, x_star=[1.2], potential={
     ("h0005", BUMP_1D, "0.2,0.005"),
 ])
 def test_validate1d_trial_stage_overflow_is_silent(tmp_path, name, config, h_list):
-    """Runs whose oracle march overflows on a rejected trial stage: exit 0, no warning.
+    """Runs whose oracle march overflowed on a rejected trial stage: exit 0, no warning.
 
-    The golden files hold the stdout of the code before the march silenced
-    those warnings, which printed them to stderr.
+    They overflowed while their marches started at the window's edge, and
+    printed the warnings to stderr before the march silenced them; from the
+    contraction anchor they no longer overflow (tests/test_oracle1d.py).
+    The golden files hold their stdout from the contraction anchor.
     """
     proc = subprocess.run(
         [sys.executable, "-m", "diracgreen.cli", "validate1d", "--config",

@@ -198,11 +198,14 @@ def test_march_leaving_the_chart_is_a_numerical_failure(monkeypatch):
     assert seen[-1][0] > 0.0
 
 
-# validate1d runs whose marches overflow on a rejected trial stage: the bump
-# centred at 0.3 between -1 and 1.2, and the README bump down to h = 0.005
+# (params, x, y, h_list, overflows): the bump between points past its window, whose
+# marches overflow on a rejected trial stage at every h; and the bump centred at 0.3
+# between -1 and 1.2, and the README bump down to h = 0.005, whose marches did so while
+# they started at the window's edge and no longer do from the contraction anchor
 TRIAL_OVERFLOW = {
-    "off-center": (dict(BUMP, center=0.3), 1.2, -1.0, (0.2, 0.1, 0.05, 0.025)),
-    "h0005": (BUMP, 1.0, -1.0, (0.2, 0.005)),
+    "past-window": (BUMP, 4.0, -3.0, (0.05, 0.025, 0.005, 0.002), True),
+    "off-center": (dict(BUMP, center=0.3), 1.2, -1.0, (0.2, 0.1, 0.05, 0.025), False),
+    "h0005": (BUMP, 1.0, -1.0, (0.2, 0.005), False),
 }
 
 
@@ -211,15 +214,17 @@ def test_overflow_stays_in_rejected_trial_stages(monkeypatch, name):
     """The march silences overflow in its solve; no accepted state is non-finite.
 
     The chart event sees the state of every accepted step.  Each of those,
-    and each returned point, is finite, while some RHS call on a trial
-    stage is not: what the silenced warnings reported is a rejected step.
+    and each returned point, is finite.  Past the window some RHS call on a
+    trial stage is not, at every h: what the silenced warnings report is a
+    rejected step.  The other two runs return no non-finite RHS value.
     """
-    accepted, trial_overflow = [], []
+    params, x, y, h_list, overflows = TRIAL_OVERFLOW[name]
+    accepted, trial_overflow = [], {h: [] for h in h_list}
 
     def spying(fun, t_span, y0, events, **kwargs):
         def rhs(t, y):
             out = fun(t, y)
-            trial_overflow.append(not np.all(np.isfinite(out)))
+            trial_overflow[h].append(not np.all(np.isfinite(out)))
             return out
 
         def chart(t, y):
@@ -231,12 +236,79 @@ def test_overflow_stays_in_rejected_trial_stages(monkeypatch, name):
         return res
 
     monkeypatch.setattr(oracle1d, "solve_ivp", spying)
-    params, x, y, h_list = TRIAL_OVERFLOW[name]
     m = make_potential(1, "bump_well", params)
     for h in h_list:
         exact_green_kernel_pair_1d(m, x, y, h)
-    assert any(trial_overflow)
+    assert [any(calls) for calls in trial_overflow.values()] == [overflows] * len(h_list)
     assert np.all(np.isfinite(accepted))
+
+
+# validate1d-oracle's three varying wells between their pinned points, at its four h
+GATE_PAIRS = {name: PAIR_MODELS[name] for name in ("bump", "tanh", "cosine")}
+
+
+def _spans(monkeypatch):
+    """Record the t_span of every oracle march."""
+    spans = []
+
+    def recording(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(oracle1d, "solve_ivp", recording)
+    return spans
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.025])
+@pytest.mark.parametrize("name", list(GATE_PAIRS))
+def test_contraction_anchor_keeps_the_kernel(monkeypatch, name, h):
+    """G(x, y) from the contraction anchor within 2.4e-11 of an rtol 1e-13 march from the edge.
+
+    The reference starts every march at _edge (CONTRACTION infinite) and
+    integrates at rtol 1e-13, atol 1e-15.  Both anchors at the oracle's own
+    tolerances miss it by at most 2.16e-11, on the bump at h = 0.2.
+    """
+    kind, params, x, y = GATE_PAIRS[name]
+    m = make_potential(1, kind, params)
+    got = exact_green_kernel_1d(m, x, y, h)
+
+    def tight(*args, **kwargs):
+        return solve_ivp(*args, **dict(kwargs, rtol=1e-13, atol=1e-15))
+
+    monkeypatch.setattr(oracle1d, "CONTRACTION", math.inf)
+    monkeypatch.setattr(oracle1d, "solve_ivp", tight)
+    ref = exact_green_kernel_1d(m, x, y, h)
+    assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 2.4e-11
+
+
+@pytest.mark.parametrize("h", [0.2, 0.025])
+def test_the_steep_tanh_march_starts_short_of_its_window(monkeypatch, h):
+    """Each march starts CONTRACTION h / rho past the farther point on its side, inside 19.5.
+
+    rho = 2 (1 - hi) sqrt((1 + lo)/(1 - lo)) over the step's bounds
+    [-0.9, -0.3].
+    """
+    kind, params, x, y = PAIR_MODELS["tanh"]
+    m = make_potential(1, kind, params)
+    assert oracle1d._edge(m, (y, x)) == 19.5
+    spans = _spans(monkeypatch)
+    exact_green_kernel_1d(m, x, y, h)
+    reach = oracle1d.CONTRACTION * h / (2.0 * 1.3 * math.sqrt(0.1 / 1.9))
+    np.testing.assert_allclose(spans, [(x + reach, y), (y - reach, x)], rtol=1e-15)
+    assert all(abs(start) < 19.5 for start, _ in spans)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.025])
+def test_the_constant_well_march_is_unchanged(monkeypatch, h):
+    """validate1d-oracle's constant pair still marches from +-1.0, bit for bit as from the edge."""
+    kind, params, x, y = PAIR_MODELS["constant"]
+    m = make_potential(1, kind, params)
+    spans = _spans(monkeypatch)
+    got = exact_green_kernel_pair_1d(m, x, y, h)
+    assert spans == [(1.0, -0.5), (-1.0, 0.5)]
+    monkeypatch.setattr(oracle1d, "CONTRACTION", math.inf)
+    ref = exact_green_kernel_pair_1d(m, x, y, h)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_march_starting_off_the_chart_is_refused():
