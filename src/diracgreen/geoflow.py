@@ -114,17 +114,24 @@ class Trajectory:
         y = self.sol(t)
         return y[: self.dim].T, y[self.dim: 2 * self.dim].T
 
+    def _step_at(self, t):
+        """sol(t)'s segment rule: the first step whose end is at or past t, clamped to the steps."""
+        steps = self.sol.interpolants
+        return steps[min(max(bisect_left(self._ts, t) - 1, 0), len(steps) - 1)]
+
     def phase_at(self, t):
         """(x, p) at a float t as two lists of floats, equal to phase(t) bit for bit.
 
-        sol(t)'s segment rule (the first step whose end is at or past t,
-        clamped to the steps) and its interpolant's operations in floats, for
+        sol(t)'s segment rule and its interpolant's operations in floats, for
         a right-hand side that reads the orbit.
         """
-        d, steps = self.dim, self.sol.interpolants
-        k = min(max(bisect_left(self._ts, t) - 1, 0), len(steps) - 1)
-        y = steps[k].head(t, 2 * d)
+        d = self.dim
+        y = self._step_at(t).head(t, 2 * d)
         return y[:d], y[d:]
+
+    def position_at(self, t):
+        """x at a float t as a list of floats, phase_at(t)[0] without the momenta."""
+        return self._step_at(t).head(t, self.dim)
 
     def potential_along(self, times):
         """(p, V, grad V = gamma r) at an array of times: one dense-output call, one terms_many."""

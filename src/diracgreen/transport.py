@@ -48,7 +48,7 @@ def solve_spinor_transport(model, rep, traj):
 
     def rhs(t, y):
         u = y.reshape(n, n)
-        v, r, gamma, _, _ = model.terms(traj.phase_at(t)[0])
+        v, r, gamma, _, _ = model.terms(traj.position_at(t))
         gen = rep.alpha_dot([gamma * c for c in r]) * (-0.5j / v)
         return (gen @ u).ravel()
 

@@ -412,6 +412,7 @@ def test_phase_at_is_phase_bit_for_bit(dim, kind, params, y, x):
         x_f, p_f = traj.phase_at(t)
         assert all(type(c) is float for c in x_f + p_f)
         assert np.array_equal(x_f, x_t) and np.array_equal(p_f, p_t)
+        assert traj.position_at(t) == x_f
 
 
 @pytest.mark.parametrize("opts", [OdeOpts(), TIGHT], ids=["fan", "tight"])
