@@ -16,13 +16,25 @@ marched in the Riccati variables w = u2/u1 and L = log u1,
 
 where all growth sits in Re L: one solve_ivp call per side spans the whole
 march with no rescaling, and one such pair serves both G(x, y) and
-G(y, x).  Each march starts from the exact exponential tail, at an
-anchor half a unit past the window where V turns constant and past every
-point; V is defined on the whole line, so no domain bounds that span.
+G(y, x).  G(x, y) alone reads the solution recessive away from x at y
+only, so that march stops at y.
+
 The u1 chart holds: w starts on the imaginary axis, which the flow keeps,
 and there r = |w| obeys dr/dsigma = ((1 + V) - (1 - V) r^2)/h in the
 march direction sigma, a rate of 2V/h < 0 at r = 1 for V in the gap
-(-1, 0), so |w| < 1 throughout.
+(-1, 0), so |w| < 1 throughout.  The same law keeps r in [r*(lo),
+r*(hi)], r*(V) = sqrt((1 + V)/(1 - V)), over the family's bounds [lo, hi],
+where two solutions approach each other at the rate (1 - V) (r1 + r2)/h,
+at least rho/h with rho = 2 (1 - hi) r*(lo): the recessive solution is
+stable when marched in its growing direction, the basis of the Riccati
+decoupling method (Ascher, Mattheij & Russell, Numerical Solution of
+Boundary Value Problems for ODEs, SIAM 1995).  So each march starts from
+the exponential tail frozen at V(anchor), with its anchor CONTRACTION h /
+rho past the farthest point on its side (CONTRACTION = 40): the start's
+error reaches every point damped by e^-40.  Where that lies farther out,
+the anchor is the outer limit, half a unit past the window where V turns
+constant and past every point, where the tail is exact.  V is defined on
+the whole line, so no domain bounds that span.
 """
 
 from __future__ import annotations
@@ -64,19 +76,19 @@ def _anchor(model, sign, span, h):
     return -sign * min(edge, far + CONTRACTION * h / rho)
 
 
-def decaying_solution(model, side, points, h, span=None):
+def decaying_solution(model, side, points, h, span=()):
     """The recessive solution on one side at each of points, as (vector, log_scale).
 
     The solution is vector * exp(log_scale), vector of order one.  side =
     "right" decays as s -> +inf and is marched leftward from its anchor (its
     growing, numerically stable direction); side = "left" mirrors this.
-    span (default: points) holds the points that place the march.  The
-    anchor lies half a unit past the constant window and every point of
-    span, where the solution is the exact exponential tail.  One Riccati
-    march runs from the anchor towards span's farthest point and reads each
-    of points, through t_eval, as tail[0] e^{i Im L} (1, w) with log_scale
-    Re L; it stops at the step that reads the last of them.  A march whose
-    |w| reaches 1 at an accepted step has left the u1 chart and raises.
+    The march is placed by points and span, further points that it spans
+    without reading them.  It starts from the exponential tail at its
+    anchor (_anchor), runs towards the farthest of those points, and reads
+    each of points, through t_eval, as tail[0] e^{i Im L} (1, w) with
+    log_scale Re L; it stops at the step that reads the last of them.  A
+    march whose |w| reaches 1 at an accepted step has left the u1 chart
+    and raises.
     """
     if model.dim != 1:
         raise DomainError("the exact solver is 1D only")
@@ -85,12 +97,12 @@ def decaying_solution(model, side, points, h, span=None):
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
     points = [float(s) for s in points]
-    span = points if span is None else [float(s) for s in span]
-    if not all(map(math.isfinite, points + span)):
-        raise DomainError(f"points must be finite, got {points + span}")
+    placed = points + [float(s) for s in span]
+    if not all(map(math.isfinite, placed)):
+        raise DomainError(f"points must be finite, got {placed}")
     sign = -1.0 if side == "right" else 1.0     # the direction of the march
-    anchor = _anchor(model, sign, span, h)
-    end = sign * max(sign * s for s in span)
+    anchor = _anchor(model, sign, placed, h)
+    end = sign * max(sign * s for s in placed)
     e_tail = model.value(anchor)
     kappa = math.sqrt(1.0 - e_tail * e_tail)
     tail = np.array([1j * kappa, sign * (1.0 + e_tail)]) / math.hypot(kappa, 1.0 + e_tail)

@@ -669,7 +669,7 @@ def test_validate1d_reads_the_pair_at_its_last_h_alone(tmp_path, monkeypatch):
     """
     reads, decaying_solution = [], oracle1d.decaying_solution
 
-    def counting(model, side, points, h, span=None):
+    def counting(model, side, points, h, span=()):
         reads.append((h, len(points)))
         return decaying_solution(model, side, points, h, span)
 

@@ -150,7 +150,7 @@ def amplitude(model, geo):
     bmt.equivalence_check(model, build_dirac_rep(3), geo, spin)
 
 
-KEYS = ("lane_calls", "lane_rows", "longest", "lone_calls", "transport", "bmt", "oracle")
+KEYS = ("lane_calls", "lane_rows", "longest", "lone_calls", "transport", "bmt")
 
 
 def table(shots, counts, keys=KEYS[:4], multistart=None, then=None):
@@ -201,7 +201,7 @@ def main():
     print()
     table(lone_shots(), counts, keys=("lone_calls",), multistart=1)
     print()
-    table(amplitude_shots(), counts, keys=KEYS[3:6], multistart=1, then=amplitude)
+    table(amplitude_shots(), counts, keys=KEYS[3:], multistart=1, then=amplitude)
     print()
     oracle_table(counts)
     return 0
