@@ -5,9 +5,10 @@ meant to satisfy the gap condition -1 + delta <= V <= -delta on all of
 R^d.  FAMILIES holds all the module knows about each family; a new family
 is one row there plus its profile function.  A model derives two facts
 from its row: the gap margin delta = min(-max V, 1 + min V) from the
-bounds, and from the reach the window half-width L past which, at
-|x_1| >= L, V is exactly constant (the 1D Jost oracle anchors its
-integrations there, and the sampled checks cover the cube of half-width
+bounds (which it keeps, for the 1D Jost oracle's contraction anchor), and
+from the reach the window half-width L past which, at |x_1| >= L, V is
+exactly constant (the 1D Jost oracle anchors its integrations there at
+the farthest, and the sampled checks cover the cube of half-width
 max(10, L + 1)).  Radial wells are evaluated through s = |x - c|^2 so
 that no formula degenerates at the center; every evaluator sums s left to
 right, one square at a time, so all of them agree bit for bit.
