@@ -21,7 +21,7 @@ from .bmt import equivalence_check, solve_bmt_spin
 from .clifford import DomainError, build_dirac_rep, refuse_booleans
 from .dop853 import NumericalError
 from .geoflow import shoot_geodesic
-from .kernel import constant_V_exact, exact_sweep, ratio_sweep, unit_scale
+from .kernel import closed_form_dim, constant_V_exact, exact_sweep, ratio_sweep, unit_scale
 from .oracle1d import exact_green_kernel_1d, exact_green_kernel_pair_1d
 
 EXIT_OK = 0
@@ -170,7 +170,7 @@ def cmd_kernel(cfg):
     if cfg.model.kind != "constant":
         raise ConfigError("the kernel command compares against the constant-potential "
                           "closed form; potential.kind must be 'constant'")
-    rep = build_dirac_rep(cfg.model.dim)
+    rep = build_dirac_rep(closed_form_dim(cfg.model.dim))
     sweep = ratio_sweep(rep, cfg.model.params["value"], cfg.x_star, cfg.y_star,
                         cfg.h_list, multistart=cfg.multistart)
     header = (["h"] + _complex_columns("g", rep.dstar)
@@ -211,7 +211,7 @@ def cmd_constant(cfg):
     _require(cfg, "x_star", "y_star", "h_list")
     if cfg.model.kind != "constant":
         raise ConfigError("the constant command requires potential.kind = 'constant'")
-    rep = build_dirac_rep(cfg.model.dim)
+    rep = build_dirac_rep(closed_form_dim(cfg.model.dim))
     rows = [[h, *_re_im(constant_V_exact(rep, cfg.model.params["value"],
                                          cfg.x_star, cfg.y_star, h))]
             for h in cfg.h_list]

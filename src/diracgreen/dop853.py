@@ -108,26 +108,22 @@ _STAGES = [(s, DOP853.A[s, :s], float(c)) for s, c in enumerate(DOP853.C[1:], st
 _EXTRA = [(s, a[:s], float(c)) for s, (a, c) in
           enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
 _MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
-             1: "A termination event occurred.",
              -1: "Required step size is less than spacing between numbers."}
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, events=None):
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, check=None):
     """scipy.integrate.solve_ivp(method="DOP853") for one solve, bit for bit, without its wrappers.
 
     Repeats the installed scipy's numerics with the same numpy calls in the
     same order: select_initial_step, the rk_step stages, the error norm and
     step-size control, t_eval read through each step's 7th-order
     interpolant, and dense output as an OdeSolution of those interpolants.
-    So y, sol and nfev equal scipy's.  y0 may be real or complex.  events
-    is one event function g(t, y), always terminal: it is read at the start
-    and at each accepted step, and the solve stops (status 1) at the first
-    accepted step where g changes sign, without scipy's root refinement;
-    y then holds the t_eval points of the steps before it, or every step
-    end up to it.  With t_eval and no dense output the solve returns
-    (status 0) after the step that reads the last point, so the end of
-    t_span then only bounds the steps: y and nfev are scipy's when that
-    point is the end.
+    So y, sol and nfev equal scipy's.  y0 may be real or complex.  check(t,
+    y), when given, is called at the start and after each accepted step;
+    it stops the solve by raising.  With t_eval and no dense output the
+    solve returns (status 0) after the step that reads the last point, so
+    the end of t_span then only bounds the steps: y and nfev are scipy's
+    when that point is the end.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0)
@@ -165,7 +161,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
 
     points = [] if t_eval is None else list(map(float, t_eval))
     i_pt = 0
-    g = None if events is None else events(t, y)
+    if check is not None:
+        check(t, y)
     ys = [y] if t_eval is None else []
     ts, steps = [t], []
     status = None
@@ -205,6 +202,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
         if status is not None:
             break
         t_old, y_old, t, y = t, y, t_new, y_new
+        if check is not None:
+            check(t, y)
         if direction * (t - t_bound) >= 0:
             status = 0
 
@@ -226,13 +225,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, e
         if dense_output:
             ts.append(t)
             steps.append(step)
-        if events is not None:
-            g_old, g = g, events(t, y)
-            if g_old <= 0 <= g or g_old >= 0 >= g:
-                status = 1
         if t_eval is None:
             ys.append(y)
-        elif j > i_pt and status != 1:
+        elif j > i_pt:
             ys.append(step(np.array(points[i_pt:j])))
             i_pt = j
             if i_pt == len(points) and not dense_output:

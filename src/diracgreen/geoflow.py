@@ -254,11 +254,15 @@ def _start_directions(dim, n_base, count):
     """Deterministic multistart fan: lattice directions of {-1,0,1}^d, base first.
 
     In d = 1 the fan is the base direction alone, toward x* - y*, whatever count.
+    A count of 1 takes that first entry without the 3^d - 1 others.
     """
     if dim == 1:
         # on H = 0, |p|^2 = 1 - V^2 > 0 in the gap: p keeps its sign, so -n_base never connects
         return [n_base]
     frame = _frame_from_direction(n_base)
+    if count == 1:
+        # the base direction, the lattice vector (1, 0, ..., 0), heads the sorted fan
+        return [frame @ np.eye(dim)[0]]
     dirs = []
     # distinct vectors of {-1,0,1}^d never point the same way, so no duplicates
     for v in np.ndindex(*(3,) * dim):

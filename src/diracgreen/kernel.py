@@ -64,10 +64,11 @@ def bessel_K_prime(nu, rho):
     raise DomainError(f"unsupported order {nu}; supported: {_BESSEL_ORDERS}")
 
 
-def _closed_form_dim(rep):
-    if rep.dim not in (1, 2, 3):
+def closed_form_dim(d):
+    """d, refused unless the constant-potential closed form covers it."""
+    if d not in (1, 2, 3):
         raise DomainError("constant-potential closed form covers d in {1, 2, 3}")
-    return rep.dim
+    return d
 
 
 def constant_V_exact(rep, e_value, x, y, h):
@@ -79,7 +80,7 @@ def constant_V_exact(rep, e_value, x, y, h):
 
     with k = sqrt(1-E^2), r = |x-y|, u the unit vector from y to x.
     """
-    d = _closed_form_dim(rep)
+    d = closed_form_dim(rep.dim)
     e_value = float(e_value)
     if not -1.0 < e_value < 1.0:
         raise DomainError(f"constant level must satisfy |E| < 1, got {e_value}")
@@ -277,6 +278,6 @@ def ratio_sweep(rep, e_value, x, y, h_list, *, multistart=None):
         raise DomainError("need at least two h values to fit a slope")
     if any(h <= 0.0 for h in h_list):
         raise DomainError("all h values must be positive")
-    return exact_sweep(constant_model(_closed_form_dim(rep), e_value), rep, x, y, h_list,
+    return exact_sweep(constant_model(closed_form_dim(rep.dim), e_value), rep, x, y, h_list,
                        lambda h: constant_V_exact(rep, e_value, x, y, h),
                        multistart=multistart)

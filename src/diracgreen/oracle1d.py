@@ -12,29 +12,36 @@ condition G(y+, y) - G(y-, y) = (i/h) sigma_1.
 Solutions grow like exp(kappa |s| / h), far beyond float range, so each is
 marched in the Riccati variables w = u2/u1 and L = log u1,
 
-    w' = (i/h) ((V - 1) w^2 - (V + 1)),    L' = -(i/h) (V - 1) w,
+    w' = (i/h) ((V - 1) w^2 - (V + 1)),    L' = -(i/h) (V - 1) w.
 
-where all growth sits in Re L: one solve_ivp call per side spans the whole
+The tail starts w on the imaginary axis, which this flow keeps, and
+there L' is real.  So the march carries two real numbers, r = Im w and
+L = Re log u1,
+
+    r' = ((1 - V) r^2 - (1 + V))/h,    L' = (V - 1) r/h,
+
+where all growth sits in L: one solve_ivp call per side spans the whole
 march with no rescaling, and one such pair serves both G(x, y) and
 G(y, x).  G(x, y) alone reads the solution recessive away from x at y
 only, so that march stops at y.
 
-The u1 chart holds: w starts on the imaginary axis, which the flow keeps,
-and there r = |w| obeys dr/dsigma = ((1 + V) - (1 - V) r^2)/h in the
-march direction sigma, a rate of 2V/h < 0 at r = 1 for V in the gap
-(-1, 0), so |w| < 1 throughout.  The same law keeps r in [r*(lo),
-r*(hi)], r*(V) = sqrt((1 + V)/(1 - V)), over the family's bounds [lo, hi],
-where two solutions approach each other at the rate (1 - V) (r1 + r2)/h,
-at least rho/h with rho = 2 (1 - hi) r*(lo): the recessive solution is
-stable when marched in its growing direction, the basis of the Riccati
-decoupling method (Ascher, Mattheij & Russell, Numerical Solution of
-Boundary Value Problems for ODEs, SIAM 1995).  So each march starts from
-the exponential tail frozen at V(anchor), with its anchor CONTRACTION h /
-rho past the farthest point on its side (CONTRACTION = 40): the start's
-error reaches every point damped by e^-40.  Where that lies farther out,
-the anchor is the outer limit, half a unit past the window where V turns
-constant and past every point, where the tail is exact.  V is defined on
-the whole line, so no domain bounds that span.
+The u1 chart holds: |r| = |w| obeys d|r|/dsigma = ((1 + V) - (1 - V)
+r^2)/h in the march direction sigma, a rate of 2V/h < 0 at |r| = 1 for
+V in the gap (-1, 0), so |w| < 1 throughout.  The same law keeps |r| in
+[r*(lo), r*(hi)], r*(V) = sqrt((1 + V)/(1 - V)), over the family's
+bounds [lo, hi], where two solutions approach each other at the rate
+(1 - V) (|r1| + |r2|)/h, at least rho/h with rho = 2 (1 - hi) r*(lo):
+the recessive solution is stable when marched in its growing direction,
+the basis of the Riccati decoupling method (Ascher, Mattheij & Russell,
+Numerical Solution of Boundary Value Problems for ODEs, SIAM 1995).  So
+each march starts from the exponential tail frozen at V(anchor), with
+its anchor CONTRACTION h / rho past the farthest point on its side
+(CONTRACTION = 40): the start's error reaches every point damped by
+e^-40.  Where that lies farther out, the anchor is the outer limit, half
+a unit past the window where V turns constant and past every point,
+where the tail is exact.  V is defined on the whole line, so no domain
+bounds that span.  Over one validate1d-oracle round (six ops, four h
+each) the marches make 69,147 right-hand-side calls (tools/fancount.py).
 """
 
 from __future__ import annotations
@@ -85,10 +92,9 @@ def decaying_solution(model, side, points, h, span=()):
     The march is placed by points and span, further points that it spans
     without reading them.  It starts from the exponential tail at its
     anchor (_anchor), runs towards the farthest of those points, and reads
-    each of points, through t_eval, as tail[0] e^{i Im L} (1, w) with
-    log_scale Re L; it stops at the step that reads the last of them.  A
-    march whose |w| reaches 1 at an accepted step has left the u1 chart
-    and raises.
+    each of points, through t_eval, as tail[0] (1, i r) with log_scale L;
+    it stops at the step that reads the last of them.  A march whose |r|
+    reaches 1 at an accepted step has left the u1 chart and raises there.
     """
     if model.dim != 1:
         raise DomainError("the exact solver is 1D only")
@@ -107,41 +113,32 @@ def decaying_solution(model, side, points, h, span=()):
     kappa = math.sqrt(1.0 - e_tail * e_tail)
     tail = np.array([1j * kappa, sign * (1.0 + e_tail)]) / math.hypot(kappa, 1.0 + e_tail)
 
-    v_at, ih = model.line_value(), 1j / h
+    v_at = model.line_value()
 
     def rhs(t, y):
-        wr, _, wi, _ = y.tolist()
-        w, v = wr + 1j * wi, v_at(t)
-        dw = ih * ((v - 1.0) * w * w - (v + 1.0))
-        dl = -ih * (v - 1.0) * w
-        return [dw.real, dl.real, dw.imag, dl.imag]
-
-    peak = 0.0    # max |w| over the march's accepted steps, up to the one that reaches 1
+        r, _ = y.tolist()
+        v = v_at(t)
+        return [((1.0 - v) * r * r - (1.0 + v)) / h, (v - 1.0) * r / h]
 
     def chart(t, y):
-        # read at the start and at each accepted step; the march stops at the first that crosses
-        nonlocal peak
-        r = math.hypot(y[0], y[2])
-        peak = max(peak, r)
-        return 1.0 - r
+        r = abs(y[0])
+        if r >= 1.0:
+            raise NumericalError(f"Riccati march left the u1 chart: |u2/u1| = {r:.3e} "
+                                 f"at s = {t:.6g}")
 
-    w0 = tail[1] / tail[0]
     t_eval = sorted(set(points), key=lambda s: sign * s)    # in the march's direction
     # a rejected trial stage may overflow; DOP853 then rejects the step,
-    # and the chart event sees only accepted states
+    # and the chart check sees only accepted states
     with np.errstate(invalid="ignore", over="ignore"):
-        res = solve_ivp(rhs, (anchor, end), [w0.real, 0.0, w0.imag, 0.0],
-                        t_eval=t_eval, events=chart, **OdeOpts().solver_kwargs())
+        res = solve_ivp(rhs, (anchor, end), [(tail[1] / tail[0]).imag, 0.0],
+                        t_eval=t_eval, check=chart, **OdeOpts().solver_kwargs())
     if not res.success:
         raise NumericalError(f"decaying-solution integration failed: {res.message}")
-    if peak >= 1.0:
-        raise NumericalError(f"Riccati march left the u1 chart: max |u2/u1| = {peak:.3e}")
     column = {s: j for j, s in enumerate(t_eval)}
     out = []
     for s in points:
-        z = res.y[:, column[s]]
-        w, log_u1 = z[:2] + 1j * z[2:]
-        out.append((tail[0] * np.exp(1j * log_u1.imag) * np.array([1.0, w]), log_u1.real))
+        r, log_u1 = res.y[:, column[s]].tolist()
+        out.append((tail[0] * np.array([1.0, 1j * r]), log_u1))
     return out
 
 

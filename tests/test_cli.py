@@ -575,15 +575,28 @@ def test_kernel_rejects_nonconstant_potential(tmp_path):
 
 
 def test_kernel_beyond_the_closed_form_exits_2_before_the_shoot(tmp_path, capsys, monkeypatch):
-    """d = 4 has no constant-V closed form: kernel exits 2 without shooting."""
+    """d > 3 has no constant-V closed form: kernel and constant exit 2 without shooting.
+
+    Neither builds the Dirac representation first: in d = 24 that alone is
+    25 complex 4096 x 4096 matrices.
+    """
     def refuse(*args, **kwargs):
         raise AssertionError("shoot_geodesic called")
 
+    def small_rep(d):
+        if d > 3:
+            raise AssertionError(f"build_dirac_rep({d}) called")
+        return build_dirac_rep(d)
+
     monkeypatch.setattr(kernel, "shoot_geodesic", refuse)
-    cfg = dict(CONST_2D, dimension=4, x_star=[0.5, 0.0, 0.0, 0.0], y_star=[-0.5, 0.0, 0.0, 0.0])
-    code, text = run_to_file(tmp_path, "kernel", cfg)
-    assert (code, text) == (2, "")
-    assert "closed form covers d in {1, 2, 3}" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "build_dirac_rep", small_rep)
+    for command in ("kernel", "constant"):
+        for d in (4, 30):
+            ends = [[-0.5] + [0.0] * (d - 1), [0.5] + [0.0] * (d - 1)]
+            cfg = dict(CONST_2D, dimension=d, y_star=ends[0], x_star=ends[1])
+            code, text = run_to_file(tmp_path, command, cfg)
+            assert (command, d, code, text) == (command, d, 2, "")
+            assert "closed form covers d in {1, 2, 3}" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- validate1d

@@ -523,30 +523,44 @@ def test_lean_solve_ivp_returns_after_its_last_t_eval_point():
     assert got.nfev < ref.nfev
 
 
-def test_lean_solve_ivp_stops_at_the_step_where_the_event_fires():
-    """A terminal event ends the solve at the first accepted step where it changes sign.
+class _Crossed(Exception):
+    pass
 
-    Up to that step the solve is scipy's, bit for bit; scipy then refines the
-    root on the step's interpolant, which lies inside the step the lean
-    solve ends on.  With dense output both build that interpolant, so the
-    RHS counts agree.
+
+def test_lean_solve_ivp_checks_each_accepted_step():
+    """check sees the start and each accepted step end, scipy's bit for bit; a raise ends it.
+
+    Without t_eval scipy's y holds every step end, so the checked states
+    are its columns.  A check that raises at the first state with y0 >=
+    0.35 ends the solve there: no RHS call follows it.
     """
-    def event(t, y):
-        return y[0] - 0.35
+    tols = dict(rtol=1e-10, atol=1e-12)
+    ref = solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2], method="DOP853", **tols)
+    seen = []
+    got = dop853.solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2],
+                           check=lambda t, y: seen.append((t, y.copy())), **tols)
+    assert np.array_equal(got.y, ref.y) and got.nfev == ref.nfev
+    assert [t for t, _ in seen] == list(ref.t)
+    assert np.array_equal(np.column_stack([y for _, y in seen]), ref.y)
 
-    event.terminal = True
-    tols = dict(rtol=1e-10, atol=1e-12, dense_output=True)
-    got = dop853.solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2], events=event, **tols)
-    ref = solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2], method="DOP853", events=event, **tols)
-    assert (got.status, got.message) == (ref.status, ref.message) == (
-        1, "A termination event occurred.")
-    assert got.nfev == ref.nfev
-    assert np.array_equal(got.y[:, :-1], ref.y[:, :-1])
-    t_old, t_stop = got.sol.ts[-2:]
-    assert event(t_old, got.sol(t_old)) < 0.0 <= event(t_stop, got.y[:, -1])
-    assert t_old < ref.t_events[0][0] <= t_stop < 10.0
-    times = np.linspace(0.0, t_old, 17)
-    assert np.array_equal(got.sol(times), ref.sol(times))
+    calls, checked = [], []
+
+    def counting(t, y):
+        calls.append(t)
+        return _pendulum(t, y)
+
+    def stop(t, y):
+        checked.append(t)
+        if y[0] >= 0.35:
+            raise _Crossed
+
+    with pytest.raises(_Crossed):
+        dop853.solve_ivp(counting, (0.0, 10.0), [0.3, 1.2], check=stop, **tols)
+    first = int(np.argmax(ref.y[0] >= 0.35))
+    assert 0 < first < ref.y.shape[1] - 1
+    assert checked == list(ref.t[:first + 1])
+    # the last RHS call is the last stage of the step that ends at the crossing
+    assert calls[-1] == ref.t[first]
 
 
 def test_dop853_lanes_restart_a_lane_from_the_hook():
@@ -782,6 +796,27 @@ def test_a_lone_shoot_reports_one_connection(dim, kind, params, y, x):
     geo = shoot_geodesic(make_potential(dim, kind, params), y, x, multistart=1)
     [distinct] = geo.uniqueness["distinct"]
     assert distinct == {"p0": geo.p0.tolist(), "tau": geo.tau, "action": geo.agmon}
+
+
+def test_a_lone_shoot_in_high_d_lists_no_lattice(monkeypatch):
+    """multistart 1 takes the fan's first direction bit for bit, without its 3^d - 1 entries."""
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 4):
+        for _ in range(20):
+            n_base = rng.normal(size=dim)
+            n_base /= np.linalg.norm(n_base)
+            [lone] = geoflow._start_directions(dim, n_base, 1)
+            assert np.array_equal(lone, geoflow._start_directions(dim, n_base, None)[0])
+
+    def refuse(*shape):
+        raise AssertionError(f"np.ndindex{shape} called")
+
+    monkeypatch.setattr(np, "ndindex", refuse)
+    dim = 16
+    geo = shoot_geodesic(constant_model(dim), [-0.5] + [0.0] * (dim - 1),
+                         [0.5] + [0.0] * (dim - 1), multistart=1)
+    assert geo.agmon == pytest.approx(0.8, rel=1e-12)
+    assert geo.uniqueness["n_distinct"] == 1
 
 
 def test_d3_bump_fan_lane_calls(monkeypatch):

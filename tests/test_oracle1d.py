@@ -174,36 +174,56 @@ def test_march_leaving_the_chart_is_a_numerical_failure(monkeypatch):
     """A march whose |u2/u1| reaches 1 at an accepted step is stopped there and refused.
 
     Past V = 0 the Riccati flow draws |w| to sqrt((1 + V)/(1 - V)) > 1; this
-    well (not a config the CLI accepts) reaches V = 0.6 at its center.
+    well (not a config the CLI accepts) reaches V = 0.6 at its center.  The
+    chart check sees the start and every accepted state, and raises at the
+    first with |r| >= 1, naming |r| and the position.
     """
-    results, seen = [], []
+    seen = []
 
-    def recording(fun, t_span, y0, events, **kwargs):
+    def recording(fun, t_span, y0, check, **kwargs):
         def chart(t, y):
-            seen.append((t, math.hypot(y[0], y[2])))
-            return events(t, y)
+            seen.append((t, abs(y[0])))
+            check(t, y)
 
-        results.append(solve_ivp(fun, t_span, y0, events=chart, **kwargs))
-        return results[-1]
+        return solve_ivp(fun, t_span, y0, check=chart, **kwargs)
 
     monkeypatch.setattr(oracle1d, "solve_ivp", recording)
     m = make_potential(1, "bump_well", {"base": -0.3, "depth": -0.9, "radius": 2.0})
-    with pytest.raises(NumericalError, match="u1 chart"):
+    with pytest.raises(NumericalError, match="u1 chart") as failure:
         decaying_solution(m, "right", (0.0,), 0.1)
-    (res,) = results
-    assert res.status == 1      # the chart event ended it
-    radii = [r for _, r in seen]
-    # at the first accepted step with |w| >= 1, short of the target point 0.0
-    assert radii[-1] >= 1.0 and max(radii[:-1]) < 1.0
-    assert seen[-1][0] > 0.0
+    (t_stop, r_stop), radii = seen[-1], [r for _, r in seen]
+    # at the first accepted step with |r| >= 1, short of the target point 0.0
+    assert r_stop >= 1.0 and max(radii[:-1]) < 1.0
+    assert t_stop > 0.0
+    assert str(failure.value) == (
+        f"Riccati march left the u1 chart: |u2/u1| = {r_stop:.3e} at s = {t_stop:.6g}")
+
+
+def test_the_march_carries_two_real_components(monkeypatch):
+    """The march's state is (Im w, Re log u1), real, from Im(tail[1] / tail[0]) and 0."""
+    starts = []
+
+    def recording(fun, t_span, y0, **kwargs):
+        res = solve_ivp(fun, t_span, y0, **kwargs)
+        starts.append((np.asarray(y0), res.y))
+        return res
+
+    monkeypatch.setattr(oracle1d, "solve_ivp", recording)
+    exact_green_kernel_pair_1d(bump_model(), 1.0, -1.0, 0.1)
+    assert len(starts) == 2
+    for y0, ys in starts:
+        assert y0.dtype == float and y0.shape == (2,)
+        assert ys.dtype == float and ys.shape[0] == 2
+        # the tail's ratio sqrt((1 + V)/(1 - V)) at V = -0.6, signed by the side
+        assert abs(y0[0]) == pytest.approx(0.5, rel=1e-15) and y0[1] == 0.0
 
 
 # (params, x, y, h_list, overflows): the bump between points past its window, whose
-# marches overflow on a rejected trial stage at every h; and the bump centred at 0.3
+# marches overflow on a rejected trial stage at each of these h; and the bump centred at 0.3
 # between -1 and 1.2, and the README bump down to h = 0.005, whose marches did so while
 # they started at the window's edge and no longer do from the contraction anchor
 TRIAL_OVERFLOW = {
-    "past-window": (BUMP, 4.0, -3.0, (0.05, 0.025, 0.005, 0.002), True),
+    "past-window": (BUMP, 4.0, -3.0, (0.025, 0.005, 0.002), True),
     "off-center": (dict(BUMP, center=0.3), 1.2, -1.0, (0.2, 0.1, 0.05, 0.025), False),
     "h0005": (BUMP, 1.0, -1.0, (0.2, 0.005), False),
 }
@@ -213,7 +233,7 @@ TRIAL_OVERFLOW = {
 def test_overflow_stays_in_rejected_trial_stages(monkeypatch, name):
     """The march silences overflow in its solve; no accepted state is non-finite.
 
-    The chart event sees the state of every accepted step.  Each of those,
+    The chart check sees the state of every accepted step.  Each of those,
     and each returned point, is finite.  Past the window some RHS call on a
     trial stage is not, at every h: what the silenced warnings report is a
     rejected step.  The other two runs return no non-finite RHS value.
@@ -221,7 +241,7 @@ def test_overflow_stays_in_rejected_trial_stages(monkeypatch, name):
     params, x, y, h_list, overflows = TRIAL_OVERFLOW[name]
     accepted, trial_overflow = [], {h: [] for h in h_list}
 
-    def spying(fun, t_span, y0, events, **kwargs):
+    def spying(fun, t_span, y0, check, **kwargs):
         def rhs(t, y):
             out = fun(t, y)
             trial_overflow[h].append(not np.all(np.isfinite(out)))
@@ -229,9 +249,9 @@ def test_overflow_stays_in_rejected_trial_stages(monkeypatch, name):
 
         def chart(t, y):
             accepted.append(np.array(y))
-            return events(t, y)
+            check(t, y)
 
-        res = solve_ivp(rhs, t_span, y0, events=chart, **kwargs)
+        res = solve_ivp(rhs, t_span, y0, check=chart, **kwargs)
         accepted.extend(res.y.T)
         return res
 

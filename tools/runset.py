@@ -9,7 +9,7 @@ checkout, run it there into a second directory, and `diff -r` the two:
 an empty diff means every artifact, message and exit code is
 byte-identical.  `tools/artdiff.py OLD NEW` compares them field by field
 where trailing digits moved.  The runs go on min(cpu_count, 4) worker processes at a
-time, and each line is printed in run order.  The set (89 runs, about
+time, and each line is printed in run order.  The set (90 runs, about
 a minute on 2 cores):
 
 * validate1d and geodesic on ten 1D pairs (bump, steep and mild tanh,
@@ -21,7 +21,8 @@ a minute on 2 cores):
 * kernel in d = 1, 2, 3 with the fan and one start, constant in d = 1, 2, 3;
 * geodesic on four d = 2 and four d = 3 pairs and bmt on the four d = 3
   pairs (the fourth across the bump's flat stretch), each with the fan
-  and one start; geodesic on a constant well at +-9e5;
+  and one start; geodesic on a constant well at +-9e5, and with one
+  start on a constant well in d = 12;
 * five configs that exit 2, and the full selfcheck.
 """
 
@@ -113,6 +114,10 @@ def runs():
                     out.append((f"bmt_d3_{name}_{starts}", "bmt", cfg))
     far = config(2, "constant", {"value": -0.6}, [-9e5, 0.0], [9e5, 0.0])
     out.append(("geodesic_d2_constant_far", "geodesic", far))
+    # one start in d = 12, where the fan would hold 3^12 - 1 lattice directions
+    out.append(("geodesic_d12_constant_one", "geodesic",
+                config(12, "constant", {"value": -0.6}, [-0.5] + [0.0] * 11,
+                       [0.5] + [0.0] * 11, multistart=1)))
     for name, kind, params in [("unknown_param", "bump_well", dict(BUMP, amp=0.1)),
                                ("bad_radius", "bump_well", dict(BUMP, radius=0.0)),
                                ("range", "bump_well", dict(BUMP, depth=0.5)),
