@@ -209,12 +209,20 @@ def scalar_ratio(lead, ref):
     return complex(np.vdot(lead, ref)) / norm2
 
 
+# deviations at most this are round-off: the 1D constant well's bound on |R - 1|
+ROUNDOFF_DEVIATION = 1e-12
+
+
 def loglog_slope(h_list, deviations):
     """Slope of the least-squares line through (log h, log dev).
 
     0.0 when the fit is undefined: under two points or a zero deviation.
+    Also 0.0 when every deviation is at most ROUNDOFF_DEVIATION: where the
+    leading kernel is exact (the 1D constant well), |R - 1| is round-off,
+    and a line through it carries no order, only the rounding's noise.
     """
-    if len(h_list) < 2 or not all(dev > 0.0 for dev in deviations):
+    if (len(h_list) < 2 or not all(dev > 0.0 for dev in deviations)
+            or all(dev <= ROUNDOFF_DEVIATION for dev in deviations)):
         return 0.0
     return float(np.polyfit(np.log(h_list), np.log(deviations), 1)[0])
 

@@ -20,10 +20,13 @@ L = Re log u1,
 
     r' = ((1 - V) r^2 - (1 + V))/h,    L' = (V - 1) r/h,
 
-where all growth sits in L: one solve_ivp call per side spans the whole
-march with no rescaling, and one such pair serves both G(x, y) and
+where all growth sits in L: one march per side spans the whole line
+segment with no rescaling, and one such pair serves both G(x, y) and
 G(y, x).  G(x, y) alone reads the solution recessive away from x at y
-only, so that march stops at y.
+only, so that march stops at y.  The march is dop853.solve_floats, scipy's
+DOP853 on the two Python floats with each stage's sum written out, bound
+here as solve_ivp.  A trial stage that overflows gives inf or NaN in float
+arithmetic, with no warning, and DOP853 rejects its step.
 
 The u1 chart holds: |r| = |w| obeys d|r|/dsigma = ((1 + V) - (1 - V)
 r^2)/h in the march direction sigma, a rate of 2V/h < 0 at |r| = 1 for
@@ -40,8 +43,13 @@ its anchor CONTRACTION h / rho past the farthest point on its side
 e^-40.  Where that lies farther out, the anchor is the outer limit, half
 a unit past the window where V turns constant and past every point,
 where the tail is exact.  V is defined on the whole line, so no domain
-bounds that span.  Over one validate1d-oracle round (six ops, four h
-each) the marches make 69,147 right-hand-side calls (tools/fancount.py).
+bounds that span.  Where V is constant on the whole line (window 0) the
+tail is the solution everywhere, r = r0 and L(s) = (V - 1) r0 (s -
+anchor)/h, and nothing marches: a march would only add round-off, which
+grows on a flat stretch once the step passes DOP853's stability bound
+for the relaxation rate 2 kappa/h.  Over one validate1d-oracle round (six
+ops, four h each) the marches make 67,907 right-hand-side calls
+(tools/fancount.py).
 """
 
 from __future__ import annotations
@@ -51,7 +59,8 @@ import math
 import numpy as np
 
 from .clifford import SIGMA_1, DomainError
-from .dop853 import NumericalError, OdeOpts, solve_ivp
+from .dop853 import NumericalError, OdeOpts
+from .dop853 import solve_floats as solve_ivp   # the name bench/spans.py traces
 
 _COND_LIMIT = 1e12
 # the e-folds by which a march forgets its start before it reads a point
@@ -95,6 +104,7 @@ def decaying_solution(model, side, points, h, span=()):
     each of points, through t_eval, as tail[0] (1, i r) with log_scale L;
     it stops at the step that reads the last of them.  A march whose |r|
     reaches 1 at an accepted step has left the u1 chart and raises there.
+    On a constant well the tail is read at each point in place of a march.
     """
     if model.dim != 1:
         raise DomainError("the exact solver is 1D only")
@@ -102,6 +112,7 @@ def decaying_solution(model, side, points, h, span=()):
         raise DomainError(f"side must be 'right' or 'left', got {side!r}")
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
+    h = float(h)
     points = [float(s) for s in points]
     placed = points + [float(s) for s in span]
     if not all(map(math.isfinite, placed)):
@@ -113,12 +124,7 @@ def decaying_solution(model, side, points, h, span=()):
     kappa = math.sqrt(1.0 - e_tail * e_tail)
     tail = np.array([1j * kappa, sign * (1.0 + e_tail)]) / math.hypot(kappa, 1.0 + e_tail)
 
-    v_at = model.line_value()
-
-    def rhs(t, y):
-        r, _ = y.tolist()
-        v = v_at(t)
-        return [((1.0 - v) * r * r - (1.0 + v)) / h, (v - 1.0) * r / h]
+    r0 = float((tail[1] / tail[0]).imag)
 
     def chart(t, y):
         r = abs(y[0])
@@ -126,20 +132,25 @@ def decaying_solution(model, side, points, h, span=()):
             raise NumericalError(f"Riccati march left the u1 chart: |u2/u1| = {r:.3e} "
                                  f"at s = {t:.6g}")
 
-    t_eval = sorted(set(points), key=lambda s: sign * s)    # in the march's direction
-    # a rejected trial stage may overflow; DOP853 then rejects the step,
-    # and the chart check sees only accepted states
-    with np.errstate(invalid="ignore", over="ignore"):
-        res = solve_ivp(rhs, (anchor, end), [(tail[1] / tail[0]).imag, 0.0],
-                        t_eval=t_eval, check=chart, **OdeOpts().solver_kwargs())
-    if not res.success:
-        raise NumericalError(f"decaying-solution integration failed: {res.message}")
-    column = {s: j for j, s in enumerate(t_eval)}
-    out = []
-    for s in points:
-        r, log_u1 = res.y[:, column[s]].tolist()
-        out.append((tail[0] * np.array([1.0, 1j * r]), log_u1))
-    return out
+    if model.window == 0.0:
+        # V is constant on the whole line, so the tail is the solution everywhere
+        chart(anchor, (r0,))
+        reads = {s: (r0, (e_tail - 1.0) * r0 * (s - anchor) / h) for s in points}
+    else:
+        v_at = model.line_value()
+
+        def rhs(t, y):
+            r = y[0]
+            v = v_at(t)
+            return ((1.0 - v) * r * r - (1.0 + v)) / h, (v - 1.0) * r / h
+
+        t_eval = sorted(set(points), key=lambda s: sign * s)    # in the march's direction
+        res = solve_ivp(rhs, (anchor, end), (r0, 0.0), t_eval=t_eval, check=chart,
+                        **OdeOpts().solver_kwargs())
+        if not res.success:
+            raise NumericalError(f"decaying-solution integration failed: {res.message}")
+        reads = dict(zip(t_eval, res.y.T.tolist()))
+    return [(tail[0] * np.array([1.0, 1j * r]), log_u1) for r, log_u1 in map(reads.get, points)]
 
 
 def _glue(sols, points, src, h):

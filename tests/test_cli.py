@@ -15,7 +15,6 @@ import pytest
 
 from diracgreen import bmt, cli, geoflow, kernel, oracle1d, potential, selfcheck, transport
 from diracgreen.clifford import build_dirac_rep, clifford_residual
-from diracgreen.dop853 import solve_ivp
 from diracgreen.kernel import constant_V_exact
 
 CONST_1D = {
@@ -661,11 +660,11 @@ def test_d3_shot_matches_its_golden_artifact(tmp_path, command, config, artifact
 
 def test_validate1d_marches_once_per_side_per_h(tmp_path, monkeypatch):
     """G(y, x) for the adjoint check is glued from the last h's marches, not marched again."""
-    calls = []
+    calls, march = [], oracle1d.solve_ivp
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
+        return march(*args, **kwargs)
 
     monkeypatch.setattr(oracle1d, "solve_ivp", counting)
     code, _ = run_to_file(tmp_path, "validate1d", BUMP_1D)
@@ -899,9 +898,10 @@ def test_validate1d_trial_stage_overflow_is_silent(tmp_path, name, config, h_lis
     """Runs whose oracle march overflowed on a rejected trial stage: exit 0, no warning.
 
     They overflowed while their marches started at the window's edge, and
-    printed the warnings to stderr before the march silenced them; from the
-    contraction anchor they no longer overflow (tests/test_oracle1d.py).
-    The golden files hold their stdout from the contraction anchor.
+    printed numpy's warnings to stderr before the march silenced them; from
+    the contraction anchor they no longer overflow (tests/test_oracle1d.py),
+    and the float march would raise no warning where a stage did.  The
+    golden files hold their stdout from the float march.
     """
     proc = subprocess.run(
         [sys.executable, "-m", "diracgreen.cli", "validate1d", "--config",

@@ -523,25 +523,62 @@ def test_lean_solve_ivp_returns_after_its_last_t_eval_point():
     assert got.nfev < ref.nfev
 
 
+# (t_span, t_eval), each ending at the end of its span: forward, and backward with two
+# points 1e-9 apart (so in one step)
+FLOAT_CASES = {
+    "forward": ((0.0, 10.0), [0.5, 1.0, 1.0 + 1e-9, 2.5, 10.0]),
+    "backward": ((3.0, -2.0), [2.0, 2.0 - 1e-9, 0.5, -2.0]),
+}
+
+
+def _scaled(a, ref):
+    """|a - ref| over each row's largest |ref|: a relative difference that passes through zeros."""
+    return np.max(np.abs(a - ref) / np.max(np.abs(ref), axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("name", list(FLOAT_CASES))
+def test_float_march_is_dop853_side_by_side(name):
+    """solve_floats against dop853.solve_ivp: the same nfev and steps, reads within 1e-12.
+
+    Both read their last point at the end of the span, so they take the
+    same number of steps, whose ends solve_ivp's dense output lists and the
+    march's check sees.  Only their rounding differs, written-out float
+    sums against numpy's.  The error estimate cancels from stages of order
+    one down to the tolerance, so that rounding moves each step's end by
+    up to about 3e-6 of the span; each state the march accepts lies on
+    solve_ivp's solution at its own end within 1e-12.
+    """
+    t_span, t_eval = FLOAT_CASES[name]
+    tols = dict(rtol=1e-10, atol=1e-12)
+    ends = []
+    got = dop853.solve_floats(_pendulum, t_span, [0.3, 1.2], t_eval=t_eval,
+                              check=lambda t, y: ends.append((t, *y)), **tols)
+    ref = dop853.solve_ivp(_pendulum, t_span, [0.3, 1.2], t_eval=t_eval, **tols)
+    steps = dop853.solve_ivp(_pendulum, t_span, [0.3, 1.2], dense_output=True, **tols)
+    assert (got.status, got.success, got.nfev) == (0, True, ref.nfev)
+    assert got.y.dtype == float and got.y.shape == ref.y.shape
+    assert _scaled(got.y, ref.y) <= 1e-12
+    ts, ys = np.array(ends)[:, 0], np.array(ends)[:, 1:].T
+    assert ts.shape == steps.sol.ts.shape
+    assert np.max(np.abs(ts - steps.sol.ts)) <= 1e-5 * abs(t_span[1] - t_span[0])
+    assert _scaled(ys, steps.sol(ts)) <= 1e-12
+
+
 class _Crossed(Exception):
     pass
 
 
-def test_lean_solve_ivp_checks_each_accepted_step():
-    """check sees the start and each accepted step end, scipy's bit for bit; a raise ends it.
+def test_float_march_checks_each_accepted_step():
+    """check sees the start and each accepted step end; a raise ends the march there.
 
-    Without t_eval scipy's y holds every step end, so the checked states
-    are its columns.  A check that raises at the first state with y0 >=
-    0.35 ends the solve there: no RHS call follows it.
+    A check that raises at the first state with y0 >= 0.35 ends the march
+    at that step: no RHS call follows it.
     """
-    tols = dict(rtol=1e-10, atol=1e-12)
-    ref = solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2], method="DOP853", **tols)
+    tols = dict(rtol=1e-10, atol=1e-12, t_eval=[10.0])
     seen = []
-    got = dop853.solve_ivp(_pendulum, (0.0, 10.0), [0.3, 1.2],
-                           check=lambda t, y: seen.append((t, y.copy())), **tols)
-    assert np.array_equal(got.y, ref.y) and got.nfev == ref.nfev
-    assert [t for t, _ in seen] == list(ref.t)
-    assert np.array_equal(np.column_stack([y for _, y in seen]), ref.y)
+    dop853.solve_floats(_pendulum, (0.0, 10.0), [0.3, 1.2],
+                        check=lambda t, y: seen.append((t, *y)), **tols)
+    assert seen[0] == (0.0, 0.3, 1.2) and seen[-1][0] == 10.0
 
     calls, checked = [], []
 
@@ -555,12 +592,35 @@ def test_lean_solve_ivp_checks_each_accepted_step():
             raise _Crossed
 
     with pytest.raises(_Crossed):
-        dop853.solve_ivp(counting, (0.0, 10.0), [0.3, 1.2], check=stop, **tols)
-    first = int(np.argmax(ref.y[0] >= 0.35))
-    assert 0 < first < ref.y.shape[1] - 1
-    assert checked == list(ref.t[:first + 1])
+        dop853.solve_floats(counting, (0.0, 10.0), [0.3, 1.2], check=stop, **tols)
+    first = next(i for i, (_, y0, _) in enumerate(seen) if y0 >= 0.35)
+    assert 0 < first < len(seen) - 1
+    assert checked == [t for t, _, _ in seen[:first + 1]]
     # the last RHS call is the last stage of the step that ends at the crossing
-    assert calls[-1] == ref.t[first]
+    assert calls[-1] == seen[first][0]
+
+
+def test_float_march_rejects_a_trial_stage_that_overflows():
+    """A stage that overflows gives inf, and its step is rejected: no OverflowError, no warning.
+
+    r' = 10 (r r - 1 - v) rests at r = -1 while v = 0, so the step grows
+    tenfold per step, until a step across t = 5, where v turns 0.5, sends its
+    stages past the float range.  The march then relaxes to -sqrt(1.5), and
+    every accepted state is finite.
+    """
+    finite, accepted = [], []
+
+    def riccati(t, y):
+        r = y[0]
+        out = (10.0 * (r * r - 1.0 - (0.5 if t > 5.0 else 0.0)),)
+        finite.append(math.isfinite(out[0]))
+        return out
+
+    res = dop853.solve_floats(riccati, (0.0, 10.0), (-1.0,), t_eval=[10.0], rtol=1e-10,
+                              atol=1e-12, check=lambda t, y: accepted.append(y[0]))
+    assert res.success and not all(finite)
+    assert all(map(math.isfinite, accepted))
+    assert res.y[0, 0] == pytest.approx(-math.sqrt(1.5), rel=1e-9)
 
 
 def test_dop853_lanes_restart_a_lane_from_the_hook():

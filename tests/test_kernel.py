@@ -16,6 +16,7 @@ follows.  Acceptance criterion 3 asserts the same expansion.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +237,24 @@ def test_loglog_slope_fit_and_undefined_cases():
     assert loglog_slope(h_list, [3.0 * h * h for h in h_list]) == pytest.approx(2.0, abs=1e-12)
     assert loglog_slope(h_list, [0.1, 0.0, 0.01]) == 0.0   # zero deviation
     assert loglog_slope([0.1], [0.3]) == 0.0
+
+
+def test_loglog_slope_of_roundoff_is_zero():
+    """A sweep whose deviations are all round-off fits no slope; the bump's sweep keeps its own.
+
+    Round-off deviations, as validate1d's constant well gives, once fitted
+    a slope of -1.142 to 17 digits.  The bump's golden validate1d sweep
+    (deviations of order h) keeps the least-squares slope it publishes.
+    """
+    h_list = [0.2, 0.1, 0.05, 0.025]
+    assert loglog_slope(h_list, [1.2e-15, 2.2e-16, 1.4e-14, 3.3e-16]) == 0.0
+    assert loglog_slope(h_list, [1e-12, 1e-12, 1e-12, 1e-15]) == 0.0
+    lines = (Path(__file__).parent / "data" / "validate1d_bump.csv").read_text().splitlines()
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:3]]
+    h_bump, devs = [row[0] for row in rows], [row[4] for row in rows]
+    slope = loglog_slope(h_bump, devs)
+    assert slope == float(np.polyfit(np.log(h_bump), np.log(devs), 1)[0]) > 0.8
+    assert lines[3].startswith("# slope = ") and float(lines[3][10:]) == slope
 
 
 # ------------------------------------------------------ upper-gap reduction

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from diracgreen import oracle1d
+from diracgreen import dop853, oracle1d
 from diracgreen.clifford import SIGMA_1, DomainError, build_dirac_rep
-from diracgreen.dop853 import NumericalError, solve_ivp
+from diracgreen.dop853 import NumericalError
 from diracgreen.geoflow import shoot_geodesic
 from diracgreen.kernel import constant_V_exact
 from diracgreen.oracle1d import (decaying_solution, exact_green_kernel_1d,
@@ -128,12 +128,12 @@ def test_kernel_pair_equals_two_separate_kernels(name, h):
 
 
 def test_one_march_per_side(monkeypatch):
-    """Each side is one solve_ivp call from its anchor (edge 2.5) to the farther point."""
-    calls = []
+    """Each side is one march from its anchor (edge 2.5) to the farther point."""
+    calls, march = [], oracle1d.solve_ivp
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
+        return march(*args, **kwargs)
 
     monkeypatch.setattr(oracle1d, "solve_ivp", counting)
     exact_green_kernel_1d(bump_model(), 1.0, -1.0, 0.05)
@@ -178,14 +178,14 @@ def test_march_leaving_the_chart_is_a_numerical_failure(monkeypatch):
     chart check sees the start and every accepted state, and raises at the
     first with |r| >= 1, naming |r| and the position.
     """
-    seen = []
+    seen, march = [], oracle1d.solve_ivp
 
     def recording(fun, t_span, y0, check, **kwargs):
         def chart(t, y):
             seen.append((t, abs(y[0])))
             check(t, y)
 
-        return solve_ivp(fun, t_span, y0, check=chart, **kwargs)
+        return march(fun, t_span, y0, check=chart, **kwargs)
 
     monkeypatch.setattr(oracle1d, "solve_ivp", recording)
     m = make_potential(1, "bump_well", {"base": -0.3, "depth": -0.9, "radius": 2.0})
@@ -199,20 +199,34 @@ def test_march_leaving_the_chart_is_a_numerical_failure(monkeypatch):
         f"Riccati march left the u1 chart: |u2/u1| = {r_stop:.3e} at s = {t_stop:.6g}")
 
 
+def _floats(values):
+    return len(values) == 2 and all(type(v) is float for v in values)
+
+
 def test_the_march_carries_two_real_components(monkeypatch):
-    """The march's state is (Im w, Re log u1), real, from Im(tail[1] / tail[0]) and 0."""
-    starts = []
+    """The march's state is (Im w, Re log u1), two Python floats, from Im(tail[1] / tail[0]) and 0.
+
+    Every right-hand-side call takes and returns Python floats, never numpy
+    scalars, whose arithmetic would make each stage of the float march a
+    numpy operation.
+    """
+    starts, calls, march = [], [], oracle1d.solve_ivp
 
     def recording(fun, t_span, y0, **kwargs):
-        res = solve_ivp(fun, t_span, y0, **kwargs)
-        starts.append((np.asarray(y0), res.y))
+        def rhs(t, y):
+            out = fun(t, y)
+            calls.append(type(t) is float and _floats(y) and _floats(out))
+            return out
+
+        res = march(rhs, t_span, y0, **kwargs)
+        starts.append((y0, res.y))
         return res
 
     monkeypatch.setattr(oracle1d, "solve_ivp", recording)
     exact_green_kernel_pair_1d(bump_model(), 1.0, -1.0, 0.1)
-    assert len(starts) == 2
+    assert len(starts) == 2 and calls and all(calls)
     for y0, ys in starts:
-        assert y0.dtype == float and y0.shape == (2,)
+        assert _floats(y0)
         assert ys.dtype == float and ys.shape[0] == 2
         # the tail's ratio sqrt((1 + V)/(1 - V)) at V = -0.6, signed by the side
         assert abs(y0[0]) == pytest.approx(0.5, rel=1e-15) and y0[1] == 0.0
@@ -231,15 +245,17 @@ TRIAL_OVERFLOW = {
 
 @pytest.mark.parametrize("name", list(TRIAL_OVERFLOW))
 def test_overflow_stays_in_rejected_trial_stages(monkeypatch, name):
-    """The march silences overflow in its solve; no accepted state is non-finite.
+    """A trial stage that overflows in the float march is a rejected step; no accepted state is.
 
     The chart check sees the state of every accepted step.  Each of those,
     and each returned point, is finite.  Past the window some RHS call on a
-    trial stage is not, at every h: what the silenced warnings report is a
-    rejected step.  The other two runs return no non-finite RHS value.
+    trial stage is not, at every h: float arithmetic gives inf or NaN there
+    with no warning and no OverflowError (the suite turns warnings into
+    errors), and the step is rejected.  The other two runs return no
+    non-finite RHS value.
     """
     params, x, y, h_list, overflows = TRIAL_OVERFLOW[name]
-    accepted, trial_overflow = [], {h: [] for h in h_list}
+    accepted, trial_overflow, march = [], {h: [] for h in h_list}, oracle1d.solve_ivp
 
     def spying(fun, t_span, y0, check, **kwargs):
         def rhs(t, y):
@@ -251,7 +267,7 @@ def test_overflow_stays_in_rejected_trial_stages(monkeypatch, name):
             accepted.append(np.array(y))
             check(t, y)
 
-        res = solve_ivp(rhs, t_span, y0, check=chart, **kwargs)
+        res = march(rhs, t_span, y0, check=chart, **kwargs)
         accepted.extend(res.y.T)
         return res
 
@@ -269,11 +285,11 @@ GATE_PAIRS = {name: PAIR_MODELS[name] for name in ("bump", "tanh", "cosine")}
 
 def _spans(monkeypatch):
     """Record the t_span of every oracle march."""
-    spans = []
+    spans, march = [], oracle1d.solve_ivp
 
     def recording(fun, t_span, *args, **kwargs):
         spans.append(t_span)
-        return solve_ivp(fun, t_span, *args, **kwargs)
+        return march(fun, t_span, *args, **kwargs)
 
     monkeypatch.setattr(oracle1d, "solve_ivp", recording)
     return spans
@@ -282,18 +298,22 @@ def _spans(monkeypatch):
 @pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.025])
 @pytest.mark.parametrize("name", list(GATE_PAIRS))
 def test_contraction_anchor_keeps_the_kernel(monkeypatch, name, h):
-    """G(x, y) from the contraction anchor within 2.4e-11 of an rtol 1e-13 march from the edge.
+    """G(x, y) from the contraction anchor within 2.4e-11 of an rtol 1e-13 solve from the edge.
 
-    The reference starts every march at _edge (CONTRACTION infinite) and
-    integrates at rtol 1e-13, atol 1e-15.  Both anchors at the oracle's own
-    tolerances miss it by at most 2.16e-11, on the bump at h = 0.2.
+    The reference is another integrator, numpy's dop853.solve_ivp: it starts
+    every march at _edge (CONTRACTION infinite) and integrates at rtol
+    1e-13, atol 1e-15.  The float march at the oracle's own tolerances
+    misses it by at most 1.40e-11, on the bump at h = 0.2.
     """
     kind, params, x, y = GATE_PAIRS[name]
     m = make_potential(1, kind, params)
     got = exact_green_kernel_1d(m, x, y, h)
 
-    def tight(*args, **kwargs):
-        return solve_ivp(*args, **dict(kwargs, rtol=1e-13, atol=1e-15))
+    def tight(fun, t_span, y0, *, check, **kwargs):
+        # numpy's stages warn where a trial stage overflows, and the step is rejected
+        with np.errstate(invalid="ignore", over="ignore"):
+            return dop853.solve_ivp(fun, t_span, np.array(y0),
+                                    **dict(kwargs, rtol=1e-13, atol=1e-15))
 
     monkeypatch.setattr(oracle1d, "CONTRACTION", math.inf)
     monkeypatch.setattr(oracle1d, "solve_ivp", tight)
@@ -319,16 +339,21 @@ def test_the_steep_tanh_march_starts_short_of_its_window(monkeypatch, h):
 
 
 @pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.025])
-def test_the_constant_well_march_is_unchanged(monkeypatch, h):
-    """validate1d-oracle's constant pair still marches from +-1.0, bit for bit as from the edge."""
+def test_the_constant_well_reads_its_tail(monkeypatch, h):
+    """validate1d-oracle's constant pair calls no march: both kernels within 1e-12 of the closed form.
+
+    V is constant on the whole line, so the exponential tail is the
+    solution everywhere.
+    """
     kind, params, x, y = PAIR_MODELS["constant"]
     m = make_potential(1, kind, params)
     spans = _spans(monkeypatch)
     got = exact_green_kernel_pair_1d(m, x, y, h)
-    assert spans == [(1.0, -0.5), (-1.0, 0.5)]
-    monkeypatch.setattr(oracle1d, "CONTRACTION", math.inf)
-    ref = exact_green_kernel_pair_1d(m, x, y, h)
-    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    assert spans == []
+    rep = build_dirac_rep(1)
+    for kernel, (a, b) in zip(got, [(x, y), (y, x)]):
+        ref = constant_V_exact(rep, params["value"], [a], [b], h)
+        assert np.linalg.norm(kernel - ref) / np.linalg.norm(ref) <= 1e-12
 
 
 def test_march_starting_off_the_chart_is_refused():

@@ -66,7 +66,9 @@ FLAT_PAIRS = [(2, "bump", "bump_well", BUMP, [-3.0, -0.3], [3.0, 0.4]),
 
 
 def counted(counts):
-    """Patch the RHS builders and the solves so every call adds to counts."""
+    """Zero every count in counts, then patch the RHS builders and the solves so every call
+    adds to it."""
+    counts.update(dict.fromkeys(KEYS, 0), per_lane=Counter(), oracle=0, oracle_per_h=Counter())
     lane_rhs, flow_rhs = geoflow._lane_rhs, geoflow._flow_rhs
 
     def lanes(model, taus):
