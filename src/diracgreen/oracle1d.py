@@ -49,7 +49,8 @@ anchor)/h, and nothing marches: a march would only add round-off, which
 grows on a flat stretch once the step passes DOP853's stability bound
 for the relaxation rate 2 kappa/h.  Over one validate1d-oracle round (six
 ops, four h each) the marches make 67,907 right-hand-side calls
-(tools/fancount.py).
+(tools/fancount.py), and the bump, steep tanh and cosine kernels there
+stay within 1.40e-11 of an rtol 1e-13 solve from the outer limit.
 """
 
 from __future__ import annotations
