@@ -6,6 +6,7 @@ determinant all have closed forms.
 """
 
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -345,7 +346,8 @@ def test_a_midpoint_outside_the_gap_is_a_domain_error():
 
 # every FAN_PAIRS family in the dimensions it is shot in, and a d = 4 bump
 RHS_MODELS = sorted({(dim, kind) for dim, kind, *_ in FAN_PAIRS}) + [(4, "bump_well")]
-_PARAMS = {"bump_well": BUMP, "cosine_well": COSINE, "tanh_step": {"base": -0.5, "amp": 0.2}}
+_PARAMS = {"bump_well": BUMP, "cosine_well": COSINE, "tanh_step": {"base": -0.5, "amp": 0.2},
+           "constant": {"value": -0.6}}
 
 
 def _flow_states(d, n, seed):
@@ -356,6 +358,72 @@ def _flow_states(d, n, seed):
     p = rng.normal(size=(n, d))
     ys[:, d:2 * d] = p * (rng.uniform(0.0, 0.95, n) / np.linalg.norm(p, axis=1))[:, None]
     return ys
+
+
+def _reference_flow_rhs(model):
+    """The flow's right-hand side as index comprehensions over slices of the state: the
+    reference that the generated _flow_rhs equals bit for bit."""
+    d = model.dim
+    i_var = _var_index(d)
+    dd = d * d
+    terms = model.terms
+
+    def rhs(t, y):
+        ys = y.tolist()
+        x, p = ys[:d], ys[d:2 * d]
+        p2 = math.fsum(map(mul, p, p))
+        w = math.sqrt(1.0 - p2) if p2 < BALL else math.nan
+        _, r, gamma, alpha, beta = terms(x)
+        dpx, dpp = ys[i_var:i_var + dd], ys[i_var + dd:]
+        w3 = w ** 3
+        # row i of p (p^T dpP) / w^3 is p_i q and row i of beta r (r^T dpX) is b_i s
+        q = [math.fsum(map(mul, p, dpp[j::d])) / w3 for j in range(d)]
+        s = [math.fsum(map(mul, r, dpx[j::d])) for j in range(d)]
+        b = [beta * c for c in r]
+        return np.array([c / w for c in p] + [gamma * c for c in r] + [p2 / w]
+                        + [dpp[i * d + j] / w + p[i] * q[j] for i in range(d) for j in range(d)]
+                        + [alpha * dpx[i * d + j] + b[i] * s[j]
+                           for i in range(d) for j in range(d)])
+
+    return rhs
+
+
+def _past_ball(d):
+    """The momenta of test_flow_rhs_is_nan_past_the_ball padded with zeros: on the sphere,
+    past BALL and outside it (in d = 1: 1, 1 - 1e-13 and 1.2)."""
+    ps = [[0.6, 0.8], [1.0 - 1e-13, 0.0], [0.8, 0.8]] if d > 1 else [[1.0], [1.0 - 1e-13], [1.2]]
+    return [p + [0.0] * (d - len(p)) for p in ps]
+
+
+REFERENCE_MODELS = [(d, k) for d in (1, 2, 3, 4, 9, 12)
+                    for k in ("bump_well", "cosine_well", "constant")] + [(1, "tanh_step")]
+
+
+@pytest.mark.parametrize("dim,kind", REFERENCE_MODELS,
+                         ids=[f"d{d}-{k}" for d, k in REFERENCE_MODELS])
+def test_flow_rhs_is_the_reference_bit_for_bit(dim, kind):
+    """The generated right-hand side equals the comprehensions bit for bit, sign bits and NaN
+    included: on seeded states, past the ball and at a NaN coordinate."""
+    m = make_potential(dim, kind, _PARAMS[kind])
+    lone, ref = geoflow._flow_rhs(m), _reference_flow_rhs(m)
+    ys = list(_flow_states(dim, 50, 7))
+    for p in _past_ball(dim):
+        ys.append(ys[0].copy())
+        ys[-1][dim:2 * dim] = p
+    ys.append(ys[1].copy())
+    ys[-1][0] = math.nan
+    for y in ys:
+        got, want = lone(0.0, y), ref(0.0, y)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_flow_rhs_compiles_once_per_dimension():
+    """Models of one d share the one compiled body; another d has its own."""
+    bump, cosine = (geoflow._flow_rhs(make_potential(3, k, _PARAMS[k]))
+                    for k in ("bump_well", "cosine_well"))
+    assert bump.__code__ is cosine.__code__
+    assert geoflow._flow_rhs(bump_model(2)).__code__ is not bump.__code__
 
 
 @pytest.mark.parametrize("dim,kind", RHS_MODELS, ids=[f"d{d}-{k}-jacobi" for d, k in RHS_MODELS])
@@ -856,6 +924,35 @@ def test_a_lone_shoot_reports_one_connection(dim, kind, params, y, x):
     geo = shoot_geodesic(make_potential(dim, kind, params), y, x, multistart=1)
     [distinct] = geo.uniqueness["distinct"]
     assert distinct == {"p0": geo.p0.tolist(), "tau": geo.tau, "action": geo.agmon}
+
+
+def _full_walk(dim, n_base):
+    """Every nonzero lattice direction, in a stable sort from np.ndindex order by
+    -(frame g/|g|) . n_base: the fan's reference order."""
+    frame = geoflow._frame_from_direction(n_base)
+    dirs = []
+    for v in np.ndindex(*(3,) * dim):
+        g = np.array(v, dtype=float) - 1.0
+        if g.any():
+            dirs.append(frame @ (g / np.linalg.norm(g)))
+    dirs.sort(key=lambda v: -float(v @ n_base))
+    return dirs
+
+
+def test_start_directions_are_the_full_walk_for_every_count():
+    """Any count takes the first count directions of the full walk bit for bit, in its order,
+    though only the lattice groups it reaches are built; the bases include e_1 itself, a base
+    within 1e-8 of it (the identity frame) and -e_1."""
+    rng = np.random.default_rng(11)
+    for dim in (2, 3, 4):
+        e1 = np.eye(dim)[0]
+        for n_base in [*rng.normal(size=(3, dim)), e1, e1 + 1e-8 * rng.normal(size=dim), -e1]:
+            n_base = n_base / np.linalg.norm(n_base)
+            walk = _full_walk(dim, n_base)
+            for count in range(1, len(walk) + 2):
+                dirs = geoflow._start_directions(dim, n_base, count)
+                assert len(dirs) == min(count, len(walk))
+                assert all(np.array_equal(a, b) for a, b in zip(dirs, walk))
 
 
 def test_a_lone_shoot_in_high_d_lists_no_lattice(monkeypatch):
