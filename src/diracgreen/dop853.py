@@ -2,17 +2,21 @@
 
 The method of Hairer, Norsett & Wanner, *Solving Ordinary Differential
 Equations I* (Springer, 2nd ed. 1993), section II.5, on the tableau of
-Prince & Dormand (1981), as the installed scipy implements it.  Three
-integrators share its tableau slices:
+Prince & Dormand (1981), as the installed scipy implements it: one step
+loop, two stage kernels, plus the lanes.  The loop (_march) is scipy's
+step-size control, t_eval reads and step underflow, once, for two solves
+of dy/dt = fun(t, y) that differ only in the kernels that make a step's
+stages and interpolant:
 
-* solve_ivp, one solve of dy/dt = fun(t, y), bit for bit scipy's
+* solve_ivp, on numpy stages (_array_kernels), bit for bit scipy's
   solve_ivp(method="DOP853") without its wrappers, up to its last
   t_eval point;
-* solve_floats, one such solve read at t_eval, on a state of Python
-  floats, with each stage's sum written out as one float expression;
-* solve_lanes, many solves of dy/ds = fun(y) over s in [0, 1] that share
-  each RHS call, one row (lane) per solve, each with scipy's step-size
-  control of its own.
+* solve_floats, read at t_eval, on a state of Python floats, with each
+  stage's sum written out as one float expression (_float_kernels).
+
+solve_lanes is many solves of dy/ds = fun(y) over s in [0, 1] that share
+each RHS call, one row (lane) per solve, each with scipy's step-size
+control of its own.
 
 None checks a domain: a right-hand side that is NaN at a trial stage
 makes the step's error estimate NaN, and the step is rejected and retried
@@ -139,17 +143,130 @@ def _control(h_abs, err5_2, err3_2, n, rejected):
     return False, h_abs * max(MIN_FACTOR, SAFETY * err ** _EXPONENT)
 
 
+def _initial_step(d0, d1, probe, interval):
+    """scipy's select_initial_step from the RMS norms d0 of y and d1 of f = fun(t, y) over scale.
+
+    probe(h0) is that norm of fun(t + h0, y + h0 f) - f, with h0 in the direction of t_span.
+    """
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    d2 = probe(h0) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    return min(100 * h0, h1, interval)
+
+
+def _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol, points, every=False,
+           check=None):
+    """scipy's DOP853 step loop from (t, y), with f = fun(t, y) and first step h_abs.
+
+    kernels = (step, dense) make a trial step and a step's interpolant
+    columns on the caller's state, as _float_kernels' do.  dense runs on
+    every step when every, else on the steps that hold points (t_eval, as
+    floats), and the march then returns after the step that holds the last
+    one.  check(t, y), when given, sees the start and each accepted state.
+    Returns (status, nfev, ends, pieces): ends the start and each accepted
+    state, pieces (t_old, t, y_old, columns, the step's points) per
+    interpolant, with the step's own end t.
+    """
+    step, dense = kernels
+    n = len(y)
+    direction = 1.0 if t_bound >= t else -1.0
+    nfev, i_pt = 2, 0
+    ends, pieces = [y], []
+    if check is not None:
+        check(t, y)
+    while True:
+        # RungeKutta._step_impl
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return -1, nfev, ends, pieces
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, err5_2, err3_2, k = step(fun, t, h, y, f, rtol, atol)
+            nfev += DOP853.n_stages
+            accepted, h_abs = _control(h_abs, err5_2, err3_2, n, rejected)
+            if accepted:
+                break
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        if check is not None:
+            check(t, y)
+        ends.append(y)
+
+        j = i_pt    # points[i_pt:j] lie in this step
+        while j < len(points) and direction * (points[j] - t) <= 0:
+            j += 1
+        if every or j > i_pt:
+            pieces.append((t_old, t, y_old, dense(fun, t_old, h, y_old, y, k), points[i_pt:j]))
+            nfev += len(_EXTRA)
+        if direction * (t - t_bound) >= 0 or (not every and i_pt < j == len(points)):
+            return 0, nfev, ends, pieces
+        i_pt = j
+
+
+def _norm(x):
+    """np.linalg.norm's own operations on a real or complex vector, without its checks."""
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
+def _array_kernels(n, dtype):
+    """DOP853's step and interpolant on a numpy state of n entries, in scipy's numpy calls.
+
+    Every trial reuses one stage buffer k, so step returns a copy of its
+    last stage as f_new: a rejected retry overwrites k[n_stages].
+    """
+    n_st = DOP853.n_stages
+    k = np.empty((DOP853.A_EXTRA.shape[1], n), dtype=dtype)
+    k_t, k_err_t = k.T, k[:n_st + 1].T
+
+    def step(fun, t, h, y, f, rtol, atol):
+        # rk_step, then the error norm over scale
+        k[0] = f
+        for s, a, c in _STAGES:
+            k[s] = fun(t + c * h, y + k_t[:, :s].dot(a) * h)
+        y_new = y + h * k_t[:, :n_st].dot(DOP853.B)
+        k[n_st] = fun(t + h, y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        return (y_new, k[n_st].copy(), _norm(k_err_t.dot(DOP853.E5) / scale) ** 2,
+                _norm(k_err_t.dot(DOP853.E3) / scale) ** 2, k)
+
+    def dense(fun, t, h, y, y_new, k):
+        # DOP853._dense_output_impl
+        for s, a, c in _EXTRA:
+            k[s] = fun(t + c * h, y + k_t[:, :s].dot(a) * h)
+        F = np.empty((DOP853.D.shape[0] + 3, n), dtype=dtype)
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = h * k[0] - delta_y
+        F[2] = 2 * delta_y - h * (k[n_st] + k[0])
+        F[3:] = h * DOP853.D.dot(k)
+        return F
+
+    return step, dense
+
+
 def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False):
     """scipy.integrate.solve_ivp(method="DOP853") for one solve, bit for bit, without its wrappers.
 
-    Repeats the installed scipy's numerics with the same numpy calls in the
-    same order: select_initial_step, the rk_step stages, the error norm and
-    step-size control, t_eval read through each step's 7th-order
-    interpolant, and dense output as an OdeSolution of those interpolants.
-    So y, sol and nfev equal scipy's.  y0 may be real or complex.  With
-    t_eval and no dense output the solve returns (status 0) after the step
-    that reads the last point, so the end of t_span then only bounds the
-    steps: y and nfev are scipy's when that point is the end.
+    The step loop (_march) with numpy stage kernels (_array_kernels) that
+    make the installed scipy's numpy calls in its order: select_initial_step,
+    the rk_step stages, the error norm and step-size control, t_eval read
+    through each step's 7th-order interpolant, and dense output as an
+    OdeSolution of those interpolants.  So y, sol and nfev equal scipy's.
+    y0 may be real or complex.  With t_eval and no dense output the solve
+    returns (status 0) after the step that reads the last point, so the end
+    of t_span then only bounds the steps: y and nfev are scipy's when that
+    point is the end.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0)
@@ -157,103 +274,32 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False):
     y = y.astype(dtype, copy=False)
     n = y.size
     direction = 1.0 if t_bound >= t else -1.0
-    n_st = DOP853.n_stages
-    k = np.empty((DOP853.A_EXTRA.shape[1], n), dtype=dtype)
-    k_t, k_err_t = k.T, k[:n_st + 1].T
 
-    def norm(x):
-        # np.linalg.norm's own operations on a vector, without its checks
-        if dtype is complex:
-            return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-        return math.sqrt(x.dot(x))
+    def probe(h0):
+        f1 = np.asarray(fun(t + h0 * direction, y + h0 * direction * f), dtype=dtype)
+        return _norm((f1 - f) / scale) / n ** 0.5
 
-    # scipy's select_initial_step, with its RMS norm |x| / sqrt(size)
     f = np.asarray(fun(t, y), dtype=dtype)
-    interval = abs(t_bound - t)
     scale = atol + np.abs(y) * rtol
-    d0 = norm(y / scale) / n ** 0.5
-    d1 = norm(f / scale) / n ** 0.5
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = np.asarray(fun(t + h0 * direction, y + h0 * direction * f), dtype=dtype)
-    d2 = norm((f1 - f) / scale) / n ** 0.5 / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-    h_abs = min(100 * h0, h1, interval)
-    nfev = 2
-    k[n_st] = f
-
+    h_abs = _initial_step(_norm(y / scale) / n ** 0.5, _norm(f / scale) / n ** 0.5, probe,
+                          abs(t_bound - t))
     points = [] if t_eval is None else list(map(float, t_eval))
-    i_pt = 0
-    ys = [y] if t_eval is None else []
-    ts, steps = [t], []
-    status = None
-    while status is None:
-        # RungeKutta._step_impl
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        k[0] = k[n_st]
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                status = -1
-                break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            for s, a, c in _STAGES:
-                k[s] = fun(t + c * h, y + k_t[:, :s].dot(a) * h)
-            y_new = y + h * k_t[:, :n_st].dot(DOP853.B)
-            k[n_st] = fun(t + h, y_new)
-            nfev += n_st
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5_2 = norm(k_err_t.dot(DOP853.E5) / scale) ** 2
-            err3_2 = norm(k_err_t.dot(DOP853.E3) / scale) ** 2
-            accepted, h_abs = _control(h_abs, err5_2, err3_2, n, rejected)
-            if accepted:
-                break
-            rejected = True
-        if status is not None:
-            break
-        t_old, y_old, t, y = t, y, t_new, y_new
-        if direction * (t - t_bound) >= 0:
-            status = 0
+    status, nfev, ends, pieces = _march(fun, t, t_bound, y, f, h_abs, _array_kernels(n, dtype),
+                                        rtol, atol, points, every=dense_output)
 
-        j = i_pt    # points[i_pt:j] lie in this step
-        while j < len(points) and direction * (points[j] - t) <= 0:
-            j += 1
-        if dense_output or j > i_pt:
-            # DOP853._dense_output_impl
-            for s, a, c in _EXTRA:
-                k[s] = fun(t_old + c * h, y_old + k_t[:, :s].dot(a) * h)
-            nfev += len(_EXTRA)
-            F = np.empty((DOP853.D.shape[0] + 3, n), dtype=dtype)
-            delta_y = y - y_old
-            F[0] = delta_y
-            F[1] = h * k[0] - delta_y
-            F[2] = 2 * delta_y - h * (k[n_st] + k[0])
-            F[3:] = h * DOP853.D.dot(k)
-            step = _Dop853Step(t_old, t, y_old, F)
-        if dense_output:
-            ts.append(t)
-            steps.append(step)
-        if t_eval is None:
-            ys.append(y)
-        elif j > i_pt:
-            ys.append(step(np.array(points[i_pt:j])))
-            i_pt = j
-            if i_pt == len(points) and not dense_output:
-                status = 0      # the rest of t_span reads nothing
-
+    steps = [_Dop853Step(t_old, t_end, y_old, F) for t_old, t_end, y_old, F, _ in pieces]
     if t_eval is None:
-        y_out = np.vstack(ys).T
+        y_out = np.vstack(ends).T
     else:
-        y_out = np.hstack(ys) if ys else np.empty((n, 0), dtype=dtype)
-    return IvpResult(y_out, OdeSolution(ts, steps) if dense_output else None, nfev,
-                     status >= 0, status, _MESSAGES[status])
+        reads = [step(np.array(pts)) for step, (*_, pts) in zip(steps, pieces) if pts]
+        y_out = np.hstack(reads) if reads else np.empty((n, 0), dtype=dtype)
+    sol = OdeSolution([t, *(piece[1] for piece in pieces)], steps) if dense_output else None
+    return IvpResult(y_out, sol, nfev, status >= 0, status, _MESSAGES[status])
+
+
+def _tup(items):
+    """A tuple display of source items, as generated code writes one: (a, b, )."""
+    return f"({''.join(f'{x}, ' for x in items)})"
 
 
 def _dot(coefs, terms):
@@ -284,38 +330,35 @@ def _float_kernels(n):
     def stages(s):
         return [[f"k{m}_{i}" for m in range(s)] for i in comps]
 
-    def tup(items):
-        return f"({''.join(f'{x}, ' for x in items)})"
-
     def call(s, a, c):
-        args = tup(f"y{i} + ({_dot(a, ks)}) * h" for i, ks in zip(comps, stages(s)))
-        return f"    {tup(names(s))} = fun(t + {c!r} * h, {args})"
+        args = _tup(f"y{i} + ({_dot(a, ks)}) * h" for i, ks in zip(comps, stages(s)))
+        return f"    {_tup(names(s))} = fun(t + {c!r} * h, {args})"
 
-    unpack = [f"    {tup(f'y{i}' for i in comps)} = y", f"    {tup(names(0))} = f"]
+    unpack = [f"    {_tup(f'y{i}' for i in comps)} = y", f"    {_tup(names(0))} = f"]
     k_all = [x for s in range(n_st + 1) for x in names(s)]
     step = ["def step(fun, t, h, y, f, rtol, atol):", *unpack]
     step += [call(s, a, c) for s, a, c in _STAGES]
     step += [f"    n{i} = y{i} + h * ({_dot(DOP853.B, ks)})"
              for i, ks in zip(comps, stages(n_st))]
-    step.append(f"    {tup(names(n_st))} = fun(t + h, {tup(f'n{i}' for i in comps)})")
+    step.append(f"    {_tup(names(n_st))} = fun(t + h, {_tup(f'n{i}' for i in comps)})")
     step += [f"    s{i} = atol + max(abs(y{i}), abs(n{i})) * rtol" for i in comps]
     for e, tab in (("e5", DOP853.E5), ("e3", DOP853.E3)):
         step += [f"    {e}_{i} = ({_dot(tab, ks)}) / s{i}"
                  for i, ks in zip(comps, stages(n_st + 1))]
     err5, err3 = (" + ".join(f"{e}_{i} * {e}_{i}" for i in comps) for e in ("e5", "e3"))
-    step.append(f"    return {tup(f'n{i}' for i in comps)}, {tup(names(n_st))}, {err5}, "
-                f"{err3}, {tup(k_all)}")
+    step.append(f"    return {_tup(f'n{i}' for i in comps)}, {_tup(names(n_st))}, {err5}, "
+                f"{err3}, {_tup(k_all)}")
 
     dense = ["def dense(fun, t, h, y, y_new, k):", unpack[0],
-             f"    {tup(f'n{i}' for i in comps)} = y_new", f"    {tup(k_all)} = k"]
+             f"    {_tup(f'n{i}' for i in comps)} = y_new", f"    {_tup(k_all)} = k"]
     dense += [call(s, a, c) for s, a, c in _EXTRA]
     dense += [f"    d{i} = n{i} - y{i}" for i in comps]
     columns = []
     for i, ks in zip(comps, stages(len(DOP853.D[0]))):
         f3_6 = [f"h * ({_dot(row, ks)})" for row in DOP853.D]
         f0_2 = [f"d{i}", f"h * k0_{i} - d{i}", f"2 * d{i} - h * (k{n_st}_{i} + k0_{i})"]
-        columns.append(tup([*f3_6[::-1], *f0_2[::-1], f"y{i}"]))
-    dense.append(f"    return {tup(columns)}")
+        columns.append(_tup([*f3_6[::-1], *f0_2[::-1], f"y{i}"]))
+    dense.append(f"    return {_tup(columns)}")
 
     scope = {}
     exec("\n".join(step + dense), scope)
@@ -325,93 +368,42 @@ def _float_kernels(n):
 def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
     """solve_ivp read at t_eval, on a state of Python floats with DOP853's stage sums written out.
 
-    The numerics are solve_ivp's: scipy's select_initial_step, stages,
-    error norm and step-size control, and each point read through its
-    step's 7th-order interpolant, with solve_ivp's nfev; only the rounding
+    The same step loop as solve_ivp (_march), with the generated float
+    kernels (_float_kernels): scipy's select_initial_step, stages, error
+    norm and step-size control, and each point read through its step's
+    7th-order interpolant, with solve_ivp's nfev; only the rounding
     differs, since each stage's sum is one float expression over its
-    nonzero coefficients (_float_kernels).  fun(t, y) takes a tuple of
-    floats and returns a sequence of floats; it must not raise where they
-    overflow (x * x, not x ** 2), so that a trial stage that overflows
-    makes its step's error inf or NaN and the step is rejected, as any
-    whose error is too large.  check(t, y), when given, is called at the
-    start and after each accepted step; it stops the march by raising.  The
-    march returns (status 0) after the step that reads the last point, with
-    y the (n, len(t_eval)) array of the reads.
+    nonzero coefficients.  fun(t, y) takes a tuple of floats and returns a
+    sequence of floats; it must not raise where they overflow (x * x, not
+    x ** 2), so that a trial stage that overflows makes its step's error inf
+    or NaN and the step is rejected, as any whose error is too large.
+    check(t, y), when given, is called at the start and after each accepted
+    step; it stops the march by raising.  The march returns (status 0) after
+    the step that reads the last point, with y the (n, len(t_eval)) array of
+    the reads.
     """
     t, t_bound = map(float, t_span)
     y = tuple(map(float, y0))
     n = len(y)
-    step, dense = _float_kernels(n)
     direction = 1.0 if t_bound >= t else -1.0
 
-    def rms(x, scale):
+    def rms(x):
         return math.sqrt(sum((v / s) * (v / s) for v, s in zip(x, scale)) / n)
 
-    # scipy's select_initial_step
+    def probe(h0):
+        f1 = fun(t + h0 * direction, tuple(v + h0 * direction * g for v, g in zip(y, f)))
+        return rms([b - a for a, b in zip(f, f1)])
+
     f = fun(t, y)
-    interval = abs(t_bound - t)
     scale = [atol + abs(v) * rtol for v in y]
-    d0, d1 = rms(y, scale), rms(f, scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = fun(t + h0 * direction, tuple(v + h0 * direction * g for v, g in zip(y, f)))
-    d2 = rms([b - a for a, b in zip(f, f1)], scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-    h_abs = min(100 * h0, h1, interval)
-    nfev = 2
+    h_abs = _initial_step(rms(y), rms(f), probe, abs(t_bound - t))
+    status, nfev, _, pieces = _march(fun, t, t_bound, y, f, h_abs, _float_kernels(n), rtol,
+                                     atol, list(map(float, t_eval)), check=check)
 
-    points = list(map(float, t_eval))
-    i_pt = 0
-    if check is not None:
-        check(t, y)
-    reads = []
-    status = None
-    while status is None:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                status = -1
-                break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new, err5_2, err3_2, k = step(fun, t, h, y, f, rtol, atol)
-            nfev += DOP853.n_stages
-            accepted, h_abs = _control(h_abs, err5_2, err3_2, n, rejected)
-            if accepted:
-                break
-            rejected = True
-        if status is not None:
-            break
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        if check is not None:
-            check(t, y)
-        if direction * (t - t_bound) >= 0:
-            status = 0
-
-        j = i_pt    # points[i_pt:j] lie in this step
-        while j < len(points) and direction * (points[j] - t) <= 0:
-            j += 1
-        if j > i_pt:
-            cols = dense(fun, t_old, h, y_old, y, k)
-            nfev += len(_EXTRA)
-            reads += [_horner(cols, (s - t_old) / h) for s in points[i_pt:j]]
-            i_pt = j
-            if i_pt == len(points):
-                status = 0      # the rest of t_span reads nothing
-
+    reads = [_horner(cols, (s - t_old) / (t_end - t_old))
+             for t_old, t_end, _, cols, pts in pieces for s in pts]
     y_out = np.array(reads, dtype=float).reshape(-1, n).T
     return IvpResult(y_out, None, nfev, status >= 0, status, _MESSAGES[status])
-
-
-def _rms(a):
-    return np.sqrt(np.sum(a * a, axis=1) / a.shape[1])
 
 
 def solve_lanes(fun, y0, rtol, atol, restart):
@@ -435,7 +427,6 @@ def solve_lanes(fun, y0, rtol, atol, restart):
     """
     b_tab, e3, e5 = DOP853.B, DOP853.E3, DOP853.E5
     n_st = DOP853.n_stages
-    exponent = -1.0 / (DOP853.error_estimator_order + 1)
     y = np.array(y0, dtype=float)
     n, m = y.shape
     # views, not copies: a restart hook sets its lane's rows in the caller's arrays
@@ -444,19 +435,22 @@ def solve_lanes(fun, y0, rtol, atol, restart):
     f = np.empty_like(y)
     h_abs = np.empty(n)
 
+    def rms(a):
+        return np.sqrt(np.sum(a * a, axis=1) / m)
+
     def initial_step(rows):
-        """scipy's select_initial_step for lanes rows, with RMS norms over each lane's state."""
+        """_initial_step for lanes rows, vectorised, with RMS norms over each lane's state."""
         y_r = y[rows]
         f_r = fun(y_r, rows)
         scale = atol[rows] + np.abs(y_r) * rtol[rows]
-        d0, d1 = _rms(y_r / scale), _rms(f_r / scale)
+        d0, d1 = rms(y_r / scale), rms(f_r / scale)
         flat = (d0 < 1e-5) | (d1 < 1e-5)
         h0 = np.minimum(np.where(flat, 1e-6, 0.01 * d0 / np.where(flat, 1.0, d1)), 1.0)
-        d2 = _rms((fun(y_r + h0[:, None] * f_r, rows) - f_r) / scale) / h0
+        d2 = rms((fun(y_r + h0[:, None] * f_r, rows) - f_r) / scale) / h0
         both = (d1 <= 1e-15) & (d2 <= 1e-15)
         # fmax, like scipy's max(d1, d2), passes over a NaN d2 from a trial past the domain
         h1 = np.where(both, np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.where(both, 1.0, np.fmax(d1, d2))) ** -exponent)
+                      (0.01 / np.where(both, 1.0, np.fmax(d1, d2))) ** -_EXPONENT)
         h_abs[rows] = np.minimum(np.minimum(100.0 * h0, h1), 1.0)
         f[rows] = f_r
 
@@ -512,7 +506,7 @@ def solve_lanes(fun, y0, rtol, atol, restart):
         n5, n3 = np.sum(err5 * err5, axis=1), np.sum(err3 * err3, axis=1)
         zero = (n5 == 0.0) & (n3 == 0.0)
         err = np.where(zero, 0.0, h * n5 / np.sqrt(np.where(zero, 1.0, n5 + 0.01 * n3) * m))
-        grow = SAFETY * np.where(err == 0.0, 1.0, err) ** exponent
+        grow = SAFETY * np.where(err == 0.0, 1.0, err) ** _EXPONENT
         ok = err < 1.0
         factor = np.where(err == 0.0, MAX_FACTOR, np.minimum(MAX_FACTOR, grow))
         factor = np.where(ok, np.where(rejected[idx], np.minimum(1.0, factor), factor),

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import DomainError
-from .dop853 import TIGHT, UNDERFLOW, NumericalError, OdeOpts, solve_ivp, solve_lanes
+from .dop853 import TIGHT, UNDERFLOW, NumericalError, OdeOpts, _tup, solve_ivp, solve_lanes
 
 
 class ShootingError(NumericalError):
@@ -170,24 +170,23 @@ def _flow_source(d):
     s_j = sum r_k dpX_kj, then dpX'_ij = dpP_ij / w + p_i q_j and dpP'_ij =
     alpha dpX_ij + (beta r_i) s_j, one expression per entry.  No loop and no
     slice: on a 25-number state numpy's fixed cost per call, and a
-    comprehension's per-entry overhead, are most of the work.
+    comprehension's per-entry overhead, are most of the work.  math.fsum
+    raises on inf - inf and where a finite sum overflows; the body then
+    returns NaN in every entry, as _lane_rhs gives inf or NaN there, so a
+    trial stage that reaches such a state gets its step rejected.
     """
     ks = range(d)
 
-    def tup(items):
-        return f"({''.join(f'{x}, ' for x in items)})"
-
     def fsum(pairs):
-        return f"fsum({tup(f'{a} * {b}' for a, b in pairs)})"
+        return f"fsum({_tup(f'{a} * {b}' for a, b in pairs)})"
 
     xs, ps, rs = ([f"{c}_{k}" for k in ks] for c in "xpr")
     dpx, dpp = ([[f"{c}_{i}_{j}" for j in ks] for i in ks] for c in "XP")
     state = [*xs, *ps, "_", *(n for row in dpx for n in row), *(n for row in dpp for n in row)]
     body = [
-        f"{tup(state)} = y.tolist()",
         f"pp = {fsum(zip(ps, ps))}",
         "w = sqrt(1.0 - pp) if pp < BALL else nan",
-        f"_, {tup(rs)}, gamma, alpha, beta = terms([{', '.join(xs)}])",
+        f"_, {_tup(rs)}, gamma, alpha, beta = terms([{', '.join(xs)}])",
         "w3 = w ** 3",
         *(f"q_{j} = {fsum((p, row[j]) for p, row in zip(ps, dpp))} / w3" for j in ks),
         *(f"s_{j} = {fsum((r, row[j]) for r, row in zip(rs, dpx))}" for j in ks),
@@ -198,7 +197,10 @@ def _flow_source(d):
             + [f"alpha * {dpx[i][j]} + b_{i} * s_{j}" for i in ks for j in ks]) + "])",
     ]
     return "\n".join(["def bind(terms):", "    def rhs(t, y):",
-                      *(f"        {line}" for line in body), "    return rhs"])
+                      f"        {_tup(state)} = y.tolist()", "        try:",
+                      *(f"            {line}" for line in body),
+                      "        except (ValueError, OverflowError):",
+                      f"            return full({len(state)}, nan)", "    return rhs"])
 
 
 @cache
@@ -209,7 +211,7 @@ def _flow_binder(d):
     34 ms at d = 30 (15 KB and 96 KB of source).
     """
     scope = {"fsum": math.fsum, "sqrt": math.sqrt, "nan": math.nan, "BALL": BALL,
-             "array": np.array}
+             "array": np.array, "full": np.full}
     exec(_flow_source(d), scope)
     return scope["bind"]
 

@@ -80,9 +80,9 @@ def test_constant_potential_spin_is_identity():
     assert spin.norm_drift <= 1e-12
 
 
-def test_spin_transport_quality_off_axis_bump():
+def test_spin_transport_quality_off_axis_bump(d3_bump_fan):
     m = bump3()
-    geo = shoot_geodesic(m, Y_OFF, X_OFF)
+    geo = d3_bump_fan
     spin = solve_bmt_spin(m, geo.trajectory)
     assert spin.unitarity_defect <= 1e-9
     assert spin.norm_drift <= 1e-9
@@ -165,11 +165,11 @@ def test_spin_transport_is_3d_only():
         solve_bmt_spin(m, geo.trajectory)
 
 
-def test_equivalence_left_inverse_pairing():
+def test_equivalence_left_inverse_pairing(d3_bump_fan):
     """The hermitian pairing reproduces the four-spinor transport."""
     m = bump3()
     rep = build_dirac_rep(3)
-    geo = shoot_geodesic(m, Y_OFF, X_OFF)
+    geo = d3_bump_fan
     report = equivalence_check(m, rep, geo, solve_bmt_spin(m, geo.trajectory))
     assert report.passed
     assert report.best == "left_inverse"
@@ -191,9 +191,9 @@ def test_equivalence_transpose_pairing_in_a_plane():
     assert report.residual_transpose <= 1e-6
 
 
-def test_equivalence_requires_standard_rep():
+def test_equivalence_requires_standard_rep(d3_bump_fan):
     m = bump3()
-    geo = shoot_geodesic(m, Y_OFF, X_OFF)
+    geo = d3_bump_fan
     spin = solve_bmt_spin(m, geo.trajectory)
     with pytest.raises(DomainError):
         equivalence_check(m, negate_rep(build_dirac_rep(3)), geo, spin)
@@ -201,10 +201,10 @@ def test_equivalence_requires_standard_rep():
         equivalence_check(m, build_dirac_rep(2), geo, spin)
 
 
-def test_equivalence_reuses_precomputed_pieces():
+def test_equivalence_reuses_precomputed_pieces(d3_bump_fan):
     m = bump3()
     rep = build_dirac_rep(3)
-    geo = shoot_geodesic(m, Y_OFF, X_OFF)
+    geo = d3_bump_fan
     transport = solve_spinor_transport(m, rep, geo.trajectory)
     spin = solve_bmt_spin(m, geo.trajectory)
     report = equivalence_check(m, rep, geo, spin=spin, transport=transport)

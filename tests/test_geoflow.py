@@ -418,6 +418,25 @@ def test_flow_rhs_is_the_reference_bit_for_bit(dim, kind):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("column", [(math.inf, -math.inf), (1.7e308, 1.7e308)],
+                         ids=["inf-minus-inf", "overflow"])
+def test_flow_rhs_is_not_finite_where_its_sums_raise(column):
+    """A dpP column whose sum p^T dpP meets inf - inf, or overflows, gives a non-finite
+    right-hand side, as a lane row does, and raises nothing.
+
+    math.fsum raises ValueError and OverflowError on these two; a trial stage that
+    reaches either must get its step rejected, not end the solve in a traceback.
+    """
+    m = bump_model(2)
+    y = geoflow._initial_state(np.array([-1.0, -0.3]), np.array([0.6, 0.792]))
+    i_dpp = geoflow._var_index(2) + 4
+    y[[i_dpp, i_dpp + 2]] = column
+    assert not np.all(np.isfinite(geoflow._flow_rhs(m)(0.0, y)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        row = geoflow._lane_rhs(m, np.ones(1))(y[None, :], np.zeros(1, dtype=int))
+    assert not np.all(np.isfinite(row))
+
+
 def test_flow_rhs_compiles_once_per_dimension():
     """Models of one d share the one compiled body; another d has its own."""
     bump, cosine = (geoflow._flow_rhs(make_potential(3, k, _PARAMS[k]))
@@ -545,6 +564,10 @@ def _pendulum(t, y):
 _bump_flow = geoflow._flow_rhs(bump_model(2))
 
 
+def _blowup(t, y):
+    return [y[0] * y[0]]
+
+
 def _precession(t, y):
     return 1j * np.array([[0.2, 1.0 + t], [1.0 + t, -0.5]]) @ y
 
@@ -560,6 +583,8 @@ LEAN_CASES = {
                    dict(t_eval=[2.1]), None),
     "complex_dense": (_precession, (0.0, 2.0), np.array([1.0, 0.5j]),
                       dict(dense_output=True), [0.0, 0.3, 1.7, 2.0, np.linspace(0.0, 2.0, 41)]),
+    # y(t) = 1 / (1 - t) blows up at t = 1, where the step underflows (status -1)
+    "step_underflow": (_blowup, (0.0, 2.0), [1.0], {}, None),
 }
 
 
@@ -630,6 +655,20 @@ def test_float_march_is_dop853_side_by_side(name):
     assert ts.shape == steps.sol.ts.shape
     assert np.max(np.abs(ts - steps.sol.ts)) <= 1e-5 * abs(t_span[1] - t_span[0])
     assert _scaled(ys, steps.sol(ts)) <= 1e-12
+
+
+def test_float_march_stops_where_its_step_underflows():
+    """y' = y^2 from y(0) = 1 blows up at t = 1: the march stops there as solve_ivp does.
+
+    The same status -1, message and nfev, and the read before the blow-up within 1e-12.
+    """
+    tols = dict(rtol=1e-10, atol=1e-12, t_eval=[0.5, 1.5])
+    got = dop853.solve_floats(_blowup, (0.0, 2.0), [1.0], **tols)
+    ref = dop853.solve_ivp(_blowup, (0.0, 2.0), [1.0], **tols)
+    assert (got.status, got.success, got.message) == (-1, False, ref.message)
+    assert got.nfev == ref.nfev
+    assert got.y.shape == ref.y.shape == (1, 1)
+    assert _scaled(got.y, ref.y) <= 1e-12
 
 
 class _Crossed(Exception):
@@ -1003,10 +1042,11 @@ PATH_PAIRS = [FAN_PAIRS[i] for i in (3, 4, 6, 7)]   # the d=2 and d=3 bump and c
 
 @pytest.mark.parametrize("dim,kind,params,y,x", PATH_PAIRS,
                          ids=[f"d{p[0]}-{p[1]}" for p in PATH_PAIRS])
-def test_polished_agmon_does_not_depend_on_the_path(dim, kind, params, y, x):
+def test_polished_agmon_does_not_depend_on_the_path(request, dim, kind, params, y, x):
     """The fan, one start and the reverse fan polish to one d_A within 1e-13 relative."""
     m = make_potential(dim, kind, params)
-    fan = shoot_geodesic(m, y, x)
+    d3_bump = (dim, kind, y) == (3, "bump_well", [-1.0, -0.3, 0.2])
+    fan = request.getfixturevalue("d3_bump_fan") if d3_bump else shoot_geodesic(m, y, x)
     one = shoot_geodesic(m, y, x, multistart=1)
     rev = shoot_geodesic(m, x, y)
     for other in (one, rev):
@@ -1041,11 +1081,11 @@ def test_bordered_determinant_free_value():
     (2, ([-1.0, -0.3], [1.0, 0.4]), 2.2341915424),
     (3, ([-1.0, -0.3, 0.2], [1.0, 0.4, -0.2]), 5.2187507320),
 ])
-def test_exp_prime_two_routes_agree(dim, endpoints, frozen):
+def test_exp_prime_two_routes_agree(request, dim, endpoints, frozen):
     """Bordered-determinant conversion vs direct differentiation of exp_y."""
     m = bump_model(dim)
     y, x = endpoints
-    geo = shoot_geodesic(m, y, x)
+    geo = request.getfixturevalue("d3_bump_fan") if dim == 3 else shoot_geodesic(m, y, x)
     assert geo.det_exp_prime == pytest.approx(frozen, rel=1e-8)
     v = exp_inverse_from_geodesic(m, geo)
     fd = exp_prime_fd(m, y, v)

@@ -39,10 +39,10 @@ def test_transport_is_identity_for_constant_potential():
     (2, [-1.0, -0.3], [1.0, 0.4]),
     (3, [-1.0, -0.3, 0.2], [1.0, 0.4, -0.2]),
 ])
-def test_transport_unitarity_before_projection(dim, y, x):
+def test_transport_unitarity_before_projection(request, dim, y, x):
     m = make_potential(dim, "bump_well", BUMP)
     rep = build_dirac_rep(dim)
-    geo = shoot(m, y, x)
+    geo = request.getfixturevalue("d3_bump_fan") if dim == 3 else shoot(m, y, x)
     res = solve_spinor_transport(m, rep, geo.trajectory)
     assert res.unitarity_defect <= 1e-9
     eye = np.eye(rep.dstar)
@@ -115,10 +115,10 @@ def test_amplitude_matrix_constant_1d_frozen():
     (2, [-1.0, -0.3], [1.0, 0.4]),
     (3, [-1.0, -0.3, 0.2], [1.0, 0.4, -0.2]),
 ])
-def test_amplitude_left_identity_and_rank(dim, y, x):
+def test_amplitude_left_identity_and_rank(request, dim, y, x):
     m = make_potential(dim, "bump_well", BUMP)
     rep = build_dirac_rep(dim)
-    geo = shoot(m, y, x)
+    geo = request.getfixturevalue("d3_bump_fan") if dim == 3 else shoot(m, y, x)
     res = solve_spinor_transport(m, rep, geo.trajectory)
     mat, residual = transport_matrix(m, rep, geo, res.u_matrix)
     assert residual <= 1e-8
