@@ -274,13 +274,13 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False):
     y = y.astype(dtype, copy=False)
     n = y.size
     direction = 1.0 if t_bound >= t else -1.0
+    f = np.asarray(fun(t, y), dtype=dtype)
+    scale = atol + np.abs(y) * rtol
 
     def probe(h0):
         f1 = np.asarray(fun(t + h0 * direction, y + h0 * direction * f), dtype=dtype)
         return _norm((f1 - f) / scale) / n ** 0.5
 
-    f = np.asarray(fun(t, y), dtype=dtype)
-    scale = atol + np.abs(y) * rtol
     h_abs = _initial_step(_norm(y / scale) / n ** 0.5, _norm(f / scale) / n ** 0.5, probe,
                           abs(t_bound - t))
     points = [] if t_eval is None else list(map(float, t_eval))
@@ -386,6 +386,8 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
     y = tuple(map(float, y0))
     n = len(y)
     direction = 1.0 if t_bound >= t else -1.0
+    f = fun(t, y)
+    scale = [atol + abs(v) * rtol for v in y]
 
     def rms(x):
         return math.sqrt(sum((v / s) * (v / s) for v, s in zip(x, scale)) / n)
@@ -394,8 +396,6 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
         f1 = fun(t + h0 * direction, tuple(v + h0 * direction * g for v, g in zip(y, f)))
         return rms([b - a for a, b in zip(f, f1)])
 
-    f = fun(t, y)
-    scale = [atol + abs(v) * rtol for v in y]
     h_abs = _initial_step(rms(y), rms(f), probe, abs(t_bound - t))
     status, nfev, _, pieces = _march(fun, t, t_bound, y, f, h_abs, _float_kernels(n), rtol,
                                      atol, list(map(float, t_eval)), check=check)

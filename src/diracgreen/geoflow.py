@@ -17,8 +17,9 @@ direction (chart on the sphere) and the flight time.
 
 V is defined on all of R^d, so the flow's one domain is the momentum ball
 |p|^2 < BALL.  A start outside it is refused before any flow runs; the
-right-hand sides never raise, and a trial stage past the ball gets NaN
-derivatives, so that DOP853 rejects its step and retries a shorter one.
+right-hand sides never raise: a trial stage past the ball, or one whose
+sums overflow, gets non-finite derivatives, so that DOP853 rejects its
+step and retries a shorter one.
 An orbit that truly runs into the ball shrinks its steps until they
 underflow.
 """

@@ -616,6 +616,22 @@ def test_lean_solve_ivp_returns_after_its_last_t_eval_point():
     assert got.nfev < ref.nfev
 
 
+def test_lean_solve_ivp_interpolants_end_at_their_steps():
+    """Each step's interpolant ends at the step's own end t, which t_old + h can miss.
+
+    Backward to 0.01 the last step is clipped at the end of the span, where
+    t_old + (t - t_old) rounds away from t; sol(t) there is scipy's bit for bit.
+    """
+    tols = dict(rtol=1e-10, atol=1e-12, dense_output=True)
+    got = dop853.solve_ivp(_pendulum, (3.0, 0.01), [0.3, 1.2], **tols)
+    ref = solve_ivp(_pendulum, (3.0, 0.01), [0.3, 1.2], method="DOP853", **tols)
+    t_old, t_end = got.sol.ts[-2:]
+    assert t_old + (t_end - t_old) != t_end
+    assert [step.t for step in got.sol.interpolants] == got.sol.ts[1:].tolist()
+    times = np.linspace(t_old, t_end, 11)
+    assert np.array_equal(got.sol(times), ref.sol(times))
+
+
 # (t_span, t_eval), each ending at the end of its span: forward, and backward with two
 # points 1e-9 apart (so in one step)
 FLOAT_CASES = {
