@@ -6,11 +6,11 @@ Prince & Dormand (1981), as the installed scipy implements it: one step
 loop, two stage kernels, plus the lanes.  The loop (_march) is scipy's
 step-size control, t_eval reads and step underflow, once, for two solves
 of dy/dt = fun(t, y) that differ only in the kernels that make a step's
-stages and interpolant:
+stages and interpolant, which every read evaluates with _horner:
 
 * solve_ivp, on numpy stages (_array_kernels), bit for bit scipy's
   solve_ivp(method="DOP853") without its wrappers, up to its last
-  t_eval point;
+  t_eval point, its dense output a DenseSolution;
 * solve_floats, read at t_eval, on a state of Python floats, with each
   stage's sum written out as one float expression (_float_kernels).
 
@@ -18,20 +18,21 @@ solve_lanes is many solves of dy/ds = fun(y) over s in [0, 1] that share
 each RHS call, one row (lane) per solve, each with scipy's step-size
 control of its own.
 
-None checks a domain: a right-hand side that is NaN at a trial stage
-makes the step's error estimate NaN, and the step is rejected and retried
-shorter, as any step whose error is too large.
+None checks a domain: a trial stage that is NaN or inf makes its step's
+error estimate so, and the step is rejected and retried shorter.
+solve_ivp and solve_lanes silence numpy's warnings there, once per call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853, DenseOutput, OdeSolution
+from scipy.integrate import DOP853
 
 
 class NumericalError(RuntimeError):
@@ -61,56 +62,62 @@ TIGHT = OdeOpts(1e-12, 1e-14)
 
 
 def _horner(cols, x):
-    """DOP853's interpolant at the step fraction x, per column (F6, ..., F0, y_old) of floats.
+    """DOP853's interpolant at the step fraction x, per column (F6, ..., F0, y_old).
 
-    One expression per component, in _Dop853Step._call_impl's order:
-    (((0.0 + F6) x + F5) (1 - x) + ... + F0) x + y_old.
+    One expression per component, in scipy's Dop853DenseOutput's order:
+    (((0.0 + F6) x + F5) (1 - x) + ... + F0) x + y_old, on floats or on
+    numpy rows that broadcast against an array x.
     """
     u = 1 - x
     return [((((((((0.0 + f6) * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + f0)
              * x + y0) for f6, f5, f4, f3, f2, f1, f0, y0 in cols]
 
 
-class _Dop853Step(DenseOutput):
-    """DOP853's 7th-order interpolant over one step, evaluated as scipy's Dop853DenseOutput."""
+class DenseSolution:
+    """A solve's dense output over _march's pieces, read as scipy's OdeSolution, bit for bit.
 
-    def __init__(self, t_old, t, y_old, F):
-        super().__init__(t_old, t)
-        self.h, self.F, self.y_old = t - t_old, F, y_old
-        self._heads = {}
+    A time reads the first step whose end is at or past it in the direction
+    of the solve, clamped to the steps, whose columns are listed as floats
+    on a step's first float read and stacked on the first array read.
+    """
+
+    def __init__(self, t0, pieces):
+        self._ts = [t0, *(piece[1] for piece in pieces)]
+        self.ts = np.array(self._ts)
+        self._rows = [piece[2] for piece in pieces]
+        self._sign = 1.0 if self._ts[-1] >= t0 else -1.0
+        self._keys = [self._sign * t for t in self._ts]
+        self._cols = [None] * len(pieces)
+        self._stack = None
 
     def head(self, t, m):
-        """The first m components of self(t) at a float t, as a list of floats.
-
-        _call_impl's operations in Python floats, in its order (_horner),
-        over the cached columns (F6, ..., F0, y_old).  So the read equals
-        self(t)[:m] bit for bit without numpy's per-call cost.
-        """
-        cols = self._heads.get(m)
+        """The first m components of self(t) at a float t, as a list of floats, bit for bit."""
+        i = min(max(bisect_left(self._keys, self._sign * t) - 1, 0), len(self._rows) - 1)
+        cols = self._cols[i]
         if cols is None:
-            cols = self._heads[m] = list(zip(*self.F[::-1, :m].tolist(),
-                                             self.y_old[:m].tolist()))
-        return _horner(cols, (t - self.t_old) / self.h)
+            cols = self._cols[i] = self._rows[i].T.tolist()
+        t_old = self._ts[i]
+        return _horner(cols[:m], (t - t_old) / (self._ts[i + 1] - t_old))
 
-    def _call_impl(self, t):
-        x = (t - self.t_old) / self.h
+    def __call__(self, t):
+        """y at a float t, shape (n,), or at an array of times, shape (n, len(t))."""
+        t = np.asarray(t)
         if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old
-        return y.T
+            return np.array(self.head(float(t), self._rows[0].shape[1]))
+        if self._stack is None:
+            # (8, n, steps), so that a gather by step reads (n, len(t)) rows
+            self._stack = np.stack(self._rows, axis=-1)
+        step = np.searchsorted(self._sign * self.ts, self._sign * t) - 1
+        step = np.clip(step, 0, len(self._rows) - 1)
+        t_old = self.ts[step]
+        return _horner([self._stack[:, :, step]], (t - t_old) / (self.ts[step + 1] - t_old))[0]
 
 
 class IvpResult(NamedTuple):
     """A solve's result: y at t_eval or at every step end, sol when dense_output."""
 
     y: np.ndarray
-    sol: OdeSolution | None
+    sol: DenseSolution | None
     nfev: int
     success: bool
     status: int
@@ -167,8 +174,8 @@ def _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol, points, every=Fals
     floats), and the march then returns after the step that holds the last
     one.  check(t, y), when given, sees the start and each accepted state.
     Returns (status, nfev, ends, pieces): ends the start and each accepted
-    state, pieces (t_old, t, y_old, columns, the step's points) per
-    interpolant, with the step's own end t.
+    state, pieces (t_old, t, columns, the step's points) per interpolant,
+    with the step's own end t and the columns in _horner's order.
     """
     step, dense = kernels
     n = len(y)
@@ -205,7 +212,7 @@ def _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol, points, every=Fals
         while j < len(points) and direction * (points[j] - t) <= 0:
             j += 1
         if every or j > i_pt:
-            pieces.append((t_old, t, y_old, dense(fun, t_old, h, y_old, y, k), points[i_pt:j]))
+            pieces.append((t_old, t, dense(fun, t_old, h, y_old, y, k), points[i_pt:j]))
             nfev += len(_EXTRA)
         if direction * (t - t_bound) >= 0 or (not every and i_pt < j == len(points)):
             return 0, nfev, ends, pieces
@@ -241,32 +248,33 @@ def _array_kernels(n, dtype):
                 _norm(k_err_t.dot(DOP853.E3) / scale) ** 2, k)
 
     def dense(fun, t, h, y, y_new, k):
-        # DOP853._dense_output_impl
+        # DOP853._dense_output_impl, its rows F0, ..., F6 and y stored as (F6, ..., F0, y)
         for s, a, c in _EXTRA:
             k[s] = fun(t + c * h, y + k_t[:, :s].dot(a) * h)
-        F = np.empty((DOP853.D.shape[0] + 3, n), dtype=dtype)
-        delta_y = y_new - y
-        F[0] = delta_y
-        F[1] = h * k[0] - delta_y
-        F[2] = 2 * delta_y - h * (k[n_st] + k[0])
-        F[3:] = h * DOP853.D.dot(k)
+        F = np.empty((8, n), dtype=dtype)
+        F[6] = delta_y = y_new - y
+        F[5] = h * k[0] - delta_y
+        F[4] = 2 * delta_y - h * (k[n_st] + k[0])
+        F[3::-1] = h * DOP853.D.dot(k)
+        F[7] = y
         return F
 
     return step, dense
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False):
     """scipy.integrate.solve_ivp(method="DOP853") for one solve, bit for bit, without its wrappers.
 
     The step loop (_march) with numpy stage kernels (_array_kernels) that
     make the installed scipy's numpy calls in its order: select_initial_step,
     the rk_step stages, the error norm and step-size control, t_eval read
-    through each step's 7th-order interpolant, and dense output as an
-    OdeSolution of those interpolants.  So y, sol and nfev equal scipy's.
-    y0 may be real or complex.  With t_eval and no dense output the solve
-    returns (status 0) after the step that reads the last point, so the end
-    of t_span then only bounds the steps: y and nfev are scipy's when that
-    point is the end.
+    through each step's 7th-order interpolant (_horner), and dense output
+    as a DenseSolution of those interpolants.  So y, sol(t) and nfev equal
+    scipy's.  y0 may be real or complex.  With t_eval and no dense output
+    the solve returns (status 0) after the step that reads the last point,
+    so the end of t_span then only bounds the steps: y and nfev are
+    scipy's when that point is the end.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0)
@@ -287,13 +295,13 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False):
     status, nfev, ends, pieces = _march(fun, t, t_bound, y, f, h_abs, _array_kernels(n, dtype),
                                         rtol, atol, points, every=dense_output)
 
-    steps = [_Dop853Step(t_old, t_end, y_old, F) for t_old, t_end, y_old, F, _ in pieces]
     if t_eval is None:
         y_out = np.vstack(ends).T
     else:
-        reads = [step(np.array(pts)) for step, (*_, pts) in zip(steps, pieces) if pts]
+        reads = [_horner([F[:, :, None]], (np.array(pts) - t_old) / (t_end - t_old))[0]
+                 for t_old, t_end, F, pts in pieces if pts]
         y_out = np.hstack(reads) if reads else np.empty((n, 0), dtype=dtype)
-    sol = OdeSolution([t, *(piece[1] for piece in pieces)], steps) if dense_output else None
+    sol = DenseSolution(t, pieces) if dense_output else None
     return IvpResult(y_out, sol, nfev, status >= 0, status, _MESSAGES[status])
 
 
@@ -401,11 +409,12 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
                                      atol, list(map(float, t_eval)), check=check)
 
     reads = [_horner(cols, (s - t_old) / (t_end - t_old))
-             for t_old, t_end, _, cols, pts in pieces for s in pts]
+             for t_old, t_end, cols, pts in pieces for s in pts]
     y_out = np.array(reads, dtype=float).reshape(-1, n).T
     return IvpResult(y_out, None, nfev, status >= 0, status, _MESSAGES[status])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_lanes(fun, y0, rtol, atol, restart):
     """Integrate dy/ds = fun(y) over s in [0, 1] for every row (lane) of y0.
 

@@ -27,7 +27,6 @@ underflow.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
@@ -95,7 +94,6 @@ class Trajectory:
         self.sol = result.sol
         d = self.dim
         self._i_var = _var_index(d)
-        self._ts = self.sol.ts.tolist()
         y_end = self.sol(self.tau)
         self.p_start = self.sol(0.0)[d:2 * d]
         self.x_end, self.p_end = y_end[:d], y_end[d:2 * d]
@@ -116,24 +114,15 @@ class Trajectory:
         y = self.sol(t)
         return y[: self.dim].T, y[self.dim: 2 * self.dim].T
 
-    def _step_at(self, t):
-        """sol(t)'s segment rule: the first step whose end is at or past t, clamped to the steps."""
-        steps = self.sol.interpolants
-        return steps[min(max(bisect_left(self._ts, t) - 1, 0), len(steps) - 1)]
-
     def phase_at(self, t):
-        """(x, p) at a float t as two lists of floats, equal to phase(t) bit for bit.
-
-        sol(t)'s segment rule and its interpolant's operations in floats, for
-        a right-hand side that reads the orbit.
-        """
+        """(x, p) at a float t as two lists of floats, read by sol.head: phase(t) bit for bit."""
         d = self.dim
-        y = self._step_at(t).head(t, 2 * d)
+        y = self.sol.head(t, 2 * d)
         return y[:d], y[d:]
 
     def position_at(self, t):
         """x at a float t as a list of floats, phase_at(t)[0] without the momenta."""
-        return self._step_at(t).head(t, self.dim)
+        return self.sol.head(t, self.dim)
 
     def potential_along(self, times):
         """(p, V, grad V = gamma r) at an array of times: one dense-output call, one terms_many."""

@@ -21,15 +21,32 @@ def _freeze(obj):
     elif isinstance(obj, dict):
         for item in obj.values():
             _freeze(item)
-    elif type(obj).__module__.startswith(("diracgreen.", "scipy.integrate")):
+    elif type(obj).__module__.startswith("diracgreen."):
         for item in vars(obj).values():
             _freeze(item)
+
+
+def _bump_fan(y, x):
+    """The bump well's connection y -> x in d = len(y), shot with the default fan, frozen."""
+    model = make_potential(len(y), "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
+    geo = shoot_geodesic(model, y, x)
+    _freeze(geo)
+    return geo
 
 
 @pytest.fixture(scope="session")
 def d3_bump_fan():
     """The d = 3 bump pair (-1, -0.3, 0.2) -> (1, 0.4, -0.2), shot with the default fan."""
-    model = make_potential(3, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
-    geo = shoot_geodesic(model, [-1.0, -0.3, 0.2], [1.0, 0.4, -0.2])
-    _freeze(geo)
-    return geo
+    return _bump_fan([-1.0, -0.3, 0.2], [1.0, 0.4, -0.2])
+
+
+@pytest.fixture(scope="session")
+def d2_bump_fan():
+    """The d = 2 bump pair (-1, -0.3) -> (1, 0.4), shot with the default fan."""
+    return _bump_fan([-1.0, -0.3], [1.0, 0.4])
+
+
+@pytest.fixture(scope="session")
+def d2_bump_fan_rev():
+    """The d = 2 bump pair reversed, (1, 0.4) -> (-1, -0.3), shot with the default fan."""
+    return _bump_fan([1.0, 0.4], [-1.0, -0.3])

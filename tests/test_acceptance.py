@@ -48,14 +48,16 @@ def report(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def solved(d3_bump_fan):
+def solved(d3_bump_fan, d2_bump_fan, d2_bump_fan_rev):
     """Forward and reversed connections for every shared configuration."""
+    shared = {(3, "bump"): (d3_bump_fan, None), (2, "bump"): (d2_bump_fan, d2_bump_fan_rev)}
     cache = {}
     for d, rows in CONFIGS.items():
         for name, kind, params, y, x in rows:
             model = make_potential(d, kind, params)
-            fwd = d3_bump_fan if (d, name) == (3, "bump") else shoot_geodesic(model, y, x)
-            rev = shoot_geodesic(model, x, y)
+            fwd, rev = shared.get((d, name), (None, None))
+            fwd = fwd or shoot_geodesic(model, y, x)
+            rev = rev or shoot_geodesic(model, x, y)
             cache[(d, name)] = (model, fwd, rev)
     return cache
 

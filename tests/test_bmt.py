@@ -158,9 +158,9 @@ def test_spin_rhs_is_the_generator_product(monkeypatch, kind, params, y, x):
         assert np.abs(got - want).max() <= 4.0 * np.spacing(big), (t, got, want)
 
 
-def test_spin_transport_is_3d_only():
+def test_spin_transport_is_3d_only(d2_bump_fan):
     m = make_potential(2, "bump_well", BUMP)
-    geo = shoot_geodesic(m, [-1.0, -0.3], [1.0, 0.4])
+    geo = d2_bump_fan
     with pytest.raises(DomainError):
         solve_bmt_spin(m, geo.trajectory)
 

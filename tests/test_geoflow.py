@@ -119,10 +119,10 @@ def test_free_shot_frozen_values_2d():
     assert geo.trajectory.hamiltonian_sup() <= 1e-10
 
 
-def test_shot_residual_and_momentum_shell():
+def test_shot_residual_and_momentum_shell(d2_bump_fan):
     m = bump_model(2)
     y, x = np.array([-1.0, -0.3]), np.array([1.0, 0.4])
-    geo = shoot_geodesic(m, y, x)
+    geo = d2_bump_fan
     assert np.max(np.abs(geo.trajectory.x_end - x)) <= 1e-9
     vy = m.value(y)
     assert np.linalg.norm(geo.p0) == pytest.approx(math.sqrt(1.0 - vy * vy), abs=1e-10)
@@ -140,10 +140,8 @@ def test_shooting_failure_is_reported(monkeypatch):
         shoot_geodesic(bump_model(1), [-1.0], [1.0], multistart=2)
 
 
-def test_reversal_symmetry_bump_2d():
-    m = bump_model(2)
-    fwd = shoot_geodesic(m, [-1.0, -0.3], [1.0, 0.4])
-    rev = shoot_geodesic(m, [1.0, 0.4], [-1.0, -0.3])
+def test_reversal_symmetry_bump_2d(d2_bump_fan, d2_bump_fan_rev):
+    fwd, rev = d2_bump_fan, d2_bump_fan_rev
     assert rev.agmon == pytest.approx(fwd.agmon, rel=1e-9)
     assert rev.tau == pytest.approx(fwd.tau, rel=1e-9)
     np.testing.assert_allclose(rev.trajectory.p_end, -fwd.p0, atol=1e-8)
@@ -151,10 +149,10 @@ def test_reversal_symmetry_bump_2d():
     assert rev.det_exp_prime == pytest.approx(fwd.det_exp_prime, rel=1e-9)
 
 
-def test_jacobi_block_matches_finite_differences():
+def test_jacobi_block_matches_finite_differences(d2_bump_fan):
     """dpX(tau) against central differences of the endpoint over p0."""
     m = bump_model(2)
-    geo = shoot_geodesic(m, [-1.0, -0.3], [1.0, 0.4])
+    geo = d2_bump_fan
     y, p0, tau = geo.y_star, geo.p0, geo.tau
     step = 1e-6
     fd = np.empty((2, 2))
@@ -525,13 +523,13 @@ def _retire(k, y_end, reason):
     return None
 
 
-def _fenced_decay(rates, calls=None):
-    """dy/ds = -rate y per lane, NaN on lane 1 once y < 0.5: that lane's steps shrink there."""
+def _fenced_decay(rates, calls=None, fence=math.nan):
+    """dy/ds = -rate y per lane, fence on lane 1 once y < 0.5: that lane's steps shrink there."""
     def fenced(y, rows):
         if calls is not None:
             calls.append(rows.copy())
         dy = -rates[rows, None] * y
-        dy[(rows == 1) & (y[:, 0] < 0.5)] = math.nan
+        dy[(rows == 1) & (y[:, 0] < 0.5)] = fence
         return dy
     return fenced
 
@@ -557,6 +555,39 @@ def test_dop853_lanes_follow_scipy_lane_by_lane():
     np.testing.assert_allclose(fenced_end[[0, 2, 3]], y_end[[0, 2, 3]], rtol=1e-13)
 
 
+def test_dop853_lanes_reject_an_infinite_stage_quietly():
+    """A lane whose RHS is +inf past a point underflows there without a numpy warning.
+
+    Its stages' sums meet inf * 0 and inf - inf; the other lanes end where
+    an unfenced run ends, bit for bit.
+    """
+    rates = np.array([0.5, 1.0, 3.0, 10.0])
+
+    def decay(y, rows):
+        return -rates[rows, None] * y
+
+    free_end, _ = solve_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12, _retire)
+    fenced_end, why = solve_lanes(_fenced_decay(rates, fence=math.inf), np.ones((4, 2)),
+                                  1e-10, 1e-12, _retire)
+    assert list(why) == ["", UNDERFLOW, "", ""]
+    assert np.array_equal(fenced_end[[0, 2, 3]], free_end[[0, 2, 3]])
+
+
+def _walled(t, y):
+    """y' = -y, but +inf for t in [1, 1.5]: no step passes the wall, and they underflow at it."""
+    return [math.inf] if 1.0 <= t <= 1.5 else [-y[0]]
+
+
+def test_lean_solve_ivp_rejects_an_infinite_stage_quietly():
+    """solve_ivp stops at the wall without a numpy warning, with scipy's status and nfev."""
+    got = dop853.solve_ivp(_walled, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12)
+    assert (got.status, got.nfev) == (-1, 998)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = solve_ivp(_walled, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10, atol=1e-12)
+    assert (got.status, got.nfev) == (ref.status, ref.nfev)
+    assert np.array_equal(got.y, ref.y)
+
+
 def _pendulum(t, y):
     return [y[1], -math.sin(y[0]) * (1.0 + 0.3 * t)]
 
@@ -572,6 +603,20 @@ def _precession(t, y):
     return 1j * np.array([[0.2, 1.0 + t], [1.0 + t, -0.5]]) @ y
 
 
+def _reads_of_a_backward_solve():
+    """Times that read the pendulum's dense solve over (3, -2) at scipy's own steps.
+
+    Every step end as a float, times past both ends of the span, the ends
+    and midpoints with those two as an unsorted array, and a descending
+    array across the span and past it.
+    """
+    ends = solve_ivp(_pendulum, (3.0, -2.0), [0.3, 1.2], method="DOP853", rtol=1e-10,
+                     atol=1e-12, dense_output=True).sol.ts
+    times = np.r_[ends, 0.5 * (ends[1:] + ends[:-1]), 3.5, -2.5]
+    return [*ends.tolist(), 3.5, -2.5, np.random.default_rng(0).permutation(times),
+            np.linspace(3.5, -2.5, 61)]
+
+
 # (fun, t_span, y0, keywords, times at which sol is compared)
 LEAN_CASES = {
     # backward, with two points 1e-9 apart (so in one step) and a point at the end
@@ -585,6 +630,9 @@ LEAN_CASES = {
                       dict(dense_output=True), [0.0, 0.3, 1.7, 2.0, np.linspace(0.0, 2.0, 41)]),
     # y(t) = 1 / (1 - t) blows up at t = 1, where the step underflows (status -1)
     "step_underflow": (_blowup, (0.0, 2.0), [1.0], {}, None),
+    # the segment rule backward: at every step end, past both ends, unsorted, descending
+    "backward_dense": (_pendulum, (3.0, -2.0), [0.3, 1.2], dict(dense_output=True),
+                       _reads_of_a_backward_solve()),
 }
 
 
@@ -617,17 +665,18 @@ def test_lean_solve_ivp_returns_after_its_last_t_eval_point():
 
 
 def test_lean_solve_ivp_interpolants_end_at_their_steps():
-    """Each step's interpolant ends at the step's own end t, which t_old + h can miss.
+    """Each step is read against the step's own end t, which t_old + h can miss.
 
     Backward to 0.01 the last step is clipped at the end of the span, where
-    t_old + (t - t_old) rounds away from t; sol(t) there is scipy's bit for bit.
+    t_old + (t - t_old) rounds away from t: the dense output's step ends are
+    scipy's, and sol(t) there is scipy's bit for bit.
     """
     tols = dict(rtol=1e-10, atol=1e-12, dense_output=True)
     got = dop853.solve_ivp(_pendulum, (3.0, 0.01), [0.3, 1.2], **tols)
     ref = solve_ivp(_pendulum, (3.0, 0.01), [0.3, 1.2], method="DOP853", **tols)
-    t_old, t_end = got.sol.ts[-2:]
+    t_old, t_end = ref.sol.ts[-2:]
     assert t_old + (t_end - t_old) != t_end
-    assert [step.t for step in got.sol.interpolants] == got.sol.ts[1:].tolist()
+    assert got.sol.ts.tolist() == ref.sol.ts.tolist()
     times = np.linspace(t_old, t_end, 11)
     assert np.array_equal(got.sol(times), ref.sol(times))
 
@@ -1061,10 +1110,12 @@ PATH_PAIRS = [FAN_PAIRS[i] for i in (3, 4, 6, 7)]   # the d=2 and d=3 bump and c
 def test_polished_agmon_does_not_depend_on_the_path(request, dim, kind, params, y, x):
     """The fan, one start and the reverse fan polish to one d_A within 1e-13 relative."""
     m = make_potential(dim, kind, params)
+    d2_bump = (dim, kind, y) == (2, "bump_well", [-1.0, -0.3])
     d3_bump = (dim, kind, y) == (3, "bump_well", [-1.0, -0.3, 0.2])
-    fan = request.getfixturevalue("d3_bump_fan") if d3_bump else shoot_geodesic(m, y, x)
+    shared = d2_bump or d3_bump
+    fan = request.getfixturevalue(f"d{dim}_bump_fan") if shared else shoot_geodesic(m, y, x)
     one = shoot_geodesic(m, y, x, multistart=1)
-    rev = shoot_geodesic(m, x, y)
+    rev = request.getfixturevalue("d2_bump_fan_rev") if d2_bump else shoot_geodesic(m, x, y)
     for other in (one, rev):
         assert other.agmon == pytest.approx(fan.agmon, rel=1e-13, abs=0.0)
 
@@ -1101,17 +1152,17 @@ def test_exp_prime_two_routes_agree(request, dim, endpoints, frozen):
     """Bordered-determinant conversion vs direct differentiation of exp_y."""
     m = bump_model(dim)
     y, x = endpoints
-    geo = request.getfixturevalue("d3_bump_fan") if dim == 3 else shoot_geodesic(m, y, x)
+    geo = request.getfixturevalue(f"d{dim}_bump_fan")
     assert geo.det_exp_prime == pytest.approx(frozen, rel=1e-8)
     v = exp_inverse_from_geodesic(m, geo)
     fd = exp_prime_fd(m, y, v)
     assert fd == pytest.approx(geo.det_exp_prime, rel=1e-7)
 
 
-def test_exp_map_oracle_hits_endpoint():
+def test_exp_map_oracle_hits_endpoint(d2_bump_fan):
     m = bump_model(2)
     y, x = [-1.0, -0.3], [1.0, 0.4]
-    geo = shoot_geodesic(m, y, x)
+    geo = d2_bump_fan
     v = exp_inverse_from_geodesic(m, geo)
     assert np.linalg.norm(v) == pytest.approx(
         geo.agmon / math.sqrt(1.0 - m.value(y) ** 2), abs=1e-12)

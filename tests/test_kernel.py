@@ -133,11 +133,11 @@ def test_exact_kernel_domain_errors():
 
 # ------------------------------------------------------------ leading term
 
-def test_leading_kernel_prefactor_structure():
+def test_leading_kernel_prefactor_structure(d2_bump_fan):
     """log(prefactor) + d_A/h + d log h + (d-1)/2 log(2 pi d_A/h) is h-free."""
     m = make_potential(2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
     rep = build_dirac_rep(2)
-    geo = shoot_geodesic(m, [-1.0, -0.3], [1.0, 0.4])
+    geo = d2_bump_fan
     values = []
     for h in (0.2, 0.1, 0.05, 0.025):
         est = leading_kernel_multid(m, rep, geo, h)

@@ -42,7 +42,7 @@ def test_transport_is_identity_for_constant_potential():
 def test_transport_unitarity_before_projection(request, dim, y, x):
     m = make_potential(dim, "bump_well", BUMP)
     rep = build_dirac_rep(dim)
-    geo = request.getfixturevalue("d3_bump_fan") if dim == 3 else shoot(m, y, x)
+    geo = request.getfixturevalue(f"d{dim}_bump_fan") if dim > 1 else shoot(m, y, x)
     res = solve_spinor_transport(m, rep, geo.trajectory)
     assert res.unitarity_defect <= 1e-9
     eye = np.eye(rep.dstar)
@@ -118,7 +118,7 @@ def test_amplitude_matrix_constant_1d_frozen():
 def test_amplitude_left_identity_and_rank(request, dim, y, x):
     m = make_potential(dim, "bump_well", BUMP)
     rep = build_dirac_rep(dim)
-    geo = request.getfixturevalue("d3_bump_fan") if dim == 3 else shoot(m, y, x)
+    geo = request.getfixturevalue(f"d{dim}_bump_fan") if dim > 1 else shoot(m, y, x)
     res = solve_spinor_transport(m, rep, geo.trajectory)
     mat, residual = transport_matrix(m, rep, geo, res.u_matrix)
     assert residual <= 1e-8
@@ -132,12 +132,11 @@ def test_amplitude_left_identity_and_rank(request, dim, y, x):
     assert np.linalg.norm(mat @ lam_minus) <= 1e-9
 
 
-def test_amplitude_adjoint_symmetry():
+def test_amplitude_adjoint_symmetry(d2_bump_fan, d2_bump_fan_rev):
     """M(x, y)* equals M(y, x) up to transport accuracy."""
     m = make_potential(2, "bump_well", BUMP)
     rep = build_dirac_rep(2)
-    fwd = shoot(m, [-1.0, -0.3], [1.0, 0.4])
-    rev = shoot(m, [1.0, 0.4], [-1.0, -0.3])
+    fwd, rev = d2_bump_fan, d2_bump_fan_rev
     mf, _ = transport_matrix(m, rep, fwd,
                              solve_spinor_transport(m, rep, fwd.trajectory).u_matrix)
     mr, _ = transport_matrix(m, rep, rev,
@@ -145,12 +144,11 @@ def test_amplitude_adjoint_symmetry():
     assert np.linalg.norm(mf.conj().T - mr) / np.linalg.norm(mf) <= 1e-8
 
 
-def test_reversed_transport_dyson_identity():
+def test_reversed_transport_dyson_identity(d2_bump_fan, d2_bump_fan_rev):
     """alpha_0 U_rev(tau) = U(tau)* alpha_0 for the reversed orbit."""
     m = make_potential(2, "bump_well", BUMP)
     rep = build_dirac_rep(2)
-    fwd = shoot(m, [-1.0, -0.3], [1.0, 0.4])
-    rev = shoot(m, [1.0, 0.4], [-1.0, -0.3])
+    fwd, rev = d2_bump_fan, d2_bump_fan_rev
     uf = solve_spinor_transport(m, rep, fwd.trajectory).u_matrix
     ur = solve_spinor_transport(m, rep, rev.trajectory).u_matrix
     assert np.linalg.norm(rep.alpha0 @ ur - uf.conj().T @ rep.alpha0) <= 1e-9
