@@ -61,13 +61,15 @@ class OdeOpts:
 TIGHT = OdeOpts(1e-12, 1e-14)
 
 
-def _horner(cols, x):
-    """DOP853's interpolant at the step fraction x, per column (F6, ..., F0, y_old).
+def _horner(t_old, t_end, cols, t):
+    """DOP853's interpolant over the step (t_old, t_end) at t, per column (F6, ..., F0, y_old).
 
-    One expression per component, in scipy's Dop853DenseOutput's order:
+    One expression per component, in scipy's Dop853DenseOutput's order, at
+    the step fraction x = (t - t_old) / (t_end - t_old):
     (((0.0 + F6) x + F5) (1 - x) + ... + F0) x + y_old, on floats or on
-    numpy rows that broadcast against an array x.
+    numpy rows that broadcast against an array t.
     """
+    x = (t - t_old) / (t_end - t_old)
     u = 1 - x
     return [((((((((0.0 + f6) * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + f0)
              * x + y0) for f6, f5, f4, f3, f2, f1, f0, y0 in cols]
@@ -96,8 +98,7 @@ class DenseSolution:
         cols = self._cols[i]
         if cols is None:
             cols = self._cols[i] = self._rows[i].T.tolist()
-        t_old = self._ts[i]
-        return _horner(cols[:m], (t - t_old) / (self._ts[i + 1] - t_old))
+        return _horner(self._ts[i], self._ts[i + 1], cols[:m], t)
 
     def __call__(self, t):
         """y at a float t, shape (n,), or at an array of times, shape (n, len(t))."""
@@ -109,8 +110,7 @@ class DenseSolution:
             self._stack = np.stack(self._rows, axis=-1)
         step = np.searchsorted(self._sign * self.ts, self._sign * t) - 1
         step = np.clip(step, 0, len(self._rows) - 1)
-        t_old = self.ts[step]
-        return _horner([self._stack[:, :, step]], (t - t_old) / (self.ts[step + 1] - t_old))[0]
+        return _horner(self.ts[step], self.ts[step + 1], [self._stack[:, :, step]], t)[0]
 
 
 class IvpResult(NamedTuple):
@@ -298,7 +298,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False):
     if t_eval is None:
         y_out = np.vstack(ends).T
     else:
-        reads = [_horner([F[:, :, None]], (np.array(pts) - t_old) / (t_end - t_old))[0]
+        reads = [_horner(t_old, t_end, [F[:, :, None]], np.array(pts))[0]
                  for t_old, t_end, F, pts in pieces if pts]
         y_out = np.hstack(reads) if reads else np.empty((n, 0), dtype=dtype)
     sol = DenseSolution(t, pieces) if dense_output else None
@@ -408,8 +408,7 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
     status, nfev, _, pieces = _march(fun, t, t_bound, y, f, h_abs, _float_kernels(n), rtol,
                                      atol, list(map(float, t_eval)), check=check)
 
-    reads = [_horner(cols, (s - t_old) / (t_end - t_old))
-             for t_old, t_end, cols, pts in pieces for s in pts]
+    reads = [_horner(t_old, t_end, cols, s) for t_old, t_end, cols, pts in pieces for s in pts]
     y_out = np.array(reads, dtype=float).reshape(-1, n).T
     return IvpResult(y_out, None, nfev, status >= 0, status, _MESSAGES[status])
 
