@@ -79,8 +79,9 @@ class DenseSolution:
     """A solve's dense output over _march's pieces, read as scipy's OdeSolution, bit for bit.
 
     A time reads the first step whose end is at or past it in the direction
-    of the solve, clamped to the steps, whose columns are listed as floats
-    on a step's first float read and stacked on the first array read.
+    of the solve, clamped to the steps.  A step's columns are listed as
+    floats on its first float read; every step's rows are stacked on the
+    first array read.
     """
 
     def __init__(self, t0, pieces):
