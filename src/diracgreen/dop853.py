@@ -432,7 +432,10 @@ def solve_lanes(fun, y0, rtol, atol, restart):
     None to retire the lane, or the lane's next initial state after setting
     its rows of rtol and atol in place; the lane then starts again at s = 0
     with the initial-step rule of its own, while the other lanes keep
-    stepping.  Returns each lane's last end state and reason.
+    stepping.  It may also return a pair (None or that state, lanes): the
+    live lanes listed in lanes then retire at once, wherever they are, and
+    no hook sees the end of the runs they were on.  Returns each lane's
+    last end state and reason.
     """
     b_tab, e3, e5 = DOP853.B, DOP853.E3, DOP853.E5
     n_st = DOP853.n_stages
@@ -476,13 +479,18 @@ def solve_lanes(fun, y0, rtol, atol, restart):
             initial_step(fresh)
         restarted = []
         for lane in np.flatnonzero(live & ((why != "") | (s >= 1.0))):
+            if not live[lane]:
+                continue   # retired by an earlier hook of this pass
             state = restart(lane, y[lane].copy(), why[lane])
+            if isinstance(state, tuple):
+                state, retired = state
+                live[list(retired)] = False
             if state is None:
                 live[lane] = False
             else:
                 y[lane], s[lane], why[lane], rejected[lane] = state, 0.0, "", False
                 restarted.append(lane)
-        fresh = np.array(restarted, dtype=int)
+        fresh = np.array([lane for lane in restarted if live[lane]], dtype=int)
         if fresh.size:
             continue
         idx = np.flatnonzero(live)

@@ -61,11 +61,12 @@ BALL = 1.0 - 1e-12
 # a lone start goes straight to TIGHT and converges at POLISH_TOL, near the float floor,
 # as the polish does from its first iterate on; each within MAX_ITER Newton steps, and
 # a start ends as max_iter once STALL iterates in a row fail to halve its best residual.
-# Connections closer than MERGE_TOL in (p0, tau) are one, and a fan start whose next
-# iterate is that close to a certified connection retires into it; a bordered
+# Connections closer than MERGE_TOL in (p0, tau) are one.  A fan start retires into a
+# certified connection once its iterate, at its start or mid-iterate, lies within its
+# merge radius of it: MERGE_TOL at the fan's pair, LOOSE_MERGE at LOOSE.  A bordered
 # determinant under CONJUGACY_TOL d_A^(d-1) is near-conjugate
 NEWTON_TOL, MAX_ITER, MERGE_TOL, CONJUGACY_TOL = 1e-8, 40, 1e-6, 1e-8
-LOOSE_UNTIL, POLISH_TOL, STALL = 1e-3, 1e-13, 15
+LOOSE_UNTIL, POLISH_TOL, STALL, LOOSE_MERGE = 1e-3, 1e-13, 15, 1e-2
 # a fan start far from its root (inexact Newton: Dembo, Eisenstat & Steihaug 1982)
 LOOSE = OdeOpts(1e-6, 1e-8)
 
@@ -78,6 +79,11 @@ def _var_index(d):
 def _initial_state(x0, p0):
     d = len(x0)
     return np.concatenate([x0, p0, [0.0], np.zeros(d * d), np.eye(d).ravel()])
+
+
+def _velocity(p):
+    """x' = p / sqrt(1 - |p|^2) at the momentum p."""
+    return p / math.sqrt(1.0 - float(p @ p))
 
 
 class Trajectory:
@@ -98,12 +104,11 @@ class Trajectory:
         self.p_start = self.sol(0.0)[d:2 * d]
         self.x_end, self.p_end = y_end[:d], y_end[d:2 * d]
         self.action_end = float(y_end[2 * d])
-        self.v_start = self.velocity(0.0)
-        self.v_end = self.velocity(self.tau)
+        self.v_start = _velocity(self.p_start)
+        self.v_end = _velocity(self.p_end)
 
     def velocity(self, t):
-        _, p = self.phase(t)
-        return p / math.sqrt(1.0 - float(p @ p))
+        return _velocity(self.phase(t)[1])
 
     def dp_x(self, t):
         d = self.dim
@@ -341,9 +346,8 @@ class _End(NamedTuple):
 def _end_of(d, y, p0, tau, traj=None):
     """The _End of a flow state y at time tau, started with momentum p0."""
     i_var = _var_index(d)
-    p = y[d:2 * d]
-    return _End(y[:d], p / math.sqrt(1.0 - float(p @ p)), y[i_var:i_var + d * d].reshape(d, d),
-                p0, float(tau), float(y[2 * d]), traj)
+    return _End(y[:d], _velocity(y[d:2 * d]), y[i_var:i_var + d * d].reshape(d, d), p0,
+                float(tau), float(y[2 * d]), traj)
 
 
 def _flow_one(model, y_star, p0, tau, opts, dense):
@@ -398,9 +402,9 @@ def _lane_rhs(model, taus):
     return rhs
 
 
-def _merged(p0, tau, q0, qtau):
-    """Whether the connections (p0, tau) and (q0, qtau) are one, within MERGE_TOL."""
-    return max(np.max(np.abs(p0 - q0)), abs(tau - qtau)) < MERGE_TOL
+def _merged(p0, tau, q0, qtau, radius):
+    """Whether the connections (p0, tau) and (q0, qtau) lie within radius of each other."""
+    return max(np.max(np.abs(p0 - q0)), abs(tau - qtau)) < radius
 
 
 def _newton(model, y_star, x_star, directions, tau0, polish=False):
@@ -426,11 +430,15 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     iterates in a row fail to halve its best residual, the one at its last
     halving: on a flat stretch a start far from x* can cycle for all
     MAX_ITER iterates, and the fan runs until its longest start ends.
-    A start that shares the lanes also converges, without integrating it,
-    when its next iterate is due at the fan's pair and lies within
-    MERGE_TOL (_merged) of a connection that another start has certified:
-    it retires with its _End, the same object, since an iterate this close
-    has joined the root's Newton basin and would only certify it again.
+    A start that shares the lanes also converges, without finishing its
+    iterate, once that iterate lies within its merge radius (_merged) of a
+    connection that another start has certified: MERGE_TOL at the fan's
+    pair, LOOSE_MERGE at LOOSE.  It is checked when the iterate begins and,
+    for every live lane at once, when a start certifies a connection: the
+    hook then retires those lanes mid-iterate.  Such a start retires with
+    the first matching certified _End, the same object, since an iterate
+    this close has joined the root's Newton basin (Deuflhard, ibid.,
+    ch. 2) and would only certify it again.
     The polish of a fan's root integrates every iterate at TIGHT.  Its
     first iterate, like a lone start's first at TIGHT, only measures the
     residual: it starts off the root (within NEWTON_TOL for the polish, one
@@ -515,17 +523,28 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     p0s = [start(k) for k in range(n)]
     rtol = np.array([[o.rel_tol] for o in opts])
     atol = np.array([[o.abs_tol] for o in opts])
+    live = [True] * n   # the starts whose lanes are on an iterate
+
+    def joined(k):
+        """Retire start k into the first certified _End within its merge radius; whether it did."""
+        radius = MERGE_TOL if opts[k] is exact else LOOSE_MERGE
+        for end in ends:
+            if end is not None and _merged(p0s[k], taus[k], end.p0, end.tau, radius):
+                outcomes[k], ends[k], live[k] = CONVERGED, end, False
+                return True
+        return False
 
     def restart(k, y_end, reason):
+        live[k] = False
         if not advance(k, reason or _end_of(d, y_end, p0s[k], taus[k])):
-            return None
+            if ends[k] is None:
+                return None
+            # k certified a root: the starts whose iterates have joined its basin retire now
+            return None, [j for j in range(n) if live[j] and joined(j)]
         p0s[k] = start(k)
-        if opts[k] is exact:
-            # an iterate this close to a root another start certified has joined its basin
-            for end in ends:
-                if end is not None and _merged(p0s[k], taus[k], end.p0, end.tau):
-                    outcomes[k], ends[k] = CONVERGED, end
-                    return None
+        if joined(k):
+            return None
+        live[k] = True
         rtol[k], atol[k] = opts[k].rel_tol, opts[k].abs_tol
         return _initial_state(y_star, p0s[k])
 
@@ -594,8 +613,9 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     LOOSE_UNTIL max(1, |x*|_inf).  A fan start then integrates at the fan's
     OdeOpts(); it converges only on an iterate at the fan's pair, at
     NEWTON_TOL = 1e-8, or retires into a connection another start has
-    certified once its next iterate at the fan's pair lies within MERGE_TOL
-    of it in (p0, tau).  A start ends as max_iter after MAX_ITER iterates,
+    certified as soon as its iterate, at its start or mid-iterate, lies
+    within MERGE_TOL of it in (p0, tau) at the fan's pair, or within
+    LOOSE_MERGE at LOOSE.  A start ends as max_iter after MAX_ITER iterates,
     or once STALL iterates in a row fail to halve its best residual.
     n_converged counts the certified starts plus those retired into a
     certified connection; n_distinct counts the connections after the same
@@ -621,7 +641,7 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     distinct = []
     for p0, tau, act in found:
         for q0, qtau, _ in distinct:
-            if _merged(p0, tau, q0, qtau):
+            if _merged(p0, tau, q0, qtau, MERGE_TOL):
                 break
         else:
             distinct.append((p0, tau, act))
