@@ -838,6 +838,34 @@ def test_dop853_lanes_restart_a_lane_from_the_hook():
         assert all(k not in rows for rows in calls[n_calls:in_run])
 
 
+def test_dop853_lanes_retire_other_lanes_from_the_hook():
+    """A hook's (state, lanes) pair retires the listed lanes at once: four equal lanes reach
+    s = 1 in one pass, lane 2 retired by lane 1's hook never reaches its own, and lane 0,
+    restarted earlier in the pass and retired by lane 3's, is never evaluated again."""
+    calls = []   # the rows of every fun call
+
+    def decay(y, rows):
+        calls.append(rows.copy())
+        return -y
+
+    seen, at_last = [], []
+
+    def restart(k, y_end, reason):
+        seen.append(k)
+        if k == 0:
+            return np.full(2, 5.0)
+        if k == 1:
+            return None, [2]
+        at_last.append(len(calls))
+        return None, [0]
+
+    y_end, why = solve_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12, restart)
+    assert seen == [0, 1, 3] and list(why) == [""] * 4
+    assert at_last == [len(calls)]   # no call after lane 3's hook, not even a first step
+    free, _ = solve_lanes(decay, np.ones((4, 2)), 1e-10, 1e-12, _retire)
+    assert np.array_equal(y_end[[1, 3]], free[[1, 3]]) and np.all(y_end[0] == 5.0)
+
+
 def test_dop853_lanes_take_per_lane_tolerances():
     """Each lane of a mixed-tolerance batch is its run at its own scalar pair, bit for bit."""
     rates = np.array([0.5, 1.0, 3.0, 10.0])
