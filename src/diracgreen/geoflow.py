@@ -61,14 +61,17 @@ BALL = 1.0 - 1e-12
 # a lone start goes straight to TIGHT and converges at POLISH_TOL, near the float floor,
 # as the polish does from its first iterate on; each within MAX_ITER Newton steps, and
 # a start ends as max_iter once STALL iterates in a row fail to halve its best residual.
-# Connections closer than MERGE_TOL in (p0, tau) are one.  A fan start retires into a
-# certified connection once its iterate, at its start or mid-iterate, lies within its
-# merge radius of it: MERGE_TOL at the fan's pair, LOOSE_MERGE at LOOSE.  A bordered
-# determinant under CONJUGACY_TOL d_A^(d-1) is near-conjugate
-NEWTON_TOL, MAX_ITER, MERGE_TOL, CONJUGACY_TOL = 1e-8, 40, 1e-6, 1e-8
-LOOSE_UNTIL, POLISH_TOL, STALL, LOOSE_MERGE = 1e-3, 1e-13, 15, 1e-2
+# A fan start retires into a certified connection once its iterate, at its start or
+# mid-iterate, lies within RETIRE_RADIUS of it in (p0, tau), at either tier, so any two
+# certified connections lie at least RETIRE_RADIUS apart.  A bordered determinant under
+# CONJUGACY_TOL d_A^(d-1) is near-conjugate
+NEWTON_TOL, MAX_ITER, RETIRE_RADIUS, CONJUGACY_TOL = 1e-8, 40, 1e-2, 1e-8
+LOOSE_UNTIL, POLISH_TOL, STALL = 1e-3, 1e-13, 15
 # a fan start far from its root (inexact Newton: Dembo, Eisenstat & Steihaug 1982)
 LOOSE = OdeOpts(1e-6, 1e-8)
+# the most numbers a shoot's starts may hold, starts x state size: solve_lanes keeps 13
+# stage copies of them, so its stage array stays under 104 MB
+STATE_NUMBERS = 10 ** 6
 
 
 def _var_index(d):
@@ -402,11 +405,6 @@ def _lane_rhs(model, taus):
     return rhs
 
 
-def _merged(p0, tau, q0, qtau, radius):
-    """Whether the connections (p0, tau) and (q0, qtau) lie within radius of each other."""
-    return max(np.max(np.abs(p0 - q0)), abs(tau - qtau)) < radius
-
-
 def _newton(model, y_star, x_star, directions, tau0, polish=False):
     """Damped Newton over (direction chart, flight time), one sequence per start.
 
@@ -421,7 +419,7 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     its last residual is at most LOOSE_UNTIL.  A fan start then integrates
     at the fan's OdeOpts() and converges only on an iterate at the fan's
     pair with a residual of at most NEWTON_TOL = 1e-8, within MAX_ITER
-    iterates of its own: its root only feeds the MERGE_TOL merge and the
+    iterates of its own: its root only feeds the uniqueness report and the
     polish's start, so more digits would certify nothing.  A lone start has
     nothing to merge with, so it goes from LOOSE straight to TIGHT and
     converges at POLISH_TOL: it is its own polish.
@@ -431,14 +429,16 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     halving: on a flat stretch a start far from x* can cycle for all
     MAX_ITER iterates, and the fan runs until its longest start ends.
     A start that shares the lanes also converges, without finishing its
-    iterate, once that iterate lies within its merge radius (_merged) of a
-    connection that another start has certified: MERGE_TOL at the fan's
-    pair, LOOSE_MERGE at LOOSE.  It is checked when the iterate begins and,
-    for every live lane at once, when a start certifies a connection: the
-    hook then retires those lanes mid-iterate.  Such a start retires with
+    iterate, once that iterate lies within RETIRE_RADIUS of a connection
+    that another start has certified, in max(|p0 - q0|_inf, |tau - qtau|),
+    at either tier.  It is checked when the iterate begins and, for every
+    live lane at once, when a start certifies a connection: the hook then
+    retires those lanes mid-iterate.  Such a start retires with
     the first matching certified _End, the same object, since an iterate
     this close has joined the root's Newton basin (Deuflhard, ibid.,
-    ch. 2) and would only certify it again.
+    ch. 2) and would only certify it again.  So a start certifies a root
+    only from an iterate at least RETIRE_RADIUS from every root certified
+    before, and this is the fan's one merge.
     The polish of a fan's root integrates every iterate at TIGHT.  Its
     first iterate, like a lone start's first at TIGHT, only measures the
     residual: it starts off the root (within NEWTON_TOL for the polish, one
@@ -526,10 +526,10 @@ def _newton(model, y_star, x_star, directions, tau0, polish=False):
     live = [True] * n   # the starts whose lanes are on an iterate
 
     def joined(k):
-        """Retire start k into the first certified _End within its merge radius; whether it did."""
-        radius = MERGE_TOL if opts[k] is exact else LOOSE_MERGE
+        """Retire start k into the first certified _End within RETIRE_RADIUS; whether it did."""
         for end in ends:
-            if end is not None and _merged(p0s[k], taus[k], end.p0, end.tau, radius):
+            if end is not None and max(np.max(np.abs(p0s[k] - end.p0)),
+                                       abs(taus[k] - end.tau)) < RETIRE_RADIUS:
                 outcomes[k], ends[k], live[k] = CONVERGED, end, False
                 return True
         return False
@@ -570,7 +570,8 @@ def _fan_starts(model, y_star, x_star, count):
     units of max(1, |x*|_inf): every stop of the shoot is absolute in that
     unit, and a start leaves its LOOSE iterates once its residual is at most
     LOOSE_UNTIL, so closer endpoints could end them on an orbit that misses
-    x* by more than the separation itself.
+    x* by more than the separation itself.  So does a fan whose starts
+    would hold more than STATE_NUMBERS numbers, before any direction is built.
     """
     sep = x_star - y_star
     r = float(np.linalg.norm(sep))
@@ -589,7 +590,15 @@ def _fan_starts(model, y_star, x_star, count):
         raise DomainError(f"V = {v_y!r} at the start puts its momentum on the momentum "
                           f"ball: |p|^2 = 1 - V^2 must stay under {BALL!r}")
     tau0 = r * (-v_mid) / math.sqrt(1.0 - v_mid * v_mid)
-    return _start_directions(model.dim, sep / r, count), tau0
+    d = model.dim
+    lattice = 3 ** d - 1 if d > 1 else 1
+    starts = min(count or lattice, lattice)
+    size = _var_index(d) + 2 * d * d
+    if starts * size > STATE_NUMBERS:
+        raise DomainError(f"{starts} starts of {size} numbers each plan {starts * size} "
+                          f"state numbers, above the bound of {STATE_NUMBERS}; "
+                          "lower multistart")
+    return _start_directions(d, sep / r, count), tau0
 
 
 def _tally(outcomes):
@@ -614,12 +623,13 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     OdeOpts(); it converges only on an iterate at the fan's pair, at
     NEWTON_TOL = 1e-8, or retires into a connection another start has
     certified as soon as its iterate, at its start or mid-iterate, lies
-    within MERGE_TOL of it in (p0, tau) at the fan's pair, or within
-    LOOSE_MERGE at LOOSE.  A start ends as max_iter after MAX_ITER iterates,
-    or once STALL iterates in a row fail to halve its best residual.
-    n_converged counts the certified starts plus those retired into a
-    certified connection; n_distinct counts the connections after the same
-    MERGE_TOL merge, and distinct holds the fan's roots, at NEWTON_TOL.
+    within RETIRE_RADIUS of it in (p0, tau), at either tier.  A start ends
+    as max_iter after MAX_ITER iterates, or once STALL iterates in a row
+    fail to halve its best residual.  n_converged counts the certified
+    starts plus those retired into a certified connection; distinct holds
+    the certified connections in start order, at NEWTON_TOL, and
+    n_distinct counts them: any two lie at least RETIRE_RADIUS apart in
+    (p0, tau).
     The fan's least-action connection is then polished: every iterate at
     TIGHT, down to POLISH_TOL, so the returned d_A does not depend on the
     path the fan took.  A lone start (d = 1, or multistart 1) integrates at
@@ -636,21 +646,14 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     count = multistart if multistart is not None else 3 ** d - 1
     starts, tau0 = _fan_starts(model, y_star, x_star, count)
     outcomes, ends = _newton(model, y_star, x_star, starts, tau0)
-    found = [(end.p0, end.tau, end.action) for end in ends if end is not None]
-
-    distinct = []
-    for p0, tau, act in found:
-        for q0, qtau, _ in distinct:
-            if _merged(p0, tau, q0, qtau, MERGE_TOL):
-                break
-        else:
-            distinct.append((p0, tau, act))
+    # a retired start carries the certified _End itself: one entry per object, in start order
+    distinct = list({id(end): end for end in ends if end is not None}.values())
     uniqueness = {
         "n_starts": len(starts),
-        "n_converged": len(found),
+        "n_converged": sum(end is not None for end in ends),
         "n_distinct": len(distinct),
-        "distinct": [{"p0": list(map(float, p0)), "tau": float(tau), "action": float(act)}
-                     for p0, tau, act in distinct],
+        "distinct": [{"p0": list(map(float, end.p0)), "tau": end.tau, "action": end.action}
+                     for end in distinct],
         "multiple": len(distinct) > 1,
     }
     if not distinct:
@@ -662,9 +665,9 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
         [end] = ends   # a lone start converged at TIGHT, down to POLISH_TOL
     else:
         # keep the least-action connection, then polish it at TIGHT down to POLISH_TOL
-        p0, tau, _ = min(distinct, key=lambda rec: rec[2])
-        direction = p0 / np.linalg.norm(p0)
-        [outcome], [end] = _newton(model, y_star, x_star, [direction], tau, polish=True)
+        best = min(distinct, key=lambda end: end.action)
+        direction = best.p0 / np.linalg.norm(best.p0)
+        [outcome], [end] = _newton(model, y_star, x_star, [direction], best.tau, polish=True)
         if end is None:
             raise ShootingError(f"polish stage failed to re-converge: {outcome}")
     polished = end.traj or integrate_flow(model, y_star, end.p0, end.tau, TIGHT)

@@ -49,19 +49,8 @@ def bessel_K(nu, rho):
 
 
 def bessel_K_prime(nu, rho):
-    """d/drho K_nu(rho) via K_nu' = -(K_(nu-1) + K_(nu+1))/2 and recurrences."""
-    rho = float(rho)
-    if rho <= 0.0:
-        raise DomainError(f"bessel_K_prime requires rho > 0, got {rho}")
-    if nu == 0.5:
-        return -0.5 * (bessel_K(0.5, rho) + bessel_K(1.5, rho))
-    if nu == 1.0:
-        return -float(special.k0(rho)) - float(special.k1(rho)) / rho
-    if nu == 1.5:
-        return -bessel_K(0.5, rho) - 1.5 * bessel_K(1.5, rho) / rho
-    if nu == 0.0:
-        return -float(special.k1(rho))
-    raise DomainError(f"unsupported order {nu}; supported: {_BESSEL_ORDERS}")
+    """d/drho K_nu(rho) = -K_(nu-1)(rho) - nu K_nu(rho)/rho (DLMF 10.29.2), with K_(-nu) = K_nu."""
+    return -bessel_K(abs(nu - 1.0), rho) - nu * bessel_K(nu, rho) / rho
 
 
 def closed_form_dim(d):

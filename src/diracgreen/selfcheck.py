@@ -303,7 +303,7 @@ def run_selfcheck(dims):
     for d in dims:
         checks.extend(_dim_checks(d))
     bessel_res = 0.0
-    for nu in (0.5, 1.0, 1.5):
+    for nu in (0.0, 0.5, 1.0, 1.5):   # every order the kernel reads, K_0 for d = 2 included
         for rho in (0.5, 1.0, 2.0, 2.5, 5.0, 10.0, 50.0):
             oracle = bessel_K_oracle(nu, rho)
             bessel_res = max(bessel_res, abs(bessel_K(nu, rho) - oracle) / oracle)

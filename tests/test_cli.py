@@ -405,6 +405,17 @@ def test_a_bessel_fault_trips_its_selfcheck_line(monkeypatch):
     assert not line["pass"], line
 
 
+@pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 1.5])
+def test_a_bessel_fault_at_one_order_trips_its_selfcheck_line(order, monkeypatch):
+    """bessel_K scaled by 1 + 1e-9 at one order alone fails the line: it checks every order the
+    kernel reads, K_0 of every d = 2 constant kernel included."""
+    bessel_K = selfcheck.bessel_K
+    monkeypatch.setattr(selfcheck, "bessel_K",
+                        lambda nu, rho: bessel_K(nu, rho) * (1.0 + 1e-9 * (nu == order)))
+    [line] = selfcheck.run_selfcheck(())["checks"]
+    assert not line["pass"], line
+
+
 def test_hypothesis_gap_reads_the_wells(selfcheck_d2):
     """Each well has its own line, its margin gap (-0.00035 bump, -0.00064 cosine in d = 2);
     the constant, 0.0 by construction, has none."""
@@ -492,6 +503,32 @@ def test_a_start_on_the_momentum_ball_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("domain error: V = -1e-07 at the start") and "momentum ball" in err
+
+
+def test_a_fan_too_large_for_memory_exits_2_before_the_shoot(tmp_path, capsys, monkeypatch):
+    """A d = 10 default fan plans 59,048 starts of 221 numbers, an explicit multistart of
+    6,000 in d = 9 plans 6,000 of 181: both exit 2 within a second, naming the bound, before
+    any direction is built or any lane is allocated.  The d = 4 and d = 5 default fans stay
+    under it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("_newton called")
+
+    monkeypatch.setattr(geoflow, "_newton", refuse)
+    for d, count, planned in ((10, None, 59048 * 221), (9, 6000, 6000 * 181)):
+        ends = [[-1.0, -0.3] + [0.0] * (d - 2), [1.0, 0.4] + [0.0] * (d - 2)]
+        cfg = dict(BUMP_3D, dimension=d, y_star=ends[0], x_star=ends[1],
+                   shooting={"multistart": count})
+        start = time.perf_counter()
+        code, text = run_to_file(tmp_path, "geodesic", cfg)
+        assert time.perf_counter() - start < 1.0
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and f" {planned} state numbers" in err
+        assert f"the bound of {geoflow.STATE_NUMBERS}" in err
+    for d, lattice in ((4, 80), (5, 242)):
+        model = potential.make_potential(d, "bump_well", BUMP_3D["potential"]["params"])
+        ends = np.array([[-1.0, -0.3] + [0.0] * (d - 2), [1.0, 0.4] + [0.0] * (d - 2)])
+        assert len(geoflow._fan_starts(model, *ends, None)[0]) == lattice
 
 
 @pytest.mark.parametrize("x_star", [[1e-13, 0.0], [1e-300, 0.0]], ids=["1e-13", "1e-300"])

@@ -96,6 +96,13 @@ def test_bessel_domain_errors():
         bessel_K_oracle(0.5, -1.0)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5])
+def test_bessel_derivative_refuses_rho_at_most_0(nu):
+    for rho in (0.0, -1.0):
+        with pytest.raises(DomainError, match="rho > 0"):
+            bessel_K_prime(nu, rho)
+
+
 # ------------------------------------------------- exact constant potential
 
 def test_exact_kernel_1d_collapse():

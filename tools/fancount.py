@@ -51,7 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools"), str(ROOT / "bench")]
 
-from runset import BUMP, COSINE, PAIRS  # noqa: E402
+from runset import BUMP, COSINE_FLAT, PAIRS  # noqa: E402
 from workloads import H_LIST, KERNEL3D_PAIR, PAIRS as BENCH_PAIRS, VALIDATE1D_PAIRS  # noqa: E402
 
 from diracgreen import bmt, cli, geoflow, oracle1d, transport  # noqa: E402
@@ -62,7 +62,7 @@ FAN_PAIRS = ("bump", "cosine", "bump_b")
 # (dim, name, kind, params, y_star, x_star): the orbit crosses a stretch where V is flat
 FLAT_PAIRS = [(2, "bump", "bump_well", BUMP, [-3.0, -0.3], [3.0, 0.4]),
               (3, "bump", "bump_well", BUMP, [-3.0, -0.3, 0.2], [3.0, 0.4, -0.2]),
-              (3, "cosine", "cosine_well", COSINE, [-3.1, 0.3, -0.2], [2.9, -0.3, 0.3])]
+              (3, *COSINE_FLAT)]
 
 
 def counted(counts):

@@ -9,7 +9,7 @@ checkout, run it there into a second directory, and `diff -r` the two:
 an empty diff means every artifact, message and exit code is
 byte-identical.  `tools/artdiff.py OLD NEW` compares them field by field
 where trailing digits moved.  The runs go on min(cpu_count, 4) worker processes at a
-time, and each line is printed in run order.  The set (90 runs, about
+time, and each line is printed in run order.  The set (92 runs, about
 a minute on 2 cores):
 
 * validate1d and geodesic on ten 1D pairs (bump, steep and mild tanh,
@@ -21,8 +21,10 @@ a minute on 2 cores):
 * kernel in d = 1, 2, 3 with the fan and one start, constant in d = 1, 2, 3;
 * geodesic on four d = 2 and four d = 3 pairs and bmt on the four d = 3
   pairs (the fourth across the bump's flat stretch), each with the fan
-  and one start; geodesic on a constant well at +-9e5, and with one
-  start on a constant well in d = 12;
+  and one start; geodesic with the fan on the d = 3 cosine across its
+  flat stretch, both ways, the one measured shot whose counts a wider
+  retirement radius moves; geodesic on a constant well at +-9e5, and
+  with one start on a constant well in d = 12;
 * five configs that exit 2, and the full selfcheck.
 """
 
@@ -61,6 +63,8 @@ PAIRS = {
         ("bump_b", "bump_well", BUMP, [-0.9, 0.5, 0.1], [1.0, 0.2, -0.4]),
         ("bump_flat", "bump_well", BUMP, [-3.0, -0.3, 0.2], [3.0, 0.4, -0.2])],
 }
+# the d = 3 cosine across its flat stretch: a retirement radius of 2e-1 or more moves its counts
+COSINE_FLAT = ("cosine", "cosine_well", COSINE, [-3.1, 0.3, -0.2], [2.9, -0.3, 0.3])
 STARTS = {"fan": None, "one": 1}
 
 
@@ -112,6 +116,10 @@ def runs():
                 out.append((f"geodesic_d{dim}_{name}_{starts}", "geodesic", cfg))
                 if dim == 3:
                     out.append((f"bmt_d3_{name}_{starts}", "bmt", cfg))
+    name, kind, params, y, x = COSINE_FLAT
+    for way, (a, b) in (("fwd", (y, x)), ("rev", (x, y))):
+        out.append((f"geodesic_d3_{name}_flat_{way}_fan", "geodesic",
+                    config(3, kind, params, a, b)))
     far = config(2, "constant", {"value": -0.6}, [-9e5, 0.0], [9e5, 0.0])
     out.append(("geodesic_d2_constant_far", "geodesic", far))
     # one start in d = 12, where the fan would hold 3^12 - 1 lattice directions
