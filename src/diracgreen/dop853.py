@@ -18,9 +18,13 @@ solve_lanes is many solves of dy/ds = fun(y) over s in [0, 1] that share
 each RHS call, one row (lane) per solve, each with scipy's step-size
 control of its own.
 
-None checks a domain: a trial stage that is NaN or inf makes its step's
-error estimate so, and the step is rejected and retried shorter.
-solve_ivp and solve_lanes silence numpy's warnings there, once per call.
+solve_ivp and solve_floats refuse a start that is not finite, as scipy
+does, and a zero-length span returns scipy's answer: y0, after one call of
+fun.  Past the start none checks a domain: a trial stage that is NaN or
+inf makes its step's error estimate so, and the step is rejected and
+retried shorter; a step size that is itself NaN ends the solve as an
+underflow.  solve_ivp and solve_lanes silence numpy's warnings there, once
+per call.
 """
 
 from __future__ import annotations
@@ -114,6 +118,21 @@ class DenseSolution:
         return _horner(self.ts[step], self.ts[step + 1], [self._stack[:, :, step]], t)[0]
 
 
+class ConstantSolution:
+    """The dense output of a zero-length span, as scipy's ConstantDenseOutput: y0 at every time."""
+
+    def __init__(self, t0, y0):
+        self.ts = np.array([t0, t0])
+        self._y = y0
+
+    def head(self, t, m):
+        return self._y[:m].tolist()
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        return self._y.copy() if t.ndim == 0 else np.repeat(self._y[:, None], t.size, axis=1)
+
+
 class IvpResult(NamedTuple):
     """A solve's result: y at t_eval or at every step end, sol when dense_output."""
 
@@ -132,6 +151,7 @@ _EXTRA = [(s, a[:s], float(c)) for s, (a, c) in
 _EXPONENT = -1 / (DOP853.error_estimator_order + 1)
 _MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
              -1: "Required step size is less than spacing between numbers."}
+_NOT_FINITE = "All components of the initial state `y0` must be finite."
 
 
 def _control(h_abs, err5_2, err3_2, n, rejected):
@@ -191,7 +211,7 @@ def _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol, points, every=Fals
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:   # a NaN step size too
                 return -1, nfev, ends, pieces
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
@@ -275,15 +295,24 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False):
     scipy's.  y0 may be real or complex.  With t_eval and no dense output
     the solve returns (status 0) after the step that reads the last point,
     so the end of t_span then only bounds the steps: y and nfev are
-    scipy's when that point is the end.
+    scipy's when that point is the end.  A y0 that is not finite raises
+    scipy's ValueError.  A zero-length span takes no step, as scipy's: y0
+    at both ends (at each t_eval point, where scipy reads none) and a
+    ConstantSolution, after one call of fun.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0)
     dtype = complex if np.iscomplexobj(y) else float
     y = y.astype(dtype, copy=False)
+    if not np.isfinite(y).all():
+        raise ValueError(_NOT_FINITE)
     n = y.size
     direction = 1.0 if t_bound >= t else -1.0
     f = np.asarray(fun(t, y), dtype=dtype)
+    if t == t_bound:
+        y_out = np.repeat(y[:, None], 2 if t_eval is None else len(t_eval), axis=1)
+        sol = ConstantSolution(t, y) if dense_output else None
+        return IvpResult(y_out, sol, 1, True, 0, _MESSAGES[0])
     scale = atol + np.abs(y) * rtol
 
     def probe(h0):
@@ -389,13 +418,19 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
     check(t, y), when given, is called at the start and after each accepted
     step; it stops the march by raising.  The march returns (status 0) after
     the step that reads the last point, with y the (n, len(t_eval)) array of
-    the reads.
+    the reads.  A y0 that is not finite raises scipy's ValueError, and a
+    zero-length span returns y0 at each point after one call of fun.
     """
     t, t_bound = map(float, t_span)
     y = tuple(map(float, y0))
+    if not all(map(math.isfinite, y)):
+        raise ValueError(_NOT_FINITE)
     n = len(y)
     direction = 1.0 if t_bound >= t else -1.0
     f = fun(t, y)
+    if t == t_bound:
+        return IvpResult(np.repeat(np.array([y]).T, len(t_eval), axis=1), None, 1, True, 0,
+                         _MESSAGES[0])
     scale = [atol + abs(v) * rtol for v in y]
 
     def rms(x):

@@ -216,12 +216,14 @@ def _flow_binder(d):
 
 def _solve_flow(model, x0, p0, tau, opts, **output):
     """solve_ivp of the flow from (x0, p0) over [0, tau], after the start checks."""
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise DomainError(f"flight time must be positive, got {tau}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     if x0.shape != p0.shape:
         raise DomainError("position and momentum must have equal length")
+    if not np.isfinite(x0).all():
+        raise DomainError(f"start position must be finite, got {x0.tolist()}")
     p2 = float(p0 @ p0)
     if not p2 < BALL:
         raise DomainError(f"phase point requires |p| < 1, with |p|^2 under {BALL!r}; "
@@ -309,24 +311,21 @@ def _lattice_groups(dim):
 
 
 def _start_directions(dim, n_base, count):
-    """Deterministic multistart fan: the first count (None: all) lattice directions, base first.
+    """The first count lattice directions, base first: count in [1, lattice], from _fan_starts.
 
     The fan is the nonzero lattice vectors g, each as frame g/|g| with the
     frame that takes (1, 0, ..., 0) to n_base, in a stable sort from
     np.ndindex order by -(frame g/|g|) . n_base.  That key is -g_1/|g| up to
     rounding, and distinct exact keys lie at least 1/(2 d^1.5) apart, far
     above it, so the sort takes the _lattice_groups in turn and sorts within
-    each: only the groups that the count reaches are built.
-    In d = 1 the fan is the base direction alone, toward x* - y*, whatever count.
+    each: only the groups that the count reaches are built.  In d = 1 the
+    frame is [[1.0]] or [[-1.0]], so the one direction is n_base exactly.
     """
-    if dim == 1:
-        # on H = 0, |p|^2 = 1 - V^2 > 0 in the gap: p keeps its sign, so -n_base never connects
-        return [n_base]
     frame = _frame_from_direction(n_base)
     dirs = []
     # distinct vectors of {-1,0,1}^d never point the same way, so no duplicates
     for group in _lattice_groups(dim):
-        if count is not None and len(dirs) >= count:
+        if len(dirs) >= count:
             break
         group_dirs = [frame @ (g / np.linalg.norm(g)) for g in np.array(group, dtype=float)]
         group_dirs.sort(key=lambda v: -float(v @ n_base))
@@ -561,18 +560,24 @@ def _unit(x_star):
     return max(1.0, float(np.max(np.abs(x_star))))
 
 
-def _fan_starts(model, y_star, x_star, count):
+def _fan_starts(model, y_star, x_star, multistart):
     """The fan's start directions and its flight-time guess, straight-line at V(midpoint).
 
-    The guess reads V at the midpoint and every start's momentum V at y_star;
-    either value outside the gap (-1, 0) raises DomainError, and so does a
-    start momentum on the ball.  So do endpoints closer than LOOSE_UNTIL in
-    units of max(1, |x*|_inf): every stop of the shoot is absolute in that
-    unit, and a start leaves its LOOSE iterates once its residual is at most
-    LOOSE_UNTIL, so closer endpoints could end them on an orbit that misses
-    x* by more than the separation itself.  So does a fan whose starts
-    would hold more than STATE_NUMBERS numbers, before any direction is built.
+    The one place that sizes the fan: multistart None takes all 3^d - 1
+    lattice directions, a whole number >= 1 is clipped to them, anything
+    else raises DomainError, and so does a fan whose starts would hold more
+    than STATE_NUMBERS numbers, before any is built.  In d = 1 the lattice
+    is the start toward x_star alone: p keeps its sign on H = 0 in the gap.
+    The guess reads V at the midpoint and every start's momentum V at
+    y_star; either value outside the gap (-1, 0) raises DomainError, and so
+    does a start momentum on the ball.  So do endpoints closer than
+    LOOSE_UNTIL max(1, |x*|_inf), the residual at which a start leaves its
+    LOOSE iterates (every stop of the shoot is in that unit), since closer
+    ones could end them on an orbit that misses x* by more than that.
     """
+    if multistart is not None and (multistart is True or not isinstance(
+            multistart, (int, np.integer)) or multistart < 1):
+        raise DomainError(f"multistart must be None or a whole number >= 1, got {multistart!r}")
     sep = x_star - y_star
     r = float(np.linalg.norm(sep))
     least = LOOSE_UNTIL * _unit(x_star)
@@ -592,10 +597,10 @@ def _fan_starts(model, y_star, x_star, count):
     tau0 = r * (-v_mid) / math.sqrt(1.0 - v_mid * v_mid)
     d = model.dim
     lattice = 3 ** d - 1 if d > 1 else 1
-    starts = min(count or lattice, lattice)
+    count = lattice if multistart is None else min(multistart, lattice)
     size = _var_index(d) + 2 * d * d
-    if starts * size > STATE_NUMBERS:
-        raise DomainError(f"{starts} starts of {size} numbers each plan {starts * size} "
+    if count * size > STATE_NUMBERS:
+        raise DomainError(f"{count} starts of {size} numbers each plan {count * size} "
                           f"state numbers, above the bound of {STATE_NUMBERS}; "
                           "lower multistart")
     return _start_directions(d, sep / r, count), tau0
@@ -610,26 +615,22 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     """Connect y_star to x_star by a zero-energy orbit.
 
     Newton iterates on the start direction (sphere chart) and the flight
-    time; a deterministic multistart fan of the first multistart lattice
-    directions (all 3^d - 1 when None) probes for competing connections
-    and fills the uniqueness report.  In d = 1 the fan is the one start
-    toward x_star for any multistart: p keeps its sign on the zero-energy
-    level, so the other direction cannot connect.  Each start runs a Newton
-    sequence of its own: the fan's starts share one solve_lanes run, in
-    which a start restarts its lane from its next iterate the moment its
-    last one ends, without waiting for the other starts.  Each start
-    integrates at LOOSE until its residual max |x(tau) - x*| falls to
-    LOOSE_UNTIL max(1, |x*|_inf).  A fan start then integrates at the fan's
-    OdeOpts(); it converges only on an iterate at the fan's pair, at
-    NEWTON_TOL = 1e-8, or retires into a connection another start has
-    certified as soon as its iterate, at its start or mid-iterate, lies
+    time; a deterministic multistart fan, sized by _fan_starts from
+    multistart, probes for competing connections and fills the uniqueness
+    report.  Each start runs a Newton sequence of its own: the fan's starts
+    share one solve_lanes run, in which a start restarts its lane from its
+    next iterate the moment its last one ends, without waiting for the other
+    starts.  Each start integrates at LOOSE until its residual max |x(tau) -
+    x*| falls to LOOSE_UNTIL max(1, |x*|_inf).  A fan start then integrates
+    at the fan's OdeOpts(); it converges only on an iterate at the fan's
+    pair, at NEWTON_TOL = 1e-8, or retires into a connection another start
+    has certified as soon as its iterate, at its start or mid-iterate, lies
     within RETIRE_RADIUS of it in (p0, tau), at either tier.  A start ends
     as max_iter after MAX_ITER iterates, or once STALL iterates in a row
     fail to halve its best residual.  n_converged counts the certified
     starts plus those retired into a certified connection; distinct holds
-    the certified connections in start order, at NEWTON_TOL, and
-    n_distinct counts them: any two lie at least RETIRE_RADIUS apart in
-    (p0, tau).
+    the certified connections in start order, at NEWTON_TOL, and n_distinct
+    counts them: any two lie at least RETIRE_RADIUS apart in (p0, tau).
     The fan's least-action connection is then polished: every iterate at
     TIGHT, down to POLISH_TOL, so the returned d_A does not depend on the
     path the fan took.  A lone start (d = 1, or multistart 1) integrates at
@@ -643,8 +644,7 @@ def shoot_geodesic(model, y_star, x_star, *, multistart=None):
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     d = model.dim
-    count = multistart if multistart is not None else 3 ** d - 1
-    starts, tau0 = _fan_starts(model, y_star, x_star, count)
+    starts, tau0 = _fan_starts(model, y_star, x_star, multistart)
     outcomes, ends = _newton(model, y_star, x_star, starts, tau0)
     # a retired start carries the certified _End itself: one entry per object, in start order
     distinct = list({id(end): end for end in ends if end is not None}.values())

@@ -73,7 +73,7 @@ def constant_V_exact(rep, e_value, x, y, h):
     e_value = float(e_value)
     if not -1.0 < e_value < 1.0:
         raise DomainError(f"constant level must satisfy |E| < 1, got {e_value}")
-    if h <= 0.0:
+    if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -132,7 +132,7 @@ def leading_kernel_multid(model, rep, geo, h, transport=None):
     """Assemble the leading kernel at a solved connection, in any dimension."""
     if rep.dim != model.dim:
         raise DomainError("the assembly needs a representation of the model's dimension")
-    if h <= 0.0:
+    if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
     if transport is None:
         transport = solve_spinor_transport(model, rep, geo.trajectory)
@@ -147,7 +147,7 @@ def leading_kernel_1d(model, rep, x, y, h):
     """
     if model.dim != 1 or rep.dim != 1:
         raise DomainError("leading_kernel_1d needs a 1D model and representation")
-    if h <= 0.0:
+    if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
     geo = shoot_geodesic(model, np.atleast_1d(float(y)), np.atleast_1d(float(x)))
     transport = solve_spinor_transport(model, rep, geo.trajectory)
@@ -273,7 +273,7 @@ def ratio_sweep(rep, e_value, x, y, h_list, *, multistart=None):
     h_list = [float(h) for h in h_list]
     if len(h_list) < 2:
         raise DomainError("need at least two h values to fit a slope")
-    if any(h <= 0.0 for h in h_list):
+    if any(not h > 0.0 for h in h_list):
         raise DomainError("all h values must be positive")
     return exact_sweep(constant_model(closed_form_dim(rep.dim), e_value), rep, x, y, h_list,
                        lambda h: constant_V_exact(rep, e_value, x, y, h),

@@ -111,10 +111,12 @@ def decaying_solution(model, side, points, h, span=()):
         raise DomainError("the exact solver is 1D only")
     if side not in ("right", "left"):
         raise DomainError(f"side must be 'right' or 'left', got {side!r}")
-    if h <= 0.0:
+    if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
     h = float(h)
     points = [float(s) for s in points]
+    if not points:
+        raise DomainError("the march needs at least one point to read")
     placed = points + [float(s) for s in span]
     if not all(map(math.isfinite, placed)):
         raise DomainError(f"points must be finite, got {placed}")

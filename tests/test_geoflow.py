@@ -6,14 +6,15 @@ determinant all have closed forms.
 """
 
 import math
+import signal
 from operator import mul
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from diracgreen import dop853, geoflow
-from diracgreen.clifford import DomainError
+from diracgreen import dop853, geoflow, oracle1d
+from diracgreen.clifford import DomainError, build_dirac_rep
 from diracgreen.cli import ConfigError, RunConfig
 from diracgreen.dop853 import TIGHT, UNDERFLOW, OdeOpts, solve_lanes
 from diracgreen.geoflow import (BALL, CHART_ESCAPE, CONVERGED, ITER_LIMIT, LOOSE, MAX_ITER,
@@ -24,6 +25,8 @@ from diracgreen.geoflow import (BALL, CHART_ESCAPE, CONVERGED, ITER_LIMIT, LOOSE
                                 integrate_flow, shoot_geodesic)
 from diracgreen.selfcheck import (agmon_distance_quadrature_1d, exp_inverse_from_geodesic,
                                   exp_map_oracle, exp_prime_fd)
+from diracgreen.kernel import (constant_V_exact, leading_kernel_1d, leading_kernel_multid,
+                               ratio_sweep)
 from diracgreen.potential import PotentialModel, make_potential
 
 BUMP = {"base": -0.6, "depth": 0.3, "radius": 2.0}
@@ -613,6 +616,10 @@ def _blowup(t, y):
     return [y[0] * y[0]]
 
 
+def _decay(t, y):
+    return -np.asarray(y)
+
+
 def _precession(t, y):
     return 1j * np.array([[0.2, 1.0 + t], [1.0 + t, -0.5]]) @ y
 
@@ -647,6 +654,10 @@ LEAN_CASES = {
     # the segment rule backward: at every step end, past both ends, unsorted, descending
     "backward_dense": (_pendulum, (3.0, -2.0), [0.3, 1.2], dict(dense_output=True),
                        _reads_of_a_backward_solve()),
+    # a zero-length span takes no step: y0 at both ends, and y0 at every time of the dense read
+    "zero_span": (_decay, (1.0, 1.0), [1.0], {}, None),
+    "zero_span_dense": (_decay, (1.0, 1.0), [1.0, -0.5], dict(dense_output=True),
+                        [1.0, 0.5, np.array([1.0, 2.0, 0.0])]),
 }
 
 
@@ -1122,7 +1133,7 @@ def test_a_lone_shoot_in_high_d_lists_no_lattice(monkeypatch):
             n_base = rng.normal(size=dim)
             n_base /= np.linalg.norm(n_base)
             [lone] = geoflow._start_directions(dim, n_base, 1)
-            assert np.array_equal(lone, geoflow._start_directions(dim, n_base, None)[0])
+            assert np.array_equal(lone, geoflow._start_directions(dim, n_base, 3 ** dim - 1)[0])
 
     def refuse(*shape):
         raise AssertionError(f"np.ndindex{shape} called")
@@ -1277,3 +1288,79 @@ def test_option_parsing_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config field"):
         RunConfig.from_dict(dict(base, ode={"rel_tol": 1e-10}))
 
+
+
+# ------------------------------------------------ library entry points on bad input
+
+def _lone_d1_constant():
+    return shoot_geodesic(constant_model(1), [-1.0], [1.0])
+
+
+# (call, the error it raises or the (status, nfev, y) it returns); each case once hung,
+# raised ValueError, TypeError or ZeroDivisionError, returned NaN, or shot one start
+_BAD_INPUT = {
+    "flow-nan-start": (lambda: integrate_flow(bump_model(2), [math.nan, 0.0], [0.5, 0.0], 1.0),
+                       DomainError),
+    "flow-nan-tau": (lambda: integrate_flow(bump_model(2), [0.0, 0.0], [0.5, 0.0], math.nan),
+                     DomainError),
+    "oracle-nan-h": (lambda: oracle1d.exact_green_kernel_1d(bump_model(1), 1.0, -1.0, math.nan),
+                     DomainError),
+    "oracle-no-points": (lambda: oracle1d.decaying_solution(bump_model(1), "right", [], 0.1),
+                         DomainError),
+    "solve_ivp-nan-y0": (lambda: dop853.solve_ivp(_decay, (0.0, 1.0), [math.nan], rtol=1e-10,
+                                                  atol=1e-12), ValueError),
+    "solve_floats-inf-y0": (lambda: dop853.solve_floats(_decay, (0.0, 1.0), [math.inf],
+                                                        rtol=1e-10, atol=1e-12, t_eval=[1.0]),
+                            ValueError),
+    # a NaN derivative at the start makes the first step size NaN: the solve ends as underflow
+    "solve_ivp-nan-rhs": (lambda: dop853.solve_ivp(lambda t, y: np.full(1, math.nan), (0.0, 1.0),
+                                                   [1.0], rtol=1e-10, atol=1e-12),
+                          (-1, 2, [[1.0]])),
+    "solve_ivp-zero-span": (lambda: dop853.solve_ivp(_decay, (1.0, 1.0), [1.0], rtol=1e-10,
+                                                     atol=1e-12), (0, 1, [[1.0, 1.0]])),
+    "solve_floats-zero-span": (lambda: dop853.solve_floats(
+        lambda t, y: (-y[0],), (1.0, 1.0), [1.0], rtol=1e-10, atol=1e-12, t_eval=[1.0, 1.0]),
+        (0, 1, [[1.0, 1.0]])),
+    "constant-nan-h": (lambda: constant_V_exact(build_dirac_rep(2), -0.6, [1.0, 0.0],
+                                                [0.0, 0.0], math.nan), DomainError),
+    "leading1d-nan-h": (lambda: leading_kernel_1d(bump_model(1), build_dirac_rep(1), 1.0, -1.0,
+                                                  math.nan), DomainError),
+    "leading-nan-h": (lambda: leading_kernel_multid(constant_model(1), build_dirac_rep(1),
+                                                    _lone_d1_constant(), math.nan), DomainError),
+    "sweep-nan-h": (lambda: ratio_sweep(build_dirac_rep(2), -0.6, [1.0, 0.0], [0.0, 0.0],
+                                        [0.2, math.nan]), DomainError),
+    **{f"multistart-{count}": (
+        lambda count=count: shoot_geodesic(bump_model(2), [-1.0, -0.3], [1.0, 0.4],
+                                           multistart=count), DomainError)
+       for count in (0, -1, 2.5, True)},
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_INPUT))
+def test_library_entry_points_refuse_bad_input(monkeypatch, name):
+    """Each library call on bad input ends at once, with its stated error or scipy's answer.
+
+    Under a 5 s alarm, so that a call that never returns fails.  A multistart
+    that is not None or a whole number >= 1 is refused before any lane runs.
+    """
+    call, expected = _BAD_INPUT[name]
+
+    def no_lanes(*args):
+        raise AssertionError("solve_lanes ran")
+
+    def hung(signum, frame):
+        raise TimeoutError(f"{name} still running after 5 s")
+
+    monkeypatch.setattr(geoflow, "solve_lanes", no_lanes)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        if isinstance(expected, tuple):
+            res = call()
+            assert (res.status, res.nfev, res.y.tolist()) == expected
+        else:
+            with pytest.raises(expected):
+                call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
