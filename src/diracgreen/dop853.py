@@ -125,9 +125,6 @@ class ConstantSolution:
         self.ts = np.array([t0, t0])
         self._y = y0
 
-    def head(self, t, m):
-        return self._y[:m].tolist()
-
     def __call__(self, t):
         t = np.asarray(t)
         return self._y.copy() if t.ndim == 0 else np.repeat(self._y[:, None], t.size, axis=1)
