@@ -35,7 +35,7 @@ _BESSEL_ORDERS = (0.0, 0.5, 1.0, 1.5)
 def bessel_K(nu, rho):
     """Modified Bessel K_nu(rho) for nu in {0, 1/2, 1, 3/2}, rho > 0."""
     rho = float(rho)
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"bessel_K requires rho > 0, got {rho}")
     if nu == 0.5:
         return math.sqrt(math.pi / (2.0 * rho)) * math.exp(-rho)

@@ -128,7 +128,7 @@ def bessel_K_oracle(nu, rho):
     quadrature tolerance stays meaningful for large rho.
     """
     rho = float(rho)
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"bessel_K_oracle requires rho > 0, got {rho}")
     # past t_max the scaled integrand underflows to zero
     t_max = math.acosh(1.0 + 760.0 / rho)

@@ -23,10 +23,11 @@ from diracgreen.geoflow import (BALL, CHART_ESCAPE, CONVERGED, ITER_LIMIT, LOOSE
                                 _fan_starts, _flow_one, _newton, _var_index,
                                 bordered_determinant, det_exp_prime,
                                 integrate_flow, shoot_geodesic)
-from diracgreen.selfcheck import (agmon_distance_quadrature_1d, exp_inverse_from_geodesic,
+from diracgreen.selfcheck import (agmon_distance_quadrature_1d, bessel_K_oracle,
+                                  exp_inverse_from_geodesic,
                                   exp_map_oracle, exp_prime_fd)
-from diracgreen.kernel import (constant_V_exact, leading_kernel_1d, leading_kernel_multid,
-                               ratio_sweep)
+from diracgreen.kernel import (bessel_K, constant_V_exact, leading_kernel_1d,
+                               leading_kernel_multid, ratio_sweep)
 from diracgreen.potential import PotentialModel, make_potential
 
 BUMP = {"base": -0.6, "depth": 0.3, "radius": 2.0}
@@ -1327,6 +1328,8 @@ _BAD_INPUT = {
                                                   math.nan), DomainError),
     "leading-nan-h": (lambda: leading_kernel_multid(constant_model(1), build_dirac_rep(1),
                                                     _lone_d1_constant(), math.nan), DomainError),
+    "bessel-nan-rho": (lambda: bessel_K(0.5, math.nan), DomainError),
+    "bessel-oracle-nan-rho": (lambda: bessel_K_oracle(0.5, math.nan), DomainError),
     "sweep-nan-h": (lambda: ratio_sweep(build_dirac_rep(2), -0.6, [1.0, 0.0], [0.0, 0.0],
                                         [0.2, math.nan]), DomainError),
     **{f"multistart-{count}": (
