@@ -572,8 +572,8 @@ def _fan_starts(model, y_star, x_star, multistart):
     y_star; either value outside the gap (-1, 0) raises DomainError, and so
     does a start momentum on the ball.  So do endpoints closer than
     LOOSE_UNTIL max(1, |x*|_inf), the residual at which a start leaves its
-    LOOSE iterates (every stop of the shoot is in that unit), since closer
-    ones could end them on an orbit that misses x* by more than that.
+    LOOSE iterates (every stop of the shoot is in that unit): closer ones
+    could end them on an orbit that misses x* by more than their separation.
     """
     if multistart is not None and (multistart is True or not isinstance(
             multistart, (int, np.integer)) or multistart < 1):

@@ -24,8 +24,7 @@ from diracgreen.geoflow import (BALL, CHART_ESCAPE, CONVERGED, ITER_LIMIT, LOOSE
                                 bordered_determinant, det_exp_prime,
                                 integrate_flow, shoot_geodesic)
 from diracgreen.selfcheck import (agmon_distance_quadrature_1d, bessel_K_oracle,
-                                  exp_inverse_from_geodesic,
-                                  exp_map_oracle, exp_prime_fd)
+                                  exp_inverse_from_geodesic, exp_map_oracle, exp_prime_fd)
 from diracgreen.kernel import (bessel_K, constant_V_exact, leading_kernel_1d,
                                leading_kernel_multid, ratio_sweep)
 from diracgreen.potential import PotentialModel, make_potential
@@ -1290,15 +1289,9 @@ def test_option_parsing_rejects_unknown_keys():
         RunConfig.from_dict(dict(base, ode={"rel_tol": 1e-10}))
 
 
-
 # ------------------------------------------------ library entry points on bad input
 
-def _lone_d1_constant():
-    return shoot_geodesic(constant_model(1), [-1.0], [1.0])
-
-
-# (call, the error it raises or the (status, nfev, y) it returns); each case once hung,
-# raised ValueError, TypeError or ZeroDivisionError, returned NaN, or shot one start
+# (call, the error it must raise or the (status, nfev, y) it must return)
 _BAD_INPUT = {
     "flow-nan-start": (lambda: integrate_flow(bump_model(2), [math.nan, 0.0], [0.5, 0.0], 1.0),
                        DomainError),
@@ -1326,8 +1319,9 @@ _BAD_INPUT = {
                                                 [0.0, 0.0], math.nan), DomainError),
     "leading1d-nan-h": (lambda: leading_kernel_1d(bump_model(1), build_dirac_rep(1), 1.0, -1.0,
                                                   math.nan), DomainError),
-    "leading-nan-h": (lambda: leading_kernel_multid(constant_model(1), build_dirac_rep(1),
-                                                    _lone_d1_constant(), math.nan), DomainError),
+    "leading-nan-h": (lambda: leading_kernel_multid(
+        constant_model(1), build_dirac_rep(1), shoot_geodesic(constant_model(1), [-1.0], [1.0]),
+        math.nan), DomainError),
     "bessel-nan-rho": (lambda: bessel_K(0.5, math.nan), DomainError),
     "bessel-oracle-nan-rho": (lambda: bessel_K_oracle(0.5, math.nan), DomainError),
     "sweep-nan-h": (lambda: ratio_sweep(build_dirac_rep(2), -0.6, [1.0, 0.0], [0.0, 0.0],
