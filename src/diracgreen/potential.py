@@ -30,13 +30,15 @@ from .clifford import DomainError, refuse_booleans
 COORD_LIMIT = 1e100
 
 
-def _bump(b, a, big_l, s):
+def _bump(b, a, big_l, s, value_only=False):
     """V = b - a exp(1 - 1/(1 - s/L^2)) inside the ball, b outside."""
     u2 = s / big_l**2
     if u2 >= 1.0:
-        return 0.0, 0.0, b
+        return b if value_only else (0.0, 0.0, b)
     w = 1.0 - u2
     g = math.exp(1.0 - 1.0 / w)
+    if value_only:
+        return b - a * g
     ep = -1.0 / (big_l**2 * w**2)
     epp = -2.0 / (big_l**4 * w**3)
     gp = g * ep
@@ -44,28 +46,35 @@ def _bump(b, a, big_l, s):
     return -a * gp, -a * gpp, b - a * g
 
 
-def _cosine(b, a, big_l, s):
+def _cosine(b, a, big_l, s, value_only=False):
     """V = b - (a/2)(1 + cos(pi r/L)) inside the ball, b outside."""
     q = (math.pi / big_l) ** 2
     if s * q >= math.pi**2:
-        return 0.0, 0.0, b
+        return b if value_only else (0.0, 0.0, b)
     w2 = q * s
+    # one value_only test per branch: the lanes call the full profile per row
     if w2 > 1e-8:
         w = math.sqrt(w2)
         cw = math.cos(w)
+        if value_only:
+            return b - 0.5 * a * (1.0 + cw)
         cp = -0.5 * q * math.sin(w) / w
         cpp = -0.25 * q * q * (cw - math.sin(w) / w) / w2
     else:
         cw = 1.0 - w2 / 2.0 + w2 * w2 / 24.0
+        if value_only:
+            return b - 0.5 * a * (1.0 + cw)
         cp = -0.5 * q * (1.0 - w2 / 6.0 + w2 * w2 / 120.0)
         cpp = -0.25 * q * q * (-1.0 / 3.0 + w2 / 30.0 - w2 * w2 / 840.0)
     v = b - 0.5 * a * (1.0 + cw)
     return -0.5 * a * cp, -0.5 * a * cpp, v
 
 
-def _tanh(b, a, u):
+def _tanh(b, a, u, value_only=False):
     """V = b + a tanh(u)."""
     t = math.tanh(u)
+    if value_only:
+        return b + a * t
     sech2 = 1.0 - t * t
     return a * sech2, -2.0 * a * sech2 * t, b + a * t
 
@@ -79,7 +88,9 @@ class Family:
     """One row of FAMILIES.
 
     profile gives (f', f'', V) as a function of s = |x - c|^2 if radial, else
-    of u = x_1 - c (a 1D-only family); without a profile V is the constant value.
+    of u = x_1 - c (a 1D-only family), and V alone, by the same float
+    operations, when its last argument value_only is true; without a profile
+    V is the constant value.
     """
 
     params: tuple      # accepted, in error-text order; the profile takes all but center
@@ -150,7 +161,8 @@ class PotentialModel:
     def line_value(self):
         """V of a 1D model as a float function of s, for a hot loop.
 
-        It does value's float operations on s, without the shape check.
+        It does value's float operations on s, without the shape check, and
+        asks the profile for V alone: no f' or f'' is computed.
         """
         if self.dim != 1:
             raise DomainError("line_value is for 1D models")
@@ -159,8 +171,8 @@ class PotentialModel:
             return lambda s: v
         profile, c = self._profile, float(np.ravel(self._center)[0])
         if self._radial:
-            return lambda s: profile((s - c) * (s - c))[2]
-        return lambda s: profile(s - c)[2]
+            return lambda s: profile((s - c) * (s - c), True)
+        return lambda s: profile(s - c, True)
 
     def evaluate(self, x):
         """Return (V, grad V, Hess V) at x: terms' V, gamma r and alpha I + beta r r^T."""

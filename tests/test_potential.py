@@ -269,6 +269,34 @@ def test_line_value_is_1d_only():
         make_potential(2, "constant", {"value": -0.6}).line_value()
 
 
+# every family with a profile, off its center, at points on every branch of its profile:
+# the center, inside, the rim and past it (u2 >= 1) for the wells, the cosine's series
+# within 1e-4 of its center (w2 <= 1e-8), and the tanh step saturated at +-1.0
+VALUE_ONLY_CASES = {
+    "bump_well": ({"base": -0.5, "depth": 0.25, "radius": 1.5, "center": 0.7},
+                  [0.7, 0.7 + 1e-9, 0.1, 2.19, 0.7 + 1.5, 0.7 - 1.5, 5.0, -1e10]),
+    "cosine_well": ({"base": -0.55, "depth": 0.35, "radius": 2.5, "center": -0.4},
+                    [-0.4, -0.4 + 1e-5, -0.4 - 3e-5, 0.3, -0.4 + 2.5, -2.9, 4.0, 1e10]),
+    "tanh_step": ({"base": -0.5, "amp": 0.2, "center": 0.3},
+                  [0.3, 1.0, -2.0, 19.3, -18.7, 25.0, -1e6]),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALUE_ONLY_CASES))
+def test_value_only_profile_is_value_bit_for_bit(kind):
+    """line_value, the profile asked for V alone, is value's V, a float, on every branch."""
+    params, points = VALUE_ONLY_CASES[kind]
+    m = make_potential(1, kind, params)
+    line = m.line_value()
+    for s in points:
+        assert type(line(s)) is float
+        assert line(s) == m.value([s])
+
+
+def test_value_only_cases_cover_every_profile():
+    assert set(VALUE_ONLY_CASES) == {kind for kind, row in FAMILIES.items() if row.profile}
+
+
 def test_hypothesis_validation_passes_for_gap_families():
     m = make_potential(2, "bump_well", {"base": -0.6, "depth": 0.3, "radius": 2.0})
     assert validate_hypothesis(m) >= m.margin > 0.0
