@@ -343,8 +343,8 @@ def _dot(coefs, terms):
 
 
 @functools.cache
-def _float_kernels(n):
-    """DOP853's step and its interpolant on n Python floats, generated once per n.
+def _float_kernels(n, reads):
+    """DOP853's step and its interpolant on n Python floats, generated once per (n, reads).
 
     step(fun, t, h, y, f, rtol, atol) takes f = fun(t, y), makes rk_step's
     stages and returns (y_new, fun(t + h, y_new), |err5|^2, |err3|^2, k):
@@ -354,7 +354,9 @@ def _float_kernels(n):
     columns (F6, ..., F0, y) per component, as _horner reads them.  Each
     stage's sum is one expression over its nonzero coefficients: no loop,
     no numpy, and operators alone, which give inf or NaN where they
-    overflow and never raise.
+    overflow and never raise.  A stage calls fun on the leading reads
+    components of its argument alone, the only ones fun reads, and so
+    sums no other.
     """
     n_st = DOP853.n_stages
     comps = range(n)
@@ -366,7 +368,7 @@ def _float_kernels(n):
         return [[f"k{m}_{i}" for m in range(s)] for i in comps]
 
     def call(s, a, c):
-        args = _tup(f"y{i} + ({_dot(a, ks)}) * h" for i, ks in zip(comps, stages(s)))
+        args = _tup(f"y{i} + ({_dot(a, ks)}) * h" for i, ks in zip(range(reads), stages(s)))
         return f"    {_tup(names(s))} = fun(t + {c!r} * h, {args})"
 
     unpack = [f"    {_tup(f'y{i}' for i in comps)} = y", f"    {_tup(names(0))} = f"]
@@ -375,7 +377,7 @@ def _float_kernels(n):
     step += [call(s, a, c) for s, a, c in _STAGES]
     step += [f"    n{i} = y{i} + h * ({_dot(DOP853.B, ks)})"
              for i, ks in zip(comps, stages(n_st))]
-    step.append(f"    {_tup(names(n_st))} = fun(t + h, {_tup(f'n{i}' for i in comps)})")
+    step.append(f"    {_tup(names(n_st))} = fun(t + h, {_tup(f'n{i}' for i in range(reads))})")
     step += [f"    s{i} = atol + max(abs(y{i}), abs(n{i})) * rtol" for i in comps]
     for e, tab in (("e5", DOP853.E5), ("e3", DOP853.E3)):
         step += [f"    {e}_{i} = ({_dot(tab, ks)}) / s{i}"
@@ -411,7 +413,10 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
     nonzero coefficients.  fun(t, y) takes a tuple of floats and returns a
     sequence of floats; it must not raise where they overflow (x * x, not
     x ** 2), so that a trial stage that overflows makes its step's error inf
-    or NaN and the step is rejected, as any whose error is too large.
+    or NaN and the step is rejected, as any whose error is too large.  A
+    fun that reads only its leading k components may declare so with the
+    attribute fun.reads = k, as scipy's events declare terminal: its stages
+    then get those k alone, with the same y and nfev.
     check(t, y), when given, is called at the start and after each accepted
     step; it stops the march by raising.  The march returns (status 0) after
     the step that reads the last point, with y the (n, len(t_eval)) array of
@@ -438,8 +443,9 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
         return rms([b - a for a, b in zip(f, f1)])
 
     h_abs = _initial_step(rms(y), rms(f), probe, abs(t_bound - t))
-    status, nfev, _, pieces = _march(fun, t, t_bound, y, f, h_abs, _float_kernels(n), rtol,
-                                     atol, list(map(float, t_eval)), check=check)
+    kernels = _float_kernels(n, getattr(fun, "reads", n))
+    status, nfev, _, pieces = _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol,
+                                     list(map(float, t_eval)), check=check)
 
     reads = [_horner(t_old, t_end, cols, s) for t_old, t_end, cols, pts in pieces for s in pts]
     y_out = np.array(reads, dtype=float).reshape(-1, n).T

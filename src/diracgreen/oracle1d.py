@@ -147,6 +147,7 @@ def decaying_solution(model, side, points, h, span=()):
             v = v_at(t)
             return ((1.0 - v) * r * r - (1.0 + v)) / h, (v - 1.0) * r / h
 
+        rhs.reads = 1   # r alone: the march's stages sum no argument for L
         t_eval = sorted(set(points), key=lambda s: sign * s)    # in the march's direction
         res = solve_ivp(rhs, (anchor, end), (r0, 0.0), t_eval=t_eval, check=chart,
                         **OdeOpts().solver_kwargs())

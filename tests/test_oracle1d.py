@@ -232,6 +232,47 @@ def test_the_march_carries_two_real_components(monkeypatch):
         assert abs(y0[0]) == pytest.approx(0.5, rel=1e-15) and y0[1] == 0.0
 
 
+@pytest.mark.parametrize("h", [0.2, 0.025])
+@pytest.mark.parametrize("name", ["bump", "tanh", "cosine"])
+def test_the_march_sums_r_alone_with_the_same_result(monkeypatch, name, h):
+    """The Riccati RHS declares reads = 1: its stages get r alone, with the full march's y and nfev.
+
+    The full march runs the same RHS behind a wrapper without the
+    attribute, so that each stage sums both components.
+    """
+    runs, march = [], oracle1d.solve_ivp
+
+    def both(fun, t_span, y0, **kwargs):
+        sizes = []
+
+        def full(t, y):
+            sizes.append(len(y))
+            return fun(t, y)
+
+        lean = march(fun, t_span, y0, **kwargs)
+        runs.append((lean, march(full, t_span, y0, **kwargs), sizes))
+        return lean
+
+    monkeypatch.setattr(oracle1d, "solve_ivp", both)
+    kind, params, x, y = PAIR_MODELS[name]
+    exact_green_kernel_pair_1d(make_potential(1, kind, params), x, y, h)
+    assert len(runs) == 2
+    for lean, full, sizes in runs:
+        assert set(sizes) == {2}
+        assert lean.nfev == full.nfev == len(sizes)
+        assert np.array_equal(lean.y, full.y)
+    counts = []
+
+    def counting(t, y):
+        counts.append(len(y))
+        return (0.0, 0.0)
+
+    counting.reads = 1
+    march(counting, (0.0, 1.0), (0.5, 0.0), t_eval=[1.0], rtol=1e-10, atol=1e-12)
+    # the start and the initial-step probe read the whole state, every stage r alone
+    assert counts[:2] == [2, 2] and set(counts[2:]) == {1}
+
+
 # (params, x, y, h_list, overflows): the bump between points past its window, whose
 # marches overflow on a rejected trial stage at each of these h; and the bump centred at 0.3
 # between -1 and 1.2, and the README bump down to h = 0.005, whose marches did so while
