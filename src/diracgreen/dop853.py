@@ -168,7 +168,7 @@ def _control(h_abs, err5_2, err3_2, n, rejected):
     return False, h_abs * max(MIN_FACTOR, SAFETY * err ** _EXPONENT)
 
 
-def _initial_step(d0, d1, probe, interval):
+def _initial_step(d0, d1, probe, interval, max_step):
     """scipy's select_initial_step from the RMS norms d0 of y and d1 of f = fun(t, y) over scale.
 
     probe(h0) is that norm of fun(t + h0, y + h0 f) - f, with h0 in the direction of t_span.
@@ -179,11 +179,11 @@ def _initial_step(d0, d1, probe, interval):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
-    return min(100 * h0, h1, interval)
+    return min(100 * h0, h1, interval, max_step)
 
 
 def _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol, points, every=False,
-           check=None):
+           check=None, max_step=math.inf):
     """scipy's DOP853 step loop from (t, y), with f = fun(t, y) and first step h_abs.
 
     kernels = (step, dense) make a trial step and a step's interpolant
@@ -191,6 +191,7 @@ def _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol, points, every=Fals
     every step when every, else on the steps that hold points (t_eval, as
     floats), and the march then returns after the step that holds the last
     one.  check(t, y), when given, sees the start and each accepted state.
+    No step is longer than max_step.
     Returns (status, nfev, ends, pieces): ends the start and each accepted
     state, pieces (t_old, t, columns, the step's points) per interpolant,
     with the step's own end t and the columns in _horner's order.
@@ -205,7 +206,10 @@ def _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol, points, every=Fals
     while True:
         # RungeKutta._step_impl
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
         rejected = False
         while True:
             if not h_abs >= min_step:   # a NaN step size too
@@ -281,15 +285,16 @@ def _array_kernels(n, dtype):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False):
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False,
+              max_step=math.inf):
     """scipy.integrate.solve_ivp(method="DOP853") for one solve, bit for bit, without its wrappers.
 
     The step loop (_march) with numpy stage kernels (_array_kernels) that
     make the installed scipy's numpy calls in its order: select_initial_step,
     the rk_step stages, the error norm and step-size control, t_eval read
     through each step's 7th-order interpolant (_horner), and dense output
-    as a DenseSolution of those interpolants.  So y, sol(t) and nfev equal
-    scipy's.  y0 may be real or complex.  With t_eval and no dense output
+    as a DenseSolution of those interpolants, and scipy's max_step cap.  So
+    y, sol(t) and nfev equal scipy's.  y0 may be real or complex.  With t_eval and no dense output
     the solve returns (status 0) after the step that reads the last point,
     so the end of t_span then only bounds the steps: y and nfev are
     scipy's when that point is the end.  A y0 that is not finite raises
@@ -317,10 +322,11 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False):
         return _norm((f1 - f) / scale) / n ** 0.5
 
     h_abs = _initial_step(_norm(y / scale) / n ** 0.5, _norm(f / scale) / n ** 0.5, probe,
-                          abs(t_bound - t))
+                          abs(t_bound - t), max_step)
     points = [] if t_eval is None else list(map(float, t_eval))
     status, nfev, ends, pieces = _march(fun, t, t_bound, y, f, h_abs, _array_kernels(n, dtype),
-                                        rtol, atol, points, every=dense_output)
+                                        rtol, atol, points, every=dense_output,
+                                        max_step=max_step)
 
     if t_eval is None:
         y_out = np.vstack(ends).T
@@ -402,7 +408,7 @@ def _float_kernels(n, reads):
     return scope["step"], scope["dense"]
 
 
-def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
+def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None, max_step=math.inf):
     """solve_ivp read at t_eval, on a state of Python floats with DOP853's stage sums written out.
 
     The same step loop as solve_ivp (_march), with the generated float
@@ -418,7 +424,8 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
     attribute fun.reads = k, as scipy's events declare terminal: its stages
     then get those k alone, with the same y and nfev.
     check(t, y), when given, is called at the start and after each accepted
-    step; it stops the march by raising.  The march returns (status 0) after
+    step; it stops the march by raising.  max_step caps each step, as in
+    solve_ivp.  The march returns (status 0) after
     the step that reads the last point, with y the (n, len(t_eval)) array of
     the reads.  A y0 that is not finite raises scipy's ValueError, and a
     zero-length span returns y0 at each point after one call of fun.
@@ -442,10 +449,10 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None):
         f1 = fun(t + h0 * direction, tuple(v + h0 * direction * g for v, g in zip(y, f)))
         return rms([b - a for a, b in zip(f, f1)])
 
-    h_abs = _initial_step(rms(y), rms(f), probe, abs(t_bound - t))
+    h_abs = _initial_step(rms(y), rms(f), probe, abs(t_bound - t), max_step)
     kernels = _float_kernels(n, getattr(fun, "reads", n))
     status, nfev, _, pieces = _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol,
-                                     list(map(float, t_eval)), check=check)
+                                     list(map(float, t_eval)), check=check, max_step=max_step)
 
     reads = [_horner(t_old, t_end, cols, s) for t_old, t_end, cols, pts in pieces for s in pts]
     y_out = np.array(reads, dtype=float).reshape(-1, n).T

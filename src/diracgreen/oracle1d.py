@@ -149,8 +149,9 @@ def decaying_solution(model, side, points, h, span=()):
 
         rhs.reads = 1   # r alone: the march's stages sum no argument for L
         t_eval = sorted(set(points), key=lambda s: sign * s)    # in the march's direction
+        # no step longer than the reach, so that none steps over the well from a flat stretch
         res = solve_ivp(rhs, (anchor, end), (r0, 0.0), t_eval=t_eval, check=chart,
-                        **OdeOpts().solver_kwargs())
+                        max_step=model.reach, **OdeOpts().solver_kwargs())
         if not res.success:
             raise NumericalError(f"decaying-solution integration failed: {res.message}")
         reads = dict(zip(t_eval, res.y.T.tolist()))

@@ -120,7 +120,8 @@ class PotentialModel:
 
     kind is a FAMILIES key and params holds the family parameters.  The
     family's row gives bounds, the exact (min V, max V) over all of space,
-    margin, the gap margin min(-max V, 1 + min V), and window, the
+    margin, the gap margin min(-max V, 1 + min V), reach, how far past its
+    center V varies (0 for the constant family), and window, the
     half-width beyond which V is exactly constant.  The
     evaluators branch on the shape of the family's profile (none, along
     x_1, radial), never on its name.
@@ -135,10 +136,12 @@ class PotentialModel:
         lo, hi = family.bounds(self.params)
         center = self.params.get("center", 0.0)
         # past the center's offset plus the family's reach V is constant
+        reach = 0.0 if family.profile is None else float(family.reach(self.params))
         window = 0.0 if family.profile is None else float(
-            float(np.max(np.abs(np.atleast_1d(center)))) + family.reach(self.params))
+            float(np.max(np.abs(np.atleast_1d(center)))) + reach)
         object.__setattr__(self, "bounds", (lo, hi))
         object.__setattr__(self, "margin", float(min(-hi, 1.0 + lo)))
+        object.__setattr__(self, "reach", reach)
         object.__setattr__(self, "window", window)
         # bind the profile's parameters and the center once: the evaluators are hot paths
         args = (self.params[k] for k in family.params if k != "center")
@@ -313,12 +316,11 @@ def _samples(model, n, seed, half):
     """
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-half, half, size=(n, model.dim))
-    family = FAMILIES[model.kind]
-    if family.reach is None:
+    if FAMILIES[model.kind].reach is None:
         return pts
     center = np.broadcast_to(np.asarray(model.params.get("center", 0.0), dtype=float),
                              (model.dim,))
-    reach = family.reach(model.params)
+    reach = model.reach
     near = rng.uniform(np.maximum(center - reach, -half), np.minimum(center + reach, half),
                        size=(n // 2, model.dim))
     return np.concatenate([pts, near])

@@ -654,6 +654,11 @@ LEAN_CASES = {
     # the segment rule backward: at every step end, past both ends, unsorted, descending
     "backward_dense": (_pendulum, (3.0, -2.0), [0.3, 1.2], dict(dense_output=True),
                        _reads_of_a_backward_solve()),
+    # scipy's step cap, on the first step too, forward and backward
+    "max_step": (_pendulum, (0.0, 9.0), [0.3, 1.2], dict(max_step=0.7, dense_output=True),
+                 [0.0, 4.5, np.linspace(0.0, 9.0, 31)]),
+    "max_step_backward": (_pendulum, (3.0, -2.0), [0.3, 1.2],
+                          dict(max_step=1e-3, t_eval=[2.0, -2.0]), None),
     # a zero-length span takes no step: y0 at both ends, and y0 at every time of the dense read
     "zero_span": (_decay, (1.0, 1.0), [1.0], {}, None),
     "zero_span_dense": (_decay, (1.0, 1.0), [1.0, -0.5], dict(dense_output=True),

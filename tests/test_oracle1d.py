@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from diracgreen import dop853, oracle1d
 from diracgreen.clifford import SIGMA_1, DomainError, build_dirac_rep
@@ -274,11 +275,12 @@ def test_the_march_sums_r_alone_with_the_same_result(monkeypatch, name, h):
 
 
 # (params, x, y, h_list, overflows): the bump between points past its window, whose
-# marches overflow on a rejected trial stage at each of these h; and the bump centred at 0.3
-# between -1 and 1.2, and the README bump down to h = 0.005, whose marches did so while
-# they started at the window's edge and no longer do from the contraction anchor
+# marches overflow on a rejected trial stage at this h (at 0.025 and 0.005 too while their
+# steps were not capped at the bump's radius); and the bump centred at 0.3 between -1 and
+# 1.2, and the README bump down to h = 0.005, whose marches did so while they started at
+# the window's edge and no longer do from the contraction anchor
 TRIAL_OVERFLOW = {
-    "past-window": (BUMP, 4.0, -3.0, (0.025, 0.005, 0.002), True),
+    "past-window": (BUMP, 4.0, -3.0, (0.002,), True),
     "off-center": (dict(BUMP, center=0.3), 1.2, -1.0, (0.2, 0.1, 0.05, 0.025), False),
     "h0005": (BUMP, 1.0, -1.0, (0.2, 0.005), False),
 }
@@ -318,6 +320,53 @@ def test_overflow_stays_in_rejected_trial_stages(monkeypatch, name):
         exact_green_kernel_pair_1d(m, x, y, h)
     assert [any(calls) for calls in trial_overflow.values()] == [overflows] * len(h_list)
     assert np.all(np.isfinite(accepted))
+
+
+def test_the_march_does_not_step_over_the_well_from_afar():
+    """G(X, -X) at X = 30 and 40 is G(22, -22) e^(-2 kappa (X - 22)/h) exactly, to 1e-9.
+
+    V = -0.6 is constant past |s| = 2, where each recessive solution is the
+    pure exponential tail, with kappa = sqrt(1 - 0.36) = 0.8.  On that flat
+    stretch r' is 0, so the error estimate is 0 and the step grows tenfold
+    per step: uncapped, one step from s = 18.9 to -28.9 had no stage in the
+    well, and the kernel was 0.98 off.  Each step is capped at the radius.
+    """
+    m, h = bump_model(), 0.2
+    kappa = math.sqrt(1.0 - 0.6 * 0.6)
+    near = exact_green_kernel_1d(m, 22.0, -22.0, h)
+    for far in (30.0, 40.0):
+        got = exact_green_kernel_1d(m, far, -far, h)
+        ref = near * math.exp(-2.0 * kappa * (far - 22.0) / h)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+# (params, x, y, h): wells narrower than the march's flat-stretch steps, and one off center
+NARROW_WELLS = {
+    "radius-0.2": (dict(BUMP, radius=0.2), 1.0, -1.0, 0.05),
+    "radius-0.05": (dict(BUMP, radius=0.05), 1.0, -1.0, 0.05),
+    "radius-0.01": (dict(BUMP, radius=0.01), 1.0, -1.0, 0.2),
+    "off-center": (dict(BUMP, radius=0.2, center=5.0), -1.0, 6.0, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", list(NARROW_WELLS))
+def test_the_march_does_not_step_over_a_narrow_well(monkeypatch, name):
+    """G(x, y) within 1e-9 of scipy's DOP853 at rtol 1e-13 in steps of at most 0.002.
+
+    Uncapped, the march stepped over these wells from a flat stretch, 78%,
+    28%, 1.4% and 28% off.
+    """
+    params, x, y, h = NARROW_WELLS[name]
+    m = make_potential(1, "bump_well", params)
+    got = exact_green_kernel_1d(m, x, y, h)
+
+    def short(fun, t_span, y0, *, check, max_step=None, **kwargs):
+        return solve_ivp(fun, t_span, y0, method="DOP853", max_step=0.002,
+                         **dict(kwargs, rtol=1e-13, atol=1e-15))
+
+    monkeypatch.setattr(oracle1d, "solve_ivp", short)
+    ref = exact_green_kernel_1d(m, x, y, h)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 # validate1d-oracle's three varying wells between their pinned points, at its four h

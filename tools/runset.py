@@ -9,14 +9,17 @@ checkout, run it there into a second directory, and `diff -r` the two:
 an empty diff means every artifact, message and exit code is
 byte-identical.  `tools/artdiff.py OLD NEW` compares them field by field
 where trailing digits moved.  The runs go on min(cpu_count, 4) worker processes at a
-time, and each line is printed in run order.  The set (92 runs, about
+time, and each line is printed in run order.  The set (94 runs, about
 a minute on 2 cores):
 
 * validate1d and geodesic on ten 1D pairs (bump, steep and mild tanh,
   cosine, constant -0.6, each both ways); geodesic with the fan, one
   start and two starts; validate1d also on the bump at h = 0.1 alone, at
   (-1.6, 0.4), with one start, centred at 0.3, down to h = 0.005, and
-  down to h = 1e-6 (exit 3); validate1d, and geodesic with the fan and
+  down to h = 1e-6 (exit 3); validate1d on the bump between +-30 at
+  h = 0.2, 0.1 and on a radius-0.05 bump between +-1, whose oracle
+  marches stepped over the well before their steps were capped at its
+  radius; validate1d, and geodesic with the fan and
   one start, on the bump from -4 to 0, across its flat stretch;
 * kernel in d = 1, 2, 3 with the fan and one start, constant in d = 1, 2, 3;
 * geodesic on four d = 2 and four d = 3 pairs and bmt on the four d = 3
@@ -94,6 +97,11 @@ def runs():
          config(1, "bump_well", dict(BUMP, center=0.3), [-1.0], [1.2])),
         ("validate1d_bump_h0005", "validate1d", dict(bump, h_list=[0.2, 0.005])),
         ("validate1d_bump_underflow", "validate1d", dict(bump, h_list=[0.2, 1e-6])),
+        # an oracle march whose uncapped steps crossed the well from a flat stretch
+        ("validate1d_bump_far", "validate1d",
+         config(1, "bump_well", BUMP, [-30.0], [30.0], h_list=[0.2, 0.1])),
+        ("validate1d_bump_narrow", "validate1d",
+         config(1, "bump_well", dict(BUMP, radius=0.05), [-1.0], [1.0])),
     ]
     # across the flat stretch, where a shot's steps grow tenfold each
     flat = config(1, "bump_well", BUMP, [-4.0], [0.0])
