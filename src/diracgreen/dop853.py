@@ -11,8 +11,9 @@ stages and interpolant, which every read evaluates with _horner:
 * solve_ivp, on numpy stages (_array_kernels), bit for bit scipy's
   solve_ivp(method="DOP853") without its wrappers, up to its last
   t_eval point, its dense output a DenseSolution;
-* solve_floats, read at t_eval, on a state of Python floats, with each
-  stage's sum written out as one float expression (_float_kernels).
+* solve_floats, on a state of Python floats, with each stage's sum
+  written out as one float expression (_float_kernels), its dense output
+  a DenseSolution of the float interpolants.
 
 solve_lanes is many solves of dy/ds = fun(y) over s in [0, 1] that share
 each RHS call, one row (lane) per solve, each with scipy's step-size
@@ -83,38 +84,41 @@ class DenseSolution:
     """A solve's dense output over _march's pieces, read as scipy's OdeSolution, bit for bit.
 
     A time reads the first step whose end is at or past it in the direction
-    of the solve, clamped to the steps.  A step's columns are listed as
-    floats on its first float read; every step's rows are stacked on the
-    first array read.
+    of the solve, clamped to the steps.  A step's interpolant comes as the
+    (8, n) rows of numpy stages or the n float columns of float stages.
+    Its columns are listed as floats on its first float read; every step's
+    rows are stacked on the first array read.  Both reads make the same
+    float operations, so they agree bit for bit.
     """
 
     def __init__(self, t0, pieces):
         self._ts = [t0, *(piece[1] for piece in pieces)]
         self.ts = np.array(self._ts)
-        self._rows = [piece[2] for piece in pieces]
+        self._steps = [piece[2] for piece in pieces]
         self._sign = 1.0 if self._ts[-1] >= t0 else -1.0
         self._keys = [self._sign * t for t in self._ts]
-        self._cols = [None] * len(pieces)
+        self._cols = [None if isinstance(step, np.ndarray) else step for step in self._steps]
         self._stack = None
 
-    def head(self, t, m):
-        """The first m components of self(t) at a float t, as a list of floats, bit for bit."""
-        i = min(max(bisect_left(self._keys, self._sign * t) - 1, 0), len(self._rows) - 1)
+    def head(self, t, m=None):
+        """The first m components of self(t) (all by default) at a float t, as a list, bit for bit."""
+        i = min(max(bisect_left(self._keys, self._sign * t) - 1, 0), len(self._steps) - 1)
         cols = self._cols[i]
         if cols is None:
-            cols = self._cols[i] = self._rows[i].T.tolist()
+            cols = self._cols[i] = self._steps[i].T.tolist()
         return _horner(self._ts[i], self._ts[i + 1], cols[:m], t)
 
     def __call__(self, t):
         """y at a float t, shape (n,), or at an array of times, shape (n, len(t))."""
         t = np.asarray(t)
         if t.ndim == 0:
-            return np.array(self.head(float(t), self._rows[0].shape[1]))
+            return np.array(self.head(float(t)))
         if self._stack is None:
             # (8, n, steps), so that a gather by step reads (n, len(t)) rows
-            self._stack = np.stack(self._rows, axis=-1)
+            self._stack = np.stack([step if isinstance(step, np.ndarray) else np.array(step).T
+                                    for step in self._steps], axis=-1)
         step = np.searchsorted(self._sign * self.ts, self._sign * t) - 1
-        step = np.clip(step, 0, len(self._rows) - 1)
+        step = np.clip(step, 0, len(self._steps) - 1)
         return _horner(self.ts[step], self.ts[step + 1], [self._stack[:, :, step]], t)[0]
 
 
@@ -408,15 +412,16 @@ def _float_kernels(n, reads):
     return scope["step"], scope["dense"]
 
 
-def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None, max_step=math.inf):
-    """solve_ivp read at t_eval, on a state of Python floats with DOP853's stage sums written out.
+def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False, check=None,
+                 max_step=math.inf):
+    """solve_ivp on a state of Python floats, with DOP853's stage sums written out.
 
     The same step loop as solve_ivp (_march), with the generated float
     kernels (_float_kernels): scipy's select_initial_step, stages, error
-    norm and step-size control, and each point read through its step's
-    7th-order interpolant, with solve_ivp's nfev; only the rounding
-    differs, since each stage's sum is one float expression over its
-    nonzero coefficients.  fun(t, y) takes a tuple of floats and returns a
+    norm and step-size control, each point read through its step's
+    7th-order interpolant, and dense output as a DenseSolution of the float
+    interpolants, with solve_ivp's nfev; only the rounding differs, since
+    each stage's sum is one float expression over its nonzero coefficients.  fun(t, y) takes a tuple of floats and returns a
     sequence of floats; it must not raise where they overflow (x * x, not
     x ** 2), so that a trial stage that overflows makes its step's error inf
     or NaN and the step is rejected, as any whose error is too large.  A
@@ -425,10 +430,11 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None, max_step=ma
     then get those k alone, with the same y and nfev.
     check(t, y), when given, is called at the start and after each accepted
     step; it stops the march by raising.  max_step caps each step, as in
-    solve_ivp.  The march returns (status 0) after
-    the step that reads the last point, with y the (n, len(t_eval)) array of
-    the reads.  A y0 that is not finite raises scipy's ValueError, and a
-    zero-length span returns y0 at each point after one call of fun.
+    solve_ivp.  y holds the reads at t_eval, or every accepted state
+    without it; with t_eval and no dense output the march returns (status
+    0) after the step that reads the last point.  A y0 that is not finite
+    raises scipy's ValueError, and a zero-length span takes no step, as in
+    solve_ivp.
     """
     t, t_bound = map(float, t_span)
     y = tuple(map(float, y0))
@@ -438,8 +444,9 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None, max_step=ma
     direction = 1.0 if t_bound >= t else -1.0
     f = fun(t, y)
     if t == t_bound:
-        return IvpResult(np.repeat(np.array([y]).T, len(t_eval), axis=1), None, 1, True, 0,
-                         _MESSAGES[0])
+        y_out = np.repeat(np.array([y]).T, 2 if t_eval is None else len(t_eval), axis=1)
+        sol = ConstantSolution(t, np.array(y)) if dense_output else None
+        return IvpResult(y_out, sol, 1, True, 0, _MESSAGES[0])
     scale = [atol + abs(v) * rtol for v in y]
 
     def rms(x):
@@ -451,12 +458,19 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval, check=None, max_step=ma
 
     h_abs = _initial_step(rms(y), rms(f), probe, abs(t_bound - t), max_step)
     kernels = _float_kernels(n, getattr(fun, "reads", n))
-    status, nfev, _, pieces = _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol,
-                                     list(map(float, t_eval)), check=check, max_step=max_step)
+    points = [] if t_eval is None else list(map(float, t_eval))
+    status, nfev, ends, pieces = _march(fun, t, t_bound, y, f, h_abs, kernels, rtol, atol,
+                                        points, every=dense_output, check=check,
+                                        max_step=max_step)
 
-    reads = [_horner(t_old, t_end, cols, s) for t_old, t_end, cols, pts in pieces for s in pts]
-    y_out = np.array(reads, dtype=float).reshape(-1, n).T
-    return IvpResult(y_out, None, nfev, status >= 0, status, _MESSAGES[status])
+    if t_eval is None:
+        y_out = np.array(ends).T
+    else:
+        reads = [_horner(t_old, t_end, cols, s) for t_old, t_end, cols, pts in pieces
+                 for s in pts]
+        y_out = np.array(reads, dtype=float).reshape(-1, n).T
+    sol = DenseSolution(t, pieces) if dense_output else None
+    return IvpResult(y_out, sol, nfev, status >= 0, status, _MESSAGES[status])
 
 
 @np.errstate(over="ignore", invalid="ignore")

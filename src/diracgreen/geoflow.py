@@ -36,7 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import DomainError
-from .dop853 import TIGHT, UNDERFLOW, NumericalError, OdeOpts, _tup, solve_ivp, solve_lanes
+from .dop853 import (TIGHT, UNDERFLOW, NumericalError, OdeOpts, _tup, solve_floats, solve_ivp,
+                     solve_lanes)
 
 
 class ShootingError(NumericalError):
@@ -72,6 +73,9 @@ LOOSE = OdeOpts(1e-6, 1e-8)
 # the most numbers a shoot's starts may hold, starts x state size: solve_lanes keeps 13
 # stage copies of them, so its stage array stays under 104 MB
 STATE_NUMBERS = 10 ** 6
+# the largest lone flow state that runs on float stages, d <= 2: there the written-out
+# stage sums beat numpy's calls per stage, and at d = 3's 25 numbers they no longer do
+FLOAT_STATE = 13
 
 
 def _var_index(d):
@@ -147,20 +151,22 @@ class Trajectory:
         return float(np.abs(-np.sqrt(1.0 - p2) - v).max())
 
 
-def _flow_rhs(model):
+def _flow_rhs(model, floats=False):
     """The flow's right-hand side on one state, in Python floats.
 
     With grad V = gamma r and Hess V = alpha I + beta r r^T from model.terms
     and w = sqrt(1 - |p|^2): x' = p / w, p' = gamma r, the action rate
     |p|^2 / w, dpX' = dpP / w + p (p^T dpP) / w^3 and dpP' = alpha dpX +
     beta r (r^T dpX).  Past the ball, |p|^2 >= BALL, w is NaN and so are
-    the derivatives that read it.  The body is _flow_source(d), compiled
-    once per d and bound here to model.terms.
+    the derivatives that read it.  The body is _flow_source(d, floats),
+    compiled once per d and bound here to model.terms: on a numpy state
+    returning an array, for solve_ivp, or with floats on a tuple of floats
+    returning a tuple, for solve_floats.
     """
-    return _flow_binder(model.dim)(model.terms)
+    return _flow_binder(model.dim, floats)(model.terms)
 
 
-def _flow_source(d):
+def _flow_source(d, floats):
     """Source of bind(terms), which returns the flow's right-hand side in d dimensions.
 
     One straight-line body: the state unpacked into named floats, math.fsum
@@ -171,7 +177,9 @@ def _flow_source(d):
     comprehension's per-entry overhead, are most of the work.  math.fsum
     raises on inf - inf and where a finite sum overflows; the body then
     returns NaN in every entry, as _lane_rhs gives inf or NaN there, so a
-    trial stage that reaches such a state gets its step rejected.
+    trial stage that reaches such a state gets its step rejected.  With
+    floats the state is a tuple and the derivatives one, in place of
+    y.tolist() and an array.
     """
     ks = range(d)
 
@@ -181,6 +189,9 @@ def _flow_source(d):
     xs, ps, rs = ([f"{c}_{k}" for k in ks] for c in "xpr")
     dpx, dpp = ([[f"{c}_{i}_{j}" for j in ks] for i in ks] for c in "XP")
     state = [*xs, *ps, "_", *(n for row in dpx for n in row), *(n for row in dpp for n in row)]
+    out = ([f"{p} / w" for p in ps] + [f"gamma * {r}" for r in rs] + ["pp / w"]
+           + [f"{dpp[i][j]} / w + p_{i} * q_{j}" for i in ks for j in ks]
+           + [f"alpha * {dpx[i][j]} + b_{i} * s_{j}" for i in ks for j in ks])
     body = [
         f"pp = {fsum(zip(ps, ps))}",
         "w = sqrt(1.0 - pp) if pp < BALL else nan",
@@ -189,33 +200,37 @@ def _flow_source(d):
         *(f"q_{j} = {fsum((p, row[j]) for p, row in zip(ps, dpp))} / w3" for j in ks),
         *(f"s_{j} = {fsum((r, row[j]) for r, row in zip(rs, dpx))}" for j in ks),
         *(f"b_{i} = beta * r_{i}" for i in ks),
-        "return array([" + ", ".join(
-            [f"{p} / w" for p in ps] + [f"gamma * {r}" for r in rs] + ["pp / w"]
-            + [f"{dpp[i][j]} / w + p_{i} * q_{j}" for i in ks for j in ks]
-            + [f"alpha * {dpx[i][j]} + b_{i} * s_{j}" for i in ks for j in ks]) + "])",
+        f"return {_tup(out)}" if floats else f"return array([{', '.join(out)}])",
     ]
+    unpack, nans = ("y", f"(nan, ) * {len(state)}") if floats else (
+        "y.tolist()", f"full({len(state)}, nan)")
     return "\n".join(["def bind(terms):", "    def rhs(t, y):",
-                      f"        {_tup(state)} = y.tolist()", "        try:",
+                      f"        {_tup(state)} = {unpack}", "        try:",
                       *(f"            {line}" for line in body),
                       "        except (ValueError, OverflowError):",
-                      f"            return full({len(state)}, nan)", "    return rhs"])
+                      f"            return {nans}", "    return rhs"])
 
 
 @cache
-def _flow_binder(d):
-    """bind(terms) of _flow_source(d), compiled once per d.
+def _flow_binder(d, floats):
+    """bind(terms) of _flow_source(d, floats), compiled once per d and floats.
 
     The source grows as d^2: compiling it takes about 6 ms at d = 12 and
     34 ms at d = 30 (15 KB and 96 KB of source).
     """
     scope = {"fsum": math.fsum, "sqrt": math.sqrt, "nan": math.nan, "BALL": BALL,
              "array": np.array, "full": np.full}
-    exec(_flow_source(d), scope)
+    exec(_flow_source(d, floats), scope)
     return scope["bind"]
 
 
 def _solve_flow(model, x0, p0, tau, opts, **output):
-    """solve_ivp of the flow from (x0, p0) over [0, tau], after the start checks."""
+    """The flow from (x0, p0) over [0, tau], after the start checks.
+
+    A state of at most FLOAT_STATE numbers (d <= 2) solves on float stages
+    (solve_floats), a larger one on numpy's (solve_ivp): both give the
+    same IvpResult, dense output included.
+    """
     if not tau > 0.0:
         raise DomainError(f"flight time must be positive, got {tau}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -228,8 +243,11 @@ def _solve_flow(model, x0, p0, tau, opts, **output):
     if not p2 < BALL:
         raise DomainError(f"phase point requires |p| < 1, with |p|^2 under {BALL!r}; "
                           f"got |p|^2 = {p2!r}")
-    sol = solve_ivp(_flow_rhs(model), (0.0, float(tau)), _initial_state(x0, p0),
-                    **output, **opts.solver_kwargs())
+    y0 = _initial_state(x0, p0)
+    floats = y0.size <= FLOAT_STATE
+    solve = solve_floats if floats else solve_ivp
+    sol = solve(_flow_rhs(model, floats), (0.0, float(tau)), y0, **output,
+                **opts.solver_kwargs())
     if not sol.success:
         raise NumericalError(f"flow integration failed: {sol.message}")
     return sol

@@ -120,12 +120,12 @@ def _force_off(monkeypatch):
     """The lone flow's force grad V scaled by 1 + 1e-6: H drifts along the polished orbit."""
     flow_rhs = geoflow._flow_rhs
 
-    def faulty(model):
-        rhs, d = flow_rhs(model), model.dim
+    def faulty(model, *args):
+        rhs, d = flow_rhs(model, *args), model.dim
 
         def wrong(t, y):
-            out = rhs(t, y)
-            out[d:2 * d] *= 1.0 + 1e-6
+            out = list(rhs(t, y))   # an array on numpy stages, a tuple on float stages
+            out[d:2 * d] = [f * (1.0 + 1e-6) for f in out[d:2 * d]]
             return out
         return wrong
 

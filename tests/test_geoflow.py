@@ -427,8 +427,14 @@ def test_flow_rhs_is_the_reference_bit_for_bit(dim, kind):
         ys[-1][dim:2 * dim] = p
     ys.append(ys[1].copy())
     ys[-1][0] = math.nan
+    floats = geoflow._flow_rhs(m, floats=True)
     for y in ys:
         got, want = lone(0.0, y), ref(0.0, y)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the float-stage body on a tuple: a tuple of floats with the same bits
+        got = floats(0.0, tuple(y.tolist()))
+        assert type(got) is tuple and all(type(c) is float for c in got)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -447,17 +453,43 @@ def test_flow_rhs_is_not_finite_where_its_sums_raise(column):
     i_dpp = geoflow._var_index(2) + 4
     y[[i_dpp, i_dpp + 2]] = column
     assert not np.all(np.isfinite(geoflow._flow_rhs(m)(0.0, y)))
+    assert not np.all(np.isfinite(geoflow._flow_rhs(m, floats=True)(0.0, tuple(y.tolist()))))
     with np.errstate(invalid="ignore", over="ignore"):
         row = geoflow._lane_rhs(m, np.ones(1))(y[None, :], np.zeros(1, dtype=int))
     assert not np.all(np.isfinite(row))
 
 
 def test_flow_rhs_compiles_once_per_dimension():
-    """Models of one d share the one compiled body; another d has its own."""
+    """Models of one d share the one compiled body; another d, or float stages, has its own."""
     bump, cosine = (geoflow._flow_rhs(make_potential(3, k, _PARAMS[k]))
                     for k in ("bump_well", "cosine_well"))
     assert bump.__code__ is cosine.__code__
     assert geoflow._flow_rhs(bump_model(2)).__code__ is not bump.__code__
+    assert geoflow._flow_rhs(bump_model(3), floats=True).__code__ is not bump.__code__
+
+
+@pytest.mark.parametrize("dim,solver", [(1, "solve_floats"), (2, "solve_floats"),
+                                        (3, "solve_ivp")])
+def test_the_lone_flow_runs_on_float_stages_up_to_d2(monkeypatch, dim, solver):
+    """A flow state of at most FLOAT_STATE = 13 numbers (d <= 2) solves on float stages.
+
+    Its end state lies within 1e-13 of the numpy-stage solve's, which every
+    d takes with FLOAT_STATE 0; d = 3 takes it anyway.
+    """
+    used = []
+
+    def spying(name):
+        real = getattr(geoflow, name)
+        return lambda *args, **kwargs: used.append(name) or real(*args, **kwargs)
+
+    for name in ("solve_floats", "solve_ivp"):
+        monkeypatch.setattr(geoflow, name, spying(name))
+    x0, p0 = [-1.0] + [-0.3] * (dim - 1), [0.6] + [0.2] * (dim - 1)
+    got = integrate_flow(bump_model(dim), x0, p0, 2.1).sol(2.1)
+    monkeypatch.setattr(geoflow, "FLOAT_STATE", 0)
+    want = integrate_flow(bump_model(dim), x0, p0, 2.1).sol(2.1)
+    assert used == [solver, "solve_ivp"]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim,kind", RHS_MODELS, ids=[f"d{d}-{k}-jacobi" for d, k in RHS_MODELS])
@@ -750,6 +782,39 @@ def test_float_march_is_dop853_side_by_side(name):
     assert ts.shape == steps.sol.ts.shape
     assert np.max(np.abs(ts - steps.sol.ts)) <= 1e-5 * abs(t_span[1] - t_span[0])
     assert _scaled(ys, steps.sol(ts)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(FLOAT_CASES))
+def test_float_dense_output_is_the_float_reads_bit_for_bit(name):
+    """solve_floats' dense sol(t), sol.head and array reads equal its t_eval reads bit for bit.
+
+    Both solves take the same steps: the dense one builds the interpolant
+    on every step, the other on the steps that hold a point.
+    """
+    t_span, t_eval = FLOAT_CASES[name]
+    tols = dict(rtol=1e-10, atol=1e-12)
+    read = dop853.solve_floats(_pendulum, t_span, [0.3, 1.2], t_eval=t_eval, **tols)
+    dense = dop853.solve_floats(_pendulum, t_span, [0.3, 1.2], dense_output=True, **tols)
+    sol = dense.sol
+    assert dense.y.shape == (2, len(sol.ts)) and dense.y.dtype == float
+    for t, want in zip(t_eval, read.y.T.tolist()):
+        assert sol(t).tolist() == sol.head(t) == want
+        assert sol.head(t, 1) == want[:1]
+    assert np.array_equal(sol(np.array(t_eval)), read.y)
+    times = np.linspace(*t_span, 41)
+    assert np.array_equal(sol(times), np.array([sol.head(t) for t in times.tolist()]).T)
+
+
+def test_float_solve_of_a_zero_length_span_is_solve_ivps():
+    """y0 at both ends and a ConstantSolution that reads y0, after one call of fun, as solve_ivp."""
+    tols = dict(rtol=1e-10, atol=1e-12, dense_output=True)
+    got = dop853.solve_floats(_pendulum, (1.0, 1.0), [0.3, 1.2], **tols)
+    want = dop853.solve_ivp(_pendulum, (1.0, 1.0), [0.3, 1.2], **tols)
+    assert isinstance(got.sol, dop853.ConstantSolution)
+    assert (got.nfev, got.status) == (want.nfev, want.status) == (1, 0)
+    assert np.array_equal(got.y, want.y)
+    for t in (1.0, 0.5, np.array([1.0, 2.0, 0.0])):
+        assert np.array_equal(got.sol(t), want.sol(t))
 
 
 def test_float_march_stops_where_its_step_underflows():
@@ -1317,6 +1382,9 @@ _BAD_INPUT = {
                           (-1, 2, [[1.0]])),
     "solve_ivp-zero-span": (lambda: dop853.solve_ivp(_decay, (1.0, 1.0), [1.0], rtol=1e-10,
                                                      atol=1e-12), (0, 1, [[1.0, 1.0]])),
+    "solve_floats-nan-y0-dense": (lambda: dop853.solve_floats(
+        _decay, (0.0, 1.0), [1.0, math.nan], rtol=1e-10, atol=1e-12, dense_output=True),
+        ValueError),
     "solve_floats-zero-span": (lambda: dop853.solve_floats(
         lambda t, y: (-y[0],), (1.0, 1.0), [1.0], rtol=1e-10, atol=1e-12, t_eval=[1.0, 1.0]),
         (0, 1, [[1.0, 1.0]])),

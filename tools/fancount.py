@@ -21,7 +21,8 @@ runs the validate1d command on the four pairs of validate1d-oracle
 (VALIDATE1D_PAIRS and H_LIST of bench/workloads.py, unjittered) and gives
 the 1D Jost oracle's RHS calls per pair and h, and their total over one
 round of the workload, which runs the bump and the cosine twice.  The tool
-wraps geoflow._lane_rhs and geoflow._flow_rhs, the solve_ivp that
+wraps geoflow._lane_rhs and geoflow._flow_rhs (on numpy stages in d = 3
+and on float stages in d <= 2), the solve_ivp that
 transport, bmt and oracle1d bind, and oracle1d.decaying_solution (for the
 h of each march), so it counts
 
@@ -81,8 +82,8 @@ def counted(counts):
             return rhs(y, rows)
         return wrapped
 
-    def lone(model):
-        rhs = flow_rhs(model)
+    def lone(model, *args):
+        rhs = flow_rhs(model, *args)
 
         def wrapped(t, y):
             counts["lone_calls"] += 1
