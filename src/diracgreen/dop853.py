@@ -101,7 +101,7 @@ class DenseSolution:
         self._stack = None
 
     def head(self, t, m=None):
-        """The first m components of self(t) (all by default) at a float t, as a list, bit for bit."""
+        """The first m components of self(t), or all, at a float t as a list, bit for bit."""
         i = min(max(bisect_left(self._keys, self._sign * t) - 1, 0), len(self._steps) - 1)
         cols = self._cols[i]
         if cols is None:
@@ -297,14 +297,14 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False,
     make the installed scipy's numpy calls in its order: select_initial_step,
     the rk_step stages, the error norm and step-size control, t_eval read
     through each step's 7th-order interpolant (_horner), and dense output
-    as a DenseSolution of those interpolants, and scipy's max_step cap.  So
-    y, sol(t) and nfev equal scipy's.  y0 may be real or complex.  With t_eval and no dense output
-    the solve returns (status 0) after the step that reads the last point,
-    so the end of t_span then only bounds the steps: y and nfev are
-    scipy's when that point is the end.  A y0 that is not finite raises
-    scipy's ValueError.  A zero-length span takes no step, as scipy's: y0
-    at both ends (at each t_eval point, where scipy reads none) and a
-    ConstantSolution, after one call of fun.
+    as a DenseSolution of those interpolants, with scipy's max_step cap.
+    So y, sol(t) and nfev equal scipy's.  y0 may be real or complex.  With
+    t_eval and no dense output the solve returns (status 0) after the step
+    that reads the last point, so the end of t_span then only bounds the
+    steps: y and nfev are scipy's when that point is the end.  A y0 that
+    is not finite raises scipy's ValueError.  A zero-length span takes no
+    step, as scipy's: y0 at both ends (at each t_eval point, where scipy
+    reads none) and a ConstantSolution, after one call of fun.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0)
@@ -421,7 +421,8 @@ def solve_floats(fun, t_span, y0, *, rtol, atol, t_eval=None, dense_output=False
     norm and step-size control, each point read through its step's
     7th-order interpolant, and dense output as a DenseSolution of the float
     interpolants, with solve_ivp's nfev; only the rounding differs, since
-    each stage's sum is one float expression over its nonzero coefficients.  fun(t, y) takes a tuple of floats and returns a
+    each stage's sum is one float expression over its nonzero
+    coefficients.  fun(t, y) takes a tuple of floats and returns a
     sequence of floats; it must not raise where they overflow (x * x, not
     x ** 2), so that a trial stage that overflows makes its step's error inf
     or NaN and the step is rejected, as any whose error is too large.  A

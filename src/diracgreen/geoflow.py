@@ -371,7 +371,7 @@ def _end_of(d, y, p0, tau, traj=None):
 
 
 def _flow_one(model, y_star, p0, tau, opts, dense):
-    """_End or outcome of one flow through solve_ivp.
+    """_End or outcome of one flow through _solve_flow.
 
     Only a dense flow builds DOP853's interpolant on every step, for the
     Trajectory its _End carries; otherwise the interpolant is built on the

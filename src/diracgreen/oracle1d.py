@@ -25,8 +25,13 @@ segment with no rescaling, and one such pair serves both G(x, y) and
 G(y, x).  G(x, y) alone reads the solution recessive away from x at y
 only, so that march stops at y.  The march is dop853.solve_floats, scipy's
 DOP853 on the two Python floats with each stage's sum written out, bound
-here as solve_ivp.  A trial stage that overflows gives inf or NaN in float
-arithmetic, with no warning, and DOP853 rejects its step.
+here as solve_ivp; V' does not enter, so the right-hand side reads V
+alone (PotentialModel.line_value), and r alone of its state, so the
+stages sum no argument for L.  A trial stage that overflows gives inf or
+NaN in float arithmetic, with no warning, and DOP853 rejects its step.
+No step is longer than the model's reach: on a flat stretch r' is 0,
+the error estimate is 0 and the step grows tenfold per step, and a
+longer step could cross the well with no stage inside it.
 
 The u1 chart holds: |r| = |w| obeys d|r|/dsigma = ((1 + V) - (1 - V)
 r^2)/h in the march direction sigma, a rate of 2V/h < 0 at |r| = 1 for

@@ -806,7 +806,7 @@ def test_float_dense_output_is_the_float_reads_bit_for_bit(name):
 
 
 def test_float_solve_of_a_zero_length_span_is_solve_ivps():
-    """y0 at both ends and a ConstantSolution that reads y0, after one call of fun, as solve_ivp."""
+    """y0 at both ends and a ConstantSolution that reads y0, after one call of fun: solve_ivp's."""
     tols = dict(rtol=1e-10, atol=1e-12, dense_output=True)
     got = dop853.solve_floats(_pendulum, (1.0, 1.0), [0.3, 1.2], **tols)
     want = dop853.solve_ivp(_pendulum, (1.0, 1.0), [0.3, 1.2], **tols)

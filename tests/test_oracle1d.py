@@ -236,7 +236,7 @@ def test_the_march_carries_two_real_components(monkeypatch):
 @pytest.mark.parametrize("h", [0.2, 0.025])
 @pytest.mark.parametrize("name", ["bump", "tanh", "cosine"])
 def test_the_march_sums_r_alone_with_the_same_result(monkeypatch, name, h):
-    """The Riccati RHS declares reads = 1: its stages get r alone, with the full march's y and nfev.
+    """The Riccati RHS declares reads = 1: its stages get r alone, with the full march's y, nfev.
 
     The full march runs the same RHS behind a wrapper without the
     attribute, so that each stage sums both components.
